@@ -12,12 +12,17 @@ subset settles the universally-quantified center.  Erasures never help the
 adversary: erasing coordinate i changes the slack by (maxcount_i - 1)/n >= 0,
 so the erasure-free worst case covers every erasure fraction (this fact is
 also machine-checked on small instances in the test suite).
+
+Size-2 subsets read the Hamming distance matrix; every larger size runs one
+numpy kernel over the pairwise symbol-equality tensor.  Each reported
+witness is the lexicographically smallest minimizing index tuple, so it is
+a function of the word list alone.  `_search_generic`, a direct plurality
+enumeration, is the reference the tests hold the kernel to.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -66,6 +71,9 @@ def plurality_center(words) -> tuple[tuple, list[int]]:
 
 @dataclass
 class SubsetWitness:
+    """The minimum D(H) over the subsets H of one size, and a subset that
+    attains it: the lexicographically smallest such index tuple."""
+
     size: int
     indices: tuple[int, ...]
     disagreement_count: int  # D(H), an exact integer over n coordinates
@@ -79,11 +87,13 @@ def min_disagreement_by_size(
     sym: np.ndarray,
     k: int,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    threads: int = 1,
 ) -> dict[int, SubsetWitness]:
     """For each subset size m in 2..k, the minimum D(H) and a witness subset.
 
-    `sym` is an (M, n) integer matrix of interned codeword symbols.
+    `sym` is an (M, n) integer matrix of interned codeword symbols.  Size 2
+    reads the Hamming distance matrix; every larger size runs the same
+    kernel, `_search_subsets`.  Each witness is the lexicographically
+    smallest minimizing index tuple, so it depends on the word list alone.
     """
     M, n = sym.shape
     if subset_search_count(M, k) > subset_cap:
@@ -103,73 +113,44 @@ def min_disagreement_by_size(
     best = int(flat.argmin())
     out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]))
 
-    if k >= 3 and M >= 3:
-        out[3] = _search_m3(sym, eq, threads)
-    if k >= 4 and M >= 4:
-        out[4] = _search_m4(sym, eq, threads)
-    for m in range(5, min(k, M) + 1):
-        out[m] = _search_generic(sym, m)
+    for m in range(3, min(k, M) + 1):
+        out[m] = _search_subsets(eq, m)
     return out
 
 
-def _search_m3(sym: np.ndarray, eq: np.ndarray, threads: int) -> SubsetWitness:
-    M, n = sym.shape
+def _search_subsets(eq: np.ndarray, m: int) -> SubsetWitness:
+    """Minimum D(H) over all m-subsets (m >= 3), from the pairwise equality
+    tensor `eq`, with the lexicographically smallest witness.
 
-    def scan(a_range):
-        best = (np.iinfo(np.int64).max, None)
-        for a in a_range:
-            rest = np.arange(a + 1, M)
-            if len(rest) < 2:
-                continue
-            bi, ci = np.triu_indices(len(rest), k=1)
-            B, C = rest[bi], rest[ci]
-            eq_ab, eq_ac = eq[a][B], eq[a][C]
-            eq_bc = eq[B, C]
-            count_a = 1 + eq_ab + eq_ac
-            count_b = 1 + eq_ab + eq_bc
-            count_c = 1 + eq_ac + eq_bc
-            maxc = np.maximum(np.maximum(count_a, count_b), count_c)
-            d = 3 * n - maxc.sum(axis=1, dtype=np.int64)
-            j = int(d.argmin())
-            if d[j] < best[0]:
-                best = (int(d[j]), (a, int(B[j]), int(C[j])))
-        return best
-
-    best = _parallel_min(scan, range(M - 2), threads)
-    return SubsetWitness(3, best[1], best[0])
-
-
-def _search_m4(sym: np.ndarray, eq: np.ndarray, threads: int) -> SubsetWitness:
-    M, n = sym.shape
-
-    def scan(b_range):
-        best = (np.iinfo(np.int64).max, None)
-        for b in b_range:
-            rest = np.arange(b + 1, M)
-            if len(rest) < 2 or b < 1:
-                continue
-            ci, di = np.triu_indices(len(rest), k=1)
-            C, D = rest[ci], rest[di]
-            eq_cd = eq[C, D]
-            eq_bc, eq_bd = eq[b][C], eq[b][D]
-            for a in range(b):
-                eq_ab = eq[a, b]
-                eq_ac, eq_ad = eq[a][C], eq[a][D]
-                count_a = 1 + eq_ab + eq_ac + eq_ad
-                count_b = 1 + eq_ab + eq_bc + eq_bd
-                count_c = 1 + eq_ac + eq_bc + eq_cd
-                count_d = 1 + eq_ad + eq_bd + eq_cd
-                maxc = np.maximum(
-                    np.maximum(count_a, count_b), np.maximum(count_c, count_d)
-                )
-                d = 4 * n - maxc.sum(axis=1, dtype=np.int64)
-                j = int(d.argmin())
-                if d[j] < best[0]:
-                    best = (int(d[j]), (a, b, int(C[j]), int(D[j])))
-        return best
-
-    best = _parallel_min(scan, range(1, M - 1), threads)
-    return SubsetWitness(4, best[1], best[0])
+    H is written prefix + (last, c, d) with prefix < last < c < d.  Python
+    loops fix `last` and the m - 3 prefix indices below it; numpy evaluates
+    every pair (c, d) above `last` at once.  D(H) = m*n - sum_i t_i, where
+    t_i is the largest symbol multiplicity at coordinate i.  A member's count
+    at i is 1 plus the later members equal to it there; the first member of
+    each symbol class counts the whole class, so t_i is the largest count.
+    """
+    M, _, n = eq.shape
+    best = None
+    for last in range(m - 3, M - 2):
+        ci, di = np.triu_indices(M - last - 1, k=1)
+        C, D = ci + last + 1, di + last + 1
+        # the counts of last and c; d, counted 1, is never above them
+        top = np.maximum(
+            1 + eq[last].take(C, 0) + eq[last].take(D, 0), 1 + eq[C, D]
+        )
+        for prefix in combinations(range(last), m - 3):
+            fixed = prefix + (last,)
+            maxc = top
+            for i, a in enumerate(prefix):
+                count = eq[a, fixed[i:]].sum(axis=0, dtype=np.uint8)
+                maxc = np.maximum(maxc, count + eq[a].take(C, 0) + eq[a].take(D, 0))
+            # einsum sums the short rows several times faster than .sum
+            kept = np.einsum("ij->i", maxc, dtype=np.int64)
+            j = int(kept.argmax())
+            cand = (m * n - int(kept[j]), fixed + (int(C[j]), int(D[j])))
+            if best is None or cand < best:
+                best = cand
+    return SubsetWitness(m, best[1], best[0])
 
 
 def _search_generic(sym: np.ndarray, m: int) -> SubsetWitness:
@@ -182,19 +163,6 @@ def _search_generic(sym: np.ndarray, m: int) -> SubsetWitness:
         if d < best[0]:
             best = (d, idx)
     return SubsetWitness(m, best[1], best[0])
-
-
-def _parallel_min(scan, index_range, threads: int):
-    if threads <= 1:
-        result = scan(index_range)
-    else:
-        chunks = [list(index_range)[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, chunks))
-        result = min(results, key=lambda r: r[0])
-    if result[1] is None:
-        raise EmptySet("subset scan found no candidate")
-    return result
 
 
 def epsilon_min(

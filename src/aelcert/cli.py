@@ -20,6 +20,7 @@ import numpy as np
 
 from . import io as aio
 from .ael import AELCode, verify_distance_amplification
+from .arld import DEFAULT_SUBSET_CAP
 from .codes import ERASED, ErasedWord
 from .errors import AelcertError, AmplificationViolation, ConfigInvalid, SearchExhausted
 from .gf import make_field
@@ -34,11 +35,11 @@ _SCHEMAS = {
     "build-inner": (
         {"version", "seed", "field", "length", "dim", "k", "delta0", "eps_target",
          "code_out", "certificate_out"},
-        {"max_tries", "threads", "subset_cap"},
+        {"max_tries", "subset_cap"},
     ),
     "verify-inner": (
         {"version", "code_file", "k", "delta0", "certificate_out"},
-        {"eps_target", "threads", "subset_cap"},
+        {"eps_target", "subset_cap"},
     ),
     "build-frs": ({"version", "field", "b", "n", "rho", "code_out"}, {"alphas"}),
     "build-graph": (
@@ -62,7 +63,7 @@ _SCHEMAS = {
     ),
     "verify-singleton": (
         {"version", "bundle_file", "k", "delta0", "eps"},
-        {"report_out", "threads", "subset_cap"},
+        {"report_out", "subset_cap"},
     ),
     "verify-amplification": ({"version", "bundle_file"}, {"report_out"}),
     "verify-eml": ({"version", "graph_file", "seed"}, {"trials", "report_out"}),
@@ -91,10 +92,6 @@ def _field(cfg_field) -> "Field":
     return make_field(cfg_field["p"], cfg_field.get("m", 1))
 
 
-def _report_rows_pass(rows) -> bool:
-    return all(r["pass"] for r in rows)
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
@@ -110,7 +107,7 @@ def _cmd_build_inner(cfg) -> int:
             aio.parse_frac(cfg["eps_target"]),
             seed=cfg["seed"],
             max_tries=cfg.get("max_tries", 50),
-            threads=cfg.get("threads", 1),
+            subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP),
         )
     except SearchExhausted as exc:
         print(f"FAIL build-inner: {exc}")
@@ -127,7 +124,7 @@ def _cmd_verify_inner(cfg) -> int:
         code,
         cfg["k"],
         aio.parse_frac(cfg["delta0"]),
-        threads=cfg.get("threads", 1),
+        subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP),
         description=str(cfg["code_file"]),
     )
     aio.save_certificate(cfg["certificate_out"], cert)
@@ -267,7 +264,7 @@ def _cmd_verify_singleton(cfg) -> int:
         cfg["k"],
         aio.parse_frac(cfg["delta0"]),
         aio.parse_frac(cfg["eps"]),
-        threads=cfg.get("threads", 1),
+        subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP),
     )
     rows = [
         {

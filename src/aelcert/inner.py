@@ -31,6 +31,7 @@ from .errors import (
     SearchExhausted,
 )
 from .gf import Field, multiplicative_generator
+from .outer import poly_eval
 from .seeds import derive_seed
 
 
@@ -84,7 +85,6 @@ def min_arld_slack(
     k: int,
     delta0: Fraction,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    threads: int = 1,
     description: str = "",
 ) -> ARLDCertificate:
     """Exact worst-case slack over all subsets H with |H| <= k and all centers.
@@ -101,7 +101,7 @@ def min_arld_slack(
             time.perf_counter() - t0, description,
         )
     sym, _ = intern_symbols(words)
-    witnesses = min_disagreement_by_size(sym, k, subset_cap, threads)
+    witnesses = min_disagreement_by_size(sym, k, subset_cap)
     eps, worst = epsilon_min(witnesses, n, delta0)
     center, contribs = plurality_center([words[i] for i in worst.indices])
     return ARLDCertificate(
@@ -226,7 +226,6 @@ def search_inner_code(
     seed: int,
     max_tries: int = 50,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    threads: int = 1,
 ):
     """Rejection-sample random linear codes until one certifies eps_min <= target.
 
@@ -238,7 +237,7 @@ def search_inner_code(
         rng = np.random.default_rng(derive_seed(seed, "inner-search", t))
         code = sample_random_linear_code(field, length, dim, rng)
         cert = min_arld_slack(
-            code, k, delta0, subset_cap, threads,
+            code, k, delta0, subset_cap,
             description=f"random[{length},{dim}]_q{field.q} try {t}",
         )
         if cert.eps_min <= eps_target:
@@ -303,13 +302,6 @@ class FoldedRSCode:
         if len(points) != b * n:
             raise NotAppropriate("evaluation points {gamma^i alpha_j} collide")
 
-    def _eval(self, coeffs, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     def encode(self, msg) -> tuple[tuple[int, ...], ...]:
         msg = list(msg)
         if len(msg) != self.dim:
@@ -320,7 +312,7 @@ class FoldedRSCode:
             x = a
             tup = []
             for _ in range(self.b):
-                tup.append(self._eval(msg, x))
+                tup.append(poly_eval(F, msg, x))
                 x = F.mul(x, self.gamma)
             out.append(tuple(tup))
         return tuple(out)

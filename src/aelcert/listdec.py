@@ -21,7 +21,12 @@ from .arld import (
     subset_search_count,
 )
 from .codes import ERASED, ErasedWord
-from .errors import DuplicateCodewords, PrerequisiteNotVerified, SubsetTooSmall
+from .errors import (
+    DuplicateCodewords,
+    EnumerationTooLarge,
+    PrerequisiteNotVerified,
+    SubsetTooSmall,
+)
 
 
 def brute_force_list(code: AELCode, center, beta: Fraction, cap: int = 1 << 24):
@@ -42,7 +47,6 @@ def verify_generalized_singleton(
     delta0: Fraction,
     eps: Fraction,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    threads: int = 1,
 ) -> dict:
     """Exhaustive subset check of the average-radius bound on C_AEL.
 
@@ -57,7 +61,7 @@ def verify_generalized_singleton(
     words = code.enumerate_codewords()
     n = code.n
     sym, _ = intern_symbols(words)
-    witnesses = min_disagreement_by_size(sym, k, subset_cap, threads)
+    witnesses = min_disagreement_by_size(sym, k, subset_cap)
     empirical_eps, worst = epsilon_min(witnesses, n, delta0)
     violations = []
     for m, w in witnesses.items():
@@ -119,6 +123,8 @@ def verify_common_error_bound(
     For each center g and every subset H (|H| <= k) of the radius-beta list:
         sum_h Delta(g, h) >= (|H| - 1)(delta0 - eps) + common_error_fraction.
     Requires a passing generalized-Singleton report for the same parameters.
+    A list longer than list_cap raises EnumerationTooLarge instead of being
+    checked in part.
     """
     delta0, eps = Fraction(delta0), Fraction(eps)
     if singleton_report is None or not singleton_report.get("empirical_pass"):
@@ -132,10 +138,10 @@ def verify_common_error_bound(
         g = tuple(g)
         lst = brute_force_list(code, g, beta)
         if len(lst) > list_cap:
-            # keep the closest codewords; the inequality is hardest for them
-            lst = sorted(
-                lst, key=lambda h: code.delta_R_erased(ErasedWord(g), h)
-            )[:list_cap]
+            raise EnumerationTooLarge(
+                f"radius-{beta} list of center {g} has {len(lst)} members,"
+                f" over list_cap {list_cap}"
+            )
         for m in range(1, min(k, len(lst)) + 1):
             for subset in combinations(lst, m):
                 lhs = sum(

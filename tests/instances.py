@@ -52,7 +52,7 @@ def _rows_from_counts(instance, counts, bound):
     ]
 
 
-def build_artifacts(outdir, threads: int = 4) -> dict:
+def build_artifacts(outdir) -> dict:
     """Build every acceptance instance and persist its artifacts.
 
     Returns a dict of live objects and measured quantities keyed by
@@ -70,7 +70,7 @@ def build_artifacts(outdir, threads: int = 4) -> dict:
     # --- inner code over GF(8), length 6, dim 2, certified at (2/3, 4) -------
     code1, cert1 = search_inner_code(
         f8, 6, 2, k=4, delta0=Fraction(2, 3), eps_target=Fraction(1, 6),
-        seed=derive_seed(ROOT_SEED, "ac1"), threads=threads,
+        seed=derive_seed(ROOT_SEED, "ac1"),
     )
     save_code(outdir / "ac1_inner.json", code1)
     save_certificate(outdir / "ac1_certificate.json", cert1)
@@ -107,12 +107,12 @@ def build_artifacts(outdir, threads: int = 4) -> dict:
     # --- K_{12,12} instance with a searched GF(4) [12,2] inner code ----------
     inner4, cert4 = search_inner_code(
         f4, 12, 2, k=4, delta0=Fraction(2, 3), eps_target=Fraction(1, 6),
-        seed=derive_seed(ROOT_SEED, "ac4"), threads=threads,
+        seed=derive_seed(ROOT_SEED, "ac4"),
     )
     eps_in = cert4.eps_min
     ael4 = AELCode(complete_bipartite(12), inner4, outer)
     singleton = verify_generalized_singleton(
-        ael4, 4, Fraction(2, 3), 2 * eps_in, threads=threads
+        ael4, 4, Fraction(2, 3), 2 * eps_in
     )
     save_code(outdir / "ac4_inner.json", inner4)
     save_certificate(outdir / "ac4_certificate.json", cert4)

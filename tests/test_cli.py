@@ -151,6 +151,31 @@ def test_verify_singleton_impossible_margin_exits_1(workspace):
         })]) == 1
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("verify-singleton", {"bundle_file": "bundle.json", "k": 3,
+                          "delta0": "1/2", "eps": "1/4"}),
+    ("verify-inner", {"code_file": "inner_code.json", "k": 3, "delta0": "1/2",
+                      "certificate_out": "capped_cert.json"}),
+], ids=["verify-singleton", "verify-inner"])
+def test_subset_cap_reaches_the_verifier(workspace, capsys, command, payload):
+    tmp = workspace
+    payload = {key: str(tmp / v) if key.endswith(("_file", "_out")) else v
+               for key, v in payload.items()}
+    cfg = _write_config(tmp / "capped.json",
+                        {"version": 1, "subset_cap": 10, **payload})
+    assert main([command, "--config", cfg]) == 1
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_threads_key_rejected(workspace):
+    tmp = workspace
+    assert main(["verify-singleton", "--config", _write_config(
+        tmp / "vs_threads.json", {
+            "version": 1, "bundle_file": str(tmp / "bundle.json"),
+            "k": 3, "delta0": "1/2", "eps": "1/4", "threads": 1,
+        })]) == 2
+
+
 def test_verify_eml(workspace):
     tmp = workspace
     assert main(["verify-eml", "--config", _write_config(tmp / "eml.json", {

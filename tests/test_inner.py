@@ -5,6 +5,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aelcert import (
     ERASED,
@@ -19,6 +21,7 @@ from aelcert import (
     search_inner_code,
 )
 from aelcert.arld import (
+    _search_generic,
     epsilon_min,
     intern_symbols,
     min_disagreement_by_size,
@@ -94,36 +97,47 @@ def test_subset_cap_enforced():
         min_disagreement_by_size(sym, 4, subset_cap=1000)
 
 
+def _assert_kernel_matches_oracle(words, k):
+    sym, _ = intern_symbols(words)
+    got = min_disagreement_by_size(sym, k)
+    assert sorted(got) == list(range(2, min(k, len(words)) + 1))
+    for m in got:
+        ref = _search_generic(sym, m)
+        assert got[m].disagreement_count == ref.disagreement_count
+        # the witness is the lexicographically smallest minimizer
+        assert got[m].indices == ref.indices
+
+
 def test_vectorized_search_matches_generic_oracle():
-    # the m=2/3/4 vectorized scans must agree with direct plurality
-    # enumeration over every subset
+    # the vectorized scans must agree with direct plurality enumeration
+    # over every subset, on the minimum and on the witness
     rng = np.random.default_rng(11)
     for trial in range(5):
         words = [tuple(int(x) for x in rng.integers(0, 4, 5)) for _ in range(9)]
-        words = list(dict.fromkeys(words))
-        sym, _ = intern_symbols(words)
-        got = min_disagreement_by_size(sym, 4)
-        for m in (2, 3, 4):
-            if m > len(words):
-                continue
-            best = min(
-                sum(plurality_center([words[i] for i in idx])[1])
-                for idx in combinations(range(len(words)), m)
-            )
-            assert got[m].disagreement_count == best
-            witness = [words[i] for i in got[m].indices]
-            assert sum(plurality_center(witness)[1]) == best
+        _assert_kernel_matches_oracle(list(dict.fromkeys(words)), 5)
+    # tie-heavy: every binary word of length 4, many subsets share a minimum
+    _assert_kernel_matches_oracle(list(product(range(2), repeat=4)), 5)
+    # (1, 2, 3, 4) and (0, 3, 4, 5) both attain the m=4 minimum; a scan that
+    # keeps the first minimum in its own order reports the former
+    _assert_kernel_matches_oracle(
+        [(0, 0, 0, 1), (0, 1, 2, 2), (1, 1, 1, 2), (2, 1, 0, 1), (1, 0, 0, 2),
+         (2, 0, 1, 0), (2, 2, 1, 2)],
+        4,
+    )
 
 
-def test_threaded_search_matches_single_thread():
-    rng = np.random.default_rng(3)
-    words = [tuple(int(x) for x in rng.integers(0, 2, 6)) for _ in range(12)]
-    words = list(dict.fromkeys(words))
-    sym, _ = intern_symbols(words)
-    solo = min_disagreement_by_size(sym, 4, threads=1)
-    multi = min_disagreement_by_size(sym, 4, threads=3)
-    for m in solo:
-        assert solo[m].disagreement_count == multi[m].disagreement_count
+@st.composite
+def _small_word_lists(draw):
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    word = st.tuples(*[st.integers(0, q - 1)] * n)
+    return draw(st.lists(word, min_size=2, max_size=10))
+
+
+@given(words=_small_word_lists(), k=st.integers(2, 5))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_oracle_on_random_word_lists(words, k):
+    _assert_kernel_matches_oracle(words, k)
 
 
 # -- min_arld_slack ---------------------------------------------------------------

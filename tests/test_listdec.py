@@ -22,6 +22,7 @@ from aelcert import (
 )
 from aelcert.errors import (
     DuplicateCodewords,
+    EnumerationTooLarge,
     PrerequisiteNotVerified,
     SubsetTooSmall,
 )
@@ -130,6 +131,20 @@ def test_common_error_center_in_subset(instance12):
         singleton_report=singleton,
     )
     assert report["passed"]
+
+
+def test_common_error_list_over_cap_fails_closed(instance12):
+    singleton = verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0)
+    w = instance12.encode_message([4, 4])
+    v = instance12.encode_message([4, 5])
+    g = v[:6] + w[6:]  # halfway between w and v
+    beta = Fraction(1, 2)
+    assert len(brute_force_list(instance12, g, beta)) == 2
+    with pytest.raises(EnumerationTooLarge, match="has 2 members"):
+        verify_common_error_bound(
+            instance12, 2, Fraction(1, 2), 0, [g], beta=beta,
+            singleton_report=singleton, list_cap=1,
+        )
 
 
 def test_partition_pair(instance12):
