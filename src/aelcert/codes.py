@@ -57,32 +57,19 @@ def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int
     return mat[:r], pivots
 
 
-def rank(field: Field, rows: list[list[int]]) -> int:
-    return len(rref(field, rows)[0])
+def solve(field: Field, rows: list[list[int]], rhs: list[int]) -> list[int] | None:
+    """One solution x of rows @ x = rhs over `field`, or None if there is none.
 
-
-def solve(field: Field, rows: list[list[int]], target: list[int]) -> list[int] | None:
-    """Solve x @ rows = target; returns one solution or None.
-
-    Used for codeword-membership checks (recover the message coordinates).
+    Row-reduces the augmented matrix [rows | rhs]; a pivot in the constant
+    column means the system is inconsistent.  Free variables are set to 0.
     """
-    # transpose to a standard linear system A y = b with A columns = rows
-    nrows = len(rows)
-    ncols = len(rows[0])
-    aug = [[rows[j][i] for j in range(nrows)] + [target[i]] for i in range(ncols)]
-    red, pivots = rref(field, aug)
-    x = [0] * nrows
-    for row, p in zip(red, pivots):
-        if p == nrows:  # pivot in the constant column: inconsistent
-            return None
+    unknowns = len(rows[0])
+    reduced, pivots = rref(field, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == unknowns:
+        return None
+    x = [0] * unknowns
+    for row, p in zip(reduced, pivots):
         x[p] = row[-1]
-    # verify (guards against free-variable inconsistencies)
-    for i in range(ncols):
-        acc = 0
-        for j in range(nrows):
-            acc = field.add(acc, field.mul(x[j], rows[j][i]))
-        if acc != target[i]:
-            return None
     return x
 
 
@@ -107,7 +94,9 @@ class LinearCode:
             raise DimensionMismatch("ragged generator matrix")
         if any(x >= field.q or x < 0 for row in self.generator for x in row):
             raise FieldMismatch("generator entry outside field")
-        if rank(field, [list(r) for r in self.generator]) != self.dim:
+        # kept: contains() re-encodes words through the reduced rows
+        self._reduced, self._pivots = rref(field, self.generator)
+        if len(self._reduced) != self.dim:
             raise DimensionMismatch("generator matrix is not full row rank")
         self._codewords: list[tuple[int, ...]] | None = None
 
@@ -125,9 +114,13 @@ class LinearCode:
             raise DimensionMismatch(f"message length {len(msg)} != dim {self.dim}")
         if any(x >= self.field.q or x < 0 for x in msg):
             raise FieldMismatch("message symbol outside field")
+        return self._combine(msg, self.generator)
+
+    def _combine(self, coeffs, rows) -> tuple[int, ...]:
+        """The linear combination sum_i coeffs[i] * rows[i]."""
         F = self.field
         out = [0] * self.n
-        for coeff, row in zip(msg, self.generator):
+        for coeff, row in zip(coeffs, rows):
             if coeff == 0:
                 continue
             for i, g in enumerate(row):
@@ -149,10 +142,18 @@ class LinearCode:
         return np.array(self.enumerate_codewords(cap), dtype=np.int64)
 
     def contains(self, word) -> bool:
-        word = list(word)
+        """Exact membership test; False for a word with a symbol outside [0, q).
+
+        The only codeword that agrees with `word` on the pivot columns is
+        sum_i word[pivot_i] * reduced_row_i, so `word` is a codeword iff it
+        equals that re-encoding.  No elimination runs per call.
+        """
+        word = tuple(word)
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n {self.n}")
-        return solve(self.field, [list(r) for r in self.generator], word) is not None
+        if any(not 0 <= x < self.field.q for x in word):
+            return False
+        return self._combine([word[p] for p in self._pivots], self._reduced) == word
 
     def min_distance(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
         """Minimum fractional distance; by linearity the minimum nonzero weight."""

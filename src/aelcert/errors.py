@@ -69,10 +69,6 @@ class ParallelEdgeExhaustion(AelcertError):
     pass
 
 
-class ConvergenceFailure(AelcertError):
-    pass
-
-
 class GraphMismatch(AelcertError):
     pass
 

@@ -131,8 +131,8 @@ class Field:
         base = a
         while e:
             if e & 1:
-                result = self._mul_poly(result, base) if self._exp is None else self.mul(result, base)
-            base = self._mul_poly(base, base) if self._exp is None else self.mul(base, base)
+                result = self.mul(result, base)
+            base = self.mul(base, base)
             e >>= 1
         return result
 
@@ -264,10 +264,11 @@ def make_field(p: int, m: int = 1) -> Field:
 
 
 def multiplicative_generator(field: Field) -> int:
-    """Smallest element of multiplicative order q - 1, verified exhaustively."""
-    if field.q == 2:
-        return 1
-    for g in range(2, field.q):
-        if field.element_order(g) == field.q - 1:
-            return g
-    raise AssertionError("unreachable: F_q^* is cyclic")
+    """Smallest element of multiplicative order q - 1, verified exhaustively.
+
+    Fields with exp/log tables found it while building them; larger fields
+    search for it by the same table-free scan.
+    """
+    if field._exp is not None:
+        return field._generator
+    return field._find_generator_poly()

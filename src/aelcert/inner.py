@@ -24,6 +24,7 @@ from .arld import (
 )
 from .codes import ERASED, ErasedWord, LinearCode, pairwise_min_distance
 from .errors import (
+    DimensionMismatch,
     EnumerationTooLarge,
     FieldTooSmall,
     NotAppropriate,
@@ -206,13 +207,14 @@ def sample_random_linear_code(
     """Uniform full-rank generator matrix; deterministic under the given rng."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    from .codes import rank as mat_rank
-
+    if dim < 1:
+        raise DimensionMismatch("generator must have at least one row")
     for _ in range(max_attempts):
         gen = rng.integers(0, field.q, size=(dim, length))
-        rows = [[int(x) for x in row] for row in gen]
-        if mat_rank(field, rows) == dim:
-            return LinearCode(field, rows)
+        try:
+            return LinearCode(field, gen.tolist())
+        except DimensionMismatch:
+            continue
     raise RankFailure(f"no full-rank sample in {max_attempts} attempts")
 
 

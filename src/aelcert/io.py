@@ -141,7 +141,14 @@ def load_graph(path) -> BipartiteGraph:
     rec = load_artifact(path)
     if rec["kind"] != "bipartite_graph":
         raise ConfigInvalid(f"not a graph file: kind={rec.get('kind')}")
-    return BipartiteGraph(rec["n"], rec["d"], rec["left_adj"], seed=rec.get("seed"))
+    graph = BipartiteGraph(rec["n"], rec["d"], rec["left_adj"], seed=rec.get("seed"))
+    # the stored lambda must be the one this graph's adjacency gives
+    stored = rec.get("lambda")
+    if not isinstance(stored, (int, float)) or abs(stored - graph.lam) > 1e-9:
+        raise ConfigInvalid(
+            f"graph file lambda {stored!r} does not match recomputed {graph.lam!r}"
+        )
+    return graph
 
 
 # -- AEL bundles ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .codes import LinearCode
+from .codes import LinearCode, solve
 from .errors import FieldTooSmall, RadiusTooLarge
 from .gf import Field
 
@@ -95,7 +95,6 @@ def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
         return tuple(word) if code.contains(word) else None
     # Unknowns: E = e_0..e_{t-1} (monic x^t implied), Q = q_0..q_{t+k-1}.
     # Equation per point: Q(a_i) - y_i E(a_i) = y_i a_i^t.
-    n_unknowns = t + (t + k)
     rows, rhs = [], []
     for a, y in zip(code.points, word):
         pw = [1]
@@ -105,7 +104,7 @@ def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
         row += [pw[j] for j in range(t + k)]  # Q coefficients
         rows.append(row)
         rhs.append(F.mul(y, pw[t]))
-    sol = _solve_affine(F, rows, rhs, n_unknowns)
+    sol = solve(F, rows, rhs)
     if sol is None:
         return None
     E = sol[:t] + [1]
@@ -123,33 +122,3 @@ def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
     if errors > radius or not code.contains(decoded):
         return None
     return decoded
-
-
-def _solve_affine(F: Field, rows, rhs, n_unknowns):
-    """Gaussian elimination for A x = b; free variables set to 0."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows = len(aug)
-    pivots = []
-    r = 0
-    for c in range(n_unknowns):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = F.inv(aug[r][c])
-        aug[r] = [F.mul(inv, x) for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                fct = aug[i][c]
-                aug[i] = [F.sub(x, F.mul(fct, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][-1] != 0:
-            return None  # inconsistent
-    x = [0] * n_unknowns
-    for row, p in zip(aug[:r], pivots):
-        x[p] = row[-1]
-    return x

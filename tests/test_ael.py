@@ -64,6 +64,13 @@ def test_encode_rejects_non_codeword(instance12):
         instance12.encode([1] + [0] * 11)
 
 
+def test_encode_rejects_symbols_outside_outer_field(instance12):
+    # GF(16) symbols lie in [0, 16); anything else is not an outer codeword
+    for bad in (99, 16, -1):
+        with pytest.raises(NotAnOuterCodeword):
+            instance12.encode([bad] + [0] * 11)
+
+
 def test_left_views_are_inner_codewords(instance12):
     inner_set = set(instance12.inner.enumerate_codewords())
     for msg in ([1, 0], [3, 7], [15, 15]):

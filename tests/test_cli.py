@@ -185,6 +185,18 @@ def test_verify_eml(workspace):
     })]) == 0
 
 
+def test_verify_eml_rejects_tampered_graph(workspace, capsys):
+    tmp = workspace
+    graph_file = tmp / "graph_out.json"
+    rec = load_artifact(graph_file)
+    rec["lambda"] = rec["lambda"] / 2
+    graph_file.write_text(json.dumps(rec, sort_keys=True, indent=2) + "\n")
+    assert main(["verify-eml", "--config", _write_config(tmp / "eml.json", {
+        "version": 1, "graph_file": str(graph_file), "seed": 5, "trials": 20,
+    })]) == 2
+    assert "lambda" in capsys.readouterr().err
+
+
 def test_verify_inner(workspace):
     tmp = workspace
     assert main(["verify-inner", "--config", _write_config(tmp / "vi.json", {

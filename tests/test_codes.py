@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aelcert import ERASED, ErasedWord, LinearCode, dist_with_erasures, make_field
-from aelcert.codes import pairwise_min_distance, rank, rref
+from aelcert.codes import pairwise_min_distance, rref, solve
 from aelcert.errors import (
     DimensionMismatch,
     EmptyResidual,
@@ -16,6 +16,7 @@ from aelcert.errors import (
     FieldMismatch,
     LengthMismatch,
 )
+from aelcert.inner import sample_random_linear_code
 from aelcert.outer import RSOuterCode
 
 
@@ -32,8 +33,8 @@ def rs42(gf4):
 
 def test_rref_rank(gf2):
     rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
-    assert rank(gf2, rows) == 2
     reduced, pivots = rref(gf2, rows)
+    assert len(reduced) == 2
     assert pivots == [0, 1]
 
 
@@ -205,3 +206,71 @@ def test_linearity(msg1, msg2, gf4):
         gf4.add(a, b) for a, b in zip(code.encode(msg1), code.encode(msg2))
     )
     assert code.encode(summed) == cw
+
+
+def test_contains_rejects_symbols_outside_field(gf16):
+    code = RSOuterCode(gf16, 12, 2)
+    word = list(code.encode([3, 5]))
+    assert code.contains(word)
+    for bad in (99, 16, -1):
+        assert not code.contains([bad] + word[1:])
+    ternary_rep = LinearCode(make_field(3), [[1, 1, 1]])
+    assert ternary_rep.contains([2, 2, 2])
+    assert not ternary_rep.contains([4, 4, 4])
+    assert not ternary_rep.contains([3, 3, 3])
+
+
+def test_contains_agrees_with_enumeration(gf2, gf4):
+    # every word of F^n: membership by re-encoding vs the enumerated code
+    for code in (
+        sample_random_linear_code(gf2, 5, 2, 11),
+        RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]),
+        LinearCode(make_field(3), [[1, 2, 0], [0, 1, 1]]),
+    ):
+        codewords = set(code.enumerate_codewords())
+        for word in product(range(code.field.q), repeat=code.n):
+            assert code.contains(word) == (word in codewords)
+
+
+@st.composite
+def linear_systems(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    field = make_field(2, 2) if q == 4 else make_field(q)
+    n_rows = draw(st.integers(1, 4))
+    n_unknowns = draw(st.integers(1, 3))
+    symbol = st.integers(0, q - 1)
+    rows = draw(st.lists(st.lists(symbol, min_size=n_unknowns, max_size=n_unknowns),
+                         min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        # consistent by construction: rhs = rows @ x0
+        x0 = draw(st.lists(symbol, min_size=n_unknowns, max_size=n_unknowns))
+        rhs = [_dot(field, row, x0) for row in rows]
+    else:
+        rhs = draw(st.lists(symbol, min_size=n_rows, max_size=n_rows))
+    return field, rows, rhs
+
+
+def _dot(field, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+@given(system=linear_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_brute_force(system):
+    field, rows, rhs = system
+    n_unknowns = len(rows[0])
+    solutions = [
+        x for x in product(range(field.q), repeat=n_unknowns)
+        if all(_dot(field, row, x) == b for row, b in zip(rows, rhs))
+    ]
+    x = solve(field, rows, rhs)
+    if not solutions:
+        assert x is None
+        return
+    assert tuple(x) in solutions
+    # free (non-pivot) variables are set to 0
+    _, pivots = rref(field, rows)
+    assert all(x[j] == 0 for j in range(n_unknowns) if j not in pivots)

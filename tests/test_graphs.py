@@ -144,3 +144,10 @@ def test_eml_sets_random_graph():
         s_set = [int(x) for x in np.nonzero(rng.integers(0, 2, 12))[0]]
         t_set = [int(x) for x in np.nonzero(rng.integers(0, 2, 12))[0]]
         assert verify_eml_sets(g, s_set, t_set)[2]
+
+
+def test_lambda_is_dense_svd_sigma2_above_512_vertices():
+    # one code path at every size: lam is exactly the dense-SVD sigma_2
+    g = random_regular_bipartite(600, 4, seed=3, lam_target=1.0)
+    sigma = np.linalg.svd(g.biadjacency() / g.d, compute_uv=False)
+    assert g.lam == float(sigma[1])

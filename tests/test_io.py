@@ -1,5 +1,6 @@
 """Artifact round trips and byte-level determinism of file bodies."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,23 @@ def test_graph_round_trip(tmp_path):
     loaded = load_graph(tmp_path / "graph.json")
     assert loaded.left_adj == g.left_adj
     assert loaded.lam == g.lam
+
+
+def _tamper_lambda(path, delta):
+    rec = load_artifact(path)
+    rec["lambda"] += delta
+    path.write_text(json.dumps(rec, sort_keys=True, indent=2) + "\n")
+
+
+def test_graph_with_tampered_lambda_rejected(tmp_path):
+    g = random_regular_bipartite(12, 4, seed=7, lam_target=0.95)
+    path = tmp_path / "graph.json"
+    save_graph(path, g)
+    _tamper_lambda(path, 1e-12)  # within tolerance: still loads
+    assert load_graph(path).lam == g.lam
+    _tamper_lambda(path, -1e-3)
+    with pytest.raises(ConfigInvalid):
+        load_graph(path)
 
 
 def test_bundle_round_trip(tmp_path, gf4, gf16):
