@@ -18,6 +18,17 @@ numpy kernel over the pairwise symbol-equality tensor.  Each reported
 witness is the lexicographically smallest minimizing index tuple, so it is
 a function of the word list alone.  `_search_generic`, a direct plurality
 enumeration, is the reference the tests hold the kernel to.
+
+Translation symmetry: adding one vector v to every word of H keeps every
+coordinate's equality pattern (a_i + v_i = b_i + v_i iff a_i = b_i), so
+D(H + v) = D(H).  When the distinct words W form a group under
+coordinatewise field addition (`translation_closed`, checked exactly on the
+words, never assumed), every subset H has the translate H - h + w_0, for
+any h in H, which lies in W, contains word 0 and has the same D.  The
+sweep then visits only the subsets of size >= 3 that contain index 0: the
+minimum is unchanged, and since some minimizer contains index 0 and every
+index tuple starting with 0 precedes every tuple that does not, so is the
+lexicographically smallest witness.
 """
 
 from __future__ import annotations
@@ -46,6 +57,54 @@ def intern_symbols(codewords) -> tuple[np.ndarray, list]:
     index = {s: i for i, s in enumerate(alphabet)}
     mat = np.array([[index[s] for s in w] for w in words], dtype=np.int64)
     return mat, alphabet
+
+
+def translation_closed(words, field) -> bool:
+    """Whether the words are distinct and closed under coordinatewise
+    `field` addition, i.e. form a group, so the sweep may fix word 0.
+
+    Nested symbols (AEL d-tuples, FRS b-tuples) are flattened.  The test
+    is W + w == W for every w in W, one translate at a time: over GF(2^m)
+    addition is XOR of the representatives, otherwise digit-wise mod p on
+    their base-p digits.  Rows are packed into int64 keys and sorted, so a
+    translate equals W exactly when its sorted keys equal W's.  Without a
+    field there is no addition, and the answer is False.
+    """
+    if field is None or not words:
+        return False
+    p, q = field.p, field.q
+    vals = np.array(
+        [[x for s in w for x in (s if isinstance(s, tuple) else (s,))] for w in words],
+        dtype=np.int64,
+    )
+    if vals.min() < 0 or vals.max() >= q:
+        return False
+    if p == 2:
+        base, add = q, np.bitwise_xor
+    else:
+        vals = (vals[:, :, None] // p ** np.arange(field.m) % p).reshape(len(words), -1)
+        base = p
+
+        def add(a, b):
+            s = a + b
+            return np.where(s >= p, s - p, s)
+    # `per` base-`base` digits fit one int64 key; zero padding is fixed by
+    # every translate
+    per = 1
+    while base ** (per + 1) < 2**63:
+        per += 1
+    vals = np.pad(vals, ((0, 0), (0, -vals.shape[1] % per)))
+    vals = vals.reshape(len(words), -1, per)
+    weights = base ** np.arange(per, dtype=np.int64)
+
+    def sorted_keys(v):
+        keys = v @ weights
+        return keys[np.lexsort(keys.T)]
+
+    ref = sorted_keys(vals)
+    if (ref[1:] == ref[:-1]).all(axis=1).any():
+        return False  # a repeated word
+    return all(np.array_equal(sorted_keys(add(vals, w)), ref) for w in vals)
 
 
 def plurality_center(words) -> tuple[tuple, list[int]]:
@@ -79,14 +138,20 @@ class SubsetWitness:
     disagreement_count: int  # D(H), an exact integer over n coordinates
 
 
-def subset_search_count(m_words: int, k: int) -> int:
-    return sum(comb(m_words, j) for j in range(2, min(k, m_words) + 1))
+def subset_search_count(m_words: int, k: int, closed: bool = False) -> int:
+    """Subsets of sizes 2..k: all of them, or with `closed` the number the
+    translation-reduced sweep evaluates (sizes >= 3 only those holding 0)."""
+    return sum(
+        comb(m_words - 1, j - 1) if closed and j > 2 else comb(m_words, j)
+        for j in range(2, min(k, m_words) + 1)
+    )
 
 
 def min_disagreement_by_size(
     sym: np.ndarray,
     k: int,
     subset_cap: int = DEFAULT_SUBSET_CAP,
+    closed: bool = False,
 ) -> dict[int, SubsetWitness]:
     """For each subset size m in 2..k, the minimum D(H) and a witness subset.
 
@@ -94,6 +159,15 @@ def min_disagreement_by_size(
     reads the Hamming distance matrix; every larger size runs the same
     kernel, `_search_subsets`.  Each witness is the lexicographically
     smallest minimizing index tuple, so it depends on the word list alone.
+
+    Pass `closed=True` only when `translation_closed` holds for the words
+    `sym` was interned from.  Sizes >= 3 then visit only the C(M-1, m-1)
+    subsets that contain index 0.  That is exact: every subset H has a
+    translate H - h + w_0 inside the group W that contains word 0 and has
+    the same D (see the module docstring).  The witness is unchanged too:
+    some minimizer contains index 0, and every index tuple that starts with
+    0 is lexicographically smaller than every tuple that does not.
+    `subset_cap` bounds the subsets covered, reduced or not.
     """
     M, n = sym.shape
     if subset_search_count(M, k) > subset_cap:
@@ -114,13 +188,14 @@ def min_disagreement_by_size(
     out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]))
 
     for m in range(3, min(k, M) + 1):
-        out[m] = _search_subsets(eq, m)
+        out[m] = _search_subsets(eq, m, closed)
     return out
 
 
-def _search_subsets(eq: np.ndarray, m: int) -> SubsetWitness:
+def _search_subsets(eq: np.ndarray, m: int, closed: bool) -> SubsetWitness:
     """Minimum D(H) over all m-subsets (m >= 3), from the pairwise equality
-    tensor `eq`, with the lexicographically smallest witness.
+    tensor `eq`, with the lexicographically smallest witness; with `closed`,
+    over the m-subsets that contain index 0.
 
     H is written prefix + (last, c, d) with prefix < last < c < d.  Python
     loops fix `last` and the m - 3 prefix indices below it; numpy evaluates
@@ -131,14 +206,20 @@ def _search_subsets(eq: np.ndarray, m: int) -> SubsetWitness:
     """
     M, _, n = eq.shape
     best = None
-    for last in range(m - 3, M - 2):
+    # with `closed`, index 0 is `last` when m = 3 and the prefix head otherwise
+    lasts = range(1) if closed and m == 3 else range(m - 3, M - 2)
+    for last in lasts:
         ci, di = np.triu_indices(M - last - 1, k=1)
         C, D = ci + last + 1, di + last + 1
         # the counts of last and c; d, counted 1, is never above them
         top = np.maximum(
             1 + eq[last].take(C, 0) + eq[last].take(D, 0), 1 + eq[C, D]
         )
-        for prefix in combinations(range(last), m - 3):
+        if closed and m > 3:
+            prefixes = ((0,) + rest for rest in combinations(range(1, last), m - 4))
+        else:
+            prefixes = combinations(range(last), m - 3)
+        for prefix in prefixes:
             fixed = prefix + (last,)
             maxc = top
             for i, a in enumerate(prefix):

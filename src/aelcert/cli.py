@@ -114,7 +114,8 @@ def _cmd_build_inner(cfg) -> int:
         return 1
     aio.save_code(cfg["code_out"], code)
     aio.save_certificate(cfg["certificate_out"], cert)
-    print(f"PASS build-inner: eps_min = {cert.eps_min}")
+    note = _sweep_note(cert.subsets_evaluated, cert.reduction)
+    print(f"PASS build-inner: eps_min = {cert.eps_min}{note}")
     return 0
 
 
@@ -128,11 +129,17 @@ def _cmd_verify_inner(cfg) -> int:
         description=str(cfg["code_file"]),
     )
     aio.save_certificate(cfg["certificate_out"], cert)
+    note = _sweep_note(cert.subsets_evaluated, cert.reduction)
     if "eps_target" in cfg and cert.eps_min > aio.parse_frac(cfg["eps_target"]):
-        print(f"FAIL verify-inner: eps_min = {cert.eps_min} > {cfg['eps_target']}")
+        print(f"FAIL verify-inner: eps_min = {cert.eps_min} > {cfg['eps_target']}{note}")
         return 1
-    print(f"PASS verify-inner: eps_min = {cert.eps_min}")
+    print(f"PASS verify-inner: eps_min = {cert.eps_min}{note}")
     return 0
+
+
+def _sweep_note(evaluated: int, reduction: str) -> str:
+    """What the subset sweep behind a certificate or report evaluated."""
+    return f", subsets_evaluated = {evaluated}, reduction = {reduction}"
 
 
 def _cmd_build_frs(cfg) -> int:
@@ -286,13 +293,14 @@ def _cmd_verify_singleton(cfg) -> int:
                 "hypothesis_satisfied": rep["hypothesis_satisfied"],
             },
         )
+    note = _sweep_note(rep["subsets_evaluated"], rep["reduction"])
     if not rep["empirical_pass"]:
         worst = rep["violations"][0]
         print(f"FAIL verify-singleton: witness H = {worst['indices']}, "
-              f"lhs {worst['lhs']} < rhs {worst['rhs']}")
+              f"lhs {worst['lhs']} < rhs {worst['rhs']}{note}")
         return 1
     print(f"PASS verify-singleton: eps_min = {rep['empirical_eps_min']} "
-          f"({rep['theorem_assertion']})")
+          f"({rep['theorem_assertion']}){note}")
     return 0
 
 
@@ -317,8 +325,10 @@ def _cmd_verify_amplification(cfg) -> int:
 
 
 def _cmd_verify_eml(cfg) -> int:
-    graph = aio.load_graph(cfg["graph_file"])
     trials = cfg.get("trials", 1000)
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ConfigInvalid(f"trials must be a positive integer, got {trials!r}")
+    graph = aio.load_graph(cfg["graph_file"])
     rng = np.random.default_rng(derive_seed(cfg["seed"], "eml"))
     failures = 0
     for _ in range(trials):

@@ -15,6 +15,7 @@ not yet backed by a proof that it covers the SVD's rounding error.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -152,27 +153,32 @@ def verify_eml(graph: BipartiteGraph, f, g) -> tuple[Fraction, float, bool]:
 
     f and g are rational-valued vectors on L and R.  Returns
     (deviation, float bound, pass).  The comparison squares both sides so it
-    stays in exact rationals; norms are normalized second moments E[x^2].
+    stays exact; norms are normalized second moments E[x^2].  f and g are
+    scaled once to integers F = f*Df, G = g*Dg by their common denominators,
+    so every sum is a Python int:
+        deviation = |n*E(F,G) - d*sum(F)*sum(G)| / (n^2 d Df Dg),
+        pass iff  (n*E - d*sum(F)*sum(G))^2 <= lam^2 n^2 d^2 sum(F^2) sum(G^2).
     """
     n, d = graph.n, graph.d
     if len(f) != n or len(g) != n:
         raise LengthMismatch("f and g must have length n")
-    f = [Fraction(x) for x in f]
-    g = [Fraction(x) for x in g]
-    edge_sum = Fraction(0)
-    for l in range(n):
-        fl = f[l]
-        for r in graph.left_adj[l]:
-            edge_sum += fl * g[r]
-    lhs = abs(edge_sum / (n * d) - (sum(f) / n) * (sum(g) / n))
-    ef2 = sum(x * x for x in f) / n
-    eg2 = sum(x * x for x in g) / n
+    F, Df = _common_denominator(f)
+    G, Dg = _common_denominator(g)
+    edge_sum = sum(F[l] * sum(G[r] for r in graph.left_adj[l]) for l in range(n))
+    num = abs(n * edge_sum - d * sum(F) * sum(G))
+    f2 = sum(x * x for x in F)
+    g2 = sum(x * x for x in G)
     lam = graph.lam_bound
-    ok = lhs * lhs <= lam * lam * ef2 * eg2
-    import math
+    ok = (num * lam.denominator) ** 2 <= (lam.numerator * n * d) ** 2 * f2 * g2
+    bound = float(lam) * math.sqrt((f2 / (n * Df * Df)) * (g2 / (n * Dg * Dg)))
+    return Fraction(num, n * n * d * Df * Dg), bound, ok
 
-    bound = float(lam) * math.sqrt(float(ef2) * float(eg2))
-    return lhs, bound, ok
+
+def _common_denominator(xs) -> tuple[list[int], int]:
+    """Integers X and the least D with X[i] = xs[i] * D exactly."""
+    xs = [Fraction(x) for x in xs]
+    D = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (D // x.denominator) for x in xs], D
 
 
 def verify_eml_sets(graph: BipartiteGraph, S, T) -> tuple[int, Fraction, bool]:

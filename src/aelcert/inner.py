@@ -21,6 +21,7 @@ from .arld import (
     min_disagreement_by_size,
     plurality_center,
     subset_search_count,
+    translation_closed,
 )
 from .codes import ERASED, ErasedWord, LinearCode, pairwise_min_distance
 from .errors import (
@@ -56,6 +57,10 @@ class ARLDCertificate:
         sum_h Delta(center, h) >= (|H| - 1) * (delta0 - s - eps).
     The s = 0 plurality worst case covers all erasure fractions by the
     coordinate-slack monotonicity argument (see aelcert.arld).
+
+    subsets_examined counts the subsets covered; subsets_evaluated counts
+    those the sweep visited, fewer when `reduction` is "translation" (the
+    words form a group, see `aelcert.arld.translation_closed`).
     """
 
     delta0: Fraction
@@ -69,6 +74,9 @@ class ARLDCertificate:
     runtime_seconds: float
     code_description: str = ""
     min_disagreements_by_size: dict = dc_field(default_factory=dict)
+    # None on a certificate loaded from a file: the counts live in its header
+    subsets_evaluated: int | None = None
+    reduction: str | None = None
 
     def reevaluate(self, code_or_words) -> Fraction:
         """Recompute eps_min from the stored witness subset (rational equality)."""
@@ -91,7 +99,10 @@ def min_arld_slack(
     """Exact worst-case slack over all subsets H with |H| <= k and all centers.
 
     The center quantifier collapses to the coordinate-wise plurality; the
-    subset quantifier is enumerated exhaustively.
+    subset quantifier is enumerated exhaustively, only over the subsets that
+    contain word 0 when the words of a LinearCode or a field-carrying
+    BlockCode form a group.  Plain word lists carry no field and are swept
+    in full.
     """
     words, n = resolve_words(code_or_words)
     delta0 = Fraction(delta0)
@@ -100,9 +111,11 @@ def min_arld_slack(
         return ARLDCertificate(
             delta0, k, Fraction(0), n, (), (), 0, 0,
             time.perf_counter() - t0, description,
+            subsets_evaluated=0, reduction="none",
         )
     sym, _ = intern_symbols(words)
-    witnesses = min_disagreement_by_size(sym, k, subset_cap)
+    closed = translation_closed(words, getattr(code_or_words, "field", None))
+    witnesses = min_disagreement_by_size(sym, k, subset_cap, closed)
     eps, worst = epsilon_min(witnesses, n, delta0)
     center, contribs = plurality_center([words[i] for i in worst.indices])
     return ARLDCertificate(
@@ -119,6 +132,8 @@ def min_arld_slack(
         min_disagreements_by_size={
             m: w.disagreement_count for m, w in witnesses.items()
         },
+        subsets_evaluated=subset_search_count(len(words), k, closed),
+        reduction="translation" if closed else "none",
     )
 
 
@@ -248,11 +263,16 @@ def search_inner_code(
 
 
 class BlockCode:
-    """Enumerable code over an arbitrary (hashable) symbol alphabet."""
+    """Enumerable code over an arbitrary (hashable) symbol alphabet.
 
-    def __init__(self, codewords):
+    `field`, when given, is the field whose coordinatewise addition acts on
+    the (possibly tuple) symbols; it lets the ARLD sweep test closure.
+    """
+
+    def __init__(self, codewords, field: Field | None = None):
         self.codewords = [tuple(w) for w in codewords]
         self.n = len(self.codewords[0])
+        self.field = field
 
     def min_distance(self) -> Fraction:
         """Minimum pairwise distance by direct enumeration over all pairs."""
@@ -324,7 +344,7 @@ class FoldedRSCode:
 
     def as_block_code(self) -> BlockCode:
         """Block view over the folded alphabet F_q^b; feeds the ARLD verifiers."""
-        return BlockCode(self.codewords())
+        return BlockCode(self.codewords(), self.field)
 
 
 def make_folded_rs(

@@ -218,8 +218,15 @@ def save_certificate(path, cert: ARLDCertificate) -> None:
         },
         "code_description": cert.code_description,
     }
+    # how the sweep ran is not part of the certified result: header only
     save_artifact(
-        path, payload, header_extras={"runtime_seconds": f"{cert.runtime_seconds:.3f}"}
+        path,
+        payload,
+        header_extras={
+            "runtime_seconds": f"{cert.runtime_seconds:.3f}",
+            "subsets_evaluated": cert.subsets_evaluated,
+            "reduction": cert.reduction,
+        },
     )
 
 

@@ -19,6 +19,7 @@ from .arld import (
     intern_symbols,
     min_disagreement_by_size,
     subset_search_count,
+    translation_closed,
 )
 from .codes import ERASED, ErasedWord
 from .errors import (
@@ -56,12 +57,19 @@ def verify_generalized_singleton(
     eps / (6 k^k) is evaluated in exact rationals with the conservative
     lambda bound; when unmet the theorem assertion is reported NOT
     APPLICABLE (the empirical minimum eps is still reported).
+
+    When the enumerated words form a group under inner-field addition
+    (checked exactly by `translation_closed`), sizes >= 3 sweep only the
+    subsets that contain word 0; "subsets_examined" counts the subsets
+    covered, "subsets_evaluated" those visited, and "reduction" names the
+    reduction used ("translation" or "none").
     """
     delta0, eps = Fraction(delta0), Fraction(eps)
     words = code.enumerate_codewords()
     n = code.n
     sym, _ = intern_symbols(words)
-    witnesses = min_disagreement_by_size(sym, k, subset_cap)
+    closed = translation_closed(words, code.inner.field)
+    witnesses = min_disagreement_by_size(sym, k, subset_cap, closed)
     empirical_eps, worst = epsilon_min(witnesses, n, delta0)
     violations = []
     for m, w in witnesses.items():
@@ -91,6 +99,8 @@ def verify_generalized_singleton(
             m: w.disagreement_count for m, w in witnesses.items()
         },
         "subsets_examined": subset_search_count(len(words), k),
+        "subsets_evaluated": subset_search_count(len(words), k, closed),
+        "reduction": "translation" if closed else "none",
         "lam_bound": lam,
         "hypothesis_rhs": hyp_rhs,
         "hypothesis_satisfied": hypothesis_ok,

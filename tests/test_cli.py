@@ -185,6 +185,17 @@ def test_verify_eml(workspace):
     })]) == 0
 
 
+@pytest.mark.parametrize("trials", [0, -3, "20", 2.5, True, None])
+def test_verify_eml_rejects_trials_not_a_positive_int(workspace, capsys, trials):
+    tmp = workspace
+    assert main(["verify-eml", "--config", _write_config(tmp / "eml.json", {
+        "version": 1, "graph_file": str(tmp / "graph_out.json"),
+        "seed": 5, "trials": trials,
+    })]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "trials" in captured.err
+
+
 def test_verify_eml_rejects_tampered_graph(workspace, capsys):
     tmp = workspace
     graph_file = tmp / "graph_out.json"
@@ -204,6 +215,30 @@ def test_verify_inner(workspace):
         "k": 3, "delta0": "1/2", "eps_target": "1/4",
         "certificate_out": str(tmp / "vi_cert.json"),
     })]) == 0
+
+
+@pytest.mark.parametrize("command,payload,evaluated", [
+    # [4,2]/GF(4) inner codes: 16 words, 120 pairs + C(15, 2) triples
+    ("build-inner", {"seed": 1, "field": {"p": 2, "m": 2}, "length": 4, "dim": 2,
+                     "k": 3, "delta0": "1/2", "eps_target": "1/4",
+                     "code_out": "bi_code.json", "certificate_out": "bi_cert.json"},
+     120 + 105),
+    ("verify-inner", {"code_file": "inner_code.json", "k": 3, "delta0": "1/2",
+                      "certificate_out": "vi_cert.json"}, 120 + 105),
+    # 256 AEL words: C(256, 2) pairs + C(255, 2) triples
+    ("verify-singleton", {"bundle_file": "bundle.json", "k": 3,
+                          "delta0": "1/2", "eps": "1/4"}, 32_640 + 32_385),
+], ids=["build-inner", "verify-inner", "verify-singleton"])
+def test_sweep_lines_report_the_reduction(workspace, capsys, command, payload, evaluated):
+    tmp = workspace
+    capsys.readouterr()
+    payload = {key: str(tmp / v) if key.endswith(("_file", "_out")) else v
+               for key, v in payload.items()}
+    assert main([command, "--config", _write_config(
+        tmp / "sweep.json", {"version": 1, **payload})]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"PASS {command}:")
+    assert f"subsets_evaluated = {evaluated}, reduction = translation" in out
 
 
 def test_report_csv(workspace, capsys):

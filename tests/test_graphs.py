@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aelcert import (
     BipartiteGraph,
@@ -116,6 +118,65 @@ def test_eml_constant_vectors(cycle8):
 def test_eml_length_mismatch(cycle8):
     with pytest.raises(LengthMismatch):
         verify_eml(cycle8, [Fraction(1)] * 3, [Fraction(1)] * 4)
+
+
+def _verify_eml_fraction_oracle(graph, f, g):
+    """Reference: the mixing-lemma check as one Fraction per edge."""
+    n, d = graph.n, graph.d
+    f = [Fraction(x) for x in f]
+    g = [Fraction(x) for x in g]
+    edge_sum = Fraction(0)
+    for l in range(n):
+        for r in graph.left_adj[l]:
+            edge_sum += f[l] * g[r]
+    lhs = abs(edge_sum / (n * d) - (sum(f) / n) * (sum(g) / n))
+    ef2 = sum(x * x for x in f) / n
+    eg2 = sum(x * x for x in g) / n
+    lam = graph.lam_bound
+    ok = lhs * lhs <= lam * lam * ef2 * eg2
+    bound = float(lam) * math.sqrt(float(ef2) * float(eg2))
+    return lhs, bound, ok
+
+
+def _understated_lambda_graph():
+    # a false lambda makes the check fail on most inputs, so the verdict
+    # is compared on failures as well as passes
+    graph = BipartiteGraph(4, 2, [[0, 1], [1, 2], [2, 3], [3, 0]])
+    graph.lam = 0.1
+    return graph
+
+
+_EML_GRAPHS = {
+    "cycle8": BipartiteGraph(4, 2, [[0, 1], [1, 2], [2, 3], [3, 0]]),
+    "cycle8-understated": _understated_lambda_graph(),
+    "random12": random_regular_bipartite(12, 4, seed=7, lam_target=0.95),
+    "k5": complete_bipartite(5),
+}
+
+
+@st.composite
+def _eml_case(draw):
+    graph = _EML_GRAPHS[draw(st.sampled_from(sorted(_EML_GRAPHS)))]
+    # mixed denominators, integers, and the all-zero vector
+    entry = st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=60),
+        st.integers(-5, 5),
+    )
+    vec = st.one_of(
+        st.lists(entry, min_size=graph.n, max_size=graph.n),
+        st.just([0] * graph.n),
+    )
+    return graph, draw(vec), draw(vec)
+
+
+@given(case=_eml_case())
+@settings(max_examples=300, deadline=None)
+def test_eml_matches_fraction_oracle(case):
+    graph, f, g = case
+    lhs, bound, ok = verify_eml(graph, f, g)
+    ref = _verify_eml_fraction_oracle(graph, f, g)
+    assert isinstance(lhs, Fraction)
+    assert (lhs, bound, ok) == ref
 
 
 def test_eml_sets_complete_graph_exact():

@@ -26,6 +26,7 @@ from aelcert.arld import (
     intern_symbols,
     min_disagreement_by_size,
     subset_search_count,
+    translation_closed,
 )
 from aelcert.errors import (
     EmptySet,
@@ -97,9 +98,9 @@ def test_subset_cap_enforced():
         min_disagreement_by_size(sym, 4, subset_cap=1000)
 
 
-def _assert_kernel_matches_oracle(words, k):
+def _assert_kernel_matches_oracle(words, k, closed=False):
     sym, _ = intern_symbols(words)
-    got = min_disagreement_by_size(sym, k)
+    got = min_disagreement_by_size(sym, k, closed=closed)
     assert sorted(got) == list(range(2, min(k, len(words)) + 1))
     for m in got:
         ref = _search_generic(sym, m)
@@ -138,6 +139,97 @@ def _small_word_lists(draw):
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_oracle_on_random_word_lists(words, k):
     _assert_kernel_matches_oracle(words, k)
+
+
+# -- translation-reduced sweep ------------------------------------------------------
+
+
+def test_reduced_kernel_matches_oracle_on_closed_sets(gf2):
+    # the full sweep's minima and lexicographically smallest witnesses,
+    # from the subsets that contain index 0 only
+    words = list(product(range(2), repeat=4))
+    assert translation_closed(words, gf2)
+    _assert_kernel_matches_oracle(words, 5, closed=True)
+    # word 0 need not be the zero word
+    assert translation_closed(words[::-1], gf2)
+    _assert_kernel_matches_oracle(words[::-1], 5, closed=True)
+    gf5 = make_field(5, 1)
+    frs_words = make_folded_rs(gf5, 2, 2, Fraction(1, 2)).codewords()
+    assert translation_closed(frs_words, gf5)
+    _assert_kernel_matches_oracle(frs_words, 4, closed=True)
+
+
+@st.composite
+def _shuffled_linear_codes(draw):
+    p, m, max_dim = draw(st.sampled_from([(2, 1, 4), (3, 1, 2), (2, 2, 2)]))
+    field = make_field(p, m)
+    dim = draw(st.integers(1, max_dim))
+    length = draw(st.integers(dim, 5))
+    code = sample_random_linear_code(field, length, dim, draw(st.integers(0, 2**32 - 1)))
+    words = code.enumerate_codewords()
+    order = draw(st.permutations(range(len(words))))
+    return [words[i] for i in order], field
+
+
+@given(code=_shuffled_linear_codes(), k=st.integers(3, 4))
+@settings(max_examples=100, deadline=None)
+def test_reduced_kernel_matches_oracle_on_random_linear_codes(code, k):
+    words, field = code
+    assert translation_closed(words, field)
+    _assert_kernel_matches_oracle(words, k, closed=True)
+
+
+@pytest.mark.parametrize("key,words_of,k", [
+    ("ac1", lambda inst: inst["code"].enumerate_codewords(), 4),
+    ("ac4", lambda inst: inst["ael"].enumerate_codewords(), 3),
+], ids=["ac1-k4", "ac4-k3"])
+def test_reduced_sweep_matches_full_sweep_on_acceptance_words(acceptance, key, words_of, k):
+    words = words_of(acceptance[key])
+    sym, _ = intern_symbols(words)
+    reduced = min_disagreement_by_size(sym, k, closed=True)
+    full = min_disagreement_by_size(sym, k)
+    assert reduced == full
+
+
+def test_translation_closed_rejects_non_groups(gf4):
+    code = sample_random_linear_code(gf4, 4, 2, 3)
+    words = code.enumerate_codewords()
+    assert translation_closed(words, gf4)
+    assert not translation_closed(words[:5] + words[6:], gf4)  # one word removed
+    shift = next(v for v in product(range(4), repeat=4) if v not in words)
+    coset = [tuple(gf4.add(a, b) for a, b in zip(w, shift)) for w in words]
+    assert not translation_closed(coset, gf4)  # a nonzero coset w + C
+    assert not translation_closed(words + [words[3]], gf4)  # a repeated word
+    assert not translation_closed(words + words, gf4)  # every word twice
+    assert not translation_closed(words, None)
+    # closed under XOR of integers, but 2 and 3 are not elements of GF(2)
+    assert not translation_closed([(0,), (1,), (2,), (3,)], make_field(2, 1))
+
+
+def test_translation_closed_on_nested_and_odd_characteristic_symbols(gf17):
+    # base-p digits: GF(9) has two digits per symbol, FRS symbols are tuples
+    gf9 = make_field(3, 2)
+    words = sample_random_linear_code(gf9, 3, 1, 5).enumerate_codewords()
+    assert translation_closed(words, gf9)
+    assert not translation_closed(words[1:], gf9)
+    frs_words = make_folded_rs(gf17, 2, 4, Fraction(1, 4)).codewords()
+    assert translation_closed(frs_words, gf17)
+    assert not translation_closed(frs_words[:-1], gf17)
+    shifted = [((w[0][0], (w[0][1] + 1) % 17),) + w[1:] for w in frs_words]
+    assert not translation_closed(shifted, gf17)
+
+
+def test_certificate_reports_the_reduction(gf4):
+    code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
+    words = code.enumerate_codewords()
+    reduced = min_arld_slack(code, k=4, delta0=Fraction(3, 4))
+    full = min_arld_slack(words, k=4, delta0=Fraction(3, 4))
+    assert reduced.reduction == "translation" and full.reduction == "none"
+    assert reduced.subsets_examined == full.subsets_examined == subset_search_count(16, 4)
+    assert reduced.subsets_evaluated == 120 + 105 + 455
+    assert full.subsets_evaluated == full.subsets_examined
+    assert (reduced.eps_min, reduced.witness_indices, reduced.min_disagreements_by_size) == (
+        full.eps_min, full.witness_indices, full.min_disagreements_by_size)
 
 
 # -- min_arld_slack ---------------------------------------------------------------

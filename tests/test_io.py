@@ -123,6 +123,17 @@ def test_certificate_round_trip(tmp_path, gf4):
     assert loaded.reevaluate(code) == cert.eps_min
 
 
+def test_certificate_sweep_counts_in_header_only(tmp_path, gf4):
+    code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
+    cert = min_arld_slack(code, k=3, delta0=Fraction(3, 4))
+    save_certificate(tmp_path / "cert.json", cert)
+    text = (tmp_path / "cert.json").read_text()
+    assert f"# subsets_evaluated: {cert.subsets_evaluated}\n" in text
+    assert "# reduction: translation\n" in text
+    body = artifact_body_bytes(tmp_path / "cert.json").decode()
+    assert "subsets_evaluated" not in body and "reduction" not in body
+
+
 def test_wrong_kind_rejected(tmp_path, gf4):
     code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
     save_code(tmp_path / "code.json", code)

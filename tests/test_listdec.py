@@ -26,6 +26,7 @@ from aelcert.errors import (
     PrerequisiteNotVerified,
     SubsetTooSmall,
 )
+from aelcert.arld import subset_search_count, translation_closed
 from aelcert.listdec import local_erasure_fractions
 from aelcert.outer import RSOuterCode
 
@@ -82,6 +83,27 @@ def test_singleton_hypothesis_gate(instance12):
     )
     assert not report["hypothesis_satisfied"]
     assert report["theorem_assertion"] == "NOT APPLICABLE"
+
+
+def test_singleton_report_counts_the_reduced_sweep(acceptance):
+    report = acceptance["ac4"]["report"]
+    assert report["reduction"] == "translation"
+    # C(256, 2) pairs, then the triples and quadruples that hold word 0
+    assert report["subsets_evaluated"] == 32_640 + 32_385 + 2_731_135
+    assert report["subsets_examined"] == subset_search_count(256, 4)
+
+
+def test_singleton_without_additive_phi_sweeps_in_full(instance12):
+    # swapping two inner codewords in phi breaks additivity, so the AEL
+    # words are no longer a group, and the sweep is not reduced
+    phi = list(instance12.phi)
+    phi[1], phi[2] = phi[2], phi[1]
+    code = AELCode(instance12.graph, instance12.inner, instance12.outer, phi)
+    words = code.enumerate_codewords()
+    assert not translation_closed(words, code.inner.field)
+    report = verify_generalized_singleton(code, 3, Fraction(1, 2), Fraction(0))
+    assert report["reduction"] == "none"
+    assert report["subsets_evaluated"] == report["subsets_examined"]
 
 
 def test_list_size_corollary(instance12):
