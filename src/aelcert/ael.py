@@ -10,9 +10,13 @@ representation and edge labellings.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .codes import ERASED, ErasedWord, LinearCode
+import numpy as np
+
+from .arld import intern_symbols, pair_disagreements
+from .codes import ERASED, ErasedWord, LinearCode, dist_with_erasures, hamming_distance
 from .errors import (
     AmplificationViolation,
     GraphMismatch,
@@ -150,23 +154,19 @@ class AELCode:
         """Fraction of left vertices whose full d-symbol view differs."""
         self._check(w1)
         self._check(w2)
-        v1, v2 = self.left_views(w1), self.left_views(w2)
-        return Fraction(sum(1 for a, b in zip(v1, v2) if a != b), self.n)
+        return hamming_distance(self.left_views(w1), self.left_views(w2))
 
     def delta_R(self, w1, w2) -> Fraction:
         """Fraction of right vertices whose folded symbol differs."""
         self._check(w1)
         self._check(w2)
-        return Fraction(sum(1 for a, b in zip(w1, w2) if a != b), self.n)
+        return hamming_distance(w1, w2)
 
     def delta_R_erased(self, erased: ErasedWord, word) -> Fraction:
         """Erased-distance on the right: erased vertices contribute nothing."""
-        if erased.n != self.n or len(word) != self.n:
+        if erased.n != self.n:
             raise LengthMismatch("length mismatch with graph size")
-        hits = sum(
-            1 for g, h in zip(erased.symbols, word) if g is not ERASED and g != h
-        )
-        return Fraction(hits, self.n)
+        return dist_with_erasures(erased, word)
 
     def rate(self) -> Fraction | float:
         """log_|Sigma| |C_AEL| / n; exact when q_out is a power of q_in."""
@@ -177,8 +177,6 @@ class AELCode:
             b += 1
         if power == q_out:
             return Fraction(self.outer.dim * b, self.n * self.d)
-        import math
-
         return self.outer.dim * math.log(q_out) / (self.n * self.d * math.log(q_in))
 
 
@@ -219,39 +217,36 @@ def verify_distance_amplification(code: AELCode, cap: int = 1 << 24) -> dict:
     Uses the conservative lam_bound.  When the global bound
     delta_in - lam/delta_out is non-positive the report flags vacuity and
     only the per-pair form is asserted.  Raises AmplificationViolation on
-    any failing pair.
+    any failing pair.  Delta_R and Delta_L are integer counts from
+    `pair_disagreements` on the folded words and on their left views; one
+    exact integer threshold per Delta_L count decides every pair.
     """
     words = code.enumerate_codewords(cap)
-    views = [code.left_views(w) for w in words]
-    delta_in = code.delta_in
-    delta_out = code.delta_out
+    delta_in, delta_out = code.delta_in, code.delta_out
     lam = code.graph.lam_bound
     global_bound = delta_in - lam / delta_out
     n = code.n
-    min_dr = None
-    pairs = 0
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            dl = Fraction(
-                sum(1 for a, b in zip(views[i], views[j]) if a != b), n
-            )
-            dr = Fraction(sum(1 for a, b in zip(words[i], words[j]) if a != b), n)
-            pairs += 1
-            if dl == 0:
-                raise AmplificationViolation(f"pair ({i},{j}) has Delta_L = 0")
-            if dr < delta_in - lam / dl:
-                raise AmplificationViolation(
-                    f"pair ({i},{j}): Delta_R={dr} < {delta_in - lam / dl}"
-                )
-            if global_bound > 0 and dr < global_bound:
-                raise AmplificationViolation(
-                    f"pair ({i},{j}): Delta_R={dr} below global bound {global_bound}"
-                )
-            if min_dr is None or dr < min_dr:
-                min_dr = dr
+    # limit[c]: the least Delta_R count allowed to a pair with Delta_L count c
+    asserted = [global_bound] if global_bound > 0 else []
+    limit = np.array([n + 1] + [
+        math.ceil(n * max([delta_in - lam * n / c] + asserted)) for c in range(1, n + 1)
+    ])
+    iu = np.triu_indices(len(words), k=1)
+    dr = pair_disagreements(intern_symbols(words)[0])[iu]
+    dl = pair_disagreements(intern_symbols(code.left_views(w) for w in words)[0])[iu]
+    bad = np.flatnonzero(dr < limit[dl])
+    if bad.size:
+        p = int(bad[0])
+        pair = f"pair ({iu[0][p]},{iu[1][p]})"
+        pair_dl, pair_dr = Fraction(int(dl[p]), n), Fraction(int(dr[p]), n)
+        if pair_dl == 0:
+            raise AmplificationViolation(f"{pair} has Delta_L = 0")
+        if pair_dr < delta_in - lam / pair_dl:
+            raise AmplificationViolation(f"{pair}: Delta_R={pair_dr} < {delta_in - lam / pair_dl}")
+        raise AmplificationViolation(f"{pair}: Delta_R={pair_dr} below global bound {global_bound}")
     return {
-        "pairs_checked": pairs,
-        "min_delta_R": min_dr,
+        "pairs_checked": int(dr.size),
+        "min_delta_R": Fraction(int(dr.min()), n) if dr.size else None,
         "delta_in": delta_in,
         "delta_out": delta_out,
         "lam_bound": lam,

@@ -13,8 +13,8 @@ adversary: erasing coordinate i changes the slack by (maxcount_i - 1)/n >= 0,
 so the erasure-free worst case covers every erasure fraction (this fact is
 also machine-checked on small instances in the test suite).
 
-Size-2 subsets read the Hamming distance matrix; every larger size runs one
-numpy kernel over the pairwise symbol-equality tensor.  Each reported
+Size-2 subsets read the distance matrix of `pair_disagreements`; every
+larger size runs one numpy kernel over the pairwise symbol-equality tensor.  Each reported
 witness is the lexicographically smallest minimizing index tuple, so it is
 a function of the word list alone.  `_search_generic`, a direct plurality
 enumeration, is the reference the tests hold the kernel to.
@@ -147,6 +147,16 @@ def subset_search_count(m_words: int, k: int, closed: bool = False) -> int:
     )
 
 
+def pair_disagreements(sym: np.ndarray) -> np.ndarray:
+    """(M, M) int64 disagreement counts between the rows of `sym`, summed one
+    coordinate at a time so that memory stays O(M^2)."""
+    M, n = sym.shape
+    dist = np.zeros((M, M), dtype=np.int64)
+    for i in range(n):
+        dist += sym[:, None, i] != sym[None, :, i]
+    return dist
+
+
 def min_disagreement_by_size(
     sym: np.ndarray,
     k: int,
@@ -156,9 +166,9 @@ def min_disagreement_by_size(
     """For each subset size m in 2..k, the minimum D(H) and a witness subset.
 
     `sym` is an (M, n) integer matrix of interned codeword symbols.  Size 2
-    reads the Hamming distance matrix; every larger size runs the same
-    kernel, `_search_subsets`.  Each witness is the lexicographically
-    smallest minimizing index tuple, so it depends on the word list alone.
+    reads `pair_disagreements`; every larger size runs the same kernel,
+    `_search_subsets`.  Each witness is the lexicographically smallest
+    minimizing index tuple, so it depends on the word list alone.
 
     Pass `closed=True` only when `translation_closed` holds for the words
     `sym` was interned from.  Sizes >= 3 then visit only the C(M-1, m-1)
@@ -167,28 +177,29 @@ def min_disagreement_by_size(
     the same D (see the module docstring).  The witness is unchanged too:
     some minimizer contains index 0, and every index tuple that starts with
     0 is lexicographically smaller than every tuple that does not.
-    `subset_cap` bounds the subsets covered, reduced or not.
+    `subset_cap` bounds the subsets evaluated: the reduced count with
+    `closed`, all of them otherwise.
     """
     M, n = sym.shape
-    if subset_search_count(M, k) > subset_cap:
+    evaluated = subset_search_count(M, k, closed)
+    if evaluated > subset_cap:
         raise SubsetEnumerationTooLarge(
-            f"{subset_search_count(M, k)} subsets exceed cap {subset_cap}"
+            f"{evaluated} subsets to evaluate ({subset_search_count(M, k)}"
+            f" covered) exceed cap {subset_cap}"
         )
     out: dict[int, SubsetWitness] = {}
     if M < 2 or k < 2:
         return out
 
-    eq = (sym[:, None, :] == sym[None, :, :]).astype(np.uint8)  # (M, M, n)
-
-    # m = 2: D = hamming distance
-    dist = n - eq.sum(axis=2, dtype=np.int64)
     iu = np.triu_indices(M, k=1)
-    flat = dist[iu]
+    flat = pair_disagreements(sym)[iu]
     best = int(flat.argmin())
     out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]))
 
-    for m in range(3, min(k, M) + 1):
-        out[m] = _search_subsets(eq, m, closed)
+    if k >= 3:
+        eq = (sym[:, None, :] == sym[None, :, :]).astype(np.uint8)  # (M, M, n)
+        for m in range(3, min(k, M) + 1):
+            out[m] = _search_subsets(eq, m, closed)
     return out
 
 

@@ -265,12 +265,10 @@ def _cmd_list_decode(cfg) -> int:
 
 
 def _cmd_verify_singleton(cfg) -> int:
+    delta0, eps = aio.parse_frac(cfg["delta0"]), aio.parse_frac(cfg["eps"])
     code = aio.load_bundle(cfg["bundle_file"])
     rep = verify_generalized_singleton(
-        code,
-        cfg["k"],
-        aio.parse_frac(cfg["delta0"]),
-        aio.parse_frac(cfg["eps"]),
+        code, cfg["k"], delta0, eps,
         subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP),
     )
     rows = [
@@ -278,8 +276,8 @@ def _cmd_verify_singleton(cfg) -> int:
             "instance": cfg["bundle_file"],
             "parameter": f"min_disagreements_m{m}",
             "value": d,
-            "bound": aio.frac_str((m - 1) * (aio.parse_frac(cfg["delta0"]) - aio.parse_frac(cfg["eps"])) * code.n),
-            "margin": aio.frac_str(Fraction(d) - (m - 1) * (aio.parse_frac(cfg["delta0"]) - aio.parse_frac(cfg["eps"])) * code.n),
+            "bound": aio.frac_str((m - 1) * (delta0 - eps) * code.n),
+            "margin": aio.frac_str(Fraction(d) - (m - 1) * (delta0 - eps) * code.n),
             "pass": not any(v["size"] == m for v in rep["violations"]),
         }
         for m, d in rep["min_disagreements_by_size"].items()

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     EmptyResidual,
@@ -137,9 +135,6 @@ class LinearCode:
         if self._codewords is None:
             self._codewords = [self.encode(m) for m in self.messages()]
         return self._codewords
-
-    def codeword_matrix(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-        return np.array(self.enumerate_codewords(cap), dtype=np.int64)
 
     def contains(self, word) -> bool:
         """Exact membership test; False for a word with a symbol outside [0, q).

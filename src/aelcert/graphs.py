@@ -169,9 +169,13 @@ def verify_eml(graph: BipartiteGraph, f, g) -> tuple[Fraction, float, bool]:
     f2 = sum(x * x for x in F)
     g2 = sum(x * x for x in G)
     lam = graph.lam_bound
-    ok = (num * lam.denominator) ** 2 <= (lam.numerator * n * d) ** 2 * f2 * g2
     bound = float(lam) * math.sqrt((f2 / (n * Df * Df)) * (g2 / (n * Dg * Dg)))
-    return Fraction(num, n * n * d * Df * Dg), bound, ok
+    return Fraction(num, n * n * d * Df * Dg), bound, _mixing_ok(num, n, d, f2, g2, lam)
+
+
+def _mixing_ok(num: int, n: int, d: int, f2: int, g2: int, lam: Fraction) -> bool:
+    """num^2 <= lam^2 n^2 d^2 f2 g2, in Python ints."""
+    return (num * lam.denominator) ** 2 <= (lam.numerator * n * d) ** 2 * f2 * g2
 
 
 def _common_denominator(xs) -> tuple[list[int], int]:
@@ -182,11 +186,10 @@ def _common_denominator(xs) -> tuple[list[int], int]:
 
 
 def verify_eml_sets(graph: BipartiteGraph, S, T) -> tuple[int, Fraction, bool]:
-    """Set form of the mixing lemma: |E(S,T) - d|S||T|/n| <= lam*d*sqrt(|S||T|)."""
+    """Set form of the mixing lemma: |E(S,T) - d|S||T|/n| <= lam*d*sqrt(|S||T|),
+    decided in Python ints as `verify_eml` decides it on indicator vectors."""
     S, T = set(S), set(T)
     n, d = graph.n, graph.d
     e_st = sum(1 for l in S for r in graph.left_adj[l] if r in T)
-    dev = abs(Fraction(e_st) - Fraction(d * len(S) * len(T), n))
-    lam = graph.lam_bound
-    ok = dev * dev <= lam * lam * d * d * len(S) * len(T)
-    return e_st, dev, ok
+    num = abs(n * e_st - d * len(S) * len(T))
+    return e_st, Fraction(num, n), _mixing_ok(num, n, d, len(S), len(T), graph.lam_bound)

@@ -31,9 +31,14 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    return Fraction(s)
+    """An int that is not a bool, or a string such as "2/3", as a Fraction;
+    anything else (a float is never exact) raises ConfigInvalid."""
+    try:
+        if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigInvalid(f"expected an int or a fraction string like \"2/3\", got {s!r}")
 
 
 def save_artifact(path, payload: dict, header_extras: dict | None = None) -> None:

@@ -7,6 +7,7 @@ sampling bound.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,25 +22,26 @@ from .arld import (
     subset_search_count,
     translation_closed,
 )
-from .codes import ERASED, ErasedWord
+from .codes import ERASED, ErasedWord, hamming_distance
 from .errors import (
     DuplicateCodewords,
     EnumerationTooLarge,
+    LengthMismatch,
     PrerequisiteNotVerified,
     SubsetTooSmall,
 )
 
 
 def brute_force_list(code: AELCode, center, beta: Fraction, cap: int = 1 << 24):
-    """All codewords within (erased) distance <= beta of the center."""
-    beta = Fraction(beta)
-    if not isinstance(center, ErasedWord):
-        center = ErasedWord(tuple(center))
-    return [
-        w
-        for w in code.enumerate_codewords(cap)
-        if code.delta_R_erased(center, w) <= beta
-    ]
+    """All codewords within (erased) distance <= beta of the center: those
+    with at most floor(beta * n) disagreements on the unerased vertices."""
+    center = center if isinstance(center, ErasedWord) else ErasedWord(center)
+    if center.n != code.n:
+        raise LengthMismatch("length mismatch with graph size")
+    limit = math.floor(Fraction(beta) * code.n)
+    kept = [(r, g) for r, g in enumerate(center.symbols) if g is not ERASED]
+    words = code.enumerate_codewords(cap)
+    return [w for w in words if sum(1 for r, g in kept if w[r] != g) <= limit]
 
 
 def verify_generalized_singleton(
@@ -141,7 +143,6 @@ def verify_common_error_bound(
         raise PrerequisiteNotVerified(
             "verify_generalized_singleton must pass first at (delta0, k, eps)"
         )
-    n = code.n
     checked = 0
     violations = []
     for g in centers:
@@ -154,10 +155,7 @@ def verify_common_error_bound(
             )
         for m in range(1, min(k, len(lst)) + 1):
             for subset in combinations(lst, m):
-                lhs = sum(
-                    (Fraction(sum(1 for a, b in zip(g, h) if a != b), n) for h in subset),
-                    Fraction(0),
-                )
+                lhs = sum((hamming_distance(g, h) for h in subset), Fraction(0))
                 rhs = (m - 1) * (delta0 - eps) + common_error_fraction(g, subset)
                 checked += 1
                 if lhs < rhs:

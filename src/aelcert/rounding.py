@@ -38,12 +38,6 @@ class InnerDistributionEnsemble:
     def m(self) -> int:
         return len(self.weights[0])
 
-    def prefix_sums(self, l: int) -> list[Fraction]:
-        out = [Fraction(0)]
-        for w in self.weights[l]:
-            out.append(out[-1] + w)
-        return out
-
     def round_at(self, theta: Fraction) -> list[int]:
         """Codebook index per left vertex: the interval containing theta."""
         picks = []

@@ -23,6 +23,7 @@ from aelcert.errors import (
     NotAnOuterCodeword,
 )
 from aelcert.outer import RSOuterCode
+from aelcert.seeds import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -167,13 +168,13 @@ def test_amplification_complete_graph(gf4, gf16):
     graph = complete_bipartite(12)
     inner = sample_random_linear_code(gf4, 12, 2, np.random.default_rng(1))
     code = AELCode(graph, inner, RSOuterCode(gf16, 12, 2))
-    report = verify_distance_amplification(code)
+    report = _assert_amplification_matches_oracle(code)
     assert report["min_delta_R"] >= code.delta_in - code.graph.lam_bound
     assert not report["global_bound_vacuous"]
 
 
 def test_amplification_expander_instance(instance12):
-    report = verify_distance_amplification(instance12)
+    report = _assert_amplification_matches_oracle(instance12)
     assert report["pairs_checked"] == 256 * 255 // 2
     assert report["min_delta_R"] == Fraction(11, 12)
     # delta_in - lam/delta_out = 3/4 - 0.661/(11/12) is barely positive on
@@ -190,7 +191,7 @@ def test_amplification_identity_inner(gf4, gf16):
     gen[1][1] = 1
     inner = LinearCode(gf4, gen)
     code = AELCode(graph, inner, RSOuterCode(gf16, 12, 2))
-    report = verify_distance_amplification(code)
+    report = _assert_amplification_matches_oracle(code)
     assert report["min_delta_R"] >= code.delta_in - code.graph.lam_bound
 
 
@@ -213,3 +214,115 @@ def test_amplification_violation_raises(gf4, gf16):
         code2 = AELCode(graph, inner, RSOuterCode(gf16, 12, 2))
         code2._codewords = [words[0], words[0]]
         verify_distance_amplification(code2)
+    assert _assert_amplification_matches_oracle(code2) == (
+        "AmplificationViolation: pair (0,1) has Delta_L = 0"
+    )
+    # a single word leaves no pair to check
+    code2._codewords = [words[0]]
+    report = _assert_amplification_matches_oracle(code2)
+    assert report["pairs_checked"] == 0 and report["min_delta_R"] is None
+
+
+def _verify_amplification_pair_loop_oracle(code):
+    """Reference: the amplification check as one Fraction comparison per pair."""
+    words = code.enumerate_codewords()
+    views = [code.left_views(w) for w in words]
+    delta_in = code.delta_in
+    delta_out = code.delta_out
+    lam = code.graph.lam_bound
+    global_bound = delta_in - lam / delta_out
+    n = code.n
+    min_dr = None
+    pairs = 0
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            dl = Fraction(sum(1 for a, b in zip(views[i], views[j]) if a != b), n)
+            dr = Fraction(sum(1 for a, b in zip(words[i], words[j]) if a != b), n)
+            pairs += 1
+            if dl == 0:
+                raise AmplificationViolation(f"pair ({i},{j}) has Delta_L = 0")
+            if dr < delta_in - lam / dl:
+                raise AmplificationViolation(
+                    f"pair ({i},{j}): Delta_R={dr} < {delta_in - lam / dl}"
+                )
+            if global_bound > 0 and dr < global_bound:
+                raise AmplificationViolation(
+                    f"pair ({i},{j}): Delta_R={dr} below global bound {global_bound}"
+                )
+            if min_dr is None or dr < min_dr:
+                min_dr = dr
+    return {
+        "pairs_checked": pairs,
+        "min_delta_R": min_dr,
+        "delta_in": delta_in,
+        "delta_out": delta_out,
+        "lam_bound": lam,
+        "global_bound": global_bound,
+        "global_bound_vacuous": global_bound <= 0,
+    }
+
+
+def _amplification_outcome(check, code):
+    try:
+        return check(code)
+    except AmplificationViolation as exc:
+        return f"AmplificationViolation: {exc}"
+
+
+def _assert_amplification_matches_oracle(code):
+    got = _amplification_outcome(verify_distance_amplification, code)
+    assert got == _amplification_outcome(_verify_amplification_pair_loop_oracle, code)
+    return got
+
+
+def test_amplification_matches_oracle_on_ac3(gf4, gf16):
+    graph = random_regular_bipartite(
+        12, 4, seed=derive_seed(2024, "ac3-graph"), lam_target=0.95
+    )
+    code = AELCode(
+        graph, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]), RSOuterCode(gf16, 12, 2)
+    )
+    report = _assert_amplification_matches_oracle(code)
+    assert report["pairs_checked"] == 32640
+    assert report["min_delta_R"] == Fraction(11, 12)
+
+
+def _tampered_pair(gf4, gf16, lam):
+    """Two words of the instance12 shape that differ only in left vertex 0's
+    view, replaced by an inner codeword at distance 3 from it."""
+    graph = random_regular_bipartite(12, 4, seed=7, lam_target=0.95)
+    graph.lam = lam
+    code = AELCode(
+        graph, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]), RSOuterCode(gf16, 12, 2)
+    )
+    w = code.encode_message([3, 1])
+    view = code.left_views(w)[0]
+    far = next(
+        c for c in code.inner.enumerate_codewords()
+        if sum(1 for a, b in zip(c, view) if a != b) == 3
+    )
+    edges = code.unfold(w)
+    for i, x in enumerate(far):
+        edges[graph.left_edge(0, i)] = x
+    w2 = code.fold(edges)
+    assert code.delta_L(w, w2) == Fraction(1, 12)
+    assert code.delta_R(w, w2) == Fraction(3, 12)
+    code._codewords = [w, w2]
+    return code
+
+
+@pytest.mark.parametrize("lam,message", [
+    # the per-pair bound fails (and the global bound too)
+    (0.0, "pair (0,1): Delta_R=1/4 < 187497/250000"),
+    # n times the per-pair bound is about 3.53, just above the Delta_R count
+    # 3; the larger global bound (8.5 counts) fails as well
+    (0.038, "pair (0,1): Delta_R=1/4 < 73497/250000"),
+    # the per-pair bound is negative; only the global bound fails
+    (0.1, "pair (0,1): Delta_R=1/4 below global bound 160227/250000"),
+    # n times the global bound is about 3.11: rounding it down to 3 would
+    # pass this pair, rounding it up fails it
+    (0.45, "pair (0,1): Delta_R=1/4 below global bound 712497/2750000"),
+])
+def test_amplification_matches_oracle_on_tampered_pair(gf4, gf16, lam, message):
+    got = _assert_amplification_matches_oracle(_tampered_pair(gf4, gf16, lam))
+    assert got == f"AmplificationViolation: {message}"

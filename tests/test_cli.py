@@ -151,6 +151,18 @@ def test_verify_singleton_impossible_margin_exits_1(workspace):
         })]) == 1
 
 
+@pytest.mark.parametrize("delta0", [0.1, True, "abc", "1/0"])
+def test_verify_singleton_rejects_inexact_fractions(workspace, capsys, delta0):
+    tmp = workspace
+    assert main(["verify-singleton", "--config", _write_config(
+        tmp / "vs_frac.json", {
+            "version": 1, "bundle_file": str(tmp / "bundle.json"),
+            "k": 3, "delta0": delta0, "eps": "1/4",
+        })]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "config error" in captured.err
+
+
 @pytest.mark.parametrize("command,payload", [
     ("verify-singleton", {"bundle_file": "bundle.json", "k": 3,
                           "delta0": "1/2", "eps": "1/4"}),

@@ -179,6 +179,41 @@ def test_eml_matches_fraction_oracle(case):
     assert (lhs, bound, ok) == ref
 
 
+def _verify_eml_sets_fraction_oracle(graph, S, T):
+    """Reference: the set form of the mixing lemma with Fraction squaring."""
+    S, T = set(S), set(T)
+    n, d = graph.n, graph.d
+    e_st = sum(1 for l in S for r in graph.left_adj[l] if r in T)
+    dev = abs(Fraction(e_st) - Fraction(d * len(S) * len(T), n))
+    lam = graph.lam_bound
+    ok = dev * dev <= lam * lam * d * d * len(S) * len(T)
+    return e_st, dev, ok
+
+
+@st.composite
+def _eml_sets_case(draw):
+    graph = _EML_GRAPHS[draw(st.sampled_from(sorted(_EML_GRAPHS)))]
+    vertex_set = st.lists(st.integers(0, graph.n - 1), max_size=graph.n)
+    return graph, draw(vertex_set), draw(vertex_set)
+
+
+@given(case=_eml_sets_case())
+@settings(max_examples=300, deadline=None)
+def test_eml_sets_matches_fraction_oracle(case):
+    graph, S, T = case
+    got = verify_eml_sets(graph, S, T)
+    assert isinstance(got[1], Fraction)
+    assert got == _verify_eml_sets_fraction_oracle(graph, S, T)
+
+
+def test_eml_sets_oracle_cases_include_failures():
+    # the understated-lambda graph fails the set form too, so the hypothesis
+    # comparison above covers failing verdicts
+    graph = _EML_GRAPHS["cycle8-understated"]
+    assert not verify_eml_sets(graph, [0], [0])[2]
+    assert not _verify_eml_sets_fraction_oracle(graph, [0], [0])[2]
+
+
 def test_eml_sets_complete_graph_exact():
     # on K_{n,n}, E(S,T) = d|S||T|/n exactly, so the deviation is 0
     g = complete_bipartite(4)

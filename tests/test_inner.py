@@ -25,6 +25,7 @@ from aelcert.arld import (
     epsilon_min,
     intern_symbols,
     min_disagreement_by_size,
+    pair_disagreements,
     subset_search_count,
     translation_closed,
 )
@@ -96,6 +97,30 @@ def test_subset_cap_enforced():
     sym = np.zeros((100, 4), dtype=np.int64)
     with pytest.raises(SubsetEnumerationTooLarge):
         min_disagreement_by_size(sym, 4, subset_cap=1000)
+
+
+def test_subset_cap_bounds_the_evaluated_subsets(gf2):
+    # GF(2)^4 is a group: 2500 subsets covered at k = 4, 680 evaluated
+    code = BlockCode(list(product(range(2), repeat=4)), field=gf2)
+    assert subset_search_count(16, 4) == 2500
+    assert subset_search_count(16, 4, closed=True) == 680
+    free = min_arld_slack(code, 4, Fraction(1, 2))
+    capped = min_arld_slack(code, 4, Fraction(1, 2), subset_cap=1000)
+    assert capped.reduction == "translation"
+    assert capped.min_disagreements_by_size == free.min_disagreements_by_size
+    assert capped.witness_indices == free.witness_indices
+    with pytest.raises(SubsetEnumerationTooLarge, match="680 .*2500"):
+        min_arld_slack(code, 4, Fraction(1, 2), subset_cap=679)
+
+
+def test_pair_disagreements_matches_pairwise_counts():
+    rng = np.random.default_rng(4)
+    sym = rng.integers(0, 3, size=(9, 7))
+    dist = pair_disagreements(sym)
+    assert dist.dtype == np.int64 and dist.shape == (9, 9)
+    for i in range(9):
+        for j in range(9):
+            assert dist[i, j] == sum(1 for a, b in zip(sym[i], sym[j]) if a != b)
 
 
 def _assert_kernel_matches_oracle(words, k, closed=False):

@@ -43,6 +43,13 @@ def test_frac_round_trip():
     assert frac_str(Fraction(3, 4)) == "3/4"
     assert parse_frac("3/4") == Fraction(3, 4)
     assert parse_frac("0/1") == 0
+    assert parse_frac(-2) == -2
+
+
+@pytest.mark.parametrize("value", [0.1, True, False, "abc", "1/0", None, [1, 2]])
+def test_parse_frac_rejects_inexact_or_malformed_values(value):
+    with pytest.raises(ConfigInvalid):
+        parse_frac(value)
 
 
 def test_code_round_trip(tmp_path, gf16):

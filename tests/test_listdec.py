@@ -23,6 +23,7 @@ from aelcert import (
 from aelcert.errors import (
     DuplicateCodewords,
     EnumerationTooLarge,
+    LengthMismatch,
     PrerequisiteNotVerified,
     SubsetTooSmall,
 )
@@ -54,11 +55,26 @@ def test_list_agrees_with_distances(instance12):
     rng = np.random.default_rng(8)
     idx = [int(i) for i in rng.choice(256, 3, replace=False)]
     center, _ = plurality_center([words[i] for i in idx])
-    beta = Fraction(1, 2)
-    lst = brute_force_list(instance12, center, beta)
-    erased = ErasedWord(tuple(center))
-    expect = [w for w in words if instance12.delta_R_erased(erased, w) <= beta]
-    assert lst == expect
+    erasure_masks = [(), (0,), (1, 4, 7), tuple(range(0, 12, 2)), tuple(range(12))]
+    for mask in erasure_masks:
+        erased = ErasedWord(
+            tuple(ERASED if r in mask else s for r, s in enumerate(center))
+        )
+        hits = {instance12.delta_R_erased(erased, w) * 12 for w in words}
+        # beta = k/n exactly keeps the words at k disagreements; just below
+        # it drops them
+        betas = {Fraction(1, 2)} | {Fraction(int(h), 12) for h in hits}
+        betas |= {b - Fraction(1, 10**9) for b in betas}
+        for beta in sorted(betas):
+            center_arg = erased if mask else center
+            lst = brute_force_list(instance12, center_arg, beta)
+            expect = [w for w in words if instance12.delta_R_erased(erased, w) <= beta]
+            assert lst == expect
+
+
+def test_list_rejects_a_center_of_the_wrong_length(instance12):
+    with pytest.raises(LengthMismatch):
+        brute_force_list(instance12, ErasedWord((ERASED,) * 11), Fraction(1, 2))
 
 
 def test_singleton_k1_trivial(instance12):
