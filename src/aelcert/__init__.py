@@ -9,7 +9,7 @@ right-vertex folding, and certifies the resulting codes' combinatorial
 properties with exact rational arithmetic.
 """
 
-from .ael import AELCode, ael_rate, pair_counting_check, verify_distance_amplification
+from .ael import AELCode, pair_counting_check, verify_distance_amplification
 from .arld import plurality_center
 from .codes import ERASED, ErasedWord, LinearCode, dist_with_erasures, hamming_distance
 from .gf import Field, make_field, multiplicative_generator
@@ -66,7 +66,6 @@ __all__ = [
     "LinearCode",
     "PartitionProfile",
     "RSOuterCode",
-    "ael_rate",
     "ael_unique_decode",
     "brute_force_list",
     "common_error_fraction",

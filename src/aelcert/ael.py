@@ -64,6 +64,7 @@ class AELCode:
         ):
             raise ValueError("phi is not a bijection onto the inner codebook")
         self._phi_inv = {w: sigma for sigma, w in enumerate(self.phi)}
+        self._inner_index = {w: i for i, w in enumerate(inner_words)}
         self._codewords: list[tuple] | None = None
 
     @property
@@ -127,10 +128,6 @@ class AELCode:
         return self._phi_inv[self.inner.enumerate_codewords()[i]]
 
     def outer_symbol_to_inner_index(self, sigma: int) -> int:
-        if not hasattr(self, "_inner_index"):
-            self._inner_index = {
-                w: i for i, w in enumerate(self.inner.enumerate_codewords())
-            }
         return self._inner_index[self.phi[sigma]]
 
     def decode_to_outer(self, word) -> tuple:
@@ -178,12 +175,6 @@ class AELCode:
         if power == q_out:
             return Fraction(self.outer.dim * b, self.n * self.d)
         return self.outer.dim * math.log(q_out) / (self.n * self.d * math.log(q_in))
-
-
-def ael_rate(code: AELCode) -> Fraction | float:
-    r = code.rate()
-    assert r >= code.outer.rate * code.inner.rate
-    return r
 
 
 def pair_counting_check(code: AELCode, f, g) -> dict:

@@ -2,33 +2,43 @@
 Decode-from-distributions via threshold rounding, and the composition
 giving AEL unique decoding from a corrupted right-folded word.
 
-Weights are exact rationals, so the finite threshold set (one per interval
-endpoint, at most M * n values) provably covers every theta in [0, 1).
+Weights are exact rationals, held as integer prefix sums over one common
+scale, so the finite threshold set (one per interval endpoint, at most
+M * n values) provably covers every theta in [0, 1).
 """
 
 from __future__ import annotations
 
-import warnings
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .ael import AELCode
-from .codes import hamming_distance
 from .outer import RSOuterCode, rs_unique_decode
 
 
 @dataclass
 class InnerDistributionEnsemble:
     """Per left vertex, a probability vector over the M inner codewords
-    (indexed in the fixed codebook order).  Weights are exact Fractions."""
+    (indexed in the fixed codebook order).  Weights are exact Fractions;
+    `counts` are the weights times `scale`, the lcm of their denominators,
+    and codebook index i of row l owns [ends[l][i-1], ends[l][i]) / scale."""
 
     weights: list[list[Fraction]]
 
     def __post_init__(self):
         self.weights = [[Fraction(w) for w in row] for row in self.weights]
-        for row in self.weights:
-            if any(w < 0 for w in row) or sum(row) != 1:
+        self.scale = math.lcm(*(w.denominator for row in self.weights for w in row))
+        self.counts = [
+            [w.numerator * (self.scale // w.denominator) for w in row]
+            for row in self.weights
+        ]
+        for row in self.counts:
+            if any(c < 0 for c in row) or sum(row) != self.scale:
                 raise ValueError("each distribution must be nonnegative and sum to 1")
+        self.ends = [list(accumulate(row)) for row in self.counts]
 
     @property
     def n(self) -> int:
@@ -39,46 +49,40 @@ class InnerDistributionEnsemble:
         return len(self.weights[0])
 
     def round_at(self, theta: Fraction) -> list[int]:
-        """Codebook index per left vertex: the interval containing theta."""
-        picks = []
-        for l in range(self.n):
-            acc = Fraction(0)
-            pick = self.m - 1
-            for i, w in enumerate(self.weights[l]):
-                if acc <= theta < acc + w:
-                    pick = i
-                    break
-                acc += w
-            picks.append(pick)
-        return picks
+        """Codebook index per left vertex: the interval containing theta, or
+        the last index when no interval does (theta < 0 or theta >= 1)."""
+        t = math.floor(Fraction(theta) * self.scale)
+        if t < 0:
+            t = self.scale
+        return [min(bisect_right(ends, t), len(ends) - 1) for ends in self.ends]
 
     def expected_disagreement(self, inner_indices) -> Fraction:
         """E_l E_{f~D_l}[1{f != given inner codeword index at l}]."""
-        total = Fraction(0)
-        for l, idx in enumerate(inner_indices):
-            total += 1 - self.weights[l][idx]
-        return total / self.n
+        agree = sum(self.counts[l][idx] for l, idx in enumerate(inner_indices))
+        return Fraction(self.n * self.scale - agree, self.n * self.scale)
 
 
 def threshold_endpoints(ensemble: InnerDistributionEnsemble) -> list[Fraction]:
     """All interval endpoints in [0, 1); rounding is constant between them."""
-    points = {Fraction(0)}
-    for l in range(ensemble.n):
-        acc = Fraction(0)
-        for w in ensemble.weights[l]:
-            acc += w
-            if acc < 1:
-                points.add(acc)
-    return sorted(points)
+    scale = ensemble.scale
+    points = {0, *(e for ends in ensemble.ends for e in ends if e < scale)}
+    return [Fraction(p, scale) for p in sorted(points)]
 
 
 def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble):
     """Threshold rounding + outer unique decoding.
 
-    Returns the AEL codeword h with expected ensemble disagreement at most
-    the outer unique-decoding radius, or None.  Scans every endpoint
-    threshold in ascending order; warns if distinct codewords satisfy the
-    guarantee (impossible below half the outer distance, checked anyway).
+    Returns the AEL codeword of the first outer codeword h, over the
+    endpoint thresholds in ascending order, that Berlekamp-Welch recovers
+    and whose expected ensemble disagreement ED(h) is at most
+    delta_dec = floor((n - k) / 2) / n; None if no threshold yields one.
+
+    No other codeword can meet that guarantee, so stopping at the first is
+    the same as scanning every threshold.  RS[n, k] on distinct points is
+    MDS: distinct outer codewords h, h' differ in at least n - k + 1
+    positions l, and at each of them w_l(h_l) + w_l(h'_l) <= 1.  Hence
+    n * (ED(h) + ED(h')) >= n - k + 1 > 2 * floor((n - k) / 2)
+    = 2 * n * delta_dec, so at most one of them is within delta_dec.
     """
     outer = code.outer
     if not isinstance(outer, RSOuterCode):
@@ -87,7 +91,6 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
         raise ValueError("ensemble shape does not match the AEL code")
     radius = outer.unique_decoding_radius
     delta_dec = outer.delta_dec
-    found: list[tuple] = []
     for theta in threshold_endpoints(ensemble):
         picks = ensemble.round_at(theta)
         f_star = [code.inner_index_to_outer_symbol(i) for i in picks]
@@ -96,37 +99,31 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
             continue
         inner_indices = [code.outer_symbol_to_inner_index(sigma) for sigma in h_star]
         if ensemble.expected_disagreement(inner_indices) <= delta_dec:
-            h = code.encode(h_star)
-            if h not in found:
-                found.append(h)
-    if len(found) > 1:
-        warnings.warn("multiple codewords satisfy the decoding guarantee")
-    return found[0] if found else None
+            return code.encode(h_star)
+    return None
 
 
-def local_views_to_distributions(
-    code: AELCode, word
-) -> InnerDistributionEnsemble:
+def local_views_to_distributions(code: AELCode, word) -> InnerDistributionEnsemble:
     """Uniform distribution over the nearest inner codewords per left view."""
     inner_words = code.inner.enumerate_codewords()
-    views = code.left_views(word)
     weights = []
-    for v in views:
-        dists = [hamming_distance(v, c) for c in inner_words]
+    for v in code.left_views(word):
+        dists = [sum(a != b for a, b in zip(v, c)) for c in inner_words]
         best = min(dists)
-        nearest = [i for i, dst in enumerate(dists) if dst == best]
+        nearest = {i for i, dst in enumerate(dists) if dst == best}
         share = Fraction(1, len(nearest))
-        weights.append(
-            [share if i in set(nearest) else Fraction(0) for i in range(len(inner_words))]
-        )
+        weights.append([share if i in nearest else 0 for i in range(len(inner_words))])
     return InnerDistributionEnsemble(weights)
 
 
 def ael_unique_decode(code: AELCode, word):
     """Nearest-inner-codeword distributions, then threshold-rounding decode.
 
-    Returns (codeword, Delta_R(word, codeword)) or None.
+    Returns (codeword, Delta_R(word, codeword)) or None.  Raises
+    GraphMismatch before any decoding when the word's shape does not match
+    the graph.
     """
+    code._check(word)
     ensemble = local_views_to_distributions(code, word)
     h = decode_from_distributions(code, ensemble)
     if h is None:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from aelcert.cli import main
-from aelcert.io import artifact_body_bytes, load_artifact
+from aelcert.io import artifact_body_bytes, load_artifact, save_word
 
 
 def _write_config(path, payload):
@@ -103,6 +103,24 @@ def test_encode_corrupt_decode_cycle(workspace):
     rec = load_artifact(tmp / "decode_report.json")
     assert rec["passed"] is True
     assert len(rec["extra"]["outer_word"]) == 12
+
+
+def test_decode_rejects_narrow_symbols(workspace, capsys):
+    tmp = workspace
+    assert main(["encode", "--config", _write_config(tmp / "enc.json", {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "message": [1, 0], "word_out": str(tmp / "word.json"),
+    })]) == 0
+    word = load_artifact(tmp / "word.json")
+    save_word(tmp / "narrow.json", [tuple(sym[:3]) for sym in word["symbols"]])
+    capsys.readouterr()
+    assert main(["decode", "--config", _write_config(tmp / "dec.json", {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "word_file": str(tmp / "narrow.json"),
+    })]) == 1
+    err = capsys.readouterr().err
+    assert "word shape does not match the graph" in err
+    assert "Traceback" not in err
 
 
 def test_list_decode(workspace):
