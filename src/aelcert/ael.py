@@ -4,8 +4,9 @@ the edges of a d-regular bipartite graph and refold them on the right
 vertices.
 
 Codewords are represented right-folded: a tuple of n symbols, each a
-d-tuple over the inner alphabet.  Fold/unfold helpers move between this
-representation and edge labellings.
+d-tuple over the inner alphabet.  Fold/unfold move between this
+representation and edge labellings (indexed by edge id) through the graph's
+one `route` array: folding gathers through it, unfolding scatters.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     LengthMismatch,
     NotAnOuterCodeword,
 )
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, verify_eml_sets
 
 
 class AELCode:
@@ -64,7 +65,9 @@ class AELCode:
         ):
             raise ValueError("phi is not a bijection onto the inner codebook")
         self._phi_inv = {w: sigma for sigma, w in enumerate(self.phi)}
-        self._inner_index = {w: i for i, w in enumerate(inner_words)}
+        inner_index = {w: i for i, w in enumerate(inner_words)}
+        self._symbol_of_index = [self._phi_inv[w] for w in inner_words]
+        self._index_of_symbol = [inner_index[w] for w in self.phi]
         self._codewords: list[tuple] | None = None
 
     @property
@@ -90,45 +93,34 @@ class AELCode:
         outer_codeword = tuple(outer_codeword)
         if not self.outer.contains(outer_codeword):
             raise NotAnOuterCodeword(f"{outer_codeword} is not in C_out")
-        edge_vals = [0] * self.graph.num_edges
-        for l, sigma in enumerate(outer_codeword):
-            inner_word = self.phi[sigma]
-            for i in range(self.d):
-                edge_vals[self.graph.left_edge(l, i)] = inner_word[i]
-        return self.fold(edge_vals)
+        return self.fold([x for sigma in outer_codeword for x in self.phi[sigma]])
 
     def encode_message(self, msg) -> tuple:
         return self.encode(self.outer.encode(msg))
 
     def fold(self, edge_vals) -> tuple:
         """Edge labelling -> right-folded word."""
-        return tuple(
-            tuple(edge_vals[self.graph.right_edge(r, j)] for j in range(self.d))
-            for r in range(self.n)
-        )
+        return tuple(map(tuple, np.asarray(edge_vals)[self.graph.route].tolist()))
 
     def unfold(self, word) -> list:
         """Right-folded word -> edge labelling."""
-        edge_vals = [0] * self.graph.num_edges
-        for r, tup in enumerate(word):
-            for j in range(self.d):
-                edge_vals[self.graph.right_edge(r, j)] = tup[j]
-        return edge_vals
+        return self._edge_array(word).tolist()
 
     def left_views(self, word) -> list[tuple]:
         """The d-tuple seen by each left vertex (in its edge order)."""
-        edge_vals = self.unfold(word)
-        return [
-            tuple(edge_vals[self.graph.left_edge(l, i)] for i in range(self.d))
-            for l in range(self.n)
-        ]
+        return list(map(tuple, self._edge_array(word).reshape(self.n, self.d).tolist()))
+
+    def _edge_array(self, word) -> np.ndarray:
+        edge_vals = np.empty(self.n * self.d, dtype=np.int64)
+        edge_vals[self.graph.route] = word
+        return edge_vals
 
     def inner_index_to_outer_symbol(self, i: int) -> int:
         """Codebook index (message-lex order of C_in) -> outer symbol via phi^{-1}."""
-        return self._phi_inv[self.inner.enumerate_codewords()[i]]
+        return self._symbol_of_index[i]
 
     def outer_symbol_to_inner_index(self, sigma: int) -> int:
-        return self._inner_index[self.phi[sigma]]
+        return self._index_of_symbol[sigma]
 
     def decode_to_outer(self, word) -> tuple:
         """phi^{-1} applied to every left view; raises KeyError off-codebook."""
@@ -182,23 +174,21 @@ def pair_counting_check(code: AELCode, f, g) -> dict:
 
     L' is the set of left vertices whose views fully differ; every such
     vertex sends at least delta_in * d differing edges, all landing in the
-    differing right set R'.  The mixing lemma upper-bounds E(L', R').
+    differing right set R'.  The mixing lemma upper-bounds E(L', R'); the
+    count and the set-form verdict come from `verify_eml_sets`.
     """
     views_f, views_g = code.left_views(f), code.left_views(g)
     L = [l for l in range(code.n) if views_f[l] != views_g[l]]
-    R = {r for r in range(code.n) if f[r] != g[r]}
-    e_lr = sum(1 for l in L for r in code.graph.left_adj[l] if r in R)
-    lam = code.graph.lam_bound
-    d, n = code.d, code.n
-    lower_ok = Fraction(e_lr) >= code.delta_in * d * len(L)
-    dev = Fraction(e_lr) - Fraction(d * len(L) * len(R), n)
-    upper_ok = dev <= 0 or dev * dev <= lam * lam * d * d * len(L) * len(R)
+    R = [r for r in range(code.n) if f[r] != g[r]]
+    e_lr, _, mixing_ok = verify_eml_sets(code.graph, L, R)
+    delta_in = code.delta_in
     return {
         "L_size": len(L),
         "R_size": len(R),
         "edges": e_lr,
-        "lower_ok": bool(lower_ok),
-        "upper_ok": bool(upper_ok),
+        "lower_ok": e_lr * delta_in.denominator >= delta_in.numerator * code.d * len(L),
+        # a deviation at or below zero meets the upper bound outright
+        "upper_ok": code.n * e_lr <= code.d * len(L) * len(R) or mixing_ok,
     }
 
 

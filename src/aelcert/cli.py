@@ -5,7 +5,8 @@ Every subcommand reads a JSON config (version field required, unknown keys
 rejected) so experiment definitions are explicit and reproducible.  All
 randomness flows from the config's root seed through named streams.
 
-Exit codes: 0 pass, 1 assertion failure, 2 config/IO error.
+Exit codes: 0 pass, 1 assertion failure, 2 config/IO error or bad input
+(a `ValueError`, malformed JSON included).
 """
 
 from __future__ import annotations
@@ -398,6 +399,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](cfg)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # bad input values, malformed JSON included
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -3,9 +3,11 @@ d-regular balanced bipartite graphs with a fixed edge ordering and a
 measured normalized second singular value.
 
 The edge ordering is the one induced by the left adjacency lists: edge id
-e = l*d + i is the i-th edge of left vertex l.  Right orderings are derived
-by sorting each right vertex's incident edge ids, which makes the three
-bijections E <-> L x [d] <-> R x [d] mutually consistent by construction.
+e = l*d + i is the i-th edge of left vertex l.  The right ordering is one
+integer array, `route`: route[r, j] is the id of the j-th edge of right
+vertex r, the edges of r taken in increasing id order.  It is the stable
+argsort of the flattened adjacency, so both orderings come from the same
+lists by construction.
 
 lambda_hat is the second singular value of the normalized biadjacency
 matrix from one dense LAPACK SVD, at every graph size.  Downstream
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -35,57 +38,19 @@ class BipartiteGraph:
         self.seed = seed
         if len(self.left_adj) != n or any(len(r) != d for r in self.left_adj):
             raise ValueError("left adjacency must be n rows of d right vertices")
-        degrees = [0] * n
-        for row in self.left_adj:
-            if len(set(row)) != d:
-                raise ValueError("parallel edges in left adjacency")
-            for r in row:
-                degrees[r] += 1
-        if any(deg != d for deg in degrees):
+        _check_vertices(n, [r for row in self.left_adj for r in row])
+        adj = np.array(self.left_adj, dtype=np.int64).reshape(n, d)
+        if np.any(np.diff(np.sort(adj, axis=1), axis=1) == 0):
+            raise ValueError("parallel edges in left adjacency")
+        if np.any(np.bincount(adj.ravel(), minlength=n) != d):
             raise ValueError("graph is not right-regular")
-        # right_edges[r] = sorted incident edge ids; position j is the j-th
-        # edge of r under the derived right ordering
-        self.right_edges = [[] for _ in range(n)]
-        for l in range(n):
-            for i, r in enumerate(self.left_adj[l]):
-                self.right_edges[r].append(l * d + i)
-        for edges in self.right_edges:
-            edges.sort()
-        self._edge_right_pos = {}
-        for r, edges in enumerate(self.right_edges):
-            for j, e in enumerate(edges):
-                self._edge_right_pos[e] = (r, j)
+        # route[r, j]: id of the j-th edge of right vertex r (module docstring)
+        self.route = np.argsort(adj.ravel(), kind="stable").reshape(n, d)
         self.lam = second_singular_value(self)
-
-    # -- edge bijections ---------------------------------------------------
-
-    @property
-    def num_edges(self) -> int:
-        return self.n * self.d
-
-    def left_edge(self, l: int, i: int) -> int:
-        """Edge id of the i-th edge of left vertex l."""
-        return l * self.d + i
-
-    def edge_left(self, e: int) -> tuple[int, int]:
-        return divmod(e, self.d)
-
-    def right_edge(self, r: int, j: int) -> int:
-        """Edge id of the j-th edge of right vertex r."""
-        return self.right_edges[r][j]
-
-    def edge_right(self, e: int) -> tuple[int, int]:
-        return self._edge_right_pos[e]
-
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        l, i = self.edge_left(e)
-        return l, self.left_adj[l][i]
 
     def biadjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
-        for l, row in enumerate(self.left_adj):
-            for r in row:
-                A[l, r] = 1.0
+        A[np.arange(self.n).repeat(self.d), np.ravel(self.left_adj).astype(np.intp)] = 1.0
         return A
 
     @property
@@ -179,8 +144,15 @@ def _mixing_ok(num: int, n: int, d: int, f2: int, g2: int, lam: Fraction) -> boo
 
 
 def _common_denominator(xs) -> tuple[list[int], int]:
-    """Integers X and the least D with X[i] = xs[i] * D exactly."""
-    xs = [Fraction(x) for x in xs]
+    """Integers X and the least D with X[i] = xs[i] * D exactly.  Ints and
+    Fractions pass through; other integers (numpy's) become ints, since a
+    Fraction would keep their fixed width; anything else converts exactly."""
+    xs = [
+        x if isinstance(x, (int, Fraction))
+        else int(x) if isinstance(x, Integral)
+        else Fraction(x)
+        for x in xs
+    ]
     D = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (D // x.denominator) for x in xs], D
 
@@ -190,6 +162,14 @@ def verify_eml_sets(graph: BipartiteGraph, S, T) -> tuple[int, Fraction, bool]:
     decided in Python ints as `verify_eml` decides it on indicator vectors."""
     S, T = set(S), set(T)
     n, d = graph.n, graph.d
+    _check_vertices(n, S | T)
     e_st = sum(1 for l in S for r in graph.left_adj[l] if r in T)
     num = abs(n * e_st - d * len(S) * len(T))
     return e_st, Fraction(num, n), _mixing_ok(num, n, d, len(S), len(T), graph.lam_bound)
+
+
+def _check_vertices(n: int, vertices) -> None:
+    """ValueError unless every vertex lies in [0, n)."""
+    bad = [v for v in vertices if not 0 <= v < n]
+    if bad:
+        raise ValueError(f"vertex {bad[0]} outside [0, {n})")

@@ -56,6 +56,16 @@ def load_artifact(path) -> dict:
     return json.loads(body)
 
 
+def _load_kind(path, *kinds) -> dict:
+    """The artifact at path if its kind is one of kinds and its version is
+    FORMAT_VERSION; ConfigInvalid otherwise."""
+    rec = load_artifact(path)
+    if not (isinstance(rec, dict) and rec.get("kind") in kinds
+            and rec.get("version") == FORMAT_VERSION):
+        raise ConfigInvalid(f"{path} is not a version-{FORMAT_VERSION} {'/'.join(kinds)} file")
+    return rec
+
+
 def artifact_body_bytes(path) -> bytes:
     """Artifact content with header lines stripped, for determinism checks."""
     text = Path(path).read_text()
@@ -91,13 +101,11 @@ def save_code(path, code: LinearCode) -> None:
 
 
 def load_code(path) -> LinearCode:
-    rec = load_artifact(path)
+    rec = _load_kind(path, "rs_code", "linear_code")
     field = field_from_payload(rec["field"])
     if rec["kind"] == "rs_code":
         return RSOuterCode(field, rec["n"], rec["dim"], rec["evaluation_points"])
-    if rec["kind"] == "linear_code":
-        return LinearCode(field, rec["generator"])
-    raise ConfigInvalid(f"not a code file: kind={rec.get('kind')}")
+    return LinearCode(field, rec["generator"])
 
 
 def save_frs(path, frs: FoldedRSCode) -> None:
@@ -117,9 +125,7 @@ def save_frs(path, frs: FoldedRSCode) -> None:
 
 
 def load_frs(path) -> FoldedRSCode:
-    rec = load_artifact(path)
-    if rec["kind"] != "folded_rs":
-        raise ConfigInvalid(f"not an FRS file: kind={rec.get('kind')}")
+    rec = _load_kind(path, "folded_rs")
     field = field_from_payload(rec["field"])
     return FoldedRSCode(field, rec["b"], rec["n"], parse_frac(rec["rho"]), rec["alphas"])
 
@@ -143,9 +149,7 @@ def save_graph(path, graph: BipartiteGraph) -> None:
 
 
 def load_graph(path) -> BipartiteGraph:
-    rec = load_artifact(path)
-    if rec["kind"] != "bipartite_graph":
-        raise ConfigInvalid(f"not a graph file: kind={rec.get('kind')}")
+    rec = _load_kind(path, "bipartite_graph")
     graph = BipartiteGraph(rec["n"], rec["d"], rec["left_adj"], seed=rec.get("seed"))
     # the stored lambda must be the one this graph's adjacency gives
     stored = rec.get("lambda")
@@ -174,9 +178,7 @@ def save_bundle(path, graph_file: str, inner_file: str, outer_file: str) -> None
 
 
 def load_bundle(path) -> AELCode:
-    rec = load_artifact(path)
-    if rec["kind"] != "ael_bundle":
-        raise ConfigInvalid(f"not an AEL bundle: kind={rec.get('kind')}")
+    rec = _load_kind(path, "ael_bundle")
     base = Path(path).parent
     graph = load_graph(base / rec["graph_file"])
     inner = load_code(base / rec["inner_file"])
@@ -195,9 +197,7 @@ def save_word(path, word) -> None:
 
 
 def load_word(path) -> ErasedWord:
-    rec = load_artifact(path)
-    if rec["kind"] != "word":
-        raise ConfigInvalid(f"not a word file: kind={rec.get('kind')}")
+    rec = _load_kind(path, "word")
     return ErasedWord(
         tuple(ERASED if sym is None else tuple(sym) for sym in rec["symbols"])
     )
@@ -236,9 +236,7 @@ def save_certificate(path, cert: ARLDCertificate) -> None:
 
 
 def load_certificate(path) -> ARLDCertificate:
-    rec = load_artifact(path)
-    if rec["kind"] != "arld_certificate":
-        raise ConfigInvalid(f"not a certificate: kind={rec.get('kind')}")
+    rec = _load_kind(path, "arld_certificate")
     return ARLDCertificate(
         delta0=parse_frac(rec["delta0"]),
         k=rec["k"],

@@ -222,27 +222,40 @@ def partition_profile(code: AELCode, subset) -> PartitionProfile:
 def local_erasure_fractions(code: AELCode, erased: ErasedWord) -> list[Fraction]:
     """s_l per left vertex: fraction of its edges landing on erased right
     vertices (an erased right vertex erases the whole d-tuple)."""
-    erased_set = {r for r, sym in enumerate(erased.symbols) if sym is ERASED}
-    out = []
-    for l in range(code.n):
-        hits = sum(1 for r in code.graph.left_adj[l] if r in erased_set)
-        out.append(Fraction(hits, code.d))
-    return out
+    return [Fraction(h, code.d) for h in _erased_edge_counts(code, erased)]
+
+
+def _erased_edge_counts(code: AELCode, erased: ErasedWord) -> list[int]:
+    if erased.n != code.n:
+        raise LengthMismatch(f"erased word length {erased.n} != graph size {code.n}")
+    erased_mask = [sym is ERASED for sym in erased.symbols]
+    return [sum(erased_mask[r] for r in row) for row in code.graph.left_adj]
 
 
 def sampling_bound_check(
     code: AELCode, erased: ErasedWord, l_star, k: int | None = None
 ) -> dict:
     """Mixing-lemma step inside the erasure sampling bound:
-    E_{l in L*}[s_l] <= s + lam_bound * n / |L*|."""
+    E_{l in L*}[s_l] <= s + lam_bound * n / |L*|.
+
+    With H the erased edges out of L* and lam_bound = a/b, multiplying by
+    d * |L*| * n * b leaves one integer comparison:
+    H * n * b <= (erasure count) * d * |L*| * b + a * n^2 * d.
+    """
     l_star = list(l_star)
+    n, d, m = code.n, code.d, len(l_star)
     if not l_star:
         raise SubsetTooSmall("L* is empty")
+    if any(not 0 <= l < n for l in l_star):
+        raise ValueError(f"L* has a vertex outside [0, {n})")
     if k is not None:
-        required = code.delta_out * code.n / Fraction(k) ** k
-        if len(l_star) < required:
-            raise SubsetTooSmall(f"|L*| = {len(l_star)} < {required}")
-    fractions = local_erasure_fractions(code, erased)
-    lhs = sum((fractions[l] for l in l_star), Fraction(0)) / len(l_star)
-    rhs = erased.s + code.graph.lam_bound * code.n / len(l_star)
-    return {"lhs": lhs, "rhs": rhs, "passed": lhs <= rhs, "l_star_size": len(l_star)}
+        required = code.delta_out * n / Fraction(k) ** k
+        if m < required:
+            raise SubsetTooSmall(f"|L*| = {m} < {required}")
+    counts = _erased_edge_counts(code, erased)
+    hits = sum(counts[l] for l in l_star)
+    lam = code.graph.lam_bound
+    a, b = lam.numerator, lam.denominator
+    passed = hits * n * b <= erased.erasure_count * d * m * b + a * n * n * d
+    return {"lhs": Fraction(hits, d * m), "rhs": erased.s + lam * n / m,
+            "passed": passed, "l_star_size": m}

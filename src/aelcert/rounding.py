@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
+
 from .ael import AELCode
+from .codes import ERASED
+from .errors import AelcertError
 from .outer import RSOuterCode, rs_unique_decode
 
 
@@ -105,15 +109,13 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
 
 def local_views_to_distributions(code: AELCode, word) -> InnerDistributionEnsemble:
     """Uniform distribution over the nearest inner codewords per left view."""
-    inner_words = code.inner.enumerate_codewords()
-    weights = []
-    for v in code.left_views(word):
-        dists = [sum(a != b for a, b in zip(v, c)) for c in inner_words]
-        best = min(dists)
-        nearest = {i for i, dst in enumerate(dists) if dst == best}
-        share = Fraction(1, len(nearest))
-        weights.append([share if i in nearest else 0 for i in range(len(inner_words))])
-    return InnerDistributionEnsemble(weights)
+    codebook = np.array(code.inner.enumerate_codewords())  # (M, d)
+    views = np.array(code.left_views(word))  # (n, d)
+    dists = (views[:, None, :] != codebook[None, :, :]).sum(axis=2)  # (n, M)
+    nearest = (dists == dists.min(axis=1, keepdims=True)).tolist()
+    return InnerDistributionEnsemble(
+        [[Fraction(1, row.count(True)) if hit else 0 for hit in row] for row in nearest]
+    )
 
 
 def ael_unique_decode(code: AELCode, word):
@@ -121,9 +123,14 @@ def ael_unique_decode(code: AELCode, word):
 
     Returns (codeword, Delta_R(word, codeword)) or None.  Raises
     GraphMismatch before any decoding when the word's shape does not match
-    the graph.
+    the graph, and AelcertError when a symbol is erased.
     """
     code._check(word)
+    erased = [r for r, sym in enumerate(word) if sym is ERASED]
+    if erased:
+        raise AelcertError(
+            f"symbol {erased[0]} is erased; unique decoding needs an unerased word"
+        )
     ensemble = local_views_to_distributions(code, word)
     h = decode_from_distributions(code, ensemble)
     if h is None:

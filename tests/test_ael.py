@@ -275,14 +275,25 @@ def _assert_amplification_matches_oracle(code):
     return got
 
 
-def test_amplification_matches_oracle_on_ac3(gf4, gf16):
+def _ac3_code(gf4, gf16, lam=None):
+    """The AC3 instance; lam, when given, replaces the graph's measured lambda."""
     graph = random_regular_bipartite(
         12, 4, seed=derive_seed(2024, "ac3-graph"), lam_target=0.95
     )
-    code = AELCode(
+    if lam is not None:
+        graph.lam = lam
+    return AELCode(
         graph, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]), RSOuterCode(gf16, 12, 2)
     )
-    report = _assert_amplification_matches_oracle(code)
+
+
+@pytest.fixture(scope="module")
+def ac3(gf4, gf16):
+    return _ac3_code(gf4, gf16)
+
+
+def test_amplification_matches_oracle_on_ac3(ac3):
+    report = _assert_amplification_matches_oracle(ac3)
     assert report["pairs_checked"] == 32640
     assert report["min_delta_R"] == Fraction(11, 12)
 
@@ -303,7 +314,7 @@ def _tampered_pair(gf4, gf16, lam):
     )
     edges = code.unfold(w)
     for i, x in enumerate(far):
-        edges[graph.left_edge(0, i)] = x
+        edges[0 * code.d + i] = x  # edge l*d + i is the i-th edge of left vertex l
     w2 = code.fold(edges)
     assert code.delta_L(w, w2) == Fraction(1, 12)
     assert code.delta_R(w, w2) == Fraction(3, 12)
@@ -326,3 +337,113 @@ def _tampered_pair(gf4, gf16, lam):
 def test_amplification_matches_oracle_on_tampered_pair(gf4, gf16, lam, message):
     got = _assert_amplification_matches_oracle(_tampered_pair(gf4, gf16, lam))
     assert got == f"AmplificationViolation: {message}"
+
+
+# -- loop oracles for the route-array fold, unfold, left views and encode ----
+
+
+def _right_edges_oracle(graph):
+    """Per right vertex, its incident edge ids l*d + i in increasing order."""
+    right_edges = [[] for _ in range(graph.n)]
+    for l, row in enumerate(graph.left_adj):
+        for i, r in enumerate(row):
+            right_edges[r].append(l * graph.d + i)
+    return [sorted(edges) for edges in right_edges]
+
+
+def _fold_loop_oracle(code, edge_vals):
+    return tuple(
+        tuple(edge_vals[e] for e in edges) for edges in _right_edges_oracle(code.graph)
+    )
+
+
+def _unfold_loop_oracle(code, word):
+    edge_vals = [0] * (code.n * code.d)
+    for edges, tup in zip(_right_edges_oracle(code.graph), word):
+        for e, x in zip(edges, tup):
+            edge_vals[e] = x
+    return edge_vals
+
+
+def _left_views_loop_oracle(code, word):
+    edge_vals = _unfold_loop_oracle(code, word)
+    return [
+        tuple(edge_vals[l * code.d + i] for i in range(code.d)) for l in range(code.n)
+    ]
+
+
+def _encode_loop_oracle(code, outer_codeword):
+    edge_vals = [0] * (code.n * code.d)
+    for l, sigma in enumerate(outer_codeword):
+        for i, x in enumerate(code.phi[sigma]):
+            edge_vals[l * code.d + i] = x
+    return _fold_loop_oracle(code, edge_vals)
+
+
+def _assert_routing_matches_oracles(code, word, edge_vals):
+    assert code.unfold(word) == _unfold_loop_oracle(code, word)
+    assert code.left_views(word) == _left_views_loop_oracle(code, word)
+    assert code.fold(edge_vals) == _fold_loop_oracle(code, edge_vals)
+    assert all(type(x) is int for x in code.unfold(word))
+    assert all(type(x) is int for t in code.fold(edge_vals) for x in t)
+
+
+def test_routing_matches_loop_oracles_on_ac3_codewords(ac3):
+    outer_words = ac3.outer.enumerate_codewords()
+    words = ac3.enumerate_codewords()
+    assert len(words) == 256
+    for outer_word, word in zip(outer_words, words):
+        assert word == _encode_loop_oracle(ac3, outer_word)
+        _assert_routing_matches_oracles(ac3, word, _unfold_loop_oracle(ac3, word))
+
+
+@pytest.mark.parametrize("n,d", [(12, 4), (16, 3), (5, 5)])
+def test_routing_matches_loop_oracles_on_random_words(gf4, n, d):
+    rng = np.random.default_rng(derive_seed(n * d, "routing-oracle"))
+    graph = random_regular_bipartite(n, d, seed=n + d, lam_target=1.0)
+    inner = sample_random_linear_code(gf4, d, 1, rng)
+    code = AELCode(graph, inner, LinearCode(gf4, [[1] * n]))
+    for _ in range(50):
+        word = tuple(tuple(int(x) for x in row) for row in rng.integers(0, 4, (n, d)))
+        edge_vals = [int(x) for x in rng.integers(0, 4, n * d)]
+        _assert_routing_matches_oracles(code, word, edge_vals)
+        assert code.fold(code.unfold(word)) == word
+
+
+def _pair_counting_fraction_oracle(code, f, g):
+    """Reference: the edge-counting argument with Fraction arithmetic and
+    its own edge walk."""
+    views_f, views_g = code.left_views(f), code.left_views(g)
+    L = [l for l in range(code.n) if views_f[l] != views_g[l]]
+    R = {r for r in range(code.n) if f[r] != g[r]}
+    e_lr = sum(1 for l in L for r in code.graph.left_adj[l] if r in R)
+    lam = code.graph.lam_bound
+    d, n = code.d, code.n
+    lower_ok = Fraction(e_lr) >= code.delta_in * d * len(L)
+    dev = Fraction(e_lr) - Fraction(d * len(L) * len(R), n)
+    upper_ok = dev <= 0 or dev * dev <= lam * lam * d * d * len(L) * len(R)
+    return {
+        "L_size": len(L),
+        "R_size": len(R),
+        "edges": e_lr,
+        "lower_ok": bool(lower_ok),
+        "upper_ok": bool(upper_ok),
+    }
+
+
+@pytest.mark.parametrize("lam", [None, 0.0])
+def test_pair_counting_matches_fraction_oracle_on_ac3(gf4, gf16, lam):
+    code = _ac3_code(gf4, gf16, lam)
+    words = code.enumerate_codewords()
+    # both sides read the same views; left_views has its own oracle test
+    views = {w: code.left_views(w) for w in words}
+    code.left_views = views.__getitem__
+    verdicts = set()
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            got = pair_counting_check(code, words[i], words[j])
+            assert got == _pair_counting_fraction_oracle(code, words[i], words[j])
+            verdicts.add((got["lower_ok"], got["upper_ok"]))
+    # at lambda = 0 the upper bound fails on some pairs, so failing verdicts
+    # are compared too
+    assert ((True, False) in verdicts) == (lam == 0.0)

@@ -238,6 +238,37 @@ def test_verify_eml_rejects_tampered_graph(workspace, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def _parallel_edge_graph(tmp):
+    graph_file = tmp / "graph_out.json"
+    rec = load_artifact(graph_file)
+    rec["left_adj"][0][1] = rec["left_adj"][0][0]
+    graph_file.write_text(json.dumps(rec, sort_keys=True, indent=2) + "\n")
+    return {"version": 1, "graph_file": str(graph_file), "seed": 5, "trials": 20}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("build-outer", lambda tmp: {
+        "version": 1, "field": {"p": 2, "m": 4}, "n": 4, "dim": 2,
+        "points": [1, 2, 2, 3], "code_out": str(tmp / "dup.json"),
+    }),
+    ("build-graph", lambda tmp: {
+        "version": 1, "n": 4, "d": 5, "seed": 1, "graph_out": str(tmp / "g.json"),
+    }),
+    ("build-outer", lambda tmp: {
+        "version": 1, "field": {"p": 2, "m": 0}, "n": 1, "dim": 1,
+        "code_out": str(tmp / "m0.json"),
+    }),
+    ("verify-eml", _parallel_edge_graph),
+], ids=["duplicate-points", "degree-above-n", "field-m0", "parallel-edge-graph-file"])
+def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload):
+    cfg = _write_config(workspace / "bad.json", payload(workspace))
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "error" in captured.err and "Traceback" not in captured.err
+
+
 def test_verify_inner(workspace):
     tmp = workspace
     assert main(["verify-inner", "--config", _write_config(tmp / "vi.json", {

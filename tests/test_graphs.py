@@ -1,6 +1,7 @@
-"""Bipartite expanders: regularity, edge bijections, spectra, mixing lemma."""
+"""Bipartite expanders: regularity, the route array, spectra, mixing lemma."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -52,27 +53,41 @@ def test_lam_bound_is_conservative(cycle8):
     assert float(cycle8.lam_bound) - cycle8.lam <= 2e-6
 
 
-def test_edge_bijections_k11():
-    g = complete_bipartite(1)
-    assert g.left_edge(0, 0) == 0
-    assert g.edge_left(0) == (0, 0)
-    assert g.edge_right(0) == (0, 0)
-    assert g.edge_endpoints(0) == (0, 0)
+@pytest.mark.parametrize("graph", [
+    complete_bipartite(1),
+    BipartiteGraph(4, 2, [[0, 1], [1, 2], [2, 3], [3, 0]]),
+    BipartiteGraph(4, 2, [[1, 0], [2, 1], [3, 2], [0, 3]]),
+    random_regular_bipartite(12, 4, seed=7, lam_target=0.95),
+], ids=["k11", "cycle8", "cycle8-reversed-rows", "random12"])
+def test_route_is_the_right_edge_order(graph):
+    n, d = graph.n, graph.d
+    assert graph.route.shape == (n, d)
+    assert sorted(graph.route.ravel().tolist()) == list(range(n * d))
+    for r, row in enumerate(graph.route.tolist()):
+        assert row == sorted(row)
+        # edge e = l*d + i is the i-th edge of left vertex l and ends at r
+        assert all(graph.left_adj[e // d][e % d] == r for e in row)
 
 
-def test_edge_bijections_round_trip(cycle8):
-    g = cycle8
-    for e in range(g.num_edges):
-        l, i = g.edge_left(e)
-        assert g.left_edge(l, i) == e
-        r, j = g.edge_right(e)
-        assert g.right_edge(r, j) == e
-        assert g.edge_endpoints(e) == (l, g.left_adj[l][i])
-    # consistency: the same edge id names the same physical edge on both sides
-    for e in range(g.num_edges):
-        l, i = g.edge_left(e)
-        r, _ = g.edge_right(e)
-        assert r in g.left_adj[l]
+def test_vertex_outside_range_rejected():
+    with pytest.raises(ValueError):
+        BipartiteGraph(2, 1, [[0], [-1]])
+    with pytest.raises(ValueError):
+        BipartiteGraph(2, 1, [[0], [2]])
+    k44 = complete_bipartite(4)
+    with pytest.raises(ValueError):
+        verify_eml_sets(k44, [-1], [0])
+    with pytest.raises(ValueError):
+        verify_eml_sets(k44, [0], [7, 8, 9])
+
+
+def test_biadjacency_matches_loop_oracle():
+    g = random_regular_bipartite(24, 5, seed=11, lam_target=1.0)
+    A = np.zeros((g.n, g.n))
+    for l, row in enumerate(g.left_adj):
+        for r in row:
+            A[l, r] = 1.0
+    assert np.array_equal(g.biadjacency(), A)
 
 
 def test_random_graph_deterministic():
@@ -113,6 +128,17 @@ def test_eml_constant_vectors(cycle8):
     ones = [Fraction(1)] * 4
     dev, bound, ok = verify_eml(cycle8, ones, ones)
     assert dev == 0 and ok
+
+
+def test_eml_accepts_exact_and_inexact_entries(cycle8):
+    # ints and Fractions pass through; floats and numpy ints convert exactly
+    # (a numpy int kept inside a Fraction would overflow the int64 products)
+    f = [1, Fraction(1, 3), 0.5, np.int64(-2)]
+    g = [Fraction(2, 7), -1, 3, 0.25]
+    exact = [[1, Fraction(1, 3), Fraction(1, 2), -2], [Fraction(2, 7), -1, 3, Fraction(1, 4)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_eml(cycle8, f, g) == _verify_eml_fraction_oracle(cycle8, *exact)
 
 
 def test_eml_length_mismatch(cycle8):

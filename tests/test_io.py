@@ -150,6 +150,23 @@ def test_wrong_kind_rejected(tmp_path, gf4):
         load_word(tmp_path / "code.json")
 
 
+@pytest.mark.parametrize("version", [0, 2, None, "1"])
+def test_wrong_version_rejected(tmp_path, gf4, version):
+    code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
+    save_code(tmp_path / "code.json", code)
+    rec = load_artifact(tmp_path / "code.json")
+    rec["version"] = version
+    (tmp_path / "code.json").write_text(json.dumps(rec))
+    with pytest.raises(ConfigInvalid, match="version"):
+        load_code(tmp_path / "code.json")
+
+
+def test_non_object_artifact_rejected(tmp_path):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    with pytest.raises(ConfigInvalid):
+        load_word(tmp_path / "list.json")
+
+
 def test_bodies_identical_across_reruns(tmp_path, gf4):
     # headers carry timestamps/runtimes; bodies must be byte-identical
     code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])

@@ -271,3 +271,61 @@ def test_sampling_bound_small_lstar_rejected(instance12):
     w = instance12.encode_message([0, 0])
     with pytest.raises(SubsetTooSmall):
         sampling_bound_check(instance12, ErasedWord(tuple(w)), [])
+
+
+def _local_erasure_fractions_oracle(code, erased):
+    """Reference: the per-vertex erased-edge fractions, one edge at a time."""
+    erased_set = {r for r, sym in enumerate(erased.symbols) if sym is ERASED}
+    return [
+        Fraction(sum(1 for r in code.graph.left_adj[l] if r in erased_set), code.d)
+        for l in range(code.n)
+    ]
+
+
+def _sampling_bound_fraction_oracle(code, erased, l_star):
+    """Reference: the sampling-bound inequality in Fraction arithmetic."""
+    fractions = _local_erasure_fractions_oracle(code, erased)
+    lhs = sum((fractions[l] for l in l_star), Fraction(0)) / len(l_star)
+    rhs = erased.s + code.graph.lam_bound * code.n / len(l_star)
+    return {"lhs": lhs, "rhs": rhs, "passed": lhs <= rhs, "l_star_size": len(l_star)}
+
+
+@pytest.mark.parametrize("lam", [None, 0.0])
+def test_sampling_bound_matches_fraction_oracle(gf4, gf16, lam):
+    graph = random_regular_bipartite(12, 4, seed=7, lam_target=0.95)
+    if lam is not None:
+        graph.lam = lam  # an understated lambda makes some checks fail
+    code = AELCode(
+        graph, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]), RSOuterCode(gf16, 12, 2)
+    )
+    w = code.encode_message([5, 9])
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for _ in range(200):
+        mask = rng.integers(0, 2, 12)
+        erased = ErasedWord(tuple(ERASED if m else w[r] for r, m in enumerate(mask)))
+        # L* with repeats, as a list: both sides average over its entries
+        l_star = [int(x) for x in rng.integers(0, 12, int(rng.integers(1, 13)))]
+        assert local_erasure_fractions(code, erased) == _local_erasure_fractions_oracle(
+            code, erased
+        )
+        got = sampling_bound_check(code, erased, l_star)
+        assert got == _sampling_bound_fraction_oracle(code, erased, l_star)
+        verdicts.add(got["passed"])
+    assert verdicts == ({True} if lam is None else {True, False})
+
+
+def test_sampling_bound_rejects_vertices_outside_range(instance12):
+    w = instance12.encode_message([0, 0])
+    with pytest.raises(ValueError):
+        sampling_bound_check(instance12, ErasedWord(tuple(w)), [-1, -2])
+    with pytest.raises(ValueError):
+        sampling_bound_check(instance12, ErasedWord(tuple(w)), [0, 12])
+
+
+def test_erased_word_length_must_match_graph(instance12):
+    short = ErasedWord((ERASED, ERASED, ERASED))
+    with pytest.raises(LengthMismatch):
+        local_erasure_fractions(instance12, short)
+    with pytest.raises(LengthMismatch):
+        sampling_bound_check(instance12, short, [0, 1])

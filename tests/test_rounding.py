@@ -19,7 +19,7 @@ from aelcert import (
     random_regular_bipartite,
     threshold_endpoints,
 )
-from aelcert.errors import GraphMismatch
+from aelcert.errors import AelcertError, GraphMismatch
 from aelcert.outer import RSOuterCode, rs_unique_decode
 from aelcert.seeds import derive_seed
 
@@ -441,3 +441,41 @@ def test_returned_codeword_meets_guarantee(instance12):
         for s in instance12.decode_to_outer(got)
     ]
     assert ens.expected_disagreement(picks) <= instance12.outer.delta_dec
+
+
+def test_local_views_match_loop_oracle_on_ac3(gf4, gf16):
+    graph = random_regular_bipartite(
+        12, 4, seed=derive_seed(2024, "ac3-graph"), lam_target=0.95
+    )
+    code = AELCode(
+        graph, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]), RSOuterCode(gf16, 12, 2)
+    )
+    rng = np.random.default_rng(derive_seed(2024, "local-views-oracle"))
+    ties = 0
+    for h in code.enumerate_codewords():
+        # the codeword itself, then up to 3 edge symbols per right vertex
+        # overwritten with random ones, which leaves ties among nearest
+        # inner codewords at some left vertices
+        noisy = tuple(
+            tuple(int(x) if keep else int(y) for x, y, keep in zip(t, row, mask))
+            for t, row, mask in zip(
+                h, rng.integers(0, 4, (12, 4)), rng.integers(0, 4, (12, 4)) > 0
+            )
+        )
+        for word in (h, noisy):
+            ens = local_views_to_distributions(code, word)
+            assert ens.weights == _local_views_oracle(code, word)
+            ties += sum(1 for row in ens.weights if max(row) < 1)
+    assert ties > 0
+
+
+def test_ael_unique_decode_rejects_erased_word(instance12, monkeypatch):
+    h = instance12.encode_message([3, 3])
+    word = (h[0], None) + h[2:]
+
+    def no_decode(*args):
+        raise AssertionError("decoded an erased word")
+
+    monkeypatch.setattr(aelcert.rounding, "decode_from_distributions", no_decode)
+    with pytest.raises(AelcertError, match="symbol 1 is erased"):
+        ael_unique_decode(instance12, word)
