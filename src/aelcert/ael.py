@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -78,11 +79,12 @@ class AELCode:
     def d(self) -> int:
         return self.graph.d
 
-    @property
+    # computed on first access, so an EnumerationTooLarge surfaces there
+    @cached_property
     def delta_in(self) -> Fraction:
         return self.inner.min_distance()
 
-    @property
+    @cached_property
     def delta_out(self) -> Fraction:
         return self.outer.min_distance()
 

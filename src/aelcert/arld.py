@@ -14,10 +14,16 @@ so the erasure-free worst case covers every erasure fraction (this fact is
 also machine-checked on small instances in the test suite).
 
 Size-2 subsets read the distance matrix of `pair_disagreements`; every
-larger size runs one numpy kernel over the pairwise symbol-equality tensor.  Each reported
-witness is the lexicographically smallest minimizing index tuple, so it is
-a function of the word list alone.  `_search_generic`, a direct plurality
-enumeration, is the reference the tests hold the kernel to.
+larger size runs one numpy kernel, `_search_subsets`, over the pairwise
+symbol equalities packed in byte lanes: an (L, M, M) uint64 array, L =
+ceil(n/8), whose lane l holds coordinates 8l..8l+7 one byte each (1 where
+the two words agree, 0 where they differ and in the padding bytes past n).
+A byte of a subset's count lane is at most its size m, so counts add as
+whole words without carries, and one multiply sums a lane's eight bytes
+exactly while 8m < 256; larger sizes are refused before the sweep starts.
+Each reported witness is the lexicographically smallest minimizing index
+tuple, so it is a function of the word list alone.  `_search_generic`, a
+direct plurality enumeration, is the reference the tests hold the kernel to.
 
 Translation symmetry: adding one vector v to every word of H keeps every
 coordinate's equality pattern (a_i + v_i = b_i + v_i iff a_i = b_i), so
@@ -41,9 +47,13 @@ from math import comb
 
 import numpy as np
 
-from .errors import EmptySet, SubsetEnumerationTooLarge
+from .errors import EmptySet, SubsetEnumerationTooLarge, SubsetSizeTooLarge
 
 DEFAULT_SUBSET_CAP = 2 * 10**8
+# a lane's byte sum is the top byte of lane * _BYTE_SUM: exact while the
+# eight bytes, each at most the subset size m, sum below 256, i.e. m <= 31
+_BYTE_SUM, _TOP_BYTE = np.uint64(0x0101010101010101), np.uint64(56)
+MAX_SUBSET_SIZE = 31
 
 
 def intern_symbols(codewords) -> tuple[np.ndarray, list]:
@@ -178,9 +188,15 @@ def min_disagreement_by_size(
     some minimizer contains index 0, and every index tuple that starts with
     0 is lexicographically smaller than every tuple that does not.
     `subset_cap` bounds the subsets evaluated: the reduced count with
-    `closed`, all of them otherwise.
+    `closed`, all of them otherwise.  Subset sizes above MAX_SUBSET_SIZE
+    are refused first, whatever the cap (see `_search_subsets`).
     """
     M, n = sym.shape
+    if min(k, M) > MAX_SUBSET_SIZE:
+        raise SubsetSizeTooLarge(
+            f"subset size {min(k, M)} exceeds the byte-lane limit {MAX_SUBSET_SIZE}:"
+            " a uint64 lane sums eight byte counts exactly only while 8m < 256"
+        )
     evaluated = subset_search_count(M, k, closed)
     if evaluated > subset_cap:
         raise SubsetEnumerationTooLarge(
@@ -197,16 +213,28 @@ def min_disagreement_by_size(
     out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]))
 
     if k >= 3:
-        eq = (sym[:, None, :] == sym[None, :, :]).astype(np.uint8)  # (M, M, n)
+        eq = _equality_lanes(sym)
         for m in range(3, min(k, M) + 1):
             out[m] = _search_subsets(eq, m, closed)
     return out
 
 
+def _equality_lanes(sym: np.ndarray) -> np.ndarray:
+    """(L, M, M) uint64 pairwise equality, L = ceil(n/8): byte i % 8 of
+    lane i // 8 is 1 where words a and b agree at coordinate i; padding
+    bytes are 0.  Built one coordinate at a time, like `pair_disagreements`."""
+    M, n = sym.shape
+    eq = np.zeros((-(-n // 8), M, M), dtype=np.uint64)
+    for i in range(n):
+        same = (sym[:, None, i] == sym[None, :, i]).astype(np.uint64)
+        eq[i // 8] |= same << np.uint64(8 * (i % 8))
+    return eq
+
+
 def _search_subsets(eq: np.ndarray, m: int, closed: bool) -> SubsetWitness:
-    """Minimum D(H) over all m-subsets (m >= 3), from the pairwise equality
-    tensor `eq`, with the lexicographically smallest witness; with `closed`,
-    over the m-subsets that contain index 0.
+    """Minimum D(H) over all m-subsets (m >= 3), from the equality lanes
+    `eq` of `_equality_lanes`, with the lexicographically smallest witness;
+    with `closed`, over the m-subsets that contain index 0.
 
     H is written prefix + (last, c, d) with prefix < last < c < d.  Python
     loops fix `last` and the m - 3 prefix indices below it; numpy evaluates
@@ -214,8 +242,20 @@ def _search_subsets(eq: np.ndarray, m: int, closed: bool) -> SubsetWitness:
     t_i is the largest symbol multiplicity at coordinate i.  A member's count
     at i is 1 plus the later members equal to it there; the first member of
     each symbol class counts the whole class, so t_i is the largest count.
+
+    Every row of counts is an (L, P) uint64 array over the P pairs (c, d),
+    one coordinate per byte as in `eq`, so each gather is a 1-D uint64
+    `take` along a lane row.  A count byte is at most m, so counts add as
+    whole lanes with no carry between bytes and maxima are taken on the
+    uint8 view of the same memory.  sum_i t_i is, per lane, the top byte of
+    x * 0x0101010101010101 (the running byte sums stay below 8m < 256, so
+    no carry reaches it), summed over the lanes.  Padding bytes are 0 in
+    `eq` and in `one`, so they add nothing.
     """
-    M, _, n = eq.shape
+    L, M, _ = eq.shape
+    one = eq[:, 0, 0][:, None]  # 1 in every real byte, 0 in padding
+    n = int(one.view(np.uint8).sum())
+    flat = eq.reshape(L, M * M)
     best = None
     # with `closed`, index 0 is `last` when m = 3 and the prefix head otherwise
     lasts = range(1) if closed and m == 3 else range(m - 3, M - 2)
@@ -223,9 +263,10 @@ def _search_subsets(eq: np.ndarray, m: int, closed: bool) -> SubsetWitness:
         ci, di = np.triu_indices(M - last - 1, k=1)
         C, D = ci + last + 1, di + last + 1
         # the counts of last and c; d, counted 1, is never above them
-        top = np.maximum(
-            1 + eq[last].take(C, 0) + eq[last].take(D, 0), 1 + eq[C, D]
-        )
+        row = eq[:, last]
+        top = row.take(C, 1) + row.take(D, 1) + one
+        np.maximum(top.view(np.uint8), (flat.take(C * M + D, 1) + one).view(np.uint8),
+                   out=top.view(np.uint8))
         if closed and m > 3:
             prefixes = ((0,) + rest for rest in combinations(range(1, last), m - 4))
         else:
@@ -234,10 +275,19 @@ def _search_subsets(eq: np.ndarray, m: int, closed: bool) -> SubsetWitness:
             fixed = prefix + (last,)
             maxc = top
             for i, a in enumerate(prefix):
-                count = eq[a, fixed[i:]].sum(axis=0, dtype=np.uint8)
-                maxc = np.maximum(maxc, count + eq[a].take(C, 0) + eq[a].take(D, 0))
-            # einsum sums the short rows several times faster than .sum
-            kept = np.einsum("ij->i", maxc, dtype=np.int64)
+                row = eq[:, a]
+                # c, d, and a with the later fixed members equal to it
+                count = row.take(C, 1)
+                count += row.take(D, 1)
+                count += sum((row[:, f, None] for f in fixed[i + 1:]), one)
+                np.maximum(maxc.view(np.uint8), count.view(np.uint8), out=count.view(np.uint8))
+                maxc = count
+            # each lane's byte sum, then their total over the lanes
+            lanes = maxc * _BYTE_SUM
+            lanes >>= _TOP_BYTE
+            kept = lanes[0]
+            for lane in lanes[1:]:
+                kept += lane
             j = int(kept.argmax())
             cand = (m * n - int(kept[j]), fixed + (int(C[j]), int(D[j])))
             if best is None or cand < best:

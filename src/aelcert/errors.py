@@ -37,6 +37,10 @@ class SubsetEnumerationTooLarge(AelcertError):
     pass
 
 
+class SubsetSizeTooLarge(AelcertError):
+    pass
+
+
 class EmptyResidual(AelcertError):
     pass
 

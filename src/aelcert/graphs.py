@@ -47,6 +47,7 @@ class BipartiteGraph:
         # route[r, j]: id of the j-th edge of right vertex r (module docstring)
         self.route = np.argsort(adj.ravel(), kind="stable").reshape(n, d)
         self.lam = second_singular_value(self)
+        self._lam_bound = (None, None)  # (lam, lam_bound), see lam_bound
 
     def biadjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
@@ -55,8 +56,13 @@ class BipartiteGraph:
 
     @property
     def lam_bound(self) -> Fraction:
-        """Conservative rational upper bound on the true lambda."""
-        return Fraction(self.lam).limit_denominator(10**12) + LAMBDA_SAFETY
+        """Conservative rational upper bound on the true lambda.  Cached
+        with the lambda it came from, so it follows a reassigned `lam`."""
+        lam, bound = self._lam_bound
+        if lam != self.lam:
+            bound = Fraction(self.lam).limit_denominator(10**12) + LAMBDA_SAFETY
+            self._lam_bound = (self.lam, bound)
+        return bound
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(n={self.n}, d={self.d}, lam={self.lam:.6f})"

@@ -50,10 +50,24 @@ def save_artifact(path, payload: dict, header_extras: dict | None = None) -> Non
     path.write_text("\n".join(lines) + "\n" + body + "\n")
 
 
+class _Record(dict):
+    """A JSON object of an artifact file: a missing field raises
+    ConfigInvalid naming the file, not KeyError."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path, fields):
+        super().__init__(fields)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ConfigInvalid(f"{self.path} lacks the field {key!r}")
+
+
 def load_artifact(path) -> dict:
     text = Path(path).read_text()
     body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
-    return json.loads(body)
+    return json.loads(body, object_hook=lambda fields: _Record(path, fields))
 
 
 def _load_kind(path, *kinds) -> dict:

@@ -18,6 +18,7 @@ from aelcert import (
 )
 from aelcert.errors import (
     AmplificationViolation,
+    EnumerationTooLarge,
     GraphMismatch,
     NotAnOuterCodeword,
 )
@@ -43,6 +44,31 @@ def test_component_shape_validation(gf2, gf4, gf16):
     with pytest.raises(GraphMismatch):
         # |Sigma_out| = 4 but |C_in| = 16
         AELCode(graph, inner, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]))
+
+
+def test_delta_in_and_out_are_computed_once(gf4, gf16, monkeypatch):
+    code = AELCode(
+        complete_bipartite(4), RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]),
+        RSOuterCode(gf16, 4, 2),
+    )
+
+    def too_large():
+        raise EnumerationTooLarge("too many codewords")
+
+    # a refused enumeration surfaces on access, each time, and is not kept
+    monkeypatch.setattr(code.inner, "min_distance", too_large)
+    for _ in range(2):
+        with pytest.raises(EnumerationTooLarge):
+            code.delta_in
+    monkeypatch.undo()
+    calls = []
+    for part in (code.inner, code.outer):
+        monkeypatch.setattr(
+            part, "min_distance", lambda part=part: calls.append(part) or type(part).min_distance(part)
+        )
+    assert [code.delta_in for _ in range(3)] == [Fraction(3, 4)] * 3
+    assert [code.delta_out for _ in range(3)] == [Fraction(3, 4)] * 3
+    assert calls == [code.inner, code.outer]
 
 
 def test_k11_passthrough(gf2):

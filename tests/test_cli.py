@@ -238,6 +238,17 @@ def test_verify_eml_rejects_tampered_graph(workspace, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_verify_eml_rejects_graph_file_missing_a_field(tmp_path, capsys):
+    graph_file = tmp_path / "partial_graph.json"
+    graph_file.write_text(json.dumps({"kind": "bipartite_graph", "version": 1, "n": 4}))
+    assert main(["verify-eml", "--config", _write_config(tmp_path / "eml.json", {
+        "version": 1, "graph_file": str(graph_file), "seed": 5, "trials": 20,
+    })]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "'d'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def _parallel_edge_graph(tmp):
     graph_file = tmp / "graph_out.json"
     rec = load_artifact(graph_file)

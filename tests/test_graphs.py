@@ -53,6 +53,22 @@ def test_lam_bound_is_conservative(cycle8):
     assert float(cycle8.lam_bound) - cycle8.lam <= 2e-6
 
 
+def test_lam_bound_is_cached_and_follows_lam(cycle8, monkeypatch):
+    calls = []
+    limit = Fraction.limit_denominator
+    monkeypatch.setattr(
+        Fraction, "limit_denominator", lambda self, *a: calls.append(1) or limit(self, *a)
+    )
+    first = cycle8.lam_bound
+    assert cycle8.lam_bound == first and cycle8.lam_bound == first
+    assert len(calls) == 1
+    # a reassigned lambda gets its own bound, computed once
+    cycle8.lam = 0.1
+    assert cycle8.lam_bound == Fraction(1, 10) + Fraction(1, 10**6)
+    assert cycle8.lam_bound == Fraction(1, 10) + Fraction(1, 10**6)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("graph", [
     complete_bipartite(1),
     BipartiteGraph(4, 2, [[0, 1], [1, 2], [2, 3], [3, 0]]),

@@ -20,7 +20,9 @@ from aelcert import (
     sample_random_linear_code,
     search_inner_code,
 )
+from aelcert import arld
 from aelcert.arld import (
+    MAX_SUBSET_SIZE,
     _search_generic,
     epsilon_min,
     intern_symbols,
@@ -35,6 +37,7 @@ from aelcert.errors import (
     NotAppropriate,
     SearchExhausted,
     SubsetEnumerationTooLarge,
+    SubsetSizeTooLarge,
 )
 from aelcert.inner import BlockCode
 from aelcert.outer import RSOuterCode
@@ -155,7 +158,7 @@ def test_vectorized_search_matches_generic_oracle():
 @st.composite
 def _small_word_lists(draw):
     q = draw(st.integers(2, 4))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 20))  # one to three byte lanes, with padding
     word = st.tuples(*[st.integers(0, q - 1)] * n)
     return draw(st.lists(word, min_size=2, max_size=10))
 
@@ -169,7 +172,7 @@ def test_kernel_matches_oracle_on_random_word_lists(words, k):
 # -- translation-reduced sweep ------------------------------------------------------
 
 
-def test_reduced_kernel_matches_oracle_on_closed_sets(gf2):
+def test_reduced_kernel_matches_oracle_on_closed_sets(gf2, gf4):
     # the full sweep's minima and lexicographically smallest witnesses,
     # from the subsets that contain index 0 only
     words = list(product(range(2), repeat=4))
@@ -182,6 +185,29 @@ def test_reduced_kernel_matches_oracle_on_closed_sets(gf2):
     frs_words = make_folded_rs(gf5, 2, 2, Fraction(1, 2)).codewords()
     assert translation_closed(frs_words, gf5)
     _assert_kernel_matches_oracle(frs_words, 4, closed=True)
+    # words longer than one byte lane: two full lanes, three with padding
+    for field, length, dim in [(gf2, 16, 4), (gf4, 17, 2), (gf4, 10, 2)]:
+        words = sample_random_linear_code(field, length, dim, 7).enumerate_codewords()
+        assert translation_closed(words, field)
+        _assert_kernel_matches_oracle(words, 5, closed=True)
+
+
+def test_subset_size_beyond_the_byte_lanes_fails_closed(monkeypatch):
+    # 32 members can make a lane's byte sum 256: refused before any work,
+    # even with a cap that admits the 2**32 - 33 subsets
+    def no_work(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(arld, "pair_disagreements", no_work)
+    monkeypatch.setattr(arld, "_equality_lanes", no_work)
+    words = list(product(range(2), repeat=5))
+    assert subset_search_count(32, 32) < 10**10
+    sym, _ = intern_symbols(words)
+    with pytest.raises(SubsetSizeTooLarge, match=f"byte-lane limit {MAX_SUBSET_SIZE}"):
+        min_disagreement_by_size(sym, 32, subset_cap=10**10)
+    with pytest.raises(SubsetSizeTooLarge):
+        min_arld_slack(words, 32, Fraction(1, 2), subset_cap=10**10)
+    assert MAX_SUBSET_SIZE == 31 and 8 * MAX_SUBSET_SIZE < 256
 
 
 @st.composite
