@@ -42,12 +42,10 @@ def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        row = mat[r] = field.scale_row(field.inv(mat[r][c]), mat[r])
         for i in range(nrows):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+                mat[i] = field.sub_scaled_row(mat[i], mat[i][c], row)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -119,10 +117,7 @@ class LinearCode:
         F = self.field
         out = [0] * self.n
         for coeff, row in zip(coeffs, rows):
-            if coeff == 0:
-                continue
-            for i, g in enumerate(row):
-                out[i] = F.add(out[i], F.mul(coeff, g))
+            out = F.sub_scaled_row(out, F.neg(coeff), row)
         return tuple(out)
 
     def messages(self):

@@ -5,6 +5,15 @@ Elements are canonical integer representatives in [0, q): the coefficient
 vector of the residue polynomial, read low-to-high in base p.  For GF(2^m)
 this is the usual bit encoding.  Fields are immutable after construction
 and safe to share across threads.
+
+Fields with q <= 2^16 keep exp/log tables.  `_exp` is stored doubled, at
+length 2(q - 1), so a product is `_exp[log a + log b]` with no reduction
+mod q - 1.  Linear algebra works on whole rows through two primitives:
+`scale_row(f, row)` is [f*y] and `sub_scaled_row(x, f, y)` is [x_i - f*y_i]
+(pass `neg(f)` for the axpy x + f*y).  With tables they are one list
+comprehension of table lookups; the subtraction is an XOR for p = 2, an
+integer difference mod p for m = 1, and `sub` otherwise.  Larger fields
+have no tables, and the primitives fall back to `mul` per element.
 """
 
 from __future__ import annotations
@@ -110,14 +119,39 @@ class Field:
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+            return self._exp[self._log[a] + self._log[b]]
         return self._mul_poly(a, b)
+
+    def scale_row(self, f: int, row) -> list[int]:
+        """[f * y for y in row]."""
+        if f == 0:
+            return [0] * len(row)
+        exp, log = self._exp, self._log
+        if exp is None:
+            return [self.mul(f, y) for y in row]
+        lf = log[f]
+        return [exp[lf + log[y]] if y else 0 for y in row]
+
+    def sub_scaled_row(self, x, f: int, y) -> list[int]:
+        """[x_i - f * y_i]; sub_scaled_row(x, neg(f), y) is x + f * y."""
+        if f == 0:
+            return list(x)
+        exp, log = self._exp, self._log
+        if exp is None:
+            return [self.sub(a, self.mul(f, b)) for a, b in zip(x, y)]
+        lf = log[f]
+        if self.p == 2:
+            return [a ^ exp[lf + log[b]] if b else a for a, b in zip(x, y)]
+        if self.m == 1:
+            p = self.p
+            return [(a - exp[lf + log[b]]) % p if b else a for a, b in zip(x, y)]
+        return [self.sub(a, exp[lf + log[b]]) if b else a for a, b in zip(x, y)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
         if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+            return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -157,7 +191,7 @@ class Field:
             x = self._mul_poly(x, g)
         if x != 1:
             raise ValueError("modulus is not irreducible: generator order wrong")
-        self._exp, self._log = exp, log
+        self._exp, self._log = exp + exp, log
         self._generator = g
 
     def _find_generator_poly(self) -> int:

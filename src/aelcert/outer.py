@@ -11,7 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .codes import LinearCode, solve
-from .errors import FieldTooSmall, RadiusTooLarge
+from .errors import (
+    AelcertError,
+    FieldMismatch,
+    FieldTooSmall,
+    LengthMismatch,
+    RadiusTooLarge,
+)
 from .gf import Field
 
 
@@ -31,6 +37,21 @@ class RSOuterCode(LinearCode):
         ]
         super().__init__(field, generator)
         self.points = tuple(points)
+        self._powers: list[list[int]] | None = None
+
+    def _point_powers(self) -> list[list[int]]:
+        """Per point a, [a^0, ..., a^(radius + dim)]: every power a
+        Berlekamp-Welch row needs.  Built on the first call."""
+        if self._powers is None:
+            F, top = self.field, self.unique_decoding_radius + self.dim
+            powers = []
+            for a in self.points:
+                pw = [1]
+                for _ in range(top):
+                    pw.append(F.mul(pw[-1], a))
+                powers.append(pw)
+            self._powers = powers
+        return self._powers
 
     @property
     def unique_decoding_radius(self) -> int:
@@ -79,13 +100,23 @@ def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
     """Berlekamp-Welch decoding within the given error-count radius.
 
     Returns the unique codeword within `radius` errors if one exists, else
-    None.  Never returns a codeword outside the radius.
+    None.  Never returns a codeword outside the radius.  Raises
+    LengthMismatch for a word of the wrong length, FieldMismatch for a
+    symbol that is not an integer in [0, q) and AelcertError for a
+    negative radius.
     """
     F = code.field
     n, k = code.n, code.dim
-    word = [int(y) for y in word]
+    symbols = list(word)
+    if len(symbols) != n:
+        raise LengthMismatch(f"word length {len(symbols)} != n {n}")
+    word = [int(y) for y in symbols]
+    if word != symbols or any(not 0 <= y < F.q for y in word):
+        raise FieldMismatch(f"word has a symbol that is not an integer in [0, {F.q})")
     if radius is None:
         radius = code.unique_decoding_radius
+    if radius < 0:
+        raise AelcertError(f"radius {radius} is negative")
     if radius > code.unique_decoding_radius:
         raise RadiusTooLarge(
             f"radius {radius} > unique decoding radius {code.unique_decoding_radius}"
@@ -95,15 +126,9 @@ def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
         return tuple(word) if code.contains(word) else None
     # Unknowns: E = e_0..e_{t-1} (monic x^t implied), Q = q_0..q_{t+k-1}.
     # Equation per point: Q(a_i) - y_i E(a_i) = y_i a_i^t.
-    rows, rhs = [], []
-    for a, y in zip(code.points, word):
-        pw = [1]
-        for _ in range(t + k):
-            pw.append(F.mul(pw[-1], a))
-        row = [F.neg(F.mul(y, pw[j])) for j in range(t)]  # E coefficients
-        row += [pw[j] for j in range(t + k)]  # Q coefficients
-        rows.append(row)
-        rhs.append(F.mul(y, pw[t]))
+    powers = code._point_powers()
+    rows = [F.scale_row(F.neg(y), pw[:t]) + pw[:t + k] for pw, y in zip(powers, word)]
+    rhs = [F.mul(y, pw[t]) for pw, y in zip(powers, word)]
     sol = solve(F, rows, rhs)
     if sol is None:
         return None

@@ -33,7 +33,10 @@ class InnerDistributionEnsemble:
     weights: list[list[Fraction]]
 
     def __post_init__(self):
-        self.weights = [[Fraction(w) for w in row] for row in self.weights]
+        self.weights = [
+            [w if isinstance(w, Fraction) else Fraction(w) for w in row]
+            for row in self.weights
+        ]
         self.scale = math.lcm(*(w.denominator for row in self.weights for w in row))
         self.counts = [
             [w.numerator * (self.scale // w.denominator) for w in row]
@@ -113,9 +116,12 @@ def local_views_to_distributions(code: AELCode, word) -> InnerDistributionEnsemb
     views = np.array(code.left_views(word))  # (n, d)
     dists = (views[:, None, :] != codebook[None, :, :]).sum(axis=2)  # (n, M)
     nearest = (dists == dists.min(axis=1, keepdims=True)).tolist()
-    return InnerDistributionEnsemble(
-        [[Fraction(1, row.count(True)) if hit else 0 for hit in row] for row in nearest]
-    )
+    zero = Fraction(0)
+    weights = []
+    for row in nearest:
+        share = Fraction(1, row.count(True))
+        weights.append([share if hit else zero for hit in row])
+    return InnerDistributionEnsemble(weights)
 
 
 def ael_unique_decode(code: AELCode, word):

@@ -52,6 +52,29 @@ def _rows_from_counts(instance, counts, bound):
     ]
 
 
+def planted_weights(code, rng):
+    """A random codeword h of `code`, its inner-codeword picks and weight rows
+    that move up to 48/100 of each row's mass to one other inner codeword, in
+    total at most delta_dec * n of it (the AC6 noise model)."""
+    words = code.enumerate_codewords()
+    m_inner = code.inner.size
+    h = words[rng.integers(0, len(words))]
+    picks = [code.outer_symbol_to_inner_index(s) for s in code.decode_to_outer(h)]
+    budget = code.outer.delta_dec * code.n
+    weights = []
+    for l in range(code.n):
+        steal = min(Fraction(int(rng.integers(0, 49)), 100), budget)
+        budget -= steal
+        row = [Fraction(0)] * m_inner
+        row[picks[l]] = 1 - steal
+        other = int(rng.integers(0, m_inner))
+        if other == picks[l]:
+            other = (other + 1) % m_inner
+        row[other] = steal
+        weights.append(row)
+    return h, picks, weights
+
+
 def build_artifacts(outdir) -> dict:
     """Build every acceptance instance and persist its artifacts.
 
@@ -165,25 +188,10 @@ def build_artifacts(outdir) -> dict:
     out["ac5"] = {"centers": centers, "report": common}
 
     # --- planted-ensemble unique decoding on the expander instance ------------
-    words3 = ael3.enumerate_codewords()
-    m_inner = inner3.size
     recovered = 0
     for trial in range(100):
         trng = np.random.default_rng(derive_seed(ROOT_SEED, "ac6", trial))
-        h = words3[trng.integers(0, len(words3))]
-        picks = [ael3.outer_symbol_to_inner_index(s) for s in ael3.decode_to_outer(h)]
-        budget = outer.delta_dec * ael3.n
-        weights = []
-        for l in range(ael3.n):
-            steal = min(Fraction(int(trng.integers(0, 49)), 100), budget)
-            budget -= steal
-            row = [Fraction(0)] * m_inner
-            row[picks[l]] = 1 - steal
-            other = int(trng.integers(0, m_inner))
-            if other == picks[l]:
-                other = (other + 1) % m_inner
-            row[other] = steal
-            weights.append(row)
+        h, picks, weights = planted_weights(ael3, trng)
         ensemble = InnerDistributionEnsemble(weights)
         assert ensemble.expected_disagreement(picks) <= outer.delta_dec
         if decode_from_distributions(ael3, ensemble) == h:

@@ -274,3 +274,79 @@ def test_solve_matches_brute_force(system):
     # free (non-pivot) variables are set to 0
     _, pivots = rref(field, rows)
     assert all(x[j] == 0 for j in range(n_unknowns) if j not in pivots)
+
+
+# -- rref against the per-symbol elimination it replaced ----------------------
+
+
+def _rref_oracle(field, rows):
+    """Per-symbol Gauss-Jordan elimination: the same loop and pivot rule as
+    `rref`, one `mul`/`sub` call per entry."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r], pivots
+
+
+_ORACLE_FIELDS = [make_field(2), make_field(2, 2), make_field(3, 2), make_field(2, 4),
+                  make_field(17)]
+
+
+@st.composite
+def matrices(draw):
+    """Matrices over GF(2), GF(4), GF(9), GF(16) or GF(17): random, with
+    all-zero rows, rank-deficient (rows that combine earlier rows), all-zero,
+    or with no rows at all."""
+    field = draw(st.sampled_from(_ORACLE_FIELDS))
+    symbol = st.integers(0, field.q - 1)
+    n_rows = draw(st.integers(0, 7))
+    n_cols = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "deficient", "zero"]))
+    if kind == "zero":
+        return field, [[0] * n_cols for _ in range(n_rows)]
+    rows = []
+    for _ in range(n_rows):
+        if kind == "deficient" and rows and draw(st.booleans()):
+            row = [0] * n_cols
+            for prev in rows:
+                c = draw(symbol)
+                row = [field.add(a, field.mul(c, b)) for a, b in zip(row, prev)]
+        elif draw(st.integers(0, 4)) == 0:
+            row = [0] * n_cols
+        else:
+            row = draw(st.lists(symbol, min_size=n_cols, max_size=n_cols))
+        rows.append(row)
+    return field, rows
+
+
+@given(system=matrices())
+@settings(max_examples=400, deadline=None)
+def test_rref_matches_per_symbol_oracle(system):
+    field, rows = system
+    before = [list(r) for r in rows]
+    assert rref(field, rows) == _rref_oracle(field, rows)
+    assert rows == before  # the input is not modified
+
+
+def test_rref_edge_cases_match_oracle():
+    for field in _ORACLE_FIELDS:
+        for rows in ([], [[0, 0, 0]], [[0, 0], [0, 0]], [[1, 1], [0, 0]]):
+            assert rref(field, rows) == _rref_oracle(field, rows)
+        assert rref(field, []) == ([], [])

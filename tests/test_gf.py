@@ -1,5 +1,6 @@
 """Finite field construction and arithmetic."""
 
+import random
 from itertools import product
 
 import pytest
@@ -161,3 +162,72 @@ def test_gf16_pow_matches_repeated_mul(a, e, gf16):
     for _ in range(e):
         acc = gf16.mul(acc, a)
     assert gf16.pow(a, e) == acc
+
+
+# -- table lookups and row primitives against the schoolbook product ----------
+
+TABLE_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 2), (17, 1)]
+# no exp/log tables above q = 2^16: the row primitives fall back to `mul`
+TABLELESS_FIELDS = [(2, 17), (3, 11)]
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_mul_matches_schoolbook_exhaustive(p, m):
+    # covers every index of the doubled exp table, log a + log b <= 2(q - 2)
+    f = make_field(p, m)
+    assert len(f._exp) == 2 * (f.q - 1)
+    for a, b in product(range(f.q), repeat=2):
+        assert f.mul(a, b) == f._mul_poly(a, b)
+    for a in range(1, f.q):
+        assert f._mul_poly(a, f.inv(a)) == 1
+
+
+def _row_samples(f, rng_seed):
+    """Rows with zeros, a zero row, and coefficients including 0, 1 and q - 1."""
+    rng = random.Random(rng_seed)
+    length = 9
+    rows = [[0] * length, [rng.randrange(f.q) for _ in range(length)]]
+    for _ in range(4):
+        row = [rng.randrange(f.q) for _ in range(length)]
+        row[rng.randrange(length)] = 0
+        rows.append(row)
+    coeffs = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(5)]
+    return rows, coeffs
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS + TABLELESS_FIELDS)
+def test_row_primitives_match_scalar_ops(p, m):
+    f = make_field(p, m)
+    assert (f._exp is None) == ((p, m) in TABLELESS_FIELDS)
+    rows, coeffs = _row_samples(f, p * 100 + m)
+    for c in coeffs:
+        for x in rows:
+            assert f.scale_row(c, x) == [f.mul(c, y) for y in x]
+            for y in rows:
+                assert f.sub_scaled_row(x, c, y) == [
+                    f.sub(a, f.mul(c, b)) for a, b in zip(x, y)
+                ]
+                # the axpy form used by encoding
+                assert f.sub_scaled_row(x, f.neg(c), y) == [
+                    f.add(a, f.mul(c, b)) for a, b in zip(x, y)
+                ]
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (17, 1)])
+def test_row_primitives_exhaustive_small(p, m):
+    f = make_field(p, m)
+    elems = list(range(f.q))
+    for c in elems:
+        assert f.scale_row(c, elems) == [f._mul_poly(c, y) for y in elems]
+        for a in elems:
+            x = [a] * f.q
+            assert f.sub_scaled_row(x, c, elems) == [
+                f.sub(a, f._mul_poly(c, y)) for y in elems
+            ]
+
+
+def test_row_primitives_return_new_lists(gf16):
+    x = [1, 2, 3]
+    out = gf16.sub_scaled_row(x, 0, [4, 5, 6])
+    assert out == x and out is not x
+    assert gf16.scale_row(0, x) == [0, 0, 0]

@@ -5,9 +5,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aelcert import make_field, rs_unique_decode
-from aelcert.errors import DimensionMismatch, FieldTooSmall, RadiusTooLarge
+from aelcert.errors import (
+    AelcertError,
+    DimensionMismatch,
+    FieldMismatch,
+    FieldTooSmall,
+    LengthMismatch,
+    RadiusTooLarge,
+)
 from aelcert.outer import RSOuterCode
 
 
@@ -119,3 +128,91 @@ def test_decode_small_code_exhaustive(gf8):
             for pos in positions:
                 word[pos] = (word[pos] + 1) % 8
             assert rs_unique_decode(code, word, 2) == cw
+
+
+# -- malformed input is refused before any decoding ---------------------------
+
+
+def test_decode_rejects_a_short_word(rs12):
+    word = list(rs12.encode([3, 5]))[:9]
+    with pytest.raises(LengthMismatch):
+        rs_unique_decode(rs12, word, 5)
+
+
+def test_decode_rejects_a_negative_symbol(rs12):
+    word = list(rs12.encode([3, 5]))
+    word[4] = -1
+    with pytest.raises(FieldMismatch):
+        rs_unique_decode(rs12, word, 5)
+
+
+def test_decode_rejects_a_symbol_above_the_field(rs12):
+    word = list(rs12.encode([3, 5]))
+    word[0] = 99
+    with pytest.raises(FieldMismatch):
+        rs_unique_decode(rs12, word, 5)
+    word[0] = 16
+    with pytest.raises(FieldMismatch):
+        rs_unique_decode(rs12, word, 0)
+
+
+def test_decode_rejects_a_fractional_symbol(rs12):
+    word = list(rs12.encode([3, 5]))
+    word[0] += 0.5  # int() would truncate it back to the codeword's symbol
+    with pytest.raises(FieldMismatch):
+        rs_unique_decode(rs12, word, 5)
+    numpy_word = [np.int64(y) for y in rs12.encode([3, 5])]
+    assert rs_unique_decode(rs12, numpy_word, 5) == rs12.encode([3, 5])
+
+
+def test_decode_rejects_a_negative_radius(rs12):
+    with pytest.raises(AelcertError):
+        rs_unique_decode(rs12, list(rs12.encode([3, 5])), -1)
+
+
+def test_point_powers_are_built_on_first_decode(gf16):
+    code = RSOuterCode(gf16, 12, 2)
+    assert code._powers is None
+    rs_unique_decode(code, list(code.encode([1, 2])), 3)
+    top = code.unique_decoding_radius + code.dim
+    assert code._powers == [
+        [gf16.pow(a, e) for e in range(top + 1)] for a in code.points
+    ]
+
+
+# -- Berlekamp-Welch against a nearest-codeword search ------------------------
+
+_BW_CODES = {
+    "rs8_2_gf9": RSOuterCode(make_field(3, 2), 8, 2),
+    "rs9_3_gf9": RSOuterCode(make_field(3, 2), 9, 3),
+    "rs12_2_gf16": RSOuterCode(make_field(2, 4), 12, 2),
+    "rs10_3_gf16": RSOuterCode(make_field(2, 4), 10, 3),
+}
+
+
+def _nearest_within(code, word, radius):
+    """The codeword within `radius` of `word`, by exhaustive search, or None
+    (the radius is at most the unique-decoding radius, so there is at most one)."""
+    near = [
+        cw for cw in code.enumerate_codewords()
+        if sum(1 for a, b in zip(cw, word) if a != b) <= radius
+    ]
+    assert len(near) <= 1
+    return near[0] if near else None
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_nearest_codeword_search(data):
+    code = _BW_CODES[data.draw(st.sampled_from(sorted(_BW_CODES)))]
+    q, n = code.field.q, code.n
+    radius = data.draw(st.integers(0, code.unique_decoding_radius))
+    msg = data.draw(st.lists(st.integers(0, q - 1), min_size=code.dim, max_size=code.dim))
+    word = list(code.encode(msg))
+    # weights up to radius + 1: the last one is beyond the radius, where the
+    # decoder must return another codeword within it or nothing
+    weight = data.draw(st.integers(0, radius + 1))
+    positions = data.draw(st.permutations(range(n)))[:weight]
+    for pos in positions:
+        word[pos] = (word[pos] + data.draw(st.integers(1, q - 1))) % q
+    assert rs_unique_decode(code, word, radius) == _nearest_within(code, word, radius)

@@ -1,6 +1,8 @@
 """Threshold-rounding decoder over inner-codeword distribution ensembles."""
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from aelcert import (
 from aelcert.errors import AelcertError, GraphMismatch
 from aelcert.outer import RSOuterCode, rs_unique_decode
 from aelcert.seeds import derive_seed
+from instances import ROOT_SEED, planted_weights
 
 
 @pytest.fixture(scope="module")
@@ -113,24 +116,9 @@ def _point_mass_ensemble(code, word):
 
 def _planted_ensembles(code):
     # noise up to the outer decoding radius delta_dec = 5/12 in expectation
-    words = code.enumerate_codewords()
-    m = code.inner.size
     for trial in range(20):
         rng = np.random.default_rng(derive_seed(1, "planted", trial))
-        h = words[rng.integers(0, len(words))]
-        picks = [code.outer_symbol_to_inner_index(s) for s in code.decode_to_outer(h)]
-        budget = code.outer.delta_dec * code.n
-        weights = []
-        for l in range(code.n):
-            steal = min(Fraction(int(rng.integers(0, 49)), 100), budget)
-            budget -= steal
-            row = [Fraction(0)] * m
-            row[picks[l]] = 1 - steal
-            other = int(rng.integers(0, m))
-            if other == picks[l]:
-                other = (other + 1) % m
-            row[other] = steal
-            weights.append(row)
+        h, picks, weights = planted_weights(code, rng)
         yield InnerDistributionEnsemble(weights), h, picks
 
 
@@ -139,6 +127,48 @@ def test_weights_must_sum_to_one():
         InnerDistributionEnsemble([[Fraction(1, 2), Fraction(1, 3)]])
     with pytest.raises(ValueError):
         InnerDistributionEnsemble([[Fraction(3, 2), Fraction(-1, 2)]])
+
+
+def _ensemble_oracle(weights):
+    """Reference weights, scale, counts and ends, with every weight passed
+    through Fraction(...)."""
+    fracs = [[Fraction(w) for w in row] for row in weights]
+    scale = math.lcm(*(w.denominator for row in fracs for w in row))
+    counts = [[w.numerator * (scale // w.denominator) for w in row] for row in fracs]
+    return fracs, scale, counts, [list(accumulate(row)) for row in counts]
+
+
+def _assert_ensemble_matches_oracle(weights):
+    ens = InnerDistributionEnsemble(weights)
+    fracs, scale, counts, ends = _ensemble_oracle(weights)
+    assert all(type(w) is Fraction for row in ens.weights for w in row)
+    assert ens.weights == fracs
+    assert (ens.scale, ens.counts, ens.ends) == (scale, counts, ends)
+
+
+def test_ensemble_matches_oracle_on_ac6(acceptance):
+    code = acceptance["ac3"]["ael"]
+    for trial in range(100):
+        rng = np.random.default_rng(derive_seed(ROOT_SEED, "ac6", trial))
+        _, _, weights = planted_weights(code, rng)
+        _assert_ensemble_matches_oracle(weights)
+
+
+def test_ensemble_accepts_mixed_weight_types():
+    weights = [
+        [Fraction(1, 3), 0, Fraction(2, 3)],
+        [np.int64(0), 1, np.int32(0)],
+        [Fraction(1, 2), np.uint8(0), Fraction(1, 2)],
+        [1, 0, 0],
+    ]
+    _assert_ensemble_matches_oracle(weights)
+    assert InnerDistributionEnsemble(weights).scale == 6
+    with pytest.raises(ValueError):
+        InnerDistributionEnsemble([[Fraction(3, 2), np.int64(-1), Fraction(1, 2)]])
+    with pytest.raises(ValueError):
+        InnerDistributionEnsemble([[1, 0], [np.int64(1), Fraction(1, 3)]])
+    with pytest.raises(ValueError):
+        InnerDistributionEnsemble([[0, 2, -1]])
 
 
 def test_round_at_picks_interval():
