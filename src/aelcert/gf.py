@@ -10,10 +10,11 @@ Fields with q <= 2^16 keep exp/log tables.  `_exp` is stored doubled, at
 length 2(q - 1), so a product is `_exp[log a + log b]` with no reduction
 mod q - 1.  Linear algebra works on whole rows through two primitives:
 `scale_row(f, row)` is [f*y] and `sub_scaled_row(x, f, y)` is [x_i - f*y_i]
-(pass `neg(f)` for the axpy x + f*y).  With tables they are one list
-comprehension of table lookups; the subtraction is an XOR for p = 2, an
-integer difference mod p for m = 1, and `sub` otherwise.  Larger fields
-have no tables, and the primitives fall back to `mul` per element.
+(pass `neg(f)` for the axpy x + f*y).  `scale_row` is one list
+comprehension of table lookups; so is `sub_scaled_row` in characteristic 2,
+where the subtraction is an XOR.  In odd characteristic `sub_scaled_row`
+calls `sub` and `mul` per element.  Larger fields have no tables, and both
+primitives fall back to `mul` per element.
 """
 
 from __future__ import annotations
@@ -137,15 +138,10 @@ class Field:
         if f == 0:
             return list(x)
         exp, log = self._exp, self._log
-        if exp is None:
+        if exp is None or self.p != 2:
             return [self.sub(a, self.mul(f, b)) for a, b in zip(x, y)]
         lf = log[f]
-        if self.p == 2:
-            return [a ^ exp[lf + log[b]] if b else a for a, b in zip(x, y)]
-        if self.m == 1:
-            p = self.p
-            return [(a - exp[lf + log[b]]) % p if b else a for a, b in zip(x, y)]
-        return [self.sub(a, exp[lf + log[b]]) if b else a for a, b in zip(x, y)]
+        return [a ^ exp[lf + log[b]] if b else a for a, b in zip(x, y)]
 
     def inv(self, a: int) -> int:
         if a == 0:

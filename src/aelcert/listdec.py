@@ -22,7 +22,7 @@ from .arld import (
     subset_search_count,
     translation_closed,
 )
-from .codes import ERASED, ErasedWord
+from .codes import ERASED, ErasedWord, hamming_distance
 from .errors import (
     DuplicateCodewords,
     EnumerationTooLarge,
@@ -137,21 +137,12 @@ def verify_common_error_bound(
     Requires a passing generalized-Singleton report for the same parameters.
     A list longer than list_cap raises EnumerationTooLarge instead of being
     checked in part.
-
-    Each member's disagreements with the center are counted once, as a count
-    and a bit mask of positions; a subset's common errors are the popcount
-    of its masks' AND.  With delta0 - eps = a/b, multiplying the inequality
-    by n * b leaves one integer comparison per subset:
-        b * (sum of counts) >= (|H| - 1) * a * n + b * (common errors).
     """
     delta0, eps = Fraction(delta0), Fraction(eps)
     if singleton_report is None or not singleton_report.get("empirical_pass"):
         raise PrerequisiteNotVerified(
             "verify_generalized_singleton must pass first at (delta0, k, eps)"
         )
-    n = code.n
-    margin = delta0 - eps
-    a, b = margin.numerator, margin.denominator
     checked = 0
     violations = []
     for g in centers:
@@ -162,26 +153,13 @@ def verify_common_error_bound(
                 f"radius-{beta} list of center {g} has {len(lst)} members,"
                 f" over list_cap {list_cap}"
             )
-        masks = [
-            sum(1 << r for r in range(n) if h[r] != g[r]) for h in lst
-        ]
-        counts = [mask.bit_count() for mask in masks]
         for m in range(1, min(k, len(lst)) + 1):
-            base = (m - 1) * a * n
-            for subset in combinations(range(len(lst)), m):
-                common = masks[subset[0]]
-                for j in subset[1:]:
-                    common &= masks[j]
-                common = common.bit_count()
-                total = sum(counts[j] for j in subset)
+            for subset in combinations(lst, m):
+                lhs = sum((hamming_distance(g, h) for h in subset), Fraction(0))
+                rhs = (m - 1) * (delta0 - eps) + common_error_fraction(g, subset)
                 checked += 1
-                if b * total < base + b * common:
-                    violations.append({
-                        "center": g,
-                        "size": m,
-                        "lhs": Fraction(total, n),
-                        "rhs": (m - 1) * margin + Fraction(common, n),
-                    })
+                if lhs < rhs:
+                    violations.append({"center": g, "size": m, "lhs": lhs, "rhs": rhs})
     return {
         "centers": len(list(centers)) if hasattr(centers, "__len__") else None,
         "inequalities_checked": checked,

@@ -8,6 +8,7 @@ floor((n - k) / 2).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .codes import LinearCode, solve
@@ -110,9 +111,14 @@ def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
     symbols = list(word)
     if len(symbols) != n:
         raise LengthMismatch(f"word length {len(symbols)} != n {n}")
-    word = [int(y) for y in symbols]
-    if word != symbols or any(not 0 <= y < F.q for y in word):
-        raise FieldMismatch(f"word has a symbol that is not an integer in [0, {F.q})")
+    try:
+        word = [operator.index(y) for y in symbols]
+        if any(not 0 <= y < F.q for y in word):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise FieldMismatch(
+            f"word has a symbol that is not an integer in [0, {F.q})"
+        ) from None
     if radius is None:
         radius = code.unique_decoding_radius
     if radius < 0:

@@ -1,7 +1,6 @@
 """List-decoding oracle and the subset/partition/sampling verifiers."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from aelcert import (
     brute_force_list,
     common_error_fraction,
     complete_bipartite,
-    hamming_distance,
     partition_profile,
     plurality_center,
     random_regular_bipartite,
@@ -185,84 +183,6 @@ def test_common_error_list_over_cap_fails_closed(instance12):
             instance12, 2, Fraction(1, 2), 0, [g], beta=beta,
             singleton_report=singleton, list_cap=1,
         )
-
-
-def _common_error_oracle(code, k, delta0, eps, centers, beta):
-    """The Fraction loop the integer comparison replaced: per subset, the
-    summed Hamming distances against (|H| - 1)(delta0 - eps) plus the
-    common-error fraction."""
-    checked = 0
-    violations = []
-    for g in centers:
-        g = tuple(g)
-        lst = brute_force_list(code, g, beta)
-        for m in range(1, min(k, len(lst)) + 1):
-            for subset in combinations(lst, m):
-                lhs = sum((hamming_distance(g, h) for h in subset), Fraction(0))
-                rhs = (m - 1) * (delta0 - eps) + common_error_fraction(g, subset)
-                checked += 1
-                if lhs < rhs:
-                    violations.append({"center": g, "size": m, "lhs": lhs, "rhs": rhs})
-    return checked, violations
-
-
-def _assert_matches_oracle(report, oracle):
-    checked, violations = oracle
-    assert report["inequalities_checked"] == checked
-    assert report["violations"] == violations
-    assert report["passed"] == (not violations)
-    for v in report["violations"]:
-        assert type(v["lhs"]) is Fraction and type(v["rhs"]) is Fraction
-
-
-def test_common_error_matches_fraction_oracle_on_ac5(acceptance):
-    ael = acceptance["ac4"]["ael"]
-    eps = 2 * acceptance["ac4"]["eps_in"]
-    centers = acceptance["ac5"]["centers"]
-    report = verify_common_error_bound(
-        ael, 4, Fraction(2, 3), eps, centers, beta=Fraction(1, 2),
-        singleton_report=acceptance["ac4"]["report"],
-    )
-    _assert_matches_oracle(
-        report,
-        _common_error_oracle(ael, 4, Fraction(2, 3), eps, centers, Fraction(1, 2)),
-    )
-
-
-@pytest.mark.parametrize("delta0,eps,violated", [
-    (Fraction(1, 2), Fraction(0), False),
-    (Fraction(1), Fraction(0), True),
-    (Fraction(5, 6), Fraction(-1, 3), True),
-])
-def test_common_error_matches_fraction_oracle_on_random_centers(
-    instance12, delta0, eps, violated
-):
-    # the prerequisite is only a gate here: the comparison itself is the subject
-    # centers halfway between two codewords or at the plurality of three
-    # have lists of several members; uniform random centers have short ones
-    rng = np.random.default_rng(11)
-    words = instance12.enumerate_codewords()
-    n = instance12.n
-    centers = []
-    for size in (2, 2, 2, 3, 3, 3, 3):
-        picked = [words[int(i)] for i in rng.choice(len(words), size, replace=False)]
-        if size == 2:
-            centers.append(picked[0][: n // 2] + picked[1][n // 2:])
-        else:
-            centers.append(plurality_center(picked)[0])
-    symbols = sorted({s for w in words for s in w})
-    for _ in range(5):
-        centers.append(tuple(symbols[int(i)] for i in rng.integers(0, len(symbols), n)))
-    beta = Fraction(3, 4)
-    report = verify_common_error_bound(
-        instance12, 3, delta0, eps, centers, beta=beta,
-        singleton_report={"empirical_pass": True},
-    )
-    _assert_matches_oracle(
-        report, _common_error_oracle(instance12, 3, delta0, eps, centers, beta)
-    )
-    assert report["inequalities_checked"] > len(centers)  # some lists have 2+ members
-    assert bool(report["violations"]) == violated
 
 
 def test_partition_pair(instance12):

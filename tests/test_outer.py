@@ -161,8 +161,20 @@ def test_decode_rejects_a_fractional_symbol(rs12):
     word[0] += 0.5  # int() would truncate it back to the codeword's symbol
     with pytest.raises(FieldMismatch):
         rs_unique_decode(rs12, word, 5)
+    word[0] = 3.0  # integral, but still not a field element
+    with pytest.raises(FieldMismatch):
+        rs_unique_decode(rs12, word, 5)
     numpy_word = [np.int64(y) for y in rs12.encode([3, 5])]
     assert rs_unique_decode(rs12, numpy_word, 5) == rs12.encode([3, 5])
+
+
+@pytest.mark.parametrize("symbol", [None, "3", float("nan")])
+def test_decode_rejects_a_non_numeric_symbol(rs12, symbol):
+    # None is the ERASED marker: an outer decoder has no erasure support
+    word = list(rs12.encode([3, 5]))
+    word[2] = symbol
+    with pytest.raises(FieldMismatch):
+        rs_unique_decode(rs12, word, 5)
 
 
 def test_decode_rejects_a_negative_radius(rs12):
