@@ -29,8 +29,9 @@ Translation symmetry: adding one vector v to every word of H keeps every
 coordinate's equality pattern (a_i + v_i = b_i + v_i iff a_i = b_i), so
 D(H + v) = D(H).  When the distinct words W form a group under
 coordinatewise field addition (`translation_closed`, checked exactly on the
-words, never assumed), every subset H has the translate H - h + w_0, for
-any h in H, which lies in W, contains word 0 and has the same D.  The
+words, never assumed: W is a group iff it has p^r words, r its rank over
+GF(p) from `codes.rref`), every subset H has the translate H - h + w_0,
+for any h in H, which lies in W, contains word 0 and has the same D.  The
 sweep then visits only the subsets of size >= 3 that contain index 0: the
 minimum is unchanged, and since some minimizer contains index 0 and every
 index tuple starting with 0 precedes every tuple that does not, so is the
@@ -47,7 +48,9 @@ from math import comb
 
 import numpy as np
 
+from .codes import rref
 from .errors import EmptySet, SubsetEnumerationTooLarge, SubsetSizeTooLarge
+from .gf import make_field
 
 DEFAULT_SUBSET_CAP = 2 * 10**8
 # a lane's byte sum is the top byte of lane * _BYTE_SUM: exact while the
@@ -73,48 +76,30 @@ def translation_closed(words, field) -> bool:
     """Whether the words are distinct and closed under coordinatewise
     `field` addition, i.e. form a group, so the sweep may fix word 0.
 
-    Nested symbols (AEL d-tuples, FRS b-tuples) are flattened.  The test
-    is W + w == W for every w in W, one translate at a time: over GF(2^m)
-    addition is XOR of the representatives, otherwise digit-wise mod p on
-    their base-p digits.  Rows are packed into int64 keys and sorted, so a
-    translate equals W exactly when its sorted keys equal W's.  Without a
-    field there is no addition, and the answer is False.
+    Nested symbols (AEL d-tuples, FRS b-tuples) are flattened and written
+    as base-p digits, so words are vectors over GF(p).  Distinct words W lie
+    in their GF(p)-span, which has p^rank elements, and a group is its own
+    span (c*w is w added c times), so W is a group iff |W| = p^rank.  The
+    rank is over GF(p), not GF(q): an additive phi keeps AEL words closed
+    under addition without making them GF(q)-linear.  Repeated digit
+    columns, which leave the rank alone, are dropped first.  A symbol
+    outside [0, q), a repeated word or no field gives False.
     """
     if field is None or not words:
         return False
-    p, q = field.p, field.q
+    p = field.p
     vals = np.array(
         [[x for s in w for x in (s if isinstance(s, tuple) else (s,))] for w in words],
         dtype=np.int64,
     )
-    if vals.min() < 0 or vals.max() >= q:
+    if vals.min() < 0 or vals.max() >= field.q:
         return False
-    if p == 2:
-        base, add = q, np.bitwise_xor
-    else:
-        vals = (vals[:, :, None] // p ** np.arange(field.m) % p).reshape(len(words), -1)
-        base = p
-
-        def add(a, b):
-            s = a + b
-            return np.where(s >= p, s - p, s)
-    # `per` base-`base` digits fit one int64 key; zero padding is fixed by
-    # every translate
-    per = 1
-    while base ** (per + 1) < 2**63:
-        per += 1
-    vals = np.pad(vals, ((0, 0), (0, -vals.shape[1] % per)))
-    vals = vals.reshape(len(words), -1, per)
-    weights = base ** np.arange(per, dtype=np.int64)
-
-    def sorted_keys(v):
-        keys = v @ weights
-        return keys[np.lexsort(keys.T)]
-
-    ref = sorted_keys(vals)
-    if (ref[1:] == ref[:-1]).all(axis=1).any():
+    if len({row.tobytes() for row in vals}) != len(vals):
         return False  # a repeated word
-    return all(np.array_equal(sorted_keys(add(vals, w)), ref) for w in vals)
+    digits = (vals[:, :, None] // p ** np.arange(field.m) % p).reshape(len(vals), -1)
+    # the distinct digit columns, as rows: the transpose has the same rank
+    cols = {c.tobytes(): c.tolist() for c in digits.T}
+    return len(vals) == p ** len(rref(make_field(p), list(cols.values()))[0])
 
 
 def plurality_center(words) -> tuple[tuple, list[int]]:

@@ -150,9 +150,6 @@ class Field:
             return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e > 0 else 1
@@ -193,17 +190,13 @@ class Field:
     def _find_generator_poly(self) -> int:
         """Smallest representative of multiplicative order q - 1 (table-free)."""
         target = self.q - 1
-        for g in range(2 if self.q > 2 else 1, self.q):
+        for g in range(1, self.q):
             x, k = g, 1
             while x != 1 and k <= target:
                 x = self._mul_poly(x, g)
                 k += 1
             if k == target and x == 1:
                 return g
-            if self.q == 2 and g == 1:
-                return 1
-        if self.q == 2:
-            return 1
         raise ValueError("no multiplicative generator found; modulus not irreducible?")
 
     # -- misc ---------------------------------------------------------------

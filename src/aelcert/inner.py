@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     SearchExhausted,
 )
 from .gf import Field, multiplicative_generator
-from .outer import poly_eval
+from .outer import RSOuterCode
 from .seeds import derive_seed
 
 
@@ -287,6 +287,10 @@ class FoldedRSCode:
     Folded Reed-Solomon code: symbol j is the b-tuple of evaluations of the
     message polynomial at alpha_j, gamma*alpha_j, ..., gamma^{b-1}*alpha_j.
 
+    `rs` is the RS code over the bn points alpha_0, gamma*alpha_0, ...,
+    gamma^{b-1}*alpha_0, alpha_1, ...; its codewords, cut into b-tuples,
+    are the FRS codewords, in the same message order.
+
     Parameters
     ----------
     field : Field
@@ -295,7 +299,7 @@ class FoldedRSCode:
     n : int
         Number of folded symbols.
     rho : Fraction
-        Rate; message polynomials have degree < rho*b*n.
+        Rate; message polynomials have degree < rho*b*n <= b*n.
     alphas : tuple of int
         Evaluation anchors, one per folded symbol.
     """
@@ -305,8 +309,8 @@ class FoldedRSCode:
             raise FieldTooSmall(f"q={field.q} < bn={b * n}")
         rho = Fraction(rho)
         dim = rho * b * n
-        if dim.denominator != 1 or dim < 1:
-            raise ValueError(f"rho*b*n = {dim} must be a positive integer")
+        if dim.denominator != 1 or not 1 <= dim <= b * n:
+            raise ValueError(f"rho*b*n = {dim} must be an integer in [1, bn = {b * n}]")
         self.field = field
         self.b = b
         self.n = n
@@ -316,31 +320,20 @@ class FoldedRSCode:
         self.alphas = tuple(int(a) for a in alphas)
         if len(self.alphas) != n:
             raise ValueError("need one evaluation anchor per folded symbol")
-        points = {
-            field.mul(field.pow(self.gamma, i), a)
-            for i in range(b)
-            for a in self.alphas
-        }
-        if len(points) != b * n:
+        points = [field.mul(field.pow(self.gamma, i), a) for a in self.alphas
+                  for i in range(b)]
+        if len(set(points)) != b * n:
             raise NotAppropriate("evaluation points {gamma^i alpha_j} collide")
+        self.rs = RSOuterCode(field, b * n, self.dim, points)
+
+    def _fold(self, word) -> tuple[tuple[int, ...], ...]:
+        return tuple(word[j:j + self.b] for j in range(0, len(word), self.b))
 
     def encode(self, msg) -> tuple[tuple[int, ...], ...]:
-        msg = list(msg)
-        if len(msg) != self.dim:
-            raise ValueError(f"message length {len(msg)} != {self.dim}")
-        F = self.field
-        out = []
-        for a in self.alphas:
-            x = a
-            tup = []
-            for _ in range(self.b):
-                tup.append(poly_eval(F, msg, x))
-                x = F.mul(x, self.gamma)
-            out.append(tuple(tup))
-        return tuple(out)
+        return self._fold(self.rs.encode(msg))
 
     def codewords(self) -> list[tuple]:
-        return [self.encode(m) for m in product(range(self.field.q), repeat=self.dim)]
+        return [self._fold(w) for w in self.rs.enumerate_codewords()]
 
     def as_block_code(self) -> BlockCode:
         """Block view over the folded alphabet F_q^b; feeds the ARLD verifiers."""

@@ -143,9 +143,9 @@ def verify_common_error_bound(
         raise PrerequisiteNotVerified(
             "verify_generalized_singleton must pass first at (delta0, k, eps)"
         )
-    checked = 0
+    checked = n_centers = 0
     violations = []
-    for g in centers:
+    for n_centers, g in enumerate(centers, 1):
         g = tuple(g)
         lst = brute_force_list(code, g, beta)
         if len(lst) > list_cap:
@@ -161,7 +161,7 @@ def verify_common_error_bound(
                 if lhs < rhs:
                     violations.append({"center": g, "size": m, "lhs": lhs, "rhs": rhs})
     return {
-        "centers": len(list(centers)) if hasattr(centers, "__len__") else None,
+        "centers": n_centers,
         "inequalities_checked": checked,
         "violations": violations,
         "passed": not violations,

@@ -178,6 +178,7 @@ def test_rate_exact(instance12):
     # log_{|Sigma|}|C_AEL| / n = (2 symbols * 4 bits) / (12 * 4 * 2 bits) = 1/12,
     # equal to rate_out * rate_in = (1/6)(1/2)
     assert instance12.rate() == Fraction(1, 12)
+    assert isinstance(instance12.rate(), Fraction)
     assert instance12.rate() >= instance12.outer.rate * instance12.inner.rate
     assert instance12.rate() == instance12.outer.rate * instance12.inner.rate
 

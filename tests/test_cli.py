@@ -84,6 +84,16 @@ def test_build_frs(tmp_path):
     assert main(["build-frs", "--config", cfg]) == 0
 
 
+def test_build_frs_rejects_rate_above_one(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "frs.json", {
+        "version": 1, "field": {"p": 17, "m": 1}, "b": 2, "n": 2,
+        "rho": "3/2", "code_out": str(tmp_path / "frs_out.json"),
+    })
+    assert main(["build-frs", "--config", cfg]) == 2
+    assert "rho*b*n = 6" in capsys.readouterr().err
+    assert not (tmp_path / "frs_out.json").exists()
+
+
 def test_encode_corrupt_decode_cycle(workspace):
     tmp = workspace
     assert main(["encode", "--config", _write_config(tmp / "enc.json", {

@@ -270,6 +270,71 @@ def test_translation_closed_on_nested_and_odd_characteristic_symbols(gf17):
     assert not translation_closed(shifted, gf17)
 
 
+def test_translation_closed_on_a_subgroup_of_gf4():
+    # {0, 1} is the prime subfield GF(2) inside GF(4): closed under addition
+    assert translation_closed([(0,), (1,)], make_field(2, 2))
+
+
+def _flatten(w):
+    return tuple(x for s in w for x in (s if isinstance(s, tuple) else (s,)))
+
+
+def _closure_oracle(words, field) -> bool:
+    """Brute force: the words are distinct, every symbol is in [0, q), and
+    every digit-wise sum a + b of two words is again a word."""
+    flat = [_flatten(w) for w in words]
+    if field is None or not flat or len(set(flat)) != len(flat):
+        return False
+    if any(not 0 <= x < field.q for w in flat for x in w):
+        return False
+    members = set(flat)
+    return all(
+        tuple(field.add(x, y) for x, y in zip(a, b)) in members for a in flat for b in flat
+    )
+
+
+@st.composite
+def _perturbed_word_sets(draw):
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    field = make_field(p, m)
+    length = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # a random GF(q)-linear code
+        dim = draw(st.integers(1, min(length, {2: 4, 3: 2, 4: 2, 9: 1}[field.q])))
+        words = sample_random_linear_code(field, length, dim, rng).enumerate_codewords()
+    else:  # the GF(p)-span of random vectors: additive, often not GF(q)-linear
+        gens = rng.integers(0, field.q, size=(draw(st.integers(1, 2)), length)).tolist()
+        words = {(0,) * length}
+        for g in gens:
+            for _ in range(p - 1):
+                words |= {tuple(field.add(x, y) for x, y in zip(w, g)) for w in words}
+        words = sorted(words)
+    words = list(words)
+    kind = draw(st.sampled_from(["none", "drop", "add", "coset", "subset", "duplicate"]))
+    i = int(rng.integers(len(words)))
+    extra = tuple(int(x) for x in rng.integers(0, field.q, size=length))
+    if kind == "drop":
+        words.pop(i)
+    elif kind == "add":
+        words.append(extra)
+    elif kind == "coset":
+        words = [tuple(field.add(x, y) for x, y in zip(w, extra)) for w in words]
+    elif kind == "subset":
+        words = [w for w in words if rng.random() < 0.5] or words[:1]
+    elif kind == "duplicate":
+        words.append(words[i])
+    if draw(st.booleans()):  # nested symbols, as in AEL and FRS words
+        words = [tuple(w[j:j + 2] for j in range(0, length, 2)) for w in words]
+    return [words[j] for j in rng.permutation(len(words))], field
+
+
+@given(case=_perturbed_word_sets())
+@settings(max_examples=300, deadline=None)
+def test_translation_closed_matches_closure_oracle(case):
+    words, field = case
+    assert translation_closed(words, field) == _closure_oracle(words, field)
+
+
 def test_certificate_reports_the_reduction(gf4):
     code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
     words = code.enumerate_codewords()
@@ -491,6 +556,42 @@ def test_frs_repeated_point_rejected(gf17):
     # alpha_1 = gamma * alpha_0 makes gamma^1*alpha_0 = gamma^0*alpha_1 collide
     with pytest.raises(NotAppropriate):
         make_folded_rs(gf17, 2, 4, Fraction(1, 4), alphas=[1, 3, 9, 13])
+
+
+def test_frs_rate_above_one_rejected(gf17):
+    # 17^6 messages cannot map injectively into the 17^4 words of length 2
+    with pytest.raises(ValueError, match=r"\[1, bn = 4\]"):
+        make_folded_rs(gf17, 2, 2, Fraction(3, 2))
+    assert make_folded_rs(gf17, 2, 2, 1).dim == 4
+
+
+def _horner_frs_encode(frs, msg):
+    """Oracle: evaluate the message polynomial (coefficients low to high)
+    by Horner's rule at alpha_j, gamma*alpha_j, ..., gamma^{b-1}*alpha_j."""
+    F, out = frs.field, []
+    for a in frs.alphas:
+        x, tup = a, []
+        for _ in range(frs.b):
+            acc = 0
+            for c in reversed(msg):
+                acc = F.add(F.mul(acc, x), c)
+            tup.append(acc)
+            x = F.mul(x, frs.gamma)
+        out.append(tuple(tup))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,m,b,n,rho", [
+    (17, 1, 1, 4, Fraction(1, 2)), (17, 1, 2, 4, Fraction(1, 4)),
+    (5, 1, 1, 4, Fraction(1, 2)), (5, 1, 2, 2, Fraction(1, 2)),
+    (3, 2, 1, 4, Fraction(1, 2)), (3, 2, 2, 4, Fraction(1, 4)),
+])
+def test_frs_codewords_match_horner_oracle(p, m, b, n, rho):
+    frs = make_folded_rs(make_field(p, m), b, n, rho)
+    messages = list(product(range(frs.field.q), repeat=frs.dim))
+    expected = [_horner_frs_encode(frs, msg) for msg in messages]
+    assert frs.codewords() == expected
+    assert [frs.encode(msg) for msg in messages[::7]] == expected[::7]
 
 
 def test_frs_field_too_small(gf4):

@@ -171,6 +171,22 @@ def test_common_error_center_in_subset(instance12):
     assert report["passed"]
 
 
+def test_common_error_counts_centers_from_an_iterator(acceptance):
+    ael, singleton = acceptance["ac4"]["ael"], acceptance["ac4"]["report"]
+    centers = ael.enumerate_codewords()[:5]
+
+    def check(cs):
+        return verify_common_error_bound(
+            ael, 4, Fraction(2, 3), singleton["eps"], cs,
+            beta=Fraction(1, 2), singleton_report=singleton,
+        )
+
+    as_list, as_generator = check(centers), check(c for c in centers)
+    assert as_list["centers"] == as_generator["centers"] == 5
+    assert as_generator["inequalities_checked"] == as_list["inequalities_checked"] > 0
+    assert as_generator["passed"] and as_list["passed"]
+
+
 def test_common_error_list_over_cap_fails_closed(instance12):
     singleton = verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0)
     w = instance12.encode_message([4, 4])
