@@ -53,22 +53,6 @@ def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int
     return mat[:r], pivots
 
 
-def solve(field: Field, rows: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One solution x of rows @ x = rhs over `field`, or None if there is none.
-
-    Row-reduces the augmented matrix [rows | rhs]; a pivot in the constant
-    column means the system is inconsistent.  Free variables are set to 0.
-    """
-    unknowns = len(rows[0])
-    reduced, pivots = rref(field, [list(r) + [b] for r, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == unknowns:
-        return None
-    x = [0] * unknowns
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
-    return x
-
-
 class LinearCode:
     """
     A linear code given by a full-row-rank generator matrix.

@@ -1,9 +1,11 @@
 """
-Reed-Solomon outer code with a Berlekamp-Welch unique decoder.
+Reed-Solomon outer code with Gao's unique decoder.
 
-At the enumerable block lengths this package targets, the linear-algebra
-decoder is exact and corrects every error pattern of weight up to
-floor((n - k) / 2).
+Gao's decoder (S. Gao, "A new algorithm for decoding Reed-Solomon codes",
+2003) interpolates the received word, runs a partial extended Euclid on the
+interpolant and prod (x - a) over the evaluation points, and divides.  It
+takes O(n^2) field operations per word, with no linear system, and corrects
+every error pattern of weight up to floor((n - k) / 2).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .codes import LinearCode, solve
+from .codes import LinearCode
 from .errors import (
     AelcertError,
     FieldMismatch,
@@ -38,21 +40,32 @@ class RSOuterCode(LinearCode):
         ]
         super().__init__(field, generator)
         self.points = tuple(points)
-        self._powers: list[list[int]] | None = None
+        self._interp: tuple[list[int], list[list[int]]] | None = None
 
-    def _point_powers(self) -> list[list[int]]:
-        """Per point a, [a^0, ..., a^(radius + dim)]: every power a
-        Berlekamp-Welch row needs.  Built on the first call."""
-        if self._powers is None:
-            F, top = self.field, self.unique_decoding_radius + self.dim
-            powers = []
+    def _interpolation_table(self) -> tuple[list[int], list[list[int]]]:
+        """(g0, basis): g0 = prod (x - a) over the points, and per point a
+        the Lagrange basis L_a = g0 / (x - a) / prod_{b != a} (a - b), so
+        L_a(b) = [a = b].  Each quotient is one synthetic division of g0,
+        so the table costs O(n^2).  Built on the first call."""
+        if self._interp is None:
+            F, n = self.field, self.n
+            g0 = [1]
             for a in self.points:
-                pw = [1]
-                for _ in range(top):
-                    pw.append(F.mul(pw[-1], a))
-                powers.append(pw)
-            self._powers = powers
-        return self._powers
+                # (x - a) * g0 = x * g0 - a * g0
+                g0 = F.sub_scaled_row([0] + g0, a, g0 + [0])
+            basis = []
+            for a in self.points:
+                quot, acc = [0] * n, 0
+                for i in range(n, 0, -1):
+                    acc = F.add(g0[i], F.mul(a, acc))
+                    quot[i - 1] = acc
+                denom = 1
+                for b in self.points:
+                    if b != a:
+                        denom = F.mul(denom, F.sub(a, b))
+                basis.append(F.scale_row(F.inv(denom), quot))
+            self._interp = g0, basis
+        return self._interp
 
     @property
     def unique_decoding_radius(self) -> int:
@@ -65,6 +78,7 @@ class RSOuterCode(LinearCode):
 
 
 # -- polynomial helpers over a Field ------------------------------------------
+# Polynomials are coefficient lists, low degree first; zero is [].
 
 
 def poly_trim(p: list[int]) -> list[int]:
@@ -73,38 +87,48 @@ def poly_trim(p: list[int]) -> list[int]:
     return p
 
 
-def poly_eval(F: Field, p: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
+def poly_mul(F: Field, a: list[int], b: list[int]) -> list[int]:
+    """a * b for trimmed a and b: one `sub_scaled_row` per coefficient of a."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + len(b)] = F.sub_scaled_row(out[i:i + len(b)], F.neg(c), b)
+    return out
 
 
 def poly_divmod(F: Field, num: list[int], den: list[int]):
+    """(quotient, remainder) of num / den: one `sub_scaled_row` per
+    quotient coefficient."""
     num = list(num)
     den = poly_trim(list(den))
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [0] * max(len(num) - len(den) + 1, 0)
+    width = len(den)
+    quot = [0] * max(len(num) - width + 1, 0)
     inv_lead = F.inv(den[-1])
-    for i in range(len(num) - len(den), -1, -1):
-        c = F.mul(num[i + len(den) - 1], inv_lead)
-        if c == 0:
-            continue
-        quot[i] = c
-        for j, d in enumerate(den):
-            num[i + j] = F.sub(num[i + j], F.mul(c, d))
+    for i in range(len(num) - width, -1, -1):
+        c = F.mul(num[i + width - 1], inv_lead)
+        if c:
+            quot[i] = c
+            num[i:i + width] = F.sub_scaled_row(num[i:i + width], c, den)
     return poly_trim(quot), poly_trim(num)
 
 
 def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
-    """Berlekamp-Welch decoding within the given error-count radius.
+    """Gao's decoding within the given error-count radius.
 
     Returns the unique codeword within `radius` errors if one exists, else
     None.  Never returns a codeword outside the radius.  Raises
     LengthMismatch for a word of the wrong length, FieldMismatch for a
-    symbol that is not an integer in [0, q) and AelcertError for a
-    negative radius.
+    symbol that is not an integer in [0, q), AelcertError for a radius that
+    is not an integer or is negative, and RadiusTooLarge for one beyond
+    floor((n - k) / 2).
+
+    Gao's decoder finds the codeword whenever it is within
+    floor((n - k) / 2) of the word; within that radius it is unique, so
+    filtering by distance gives the answer at every smaller radius.
     """
     F = code.field
     n, k = code.n, code.dim
@@ -121,35 +145,34 @@ def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
         ) from None
     if radius is None:
         radius = code.unique_decoding_radius
+    if isinstance(radius, bool) or not hasattr(radius, "__index__"):
+        raise AelcertError(f"radius {radius!r} is not an integer")
+    radius = operator.index(radius)
     if radius < 0:
         raise AelcertError(f"radius {radius} is negative")
     if radius > code.unique_decoding_radius:
         raise RadiusTooLarge(
             f"radius {radius} > unique decoding radius {code.unique_decoding_radius}"
         )
-    t = radius
-    if t == 0:
-        return tuple(word) if code.contains(word) else None
-    # Unknowns: E = e_0..e_{t-1} (monic x^t implied), Q = q_0..q_{t+k-1}.
-    # Equation per point: Q(a_i) - y_i E(a_i) = y_i a_i^t.
-    powers = code._point_powers()
-    rows = [F.scale_row(F.neg(y), pw[:t]) + pw[:t + k] for pw, y in zip(powers, word)]
-    rhs = [F.mul(y, pw[t]) for pw, y in zip(powers, word)]
-    sol = solve(F, rows, rhs)
-    if sol is None:
+    # g1 interpolates the word: g1(a) = y_a at every point a
+    g0, basis = code._interpolation_table()
+    g1 = [0] * n
+    for y, lagrange in zip(word, basis):
+        if y:
+            g1 = F.sub_scaled_row(g1, F.neg(y), lagrange)
+    # Partial extended Euclid on (g0, g1), keeping r_i = u_i g0 + v_i g1,
+    # up to the first remainder of degree < (n + k) / 2
+    r0, r1 = g0, poly_trim(g1)
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= n + k:
+        quot, rem = poly_divmod(F, r0, r1)
+        prod = poly_mul(F, quot, v1)  # deg prod > deg v0
+        r0, r1 = r1, rem
+        v0, v1 = v1, F.sub_scaled_row(v0 + [0] * (len(prod) - len(v0)), 1, prod)
+    f, rem = poly_divmod(F, r1, v1)
+    if rem or len(f) > k:
         return None
-    E = sol[:t] + [1]
-    Q = poly_trim(sol[t:])
-    if not Q:
-        f = []
-    else:
-        f, rem = poly_divmod(F, Q, E)
-        if rem:
-            return None
-    if len(f) > k:
-        return None
-    decoded = tuple(poly_eval(F, f, a) for a in code.points)
-    errors = sum(1 for a, b in zip(decoded, word) if a != b)
-    if errors > radius or not code.contains(decoded):
+    decoded = code.encode(f + [0] * (k - len(f)))
+    if sum(1 for a, b in zip(decoded, word) if a != b) > radius:
         return None
     return decoded

@@ -80,8 +80,8 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
     """Threshold rounding + outer unique decoding.
 
     Returns the AEL codeword of the first outer codeword h, over the
-    endpoint thresholds in ascending order, that Berlekamp-Welch recovers
-    and whose expected ensemble disagreement ED(h) is at most
+    endpoint thresholds in ascending order, that the outer unique decoder
+    (`rs_unique_decode`) recovers and whose expected ensemble disagreement ED(h) is at most
     delta_dec = floor((n - k) / 2) / n; None if no threshold yields one.
 
     No other codeword can meet that guarantee, so stopping at the first is

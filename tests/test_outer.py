@@ -1,4 +1,5 @@
-"""Reed-Solomon outer code and the Berlekamp-Welch unique decoder."""
+"""Reed-Solomon outer code and Gao's unique decoder, against a
+nearest-codeword search and a Berlekamp-Welch oracle."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aelcert.codes
 from aelcert import make_field, rs_unique_decode
 from aelcert.errors import (
     AelcertError,
@@ -18,6 +20,7 @@ from aelcert.errors import (
     RadiusTooLarge,
 )
 from aelcert.outer import RSOuterCode
+from test_codes import solve
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +119,19 @@ def test_decode_output_is_always_a_codeword(rs12):
             assert dist <= 5
 
 
+@pytest.mark.parametrize("field, n, k", [
+    (make_field(2, 4), 12, 2), (make_field(2, 3), 7, 3), (make_field(3, 2), 9, 3),
+])
+def test_decode_refuses_a_polynomial_of_degree_k(field, n, k):
+    # x^k differs from every codeword in at least n - k positions, beyond
+    # the radius; its interpolant has degree k, so the division yields a
+    # quotient with one coefficient too many
+    code = RSOuterCode(field, n, k)
+    word = [field.pow(a, k) for a in code.points]
+    for radius in range(code.unique_decoding_radius + 1):
+        assert rs_unique_decode(code, word, radius) is None
+
+
 def test_decode_small_code_exhaustive(gf8):
     # RS[7,3]/GF(8): radius 2; every codeword, every 1- and 2-error pattern
     code = RSOuterCode(gf8, 7, 3)
@@ -182,19 +198,76 @@ def test_decode_rejects_a_negative_radius(rs12):
         rs_unique_decode(rs12, list(rs12.encode([3, 5])), -1)
 
 
-def test_point_powers_are_built_on_first_decode(gf16):
-    code = RSOuterCode(gf16, 12, 2)
-    assert code._powers is None
-    rs_unique_decode(code, list(code.encode([1, 2])), 3)
-    top = code.unique_decoding_radius + code.dim
-    assert code._powers == [
-        [gf16.pow(a, e) for e in range(top + 1)] for a in code.points
-    ]
+@pytest.mark.parametrize("radius", [2.5, 3.0, True, "3"])
+def test_decode_rejects_a_radius_that_is_not_an_integer(rs12, radius):
+    with pytest.raises(AelcertError, match="not an integer"):
+        rs_unique_decode(rs12, list(rs12.encode([3, 5])), radius)
 
 
-# -- Berlekamp-Welch against a nearest-codeword search ------------------------
+def test_decode_accepts_a_numpy_integer_radius(rs12):
+    cw = rs12.encode([3, 5])
+    word = list(cw)
+    word[1] ^= 1
+    assert rs_unique_decode(rs12, word, np.int64(1)) == cw
 
-_BW_CODES = {
+
+def _horner(F, p, x):
+    acc = 0
+    for c in reversed(p):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def test_interpolation_table_is_built_on_first_decode():
+    for field, n, points in [
+        (make_field(2, 4), 12, None),
+        (make_field(2, 4), 5, [3, 9, 14, 1, 6]),
+        (make_field(3, 2), 8, [0, 8, 2, 6, 4, 1, 7, 3]),
+        (make_field(5), 5, None),
+    ]:
+        code = RSOuterCode(field, n, 2, points=points)
+        assert code._interp is None  # the constructor does not build it
+        rs_unique_decode(code, list(code.encode([1, 2])))
+        g0, basis = code._interp
+        assert code._interpolation_table() is code._interp
+        assert len(g0) == n + 1 and g0[-1] == 1
+        assert all(_horner(field, g0, a) == 0 for a in code.points)
+        assert len(basis) == n
+        for a, lagrange in zip(code.points, basis):
+            assert len(lagrange) == n
+            assert [_horner(field, lagrange, b) for b in code.points] == [
+                int(a == b) for b in code.points
+            ]
+
+
+def test_decode_never_row_reduces(rs12, monkeypatch):
+    def no_rref(*args, **kwargs):
+        raise AssertionError("rs_unique_decode called codes.rref")
+
+    cw = rs12.encode([9, 4])
+    word = list(cw)
+    for pos in (0, 3, 7, 11):
+        word[pos] ^= 5
+    monkeypatch.setattr(aelcert.codes, "rref", no_rref)
+    assert rs_unique_decode(rs12, word) == cw
+    assert rs_unique_decode(rs12, [0, 1] * 6) is None
+
+
+def test_decode_rs255_223_with_16_errors():
+    code = RSOuterCode(make_field(2, 8), 255, 223)
+    assert code.unique_decoding_radius == 16
+    rng = np.random.default_rng(255)
+    cw = code.encode([int(x) for x in rng.integers(0, 256, 223)])
+    word = list(cw)
+    for pos in rng.permutation(255)[:16]:
+        word[pos] ^= int(rng.integers(1, 256))
+    assert sum(1 for a, b in zip(word, cw) if a != b) == 16
+    assert rs_unique_decode(code, word) == cw
+
+
+# -- against a nearest-codeword search -----------------------------------------
+
+_SEARCH_CODES = {
     "rs8_2_gf9": RSOuterCode(make_field(3, 2), 8, 2),
     "rs9_3_gf9": RSOuterCode(make_field(3, 2), 9, 3),
     "rs12_2_gf16": RSOuterCode(make_field(2, 4), 12, 2),
@@ -216,7 +289,7 @@ def _nearest_within(code, word, radius):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_decode_matches_nearest_codeword_search(data):
-    code = _BW_CODES[data.draw(st.sampled_from(sorted(_BW_CODES)))]
+    code = _SEARCH_CODES[data.draw(st.sampled_from(sorted(_SEARCH_CODES)))]
     q, n = code.field.q, code.n
     radius = data.draw(st.integers(0, code.unique_decoding_radius))
     msg = data.draw(st.lists(st.integers(0, q - 1), min_size=code.dim, max_size=code.dim))
@@ -228,3 +301,76 @@ def test_decode_matches_nearest_codeword_search(data):
     for pos in positions:
         word[pos] = (word[pos] + data.draw(st.integers(1, q - 1))) % q
     assert rs_unique_decode(code, word, radius) == _nearest_within(code, word, radius)
+
+
+# -- against Berlekamp-Welch, on codes too large to search --------------------
+
+
+def _bw_divmod(F, num, den):
+    """Polynomial long division, one `mul`/`sub` call per symbol."""
+    num = list(num)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    inv_lead = F.inv(den[-1])
+    for i in range(len(num) - len(den), -1, -1):
+        c = F.mul(num[i + len(den) - 1], inv_lead)
+        quot[i] = c
+        for j, d in enumerate(den):
+            num[i + j] = F.sub(num[i + j], F.mul(c, d))
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+def berlekamp_welch(code, word, radius):
+    """The codeword within `radius` of `word`, or None, by Berlekamp-Welch:
+    solve Q(a) = y E(a) at every point a, with E monic of degree `radius`
+    and deg Q < radius + k, for the unknowns of E and Q (through
+    `codes.rref`), then divide Q by E."""
+    F, k, t = code.field, code.dim, radius
+    if t == 0:
+        return tuple(word) if code.contains(word) else None
+    rows, rhs = [], []
+    for a, y in zip(code.points, word):
+        powers = [F.pow(a, e) for e in range(t + k)]
+        rows.append([F.mul(F.neg(y), p) for p in powers[:t]] + powers)
+        rhs.append(F.mul(y, F.pow(a, t)))
+    sol = solve(F, rows, rhs)
+    if sol is None:
+        return None
+    f, rem = _bw_divmod(F, sol[t:], sol[:t] + [1])
+    if rem or any(f[k:]):
+        return None
+    decoded = tuple(_horner(F, f, a) for a in code.points)
+    if sum(1 for a, b in zip(decoded, word) if a != b) > radius:
+        return None
+    return decoded
+
+
+_ORACLE_FIELDS = {"gf16": make_field(2, 4), "gf25": make_field(5, 2)}
+_ORACLE_SHAPES = {"gf16": (15, 5), "gf25": (24, 8)}
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_decode_matches_berlekamp_welch_oracle(data):
+    name = data.draw(st.sampled_from(sorted(_ORACLE_FIELDS)))
+    field, (n, k) = _ORACLE_FIELDS[name], _ORACLE_SHAPES[name]
+    q = field.q
+    # with or without 0, where every power of the point but the zeroth vanishes
+    nonzero = data.draw(st.permutations(range(1, q)))
+    if data.draw(st.booleans()):
+        nonzero = [0, *nonzero[:n - 1]]
+    points = data.draw(st.permutations(nonzero[:n]))
+    code = RSOuterCode(field, n, k, points=points)
+    msg = data.draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k))
+    word = list(code.encode(msg))
+    # weights up to n - k: past the unique radius the word may land near
+    # another codeword or near none
+    weight = data.draw(st.integers(0, n - k))
+    for pos in data.draw(st.permutations(range(n)))[:weight]:
+        word[pos] = (word[pos] + data.draw(st.integers(1, q - 1))) % q
+    radius = data.draw(st.integers(0, code.unique_decoding_radius))
+    expected = berlekamp_welch(code, word, radius)
+    assert rs_unique_decode(code, word, radius) == expected
+    if weight <= radius:
+        assert expected == code.encode(msg)

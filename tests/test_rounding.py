@@ -260,7 +260,7 @@ def test_planted_ensemble_recovery(instance12):
 
 
 def _count_rs_calls(monkeypatch):
-    """Record the result of every Berlekamp-Welch call the decoder makes."""
+    """Record the result of every outer decoder call the decoder makes."""
     results = []
 
     def counted(*args, **kwargs):
@@ -282,7 +282,7 @@ def test_decode_stops_at_first_certified_threshold(instance12, monkeypatch):
 
 def test_rs_success_rejected_by_certificate(instance12, monkeypatch):
     # weight 1/10 on h's inner codeword and 9/10 on the next one: theta = 0
-    # rounds to h wherever h's index comes first, so Berlekamp-Welch recovers
+    # rounds to h wherever h's index comes first, so the outer decoder recovers
     # h, but ED(h) is far beyond delta_dec and no codeword is certified
     h = instance12.encode_message([7, 2])
     _, picks = _point_mass_ensemble(instance12, h)
