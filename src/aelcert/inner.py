@@ -77,6 +77,8 @@ class ARLDCertificate:
     # None on a certificate loaded from a file: the counts live in its header
     subsets_evaluated: int | None = None
     reduction: str | None = None
+    # the sweep's per-size SubsetWitness: not saved, empty on a loaded certificate
+    witnesses: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def reevaluate(self, code_or_words) -> Fraction:
         """Recompute eps_min from the stored witness subset (rational equality)."""
@@ -134,6 +136,7 @@ def min_arld_slack(
         },
         subsets_evaluated=subset_search_count(len(words), k, closed),
         reduction="translation" if closed else "none",
+        witnesses=witnesses,
     )
 
 

@@ -14,14 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .ael import AELCode
-from .arld import (
-    DEFAULT_SUBSET_CAP,
-    epsilon_min,
-    intern_symbols,
-    min_disagreement_by_size,
-    subset_search_count,
-    translation_closed,
-)
+from .arld import DEFAULT_SUBSET_CAP
 from .codes import ERASED, ErasedWord, hamming_distance
 from .errors import (
     DuplicateCodewords,
@@ -30,6 +23,7 @@ from .errors import (
     PrerequisiteNotVerified,
     SubsetTooSmall,
 )
+from .inner import BlockCode, min_arld_slack
 
 
 def brute_force_list(code: AELCode, center, beta: Fraction, cap: int = 1 << 24):
@@ -60,22 +54,20 @@ def verify_generalized_singleton(
     lambda bound; when unmet the theorem assertion is reported NOT
     APPLICABLE (the empirical minimum eps is still reported).
 
-    When the enumerated words form a group under inner-field addition
-    (checked exactly by `translation_closed`), sizes >= 3 sweep only the
-    subsets that contain word 0; "subsets_examined" counts the subsets
-    covered, "subsets_evaluated" those visited, and "reduction" names the
-    reduction used ("translation" or "none").
+    The sweep is `aelcert.inner.min_arld_slack`, the certifier of the inner
+    code, run on the enumerated AEL words: when they form a group under
+    inner-field addition, sizes >= 3 sweep only the subsets that contain
+    word 0; "subsets_examined" counts the subsets covered,
+    "subsets_evaluated" those visited, and "reduction" names the reduction
+    used ("translation" or "none").
     """
     delta0, eps = Fraction(delta0), Fraction(eps)
-    words = code.enumerate_codewords()
-    n = code.n
-    sym, _ = intern_symbols(words)
-    closed = translation_closed(words, code.inner.field)
-    witnesses = min_disagreement_by_size(sym, k, subset_cap, closed)
-    empirical_eps, worst = epsilon_min(witnesses, n, delta0)
+    cert = min_arld_slack(
+        BlockCode(code.enumerate_codewords(), code.inner.field), k, delta0, subset_cap
+    )
     violations = []
-    for m, w in witnesses.items():
-        lhs = Fraction(w.disagreement_count, n)
+    for m, w in cert.witnesses.items():
+        lhs = Fraction(w.disagreement_count, code.n)
         rhs = (m - 1) * (delta0 - eps)
         if lhs < rhs:
             violations.append(
@@ -94,15 +86,13 @@ def verify_generalized_singleton(
         "delta0": delta0,
         "eps": eps,
         "empirical_pass": empirical_pass,
-        "empirical_eps_min": empirical_eps,
-        "worst_witness": worst,
+        "empirical_eps_min": cert.eps_min,
+        "worst_witness": cert.witnesses.get(len(cert.witness_indices)),
         "violations": violations,
-        "min_disagreements_by_size": {
-            m: w.disagreement_count for m, w in witnesses.items()
-        },
-        "subsets_examined": subset_search_count(len(words), k),
-        "subsets_evaluated": subset_search_count(len(words), k, closed),
-        "reduction": "translation" if closed else "none",
+        "min_disagreements_by_size": cert.min_disagreements_by_size,
+        "subsets_examined": cert.subsets_examined,
+        "subsets_evaluated": cert.subsets_evaluated,
+        "reduction": cert.reduction,
         "lam_bound": lam,
         "hypothesis_rhs": hyp_rhs,
         "hypothesis_satisfied": hypothesis_ok,

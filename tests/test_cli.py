@@ -1,11 +1,16 @@
 """Command-line harness: configs, subcommands, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from aelcert.cli import main
+from aelcert.cli import _COMMANDS, main
+from aelcert.errors import AmplificationViolation
 from aelcert.io import artifact_body_bytes, load_artifact, save_word
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write_config(path, payload):
@@ -76,6 +81,20 @@ def test_build_graph_complete(tmp_path):
     assert rec["n"] == 4 and rec["d"] == 4
 
 
+@pytest.mark.parametrize("extra", [
+    {"d": 2}, {"seed": 5}, {"lambda_target": 0.5}, {"max_tries": 3},
+], ids=["d-not-n", "seed", "lambda_target", "max_tries"])
+def test_build_graph_complete_rejects_keys_it_cannot_honour(tmp_path, capsys, extra):
+    # K_{n,n} has d = n, and the sampler keys steer only the random graph
+    cfg = _write_config(tmp_path / "g.json", {
+        "version": 1, "n": 6, "d": 6, "complete": True,
+        "graph_out": str(tmp_path / "out.json"), **extra,
+    })
+    assert main(["build-graph", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_build_frs(tmp_path):
     cfg = _write_config(tmp_path / "frs.json", {
         "version": 1, "field": {"p": 17, "m": 1}, "b": 2, "n": 4,
@@ -113,6 +132,29 @@ def test_encode_corrupt_decode_cycle(workspace):
     rec = load_artifact(tmp / "decode_report.json")
     assert rec["passed"] is True
     assert len(rec["extra"]["outer_word"]) == 12
+
+
+@pytest.mark.parametrize("errors,erasures", [
+    (10, 10), (-1, 0), ("2", 0), (True, 0), (0, 2.0),
+])
+def test_corrupt_rejects_counts_it_cannot_apply(workspace, capsys, errors, erasures):
+    # n = 12: more than 12 corrupted positions, or a count that is not a
+    # non-negative int, is refused before any word is written
+    tmp = workspace
+    assert main(["encode", "--config", _write_config(tmp / "enc.json", {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "message": [1, 0], "word_out": str(tmp / "word.json"),
+    })]) == 0
+    capsys.readouterr()
+    assert main(["corrupt", "--config", _write_config(tmp / "cor.json", {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "word_file": str(tmp / "word.json"), "seed": 3,
+        "errors": errors, "erasures": erasures,
+        "word_out": str(tmp / "bad_word.json"),
+    })]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "config error" in captured.err
+    assert not (tmp / "bad_word.json").exists()
 
 
 def test_decode_rejects_narrow_symbols(workspace, capsys):
@@ -280,7 +322,22 @@ def _parallel_edge_graph(tmp):
         "code_out": str(tmp / "m0.json"),
     }),
     ("verify-eml", _parallel_edge_graph),
-], ids=["duplicate-points", "degree-above-n", "field-m0", "parallel-edge-graph-file"])
+    *[("verify-singleton", lambda tmp, k=k: {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "k": k, "delta0": "1/2", "eps": "1/4",
+    }) for k in ("3", 2.5, True, 0, -3)],
+    ("verify-inner", lambda tmp: {
+        "version": 1, "code_file": str(tmp / "inner_code.json"), "k": 0,
+        "delta0": "1/2", "certificate_out": str(tmp / "vi_cert.json"),
+    }),
+    ("build-inner", lambda tmp: {
+        "version": 1, "seed": 0, "field": {"p": 2, "m": 2}, "length": 4,
+        "dim": 2, "k": "3", "delta0": "1/2", "eps_target": "1/4",
+        "code_out": str(tmp / "c.json"), "certificate_out": str(tmp / "cc.json"),
+    }),
+], ids=["duplicate-points", "degree-above-n", "field-m0", "parallel-edge-graph-file",
+        "k-str", "k-float", "k-bool", "k-zero", "k-negative", "verify-inner-k-zero",
+        "build-inner-k-str"])
 def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload):
     cfg = _write_config(workspace / "bad.json", payload(workspace))
     capsys.readouterr()
@@ -351,3 +408,123 @@ def test_cli_outputs_deterministic(tmp_path):
         assert artifact_body_bytes(tmp_path / "one" / name) == artifact_body_bytes(
             tmp_path / "two" / name
         )
+
+
+def _golden_pipeline(tmp):
+    def f(name):
+        return str(tmp / name)
+    bundle = {"bundle_file": f("bundle.json")}
+    return [
+        ("build-inner", {"seed": 0, "field": {"p": 2, "m": 2}, "length": 4, "dim": 2,
+                         "k": 3, "delta0": "1/2", "eps_target": "1/4",
+                         "code_out": f("inner_code.json"),
+                         "certificate_out": f("inner_cert.json")}, 0,
+         "PASS build-inner: eps_min = 0, subsets_evaluated = 225, reduction = translation"),
+        ("build-inner", {"seed": 0, "field": {"p": 2, "m": 2}, "length": 4, "dim": 2,
+                         "k": 3, "delta0": "1/2", "eps_target": "-1", "max_tries": 2,
+                         "code_out": f("x_code.json"), "certificate_out": f("x_cert.json")},
+         1, "FAIL build-inner: no code with eps_min <= -1 in 2 tries"),
+        ("verify-inner", {"code_file": f("inner_code.json"), "k": 3, "delta0": "1/2",
+                          "eps_target": "1/4", "certificate_out": f("vi_cert.json")}, 0,
+         "PASS verify-inner: eps_min = 0, subsets_evaluated = 225, reduction = translation"),
+        ("build-frs", {"field": {"p": 17, "m": 1}, "b": 2, "n": 4, "rho": "1/4",
+                       "code_out": f("frs.json")}, 0,
+         "PASS build-frs: appropriate, 17^2 codewords"),
+        ("build-graph", {"n": 12, "d": 4, "seed": 7, "lambda_target": 0.95,
+                         "graph_out": f("graph.json")}, 0,
+         "PASS build-graph: lambda = 0.664292"),
+        ("build-outer", {"field": {"p": 2, "m": 4}, "n": 12, "dim": 2,
+                         "code_out": f("outer.json")}, 0,
+         "PASS build-outer: RS[12,2], decode radius 5"),
+        ("build-ael", {"graph_file": f("graph.json"), "inner_file": f("inner_code.json"),
+                       "outer_file": f("outer.json"), "bundle_out": f("bundle.json")}, 0,
+         "PASS build-ael: n=12, d=4, |C|=256"),
+        ("encode", {**bundle, "message": [1, 0], "word_out": f("word.json")}, 0,
+         "PASS encode"),
+        ("corrupt", {**bundle, "word_file": f("word.json"), "seed": 3, "errors": 1,
+                     "word_out": f("bad_word.json")}, 0,
+         "PASS corrupt: 1 errors, 0 erasures"),
+        ("corrupt", {**bundle, "word_file": f("word.json"), "seed": 3, "errors": 9,
+                     "word_out": f("worse_word.json")}, 0,
+         "PASS corrupt: 9 errors, 0 erasures"),
+        ("corrupt", {**bundle, "word_file": f("word.json"), "seed": 4, "errors": 1,
+                     "erasures": 2, "word_out": f("erased_word.json")}, 0,
+         "PASS corrupt: 1 errors, 2 erasures"),
+        ("decode", {**bundle, "word_file": f("bad_word.json")}, 0,
+         "PASS decode: Delta_R = 1/12"),
+        ("decode", {**bundle, "word_file": f("worse_word.json")}, 1,
+         "FAIL decode: no codeword within the guarantee"),
+        ("list-decode", {**bundle, "word_file": f("erased_word.json"), "beta": "1/2"}, 0,
+         "PASS list-decode: 1 codewords within 1/2"),
+        ("verify-singleton", {**bundle, "k": 3, "delta0": "1/2", "eps": "1/4"}, 0,
+         "PASS verify-singleton: eps_min = 0 (NOT APPLICABLE), "
+         "subsets_evaluated = 65025, reduction = translation"),
+        ("verify-singleton", {**bundle, "k": 3, "delta0": "1/2", "eps": "-1/2"}, 1,
+         "FAIL verify-singleton: witness H = (0, 23), lhs 11/12 < rhs 1, "
+         "subsets_evaluated = 65025, reduction = translation"),
+        # k < 2 sweeps nothing, so no reduction applies
+        ("verify-singleton", {**bundle, "k": 1, "delta0": "1/2", "eps": "1/4"}, 0,
+         "PASS verify-singleton: eps_min = 0 (NOT APPLICABLE), "
+         "subsets_evaluated = 0, reduction = none"),
+        ("verify-amplification", bundle, 0,
+         "PASS verify-amplification: min Delta_R = 11/12 over 32640 pairs"),
+        ("verify-eml", {"graph_file": f("graph.json"), "seed": 5, "trials": 20}, 0,
+         "PASS verify-eml: 20 real + 20 indicator pairs"),
+    ]
+
+
+def test_pipeline_stdout_is_golden(tmp_path, capsys):
+    # every subcommand once, and each FAIL the configs can reach: the exact
+    # verdict line, the only thing a subcommand prints on stdout
+    for i, (command, payload, code, line) in enumerate(_golden_pipeline(tmp_path)):
+        cfg = _write_config(tmp_path / f"cfg_{i:02d}.json", {"version": 1, **payload})
+        assert main([command, "--config", cfg]) == code, command
+        assert capsys.readouterr().out == line + "\n"
+
+
+def _violated_amplification(code):
+    raise AmplificationViolation("pair (0,1): Delta_R=0 < 1")
+
+
+@pytest.mark.parametrize("command,payload,fake", [
+    ("decode", {"bundle_file": "bundle.json", "word_file": "worse_word.json"}, None),
+    ("verify-singleton", {"bundle_file": "bundle.json", "k": 3, "delta0": "1/2",
+                          "eps": "-1/2"}, None),
+    # a correct lambda cannot make these two fail, so their check is replaced
+    ("verify-eml", {"graph_file": "graph_out.json", "seed": 5, "trials": 2},
+     ("verify_eml", lambda graph, f, g: (0, 0, False))),
+    ("verify-amplification", {"bundle_file": "bundle.json"},
+     ("verify_distance_amplification", _violated_amplification)),
+])
+def test_failing_verifier_writes_its_report(workspace, monkeypatch, capsys,
+                                            command, payload, fake):
+    tmp = workspace
+    assert main(["encode", "--config", _write_config(tmp / "enc.json", {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "message": [1, 0], "word_out": str(tmp / "word.json"),
+    })]) == 0
+    assert main(["corrupt", "--config", _write_config(tmp / "cor.json", {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "word_file": str(tmp / "word.json"), "seed": 3, "errors": 9,
+        "word_out": str(tmp / "worse_word.json"),
+    })]) == 0
+    if fake is not None:
+        monkeypatch.setattr(f"aelcert.cli.{fake[0]}", fake[1])
+    payload = {key: str(tmp / v) if key.endswith("_file") else v
+               for key, v in payload.items()}
+    capsys.readouterr()
+    assert main([command, "--config", _write_config(tmp / "fail.json", {
+        "version": 1, "report_out": str(tmp / "fail_report.json"), **payload,
+    })]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {command}: ")
+    rec = load_artifact(tmp / "fail_report.json")
+    assert rec["name"] == command and rec["passed"] is False
+    assert rec["rows"] and not all(row["pass"] for row in rec["rows"])
+
+
+def test_readme_names_every_subcommand():
+    text = README.read_text()
+    block = text[text.index("## Command line"):]
+    block = block[block.index("```sh"):block.index("```", block.index("```sh") + 5)]
+    named = set(re.findall(r"^aelcert (\S+)", block, re.MULTILINE))
+    assert named == set(_COMMANDS) | {"report"}

@@ -128,6 +128,10 @@ def test_certificate_round_trip(tmp_path, gf4):
     assert loaded.witness_indices == cert.witness_indices
     assert loaded.min_disagreements_by_size == cert.min_disagreements_by_size
     assert loaded.reevaluate(code) == cert.eps_min
+    # the per-size witnesses stay with the sweep that found them
+    assert {m: w.disagreement_count for m, w in cert.witnesses.items()} == (
+        cert.min_disagreements_by_size)
+    assert loaded.witnesses == {}
 
 
 def test_certificate_sweep_counts_in_header_only(tmp_path, gf4):

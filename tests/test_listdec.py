@@ -81,6 +81,8 @@ def test_singleton_k1_trivial(instance12):
     report = verify_generalized_singleton(instance12, 1, Fraction(1, 2), 0)
     assert report["empirical_pass"]
     assert report["min_disagreements_by_size"] == {}
+    assert report["worst_witness"] is None
+    assert report["subsets_evaluated"] == 0 and report["reduction"] == "none"
 
 
 def test_singleton_impossible_margin_fails(instance12):
