@@ -2,8 +2,9 @@
 Experiment harness: build, persist, corrupt, decode, verify, and report.
 
 Every subcommand reads a JSON config (version field required, unknown keys
-rejected) so experiment definitions are explicit and reproducible.  All
-randomness flows from the config's root seed through named streams.
+rejected, each value parsed to its key's one type) so experiment definitions
+are explicit and reproducible.  All randomness flows from the config's root
+seed through named streams.
 
 Each subcommand handler returns a `Verdict`; `main` alone prints the
 `PASS|FAIL <subcommand>` line, writes the report named by `report_out`
@@ -26,8 +27,9 @@ from . import io as aio
 from .ael import verify_distance_amplification
 from .arld import DEFAULT_SUBSET_CAP
 from .codes import ERASED
-from .errors import AelcertError, AmplificationViolation, ConfigInvalid, SearchExhausted
-from .gf import make_field
+from .errors import (AelcertError, AmplificationViolation, ConfigInvalid, FieldTooLarge,
+                     NonPrimeCharacteristic, SearchExhausted)
+from .gf import Field, make_field
 from .graphs import complete_bipartite, random_regular_bipartite, verify_eml, verify_eml_sets
 from .inner import make_folded_rs, min_arld_slack, search_inner_code
 from .listdec import brute_force_list, verify_generalized_singleton
@@ -49,33 +51,71 @@ class Verdict(NamedTuple):
 
 
 def _load_config(path, subcommand: str) -> dict:
+    """The config at `path`, its keys checked against the subcommand's sets and
+    each value parsed by `_KEY_TYPES`: the one check of every config value."""
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid(f"config {path} is not a JSON object")
     _, required, optional = _COMMANDS[subcommand]
-    keys = set(cfg)
-    if cfg.get("version") != 1:
-        raise ConfigInvalid("config must declare version: 1")
-    missing = required - keys
-    unknown = keys - required - optional
+    missing = required - set(cfg)
+    unknown = set(cfg) - required - optional
     if missing:
         raise ConfigInvalid(f"missing config keys: {sorted(missing)}")
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        try:
+            cfg[key] = _KEY_TYPES[key](value)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"{key}: {exc}") from None
     return cfg
 
 
-def _field(cfg_field) -> "Field":
-    return make_field(cfg_field["p"], cfg_field.get("m", 1))
+def _typed(ok, expected: str):
+    """A parser that passes a value for which `ok` holds and rejects any other
+    (`type(v) is int` turns away bools, which JSON keeps apart from numbers)."""
+    def parse(value):
+        if not ok(value):
+            raise ConfigInvalid(f"expected {expected}, got {value!r}")
+        return value
+    return parse
 
 
-def _count(cfg, key: str, default=None, least: int = 1) -> int:
-    """The config's `key` (or `default`) as an int >= `least`, never a bool."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigInvalid(f"{key} must be an integer >= {least}, got {value!r}")
-    return value
+_size = _typed(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+
+
+def _parse_field(value) -> Field:
+    """{"p": prime, "m": degree (default 1)} as the field GF(p^m)."""
+    if type(value) is not dict or "p" not in value or not set(value) <= {"p", "m"}:
+        raise ConfigInvalid(f'expected {{"p": prime, "m": degree}}, got {value!r}')
+    try:
+        return make_field(_size(value["p"]), _size(value.get("m", 1)))
+    except (NonPrimeCharacteristic, FieldTooLarge) as exc:
+        raise ConfigInvalid(str(exc)) from None
+
+
+# config key -> parser; a key has one type in every subcommand
+_KEY_TYPES = {
+    **dict.fromkeys(("k", "n", "d", "b", "length", "dim", "trials", "max_tries",
+                     "subset_cap"), _size),
+    **dict.fromkeys(("seed", "errors", "erasures"),
+                    _typed(lambda v: type(v) is int and v >= 0, "an integer >= 0")),
+    **dict.fromkeys(("delta0", "eps_target", "eps", "rho", "beta"), aio.parse_frac),
+    **dict.fromkeys(("message", "points", "alphas"), _typed(
+        lambda v: type(v) is list and all(type(x) is int and x >= 0 for x in v),
+        "a list of integers >= 0")),
+    **dict.fromkeys(("code_file", "graph_file", "inner_file", "outer_file", "bundle_file",
+                     "word_file", "code_out", "certificate_out", "graph_out", "bundle_out",
+                     "word_out", "report_out"),
+                    _typed(lambda v: type(v) is str and v != "", "a non-empty path string")),
+    "complete": _typed(lambda v: type(v) is bool, "true or false"),
+    "lambda_target": _typed(lambda v: type(v) in (int, float), "a number"),
+    "field": _parse_field,
+    "version": _typed(lambda v: type(v) is int and v == 1, "the integer 1"),
+}
 
 
 def _row(instance, parameter: str, value, passed: bool, bound="", margin="") -> dict:
@@ -88,19 +128,11 @@ def _row(instance, parameter: str, value, passed: bool, bound="", margin="") -> 
 
 
 def _cmd_build_inner(cfg) -> Verdict:
-    field = _field(cfg["field"])
     try:
         code, cert = search_inner_code(
-            field,
-            cfg["length"],
-            cfg["dim"],
-            _count(cfg, "k"),
-            aio.parse_frac(cfg["delta0"]),
-            aio.parse_frac(cfg["eps_target"]),
-            seed=cfg["seed"],
-            max_tries=cfg.get("max_tries", 50),
-            subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP),
-        )
+            cfg["field"], cfg["length"], cfg["dim"], cfg["k"], cfg["delta0"],
+            cfg["eps_target"], seed=cfg["seed"], max_tries=cfg.get("max_tries", 50),
+            subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP))
     except SearchExhausted as exc:
         return Verdict(False, str(exc))
     aio.save_code(cfg["code_out"], code)
@@ -111,16 +143,12 @@ def _cmd_build_inner(cfg) -> Verdict:
 
 def _cmd_verify_inner(cfg) -> Verdict:
     code = aio.load_code(cfg["code_file"])
-    cert = min_arld_slack(
-        code,
-        _count(cfg, "k"),
-        aio.parse_frac(cfg["delta0"]),
-        subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP),
-        description=str(cfg["code_file"]),
-    )
+    cert = min_arld_slack(code, cfg["k"], cfg["delta0"],
+                          subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP),
+                          description=cfg["code_file"])
     aio.save_certificate(cfg["certificate_out"], cert)
     note = _sweep_note(cert.subsets_evaluated, cert.reduction)
-    if "eps_target" in cfg and cert.eps_min > aio.parse_frac(cfg["eps_target"]):
+    if "eps_target" in cfg and cert.eps_min > cfg["eps_target"]:
         return Verdict(False, f"eps_min = {cert.eps_min} > {cfg['eps_target']}{note}")
     return Verdict(True, f"eps_min = {cert.eps_min}{note}")
 
@@ -131,10 +159,7 @@ def _sweep_note(evaluated: int, reduction: str) -> str:
 
 
 def _cmd_build_frs(cfg) -> Verdict:
-    frs = make_folded_rs(
-        _field(cfg["field"]), cfg["b"], cfg["n"], aio.parse_frac(cfg["rho"]),
-        cfg.get("alphas"),
-    )
+    frs = make_folded_rs(cfg["field"], cfg["b"], cfg["n"], cfg["rho"], cfg.get("alphas"))
     aio.save_frs(cfg["code_out"], frs)
     return Verdict(True, f"appropriate, {frs.field.q}^{frs.dim} codewords")
 
@@ -152,18 +177,14 @@ def _cmd_build_graph(cfg) -> Verdict:
         if "seed" not in cfg:
             raise ConfigInvalid("random graph construction requires a seed")
         graph = random_regular_bipartite(
-            cfg["n"],
-            cfg["d"],
-            seed=derive_seed(cfg["seed"], "graph"),
-            lam_target=cfg.get("lambda_target", 1.0),
-            max_tries=cfg.get("max_tries", 20),
-        )
+            cfg["n"], cfg["d"], seed=derive_seed(cfg["seed"], "graph"),
+            lam_target=cfg.get("lambda_target", 1.0), max_tries=cfg.get("max_tries", 20))
     aio.save_graph(cfg["graph_out"], graph)
     return Verdict(True, f"lambda = {graph.lam:.6g}")
 
 
 def _cmd_build_outer(cfg) -> Verdict:
-    code = RSOuterCode(_field(cfg["field"]), cfg["n"], cfg["dim"], cfg.get("points"))
+    code = RSOuterCode(cfg["field"], cfg["n"], cfg["dim"], cfg.get("points"))
     aio.save_code(cfg["code_out"], code)
     return Verdict(True, f"RS[{code.n},{code.dim}], decode radius {code.unique_decoding_radius}")
 
@@ -185,18 +206,17 @@ def _cmd_build_ael(cfg) -> Verdict:
 
 def _cmd_encode(cfg) -> Verdict:
     code = aio.load_bundle(cfg["bundle_file"])
-    word = code.encode_message(cfg["message"])
-    aio.save_word(cfg["word_out"], word)
+    aio.save_word(cfg["word_out"], code.encode_message(cfg["message"]))
     return Verdict(True)
 
 
 def _cmd_corrupt(cfg) -> Verdict:
     code = aio.load_bundle(cfg["bundle_file"])
-    n_err = _count(cfg, "errors", 0, least=0)
-    n_era = _count(cfg, "erasures", 0, least=0)
+    n_err, n_era = cfg.get("errors", 0), cfg.get("erasures", 0)
     if n_err + n_era > code.n:
         raise ConfigInvalid(f"errors + erasures = {n_err + n_era} exceeds n = {code.n}")
     word = list(aio.load_word(cfg["word_file"]).symbols)
+    code._check(word)  # the shape `decode` demands, before any position is drawn
     rng = np.random.default_rng(derive_seed(cfg["seed"], "corrupt"))
     positions = rng.permutation(code.n)[: n_err + n_era]
     q = code.inner.field.q
@@ -231,7 +251,7 @@ def _cmd_decode(cfg) -> Verdict:
 def _cmd_list_decode(cfg) -> Verdict:
     code = aio.load_bundle(cfg["bundle_file"])
     word = aio.load_word(cfg["word_file"])
-    beta = aio.parse_frac(cfg["beta"])
+    beta = cfg["beta"]
     lst = brute_force_list(code, word, beta)
     return Verdict(True, f"{len(lst)} codewords within {beta}",
                    [_row(cfg["bundle_file"], "list_size", len(lst), True)],
@@ -240,14 +260,12 @@ def _cmd_list_decode(cfg) -> Verdict:
 
 
 def _cmd_verify_singleton(cfg) -> Verdict:
-    delta0, eps = aio.parse_frac(cfg["delta0"]), aio.parse_frac(cfg["eps"])
-    k = _count(cfg, "k")
     code = aio.load_bundle(cfg["bundle_file"])
     rep = verify_generalized_singleton(
-        code, k, delta0, eps,
+        code, cfg["k"], cfg["delta0"], cfg["eps"],
         subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP),
     )
-    per_step = (delta0 - eps) * code.n
+    per_step = (cfg["delta0"] - cfg["eps"]) * code.n
     rows = [
         _row(cfg["bundle_file"], f"min_disagreements_m{m}", d,
              not any(v["size"] == m for v in rep["violations"]),
@@ -284,7 +302,7 @@ def _cmd_verify_amplification(cfg) -> Verdict:
 
 
 def _cmd_verify_eml(cfg) -> Verdict:
-    trials = _count(cfg, "trials", 1000)
+    trials = cfg.get("trials", 1000)
     graph = aio.load_graph(cfg["graph_file"])
     rng = np.random.default_rng(derive_seed(cfg["seed"], "eml"))
     failures = 0

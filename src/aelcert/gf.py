@@ -163,16 +163,6 @@ class Field:
             e >>= 1
         return result
 
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element, by exhaustive powering."""
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative order")
-        x, k = a, 1
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def _build_tables(self) -> None:
         g = self._find_generator_poly()
         exp = [1] * (self.q - 1)
@@ -200,9 +190,6 @@ class Field:
         raise ValueError("no multiplicative generator found; modulus not irreducible?")
 
     # -- misc ---------------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def record(self) -> dict:
         """Serializable description, embedded in code files."""

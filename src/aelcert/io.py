@@ -64,10 +64,15 @@ class _Record(dict):
         raise ConfigInvalid(f"{self.path} lacks the field {key!r}")
 
 
-def load_artifact(path) -> dict:
+def artifact_body_bytes(path) -> bytes:
+    """Artifact content with the `#` header lines stripped: the JSON body,
+    which is what a rerun with the same seed reproduces byte for byte."""
     text = Path(path).read_text()
-    body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
-    return json.loads(body, object_hook=lambda fields: _Record(path, fields))
+    return "\n".join(ln for ln in text.splitlines() if not ln.startswith("#")).encode()
+
+
+def load_artifact(path) -> dict:
+    return json.loads(artifact_body_bytes(path), object_hook=lambda fields: _Record(path, fields))
 
 
 def _load_kind(path, *kinds) -> dict:
@@ -80,19 +85,7 @@ def _load_kind(path, *kinds) -> dict:
     return rec
 
 
-def artifact_body_bytes(path) -> bytes:
-    """Artifact content with header lines stripped, for determinism checks."""
-    text = Path(path).read_text()
-    return "\n".join(
-        ln for ln in text.splitlines() if not ln.startswith("#")
-    ).encode()
-
-
 # -- fields and codes ----------------------------------------------------------
-
-
-def field_payload(field: Field) -> dict:
-    return field.record()
 
 
 def field_from_payload(rec: dict) -> Field:
@@ -103,7 +96,7 @@ def save_code(path, code: LinearCode) -> None:
     payload = {
         "kind": "linear_code",
         "version": FORMAT_VERSION,
-        "field": field_payload(code.field),
+        "field": code.field.record(),
         "n": code.n,
         "dim": code.dim,
         "generator": [list(row) for row in code.generator],
@@ -128,7 +121,7 @@ def save_frs(path, frs: FoldedRSCode) -> None:
         {
             "kind": "folded_rs",
             "version": FORMAT_VERSION,
-            "field": field_payload(frs.field),
+            "field": frs.field.record(),
             "b": frs.b,
             "n": frs.n,
             "rho": frac_str(frs.rho),

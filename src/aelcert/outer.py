@@ -33,7 +33,7 @@ class RSOuterCode(LinearCode):
                 raise FieldTooSmall(f"q={field.q} < n={n}")
             points = list(range(n))
         points = [int(a) for a in points]
-        if len(set(points)) != len(points) or len(points) != n:
+        if len(points) != n or len(set(points)) != n or not all(0 <= a < field.q for a in points):
             raise ValueError("evaluation points must be n distinct field elements")
         generator = [
             [field.pow(a, i) for a in points] for i in range(dim)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from aelcert.cli import _COMMANDS, main
+from aelcert.cli import _COMMANDS, _KEY_TYPES, main
 from aelcert.errors import AmplificationViolation
 from aelcert.io import artifact_body_bytes, load_artifact, save_word
 
@@ -157,6 +157,29 @@ def test_corrupt_rejects_counts_it_cannot_apply(workspace, capsys, errors, erasu
     assert not (tmp / "bad_word.json").exists()
 
 
+@pytest.mark.parametrize("reshape", [
+    lambda symbols: symbols[:-1], lambda symbols: [sym[:3] for sym in symbols],
+], ids=["short-word", "narrow-symbols"])
+def test_corrupt_rejects_a_word_of_the_wrong_shape(workspace, capsys, reshape):
+    # the shape `decode` demands: n symbols of d entries each
+    tmp = workspace
+    assert main(["encode", "--config", _write_config(tmp / "enc.json", {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "message": [1, 0], "word_out": str(tmp / "word.json"),
+    })]) == 0
+    save_word(tmp / "bent.json", reshape(load_artifact(tmp / "word.json")["symbols"]))
+    capsys.readouterr()
+    assert main(["corrupt", "--config", _write_config(tmp / "cor.json", {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "word_file": str(tmp / "bent.json"), "seed": 3, "errors": 1,
+        "word_out": str(tmp / "bad_word.json"),
+    })]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    assert "word shape does not match the graph" in captured.err
+    assert not (tmp / "bad_word.json").exists()
+
+
 def test_decode_rejects_narrow_symbols(workspace, capsys):
     tmp = workspace
     assert main(["encode", "--config", _write_config(tmp / "enc.json", {
@@ -249,6 +272,11 @@ def test_subset_cap_reaches_the_verifier(workspace, capsys, command, payload):
     assert "PASS" not in capsys.readouterr().out
 
 
+def test_every_config_key_has_a_parser():
+    keys = set().union(*(required | optional for _, required, optional in _COMMANDS.values()))
+    assert set(_KEY_TYPES) == keys
+
+
 def test_threads_key_rejected(workspace):
     tmp = workspace
     assert main(["verify-singleton", "--config", _write_config(
@@ -309,6 +337,39 @@ def _parallel_edge_graph(tmp):
     return {"version": 1, "graph_file": str(graph_file), "seed": 5, "trials": 20}
 
 
+# one accepted config per subcommand; `_probe` changes one key of it
+_ACCEPTED = {
+    "build-graph": lambda tmp: {
+        "version": 1, "n": 4, "d": 2, "seed": 1, "graph_out": str(tmp / "g.json")},
+    "build-outer": lambda tmp: {
+        "version": 1, "field": {"p": 2, "m": 2}, "n": 4, "dim": 2,
+        "code_out": str(tmp / "o.json")},
+    "build-frs": lambda tmp: {
+        "version": 1, "field": {"p": 17}, "b": 2, "n": 4, "rho": "1/4",
+        "code_out": str(tmp / "f.json")},
+    "encode": lambda tmp: {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"), "message": [1, 0],
+        "word_out": str(tmp / "w.json")},
+    "verify-eml": lambda tmp: {
+        "version": 1, "graph_file": str(tmp / "graph_out.json"), "seed": 5, "trials": 20},
+    "verify-inner": lambda tmp: {
+        "version": 1, "code_file": str(tmp / "inner_code.json"), "k": 3,
+        "delta0": "1/2", "certificate_out": str(tmp / "vi_cert.json")},
+    "verify-amplification": lambda tmp: {
+        "version": 1, "bundle_file": str(tmp / "bundle.json")},
+}
+
+
+def _probe(command, **changes):
+    return command, lambda tmp: {**_ACCEPTED[command](tmp), **changes}
+
+
+@pytest.mark.parametrize("command", sorted(_ACCEPTED))
+def test_probe_bases_are_accepted(workspace, command):
+    assert main([command, "--config", _write_config(
+        workspace / "ok.json", _ACCEPTED[command](workspace))]) == 0
+
+
 @pytest.mark.parametrize("command,payload", [
     ("build-outer", lambda tmp: {
         "version": 1, "field": {"p": 2, "m": 4}, "n": 4, "dim": 2,
@@ -335,9 +396,33 @@ def _parallel_edge_graph(tmp):
         "dim": 2, "k": "3", "delta0": "1/2", "eps_target": "1/4",
         "code_out": str(tmp / "c.json"), "certificate_out": str(tmp / "cc.json"),
     }),
+    ("build-graph", lambda tmp: {
+        "version": 1, "n": 4, "d": 4, "complete": "false", "graph_out": str(tmp / "g.json"),
+    }),
+    _probe("build-graph", max_tries="3"),
+    _probe("build-graph", max_tries=0),
+    _probe("build-graph", d=3.0),
+    _probe("build-graph", lambda_target="0.9"),
+    _probe("build-graph", seed=1.5),
+    _probe("build-graph", version=True),
+    _probe("build-graph", version=1.0),
+    _probe("build-outer", dim="2"),
+    _probe("build-outer", dim=0),
+    _probe("build-outer", points=[0, 1.5, 2, 3]),
+    _probe("build-outer", points=[0, 1, 2, 9]),
+    _probe("build-outer", field={"p": 2, "m": 2, "modulus": [1, 1, 1]}),
+    _probe("build-outer", field={"p": 4}),
+    _probe("build-frs", b="2"),
+    _probe("encode", message=["1", 0]),
+    _probe("verify-eml", seed="x"),
+    _probe("verify-inner", subset_cap=0),
+    _probe("verify-amplification", report_out=3),
 ], ids=["duplicate-points", "degree-above-n", "field-m0", "parallel-edge-graph-file",
         "k-str", "k-float", "k-bool", "k-zero", "k-negative", "verify-inner-k-zero",
-        "build-inner-k-str"])
+        "build-inner-k-str", "complete-str", "max_tries-str", "max_tries-zero", "d-float",
+        "lambda_target-str", "seed-float", "version-bool", "version-float", "dim-str",
+        "dim-zero", "points-float", "points-outside-field", "field-extra-key", "field-p-not-prime", "b-str",
+        "message-str", "seed-str", "subset_cap-zero", "report_out-int"])
 def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload):
     cfg = _write_config(workspace / "bad.json", payload(workspace))
     capsys.readouterr()
