@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .arld import intern_symbols, pair_disagreements
-from .codes import ERASED, ErasedWord, LinearCode, dist_with_erasures, hamming_distance
+from .codes import (DEFAULT_ENUMERATION_CAP, ERASED, ErasedWord, LinearCode,
+                    dist_with_erasures, hamming_distance)
 from .errors import (
     AmplificationViolation,
     GraphMismatch,
@@ -128,11 +129,11 @@ class AELCode:
         """phi^{-1} applied to every left view; raises KeyError off-codebook."""
         return tuple(self._phi_inv[v] for v in self.left_views(word))
 
-    def enumerate_codewords(self, cap: int = 1 << 24) -> list[tuple]:
+    def enumerate_codewords(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple]:
+        # the outer code checks the cap on every call, cached or not
+        outer_words = self.outer.enumerate_codewords(cap)
         if self._codewords is None:
-            self._codewords = [
-                self.encode(w) for w in self.outer.enumerate_codewords(cap)
-            ]
+            self._codewords = [self.encode(w) for w in outer_words]
         return self._codewords
 
     # -- metrics ---------------------------------------------------------------
@@ -188,7 +189,7 @@ def pair_counting_check(code: AELCode, f, g) -> dict:
     }
 
 
-def verify_distance_amplification(code: AELCode, cap: int = 1 << 24) -> dict:
+def verify_distance_amplification(code: AELCode, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     """Check Delta_R >= delta_in - lam/Delta_L for every distinct codeword pair.
 
     Uses the conservative lam_bound.  When the global bound

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -112,7 +113,8 @@ _KEY_TYPES = {
                      "word_out", "report_out"),
                     _typed(lambda v: type(v) is str and v != "", "a non-empty path string")),
     "complete": _typed(lambda v: type(v) is bool, "true or false"),
-    "lambda_target": _typed(lambda v: type(v) in (int, float), "a number"),
+    "lambda_target": _typed(lambda v: type(v) in (int, float) and 0 <= v < math.inf,
+                            "a finite number >= 0"),
     "field": _parse_field,
     "version": _typed(lambda v: type(v) is int and v == 1, "the integer 1"),
 }
@@ -206,7 +208,11 @@ def _cmd_build_ael(cfg) -> Verdict:
 
 def _cmd_encode(cfg) -> Verdict:
     code = aio.load_bundle(cfg["bundle_file"])
-    aio.save_word(cfg["word_out"], code.encode_message(cfg["message"]))
+    msg, outer = cfg["message"], code.outer
+    if len(msg) != outer.dim or any(x >= outer.field.q for x in msg):
+        raise ConfigInvalid(
+            f"message: expected {outer.dim} symbols below {outer.field.q}, got {msg}")
+    aio.save_word(cfg["word_out"], code.encode_message(msg))
     return Verdict(True)
 
 

@@ -97,9 +97,5 @@ class PrerequisiteNotVerified(AelcertError):
     pass
 
 
-class RadiusTooLarge(AelcertError):
-    pass
-
-
 class ConfigInvalid(AelcertError):
     pass

@@ -26,6 +26,8 @@ import numpy as np
 from .errors import LengthMismatch, ParallelEdgeExhaustion, TargetUnreachable
 
 LAMBDA_SAFETY = Fraction(1, 10**6)
+# permutations drawn per matching before parallel edges count as unavoidable
+MATCHING_ATTEMPTS = 50000
 
 
 class BipartiteGraph:
@@ -90,7 +92,6 @@ def random_regular_bipartite(
     seed: int,
     lam_target: float,
     max_tries: int = 20,
-    matching_attempts: int = 50000,
 ) -> BipartiteGraph:
     """Union of d uniformly random perfect matchings, spectrally verified.
 
@@ -103,7 +104,7 @@ def random_regular_bipartite(
     for _ in range(max_tries):
         cols: list[np.ndarray] = []
         for _ in range(d):
-            for _ in range(matching_attempts):
+            for _ in range(MATCHING_ATTEMPTS):
                 perm = rng.permutation(n)
                 if all(not np.any(perm == c) for c in cols):
                     cols.append(perm)

@@ -36,6 +36,9 @@ from .gf import Field, multiplicative_generator
 from .outer import RSOuterCode
 from .seeds import derive_seed
 
+# generator matrices drawn before a full-rank sample counts as unreachable
+SAMPLE_ATTEMPTS = 100
+
 
 def resolve_words(code_or_words) -> tuple[list[tuple], int]:
     """Accept a LinearCode, a BlockCode, or a plain codeword list."""
@@ -220,20 +223,18 @@ def _witness(words, idx, center, lhs, bound):
 
 
 def sample_random_linear_code(
-    field: Field, length: int, dim: int, rng, max_attempts: int = 100
+    field: Field, length: int, dim: int, rng: np.random.Generator
 ) -> LinearCode:
     """Uniform full-rank generator matrix; deterministic under the given rng."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     if dim < 1:
         raise DimensionMismatch("generator must have at least one row")
-    for _ in range(max_attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         gen = rng.integers(0, field.q, size=(dim, length))
         try:
             return LinearCode(field, gen.tolist())
         except DimensionMismatch:
             continue
-    raise RankFailure(f"no full-rank sample in {max_attempts} attempts")
+    raise RankFailure(f"no full-rank sample in {SAMPLE_ATTEMPTS} attempts")
 
 
 def search_inner_code(

@@ -26,7 +26,7 @@ from .errors import (
 from .inner import BlockCode, min_arld_slack
 
 
-def brute_force_list(code: AELCode, center, beta: Fraction, cap: int = 1 << 24):
+def brute_force_list(code: AELCode, center, beta: Fraction):
     """All codewords within (erased) distance <= beta of the center: those
     with at most floor(beta * n) disagreements on the unerased vertices."""
     center = center if isinstance(center, ErasedWord) else ErasedWord(center)
@@ -34,7 +34,7 @@ def brute_force_list(code: AELCode, center, beta: Fraction, cap: int = 1 << 24):
         raise LengthMismatch("length mismatch with graph size")
     limit = math.floor(Fraction(beta) * code.n)
     kept = [(r, g) for r, g in enumerate(center.symbols) if g is not ERASED]
-    words = code.enumerate_codewords(cap)
+    words = code.enumerate_codewords()
     return [w for w in words if sum(1 for r, g in kept if w[r] != g) <= limit]
 
 

@@ -4,8 +4,9 @@ Reed-Solomon outer code with Gao's unique decoder.
 Gao's decoder (S. Gao, "A new algorithm for decoding Reed-Solomon codes",
 2003) interpolates the received word, runs a partial extended Euclid on the
 interpolant and prod (x - a) over the evaluation points, and divides.  It
-takes O(n^2) field operations per word, with no linear system, and corrects
-every error pattern of weight up to floor((n - k) / 2).
+takes O(n^2) field operations per word, with no linear system, and decodes
+at the one radius floor((n - k) / 2): it corrects every error pattern of at
+most that weight and never returns a codeword farther from the word.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import operator
 from fractions import Fraction
 
 from .codes import LinearCode
-from .errors import (
-    AelcertError,
-    FieldMismatch,
-    FieldTooSmall,
-    LengthMismatch,
-    RadiusTooLarge,
-)
+from .errors import FieldMismatch, FieldTooSmall, LengthMismatch
 from .gf import Field
 
 
@@ -45,20 +40,17 @@ class RSOuterCode(LinearCode):
     def _interpolation_table(self) -> tuple[list[int], list[list[int]]]:
         """(g0, basis): g0 = prod (x - a) over the points, and per point a
         the Lagrange basis L_a = g0 / (x - a) / prod_{b != a} (a - b), so
-        L_a(b) = [a = b].  Each quotient is one synthetic division of g0,
-        so the table costs O(n^2).  Built on the first call."""
+        L_a(b) = [a = b].  Each quotient is one `poly_divmod` of g0 by a
+        linear factor, so the table costs O(n^2).  Built on the first call."""
         if self._interp is None:
-            F, n = self.field, self.n
+            F = self.field
             g0 = [1]
             for a in self.points:
                 # (x - a) * g0 = x * g0 - a * g0
                 g0 = F.sub_scaled_row([0] + g0, a, g0 + [0])
             basis = []
             for a in self.points:
-                quot, acc = [0] * n, 0
-                for i in range(n, 0, -1):
-                    acc = F.add(g0[i], F.mul(a, acc))
-                    quot[i - 1] = acc
+                quot, _ = poly_divmod(F, g0, [F.neg(a), 1])
                 denom = 1
                 for b in self.points:
                     if b != a:
@@ -116,19 +108,20 @@ def poly_divmod(F: Field, num: list[int], den: list[int]):
     return poly_trim(quot), poly_trim(num)
 
 
-def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
-    """Gao's decoding within the given error-count radius.
+def rs_unique_decode(code: RSOuterCode, word):
+    """Gao's decoding at the unique radius t = floor((n - k) / 2).
 
-    Returns the unique codeword within `radius` errors if one exists, else
-    None.  Never returns a codeword outside the radius.  Raises
-    LengthMismatch for a word of the wrong length, FieldMismatch for a
-    symbol that is not an integer in [0, q), AelcertError for a radius that
-    is not an integer or is negative, and RadiusTooLarge for one beyond
-    floor((n - k) / 2).
+    Returns the codeword within t errors of the word if there is one, else
+    None.  Raises LengthMismatch for a word of the wrong length and
+    FieldMismatch for a symbol that is not an integer in [0, q).
 
-    Gao's decoder finds the codeword whenever it is within
-    floor((n - k) / 2) of the word; within that radius it is unique, so
-    filtering by distance gives the answer at every smaller radius.
+    No codeword beyond t comes back.  The Euclid loop keeps
+    r_i = u_i g0 + v_i g1 with deg v_i = n - deg r_{i-1}, and it stops at
+    the first r = r_i of degree < (n + k) / 2, so deg r_{i-1} >= (n + k) / 2
+    and deg v <= (n - k) / 2.  A returned f = r / v has no remainder and
+    deg f < k; at every point a, g0(a) = 0 and g1(a) = y_a give
+    r(a) = v(a) y_a, so f(a) = y_a wherever v(a) != 0.  Then f disagrees
+    with the word on at most deg v <= t points.
     """
     F = code.field
     n, k = code.n, code.dim
@@ -143,17 +136,6 @@ def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
         raise FieldMismatch(
             f"word has a symbol that is not an integer in [0, {F.q})"
         ) from None
-    if radius is None:
-        radius = code.unique_decoding_radius
-    if isinstance(radius, bool) or not hasattr(radius, "__index__"):
-        raise AelcertError(f"radius {radius!r} is not an integer")
-    radius = operator.index(radius)
-    if radius < 0:
-        raise AelcertError(f"radius {radius} is negative")
-    if radius > code.unique_decoding_radius:
-        raise RadiusTooLarge(
-            f"radius {radius} > unique decoding radius {code.unique_decoding_radius}"
-        )
     # g1 interpolates the word: g1(a) = y_a at every point a
     g0, basis = code._interpolation_table()
     g1 = [0] * n
@@ -172,7 +154,4 @@ def rs_unique_decode(code: RSOuterCode, word, radius: int | None = None):
     f, rem = poly_divmod(F, r1, v1)
     if rem or len(f) > k:
         return None
-    decoded = code.encode(f + [0] * (k - len(f)))
-    if sum(1 for a, b in zip(decoded, word) if a != b) > radius:
-        return None
-    return decoded
+    return code.encode(f + [0] * (k - len(f)))

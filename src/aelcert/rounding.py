@@ -96,12 +96,11 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
         raise TypeError("decode_from_distributions needs an RSOuterCode outer code")
     if ensemble.n != code.n or ensemble.m != code.inner.size:
         raise ValueError("ensemble shape does not match the AEL code")
-    radius = outer.unique_decoding_radius
     delta_dec = outer.delta_dec
     for theta in threshold_endpoints(ensemble):
         picks = ensemble.round_at(theta)
         f_star = [code.inner_index_to_outer_symbol(i) for i in picks]
-        h_star = rs_unique_decode(outer, f_star, radius)
+        h_star = rs_unique_decode(outer, f_star)
         if h_star is None:
             continue
         inner_indices = [code.outer_symbol_to_inner_index(sigma) for sigma in h_star]

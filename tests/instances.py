@@ -264,7 +264,7 @@ def build_artifacts(outdir) -> dict:
         word = list(codeword)
         for pos in drng.permutation(12)[:weight]:
             word[pos] = (word[pos] + 1 + int(drng.integers(0, 15))) % 16
-        if rs_unique_decode(outer, word, 5) == tuple(codeword):
+        if rs_unique_decode(outer, word) == tuple(codeword):
             decoded += 1
     save_report(
         outdir / "ac9_decoder.json",

@@ -319,6 +319,15 @@ def ac3(gf4, gf16):
     return _ac3_code(gf4, gf16)
 
 
+def test_enumeration_cap_is_checked_after_the_words_are_cached(gf4, gf16):
+    code = _ac3_code(gf4, gf16)
+    words = code.enumerate_codewords()
+    assert len(words) == 256
+    with pytest.raises(EnumerationTooLarge):
+        code.enumerate_codewords(cap=10)
+    assert code.enumerate_codewords(cap=256) is words
+
+
 def test_amplification_matches_oracle_on_ac3(ac3):
     report = _assert_amplification_matches_oracle(ac3)
     assert report["pairs_checked"] == 32640

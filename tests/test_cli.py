@@ -403,6 +403,8 @@ def test_probe_bases_are_accepted(workspace, command):
     _probe("build-graph", max_tries=0),
     _probe("build-graph", d=3.0),
     _probe("build-graph", lambda_target="0.9"),
+    _probe("build-graph", lambda_target=float("nan")),
+    _probe("build-graph", lambda_target=-1),
     _probe("build-graph", seed=1.5),
     _probe("build-graph", version=True),
     _probe("build-graph", version=1.0),
@@ -414,22 +416,30 @@ def test_probe_bases_are_accepted(workspace, command):
     _probe("build-outer", field={"p": 4}),
     _probe("build-frs", b="2"),
     _probe("encode", message=["1", 0]),
+    _probe("encode", message=[1]),
+    _probe("encode", message=[999, 0]),
     _probe("verify-eml", seed="x"),
     _probe("verify-inner", subset_cap=0),
     _probe("verify-amplification", report_out=3),
 ], ids=["duplicate-points", "degree-above-n", "field-m0", "parallel-edge-graph-file",
         "k-str", "k-float", "k-bool", "k-zero", "k-negative", "verify-inner-k-zero",
         "build-inner-k-str", "complete-str", "max_tries-str", "max_tries-zero", "d-float",
-        "lambda_target-str", "seed-float", "version-bool", "version-float", "dim-str",
-        "dim-zero", "points-float", "points-outside-field", "field-extra-key", "field-p-not-prime", "b-str",
-        "message-str", "seed-str", "subset_cap-zero", "report_out-int"])
+        "lambda_target-str", "lambda_target-nan", "lambda_target-negative", "seed-float",
+        "version-bool", "version-float", "dim-str", "dim-zero", "points-float",
+        "points-outside-field", "field-extra-key", "field-p-not-prime", "b-str", "message-str",
+        "message-short", "message-outside-field", "seed-str", "subset_cap-zero", "report_out-int"])
 def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload):
-    cfg = _write_config(workspace / "bad.json", payload(workspace))
+    config = payload(workspace)
+    outputs = [Path(v) for key, v in config.items() if key.endswith("_out") and type(v) is str]
+    for out in outputs:
+        out.unlink(missing_ok=True)
+    cfg = _write_config(workspace / "bad.json", config)
     capsys.readouterr()
     assert main([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "error" in captured.err and "Traceback" not in captured.err
+    assert not any(out.exists() for out in outputs)
 
 
 def test_verify_inner(workspace):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,7 +224,7 @@ def test_contains_rejects_symbols_outside_field(gf16):
 def test_contains_agrees_with_enumeration(gf2, gf4):
     # every word of F^n: membership by re-encoding vs the enumerated code
     for code in (
-        sample_random_linear_code(gf2, 5, 2, 11),
+        sample_random_linear_code(gf2, 5, 2, np.random.default_rng(11)),
         RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]),
         LinearCode(make_field(3), [[1, 2, 0], [0, 1, 1]]),
     ):

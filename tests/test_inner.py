@@ -187,7 +187,8 @@ def test_reduced_kernel_matches_oracle_on_closed_sets(gf2, gf4):
     _assert_kernel_matches_oracle(frs_words, 4, closed=True)
     # words longer than one byte lane: two full lanes, three with padding
     for field, length, dim in [(gf2, 16, 4), (gf4, 17, 2), (gf4, 10, 2)]:
-        words = sample_random_linear_code(field, length, dim, 7).enumerate_codewords()
+        words = sample_random_linear_code(
+            field, length, dim, np.random.default_rng(7)).enumerate_codewords()
         assert translation_closed(words, field)
         _assert_kernel_matches_oracle(words, 5, closed=True)
 
@@ -216,7 +217,8 @@ def _shuffled_linear_codes(draw):
     field = make_field(p, m)
     dim = draw(st.integers(1, max_dim))
     length = draw(st.integers(dim, 5))
-    code = sample_random_linear_code(field, length, dim, draw(st.integers(0, 2**32 - 1)))
+    code = sample_random_linear_code(
+        field, length, dim, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     words = code.enumerate_codewords()
     order = draw(st.permutations(range(len(words))))
     return [words[i] for i in order], field
@@ -243,7 +245,7 @@ def test_reduced_sweep_matches_full_sweep_on_acceptance_words(acceptance, key, w
 
 
 def test_translation_closed_rejects_non_groups(gf4):
-    code = sample_random_linear_code(gf4, 4, 2, 3)
+    code = sample_random_linear_code(gf4, 4, 2, np.random.default_rng(3))
     words = code.enumerate_codewords()
     assert translation_closed(words, gf4)
     assert not translation_closed(words[:5] + words[6:], gf4)  # one word removed
@@ -260,7 +262,7 @@ def test_translation_closed_rejects_non_groups(gf4):
 def test_translation_closed_on_nested_and_odd_characteristic_symbols(gf17):
     # base-p digits: GF(9) has two digits per symbol, FRS symbols are tuples
     gf9 = make_field(3, 2)
-    words = sample_random_linear_code(gf9, 3, 1, 5).enumerate_codewords()
+    words = sample_random_linear_code(gf9, 3, 1, np.random.default_rng(5)).enumerate_codewords()
     assert translation_closed(words, gf9)
     assert not translation_closed(words[1:], gf9)
     frs_words = make_folded_rs(gf17, 2, 4, Fraction(1, 4)).codewords()

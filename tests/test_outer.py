@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 
 import aelcert.codes
 from aelcert import make_field, rs_unique_decode
-from aelcert.errors import (
-    AelcertError,
-    DimensionMismatch,
-    FieldMismatch,
-    FieldTooSmall,
-    LengthMismatch,
-    RadiusTooLarge,
-)
+from aelcert.errors import DimensionMismatch, FieldMismatch, FieldTooSmall, LengthMismatch
 from aelcert.outer import RSOuterCode
 from test_codes import solve
 
@@ -61,20 +54,7 @@ def test_encode_dimension_mismatch(rs12):
 def test_decode_uncorrupted(rs12):
     for msg in ([0, 0], [1, 1], [13, 7]):
         cw = rs12.encode(msg)
-        assert rs_unique_decode(rs12, list(cw), 5) == cw
-
-
-def test_decode_radius_too_large(rs12):
-    with pytest.raises(RadiusTooLarge):
-        rs_unique_decode(rs12, [0] * 12, 6)
-
-
-def test_decode_radius_zero_is_membership(rs12):
-    cw = rs12.encode([3, 5])
-    assert rs_unique_decode(rs12, list(cw), 0) == cw
-    bad = list(cw)
-    bad[0] = (bad[0] + 1) % 16
-    assert rs_unique_decode(rs12, bad, 0) is None
+        assert rs_unique_decode(rs12, list(cw)) == cw
 
 
 def test_decode_all_weights_up_to_radius(rs12, gf16):
@@ -86,7 +66,7 @@ def test_decode_all_weights_up_to_radius(rs12, gf16):
         word = list(cw)
         for pos in rng.permutation(12)[:weight]:
             word[pos] = (word[pos] + 1 + int(rng.integers(0, 15))) % 16
-        assert rs_unique_decode(rs12, word, 5) == tuple(cw)
+        assert rs_unique_decode(rs12, word) == tuple(cw)
 
 
 def test_decode_beyond_radius_returns_nearby_codeword(rs12):
@@ -105,14 +85,14 @@ def test_decode_beyond_radius_returns_nearby_codeword(rs12):
     # word is within 12 - 1 - 6 = 5 of cw2 (the pair differ in >= 11 places)
     dist2 = sum(1 for a, b in zip(word, cw2) if a != b)
     assert dist2 <= 5
-    assert rs_unique_decode(rs12, word, 5) == cw2
+    assert rs_unique_decode(rs12, word) == cw2
 
 
 def test_decode_output_is_always_a_codeword(rs12):
     rng = np.random.default_rng(4)
     for trial in range(50):
         word = [int(x) for x in rng.integers(0, 16, 12)]
-        result = rs_unique_decode(rs12, word, 5)
+        result = rs_unique_decode(rs12, word)
         if result is not None:
             assert rs12.contains(result)
             dist = sum(1 for a, b in zip(word, result) if a != b)
@@ -128,8 +108,7 @@ def test_decode_refuses_a_polynomial_of_degree_k(field, n, k):
     # quotient with one coefficient too many
     code = RSOuterCode(field, n, k)
     word = [field.pow(a, k) for a in code.points]
-    for radius in range(code.unique_decoding_radius + 1):
-        assert rs_unique_decode(code, word, radius) is None
+    assert rs_unique_decode(code, word) is None
 
 
 def test_decode_small_code_exhaustive(gf8):
@@ -143,7 +122,7 @@ def test_decode_small_code_exhaustive(gf8):
             word = list(cw)
             for pos in positions:
                 word[pos] = (word[pos] + 1) % 8
-            assert rs_unique_decode(code, word, 2) == cw
+            assert rs_unique_decode(code, word) == cw
 
 
 # -- malformed input is refused before any decoding ---------------------------
@@ -152,36 +131,36 @@ def test_decode_small_code_exhaustive(gf8):
 def test_decode_rejects_a_short_word(rs12):
     word = list(rs12.encode([3, 5]))[:9]
     with pytest.raises(LengthMismatch):
-        rs_unique_decode(rs12, word, 5)
+        rs_unique_decode(rs12, word)
 
 
 def test_decode_rejects_a_negative_symbol(rs12):
     word = list(rs12.encode([3, 5]))
     word[4] = -1
     with pytest.raises(FieldMismatch):
-        rs_unique_decode(rs12, word, 5)
+        rs_unique_decode(rs12, word)
 
 
 def test_decode_rejects_a_symbol_above_the_field(rs12):
     word = list(rs12.encode([3, 5]))
     word[0] = 99
     with pytest.raises(FieldMismatch):
-        rs_unique_decode(rs12, word, 5)
+        rs_unique_decode(rs12, word)
     word[0] = 16
     with pytest.raises(FieldMismatch):
-        rs_unique_decode(rs12, word, 0)
+        rs_unique_decode(rs12, word)
 
 
 def test_decode_rejects_a_fractional_symbol(rs12):
     word = list(rs12.encode([3, 5]))
     word[0] += 0.5  # int() would truncate it back to the codeword's symbol
     with pytest.raises(FieldMismatch):
-        rs_unique_decode(rs12, word, 5)
+        rs_unique_decode(rs12, word)
     word[0] = 3.0  # integral, but still not a field element
     with pytest.raises(FieldMismatch):
-        rs_unique_decode(rs12, word, 5)
+        rs_unique_decode(rs12, word)
     numpy_word = [np.int64(y) for y in rs12.encode([3, 5])]
-    assert rs_unique_decode(rs12, numpy_word, 5) == rs12.encode([3, 5])
+    assert rs_unique_decode(rs12, numpy_word) == rs12.encode([3, 5])
 
 
 @pytest.mark.parametrize("symbol", [None, "3", float("nan")])
@@ -190,25 +169,7 @@ def test_decode_rejects_a_non_numeric_symbol(rs12, symbol):
     word = list(rs12.encode([3, 5]))
     word[2] = symbol
     with pytest.raises(FieldMismatch):
-        rs_unique_decode(rs12, word, 5)
-
-
-def test_decode_rejects_a_negative_radius(rs12):
-    with pytest.raises(AelcertError):
-        rs_unique_decode(rs12, list(rs12.encode([3, 5])), -1)
-
-
-@pytest.mark.parametrize("radius", [2.5, 3.0, True, "3"])
-def test_decode_rejects_a_radius_that_is_not_an_integer(rs12, radius):
-    with pytest.raises(AelcertError, match="not an integer"):
-        rs_unique_decode(rs12, list(rs12.encode([3, 5])), radius)
-
-
-def test_decode_accepts_a_numpy_integer_radius(rs12):
-    cw = rs12.encode([3, 5])
-    word = list(cw)
-    word[1] ^= 1
-    assert rs_unique_decode(rs12, word, np.int64(1)) == cw
+        rs_unique_decode(rs12, word)
 
 
 def _horner(F, p, x):
@@ -275,12 +236,12 @@ _SEARCH_CODES = {
 }
 
 
-def _nearest_within(code, word, radius):
-    """The codeword within `radius` of `word`, by exhaustive search, or None
-    (the radius is at most the unique-decoding radius, so there is at most one)."""
+def _nearest_within(code, word):
+    """The codeword within the unique-decoding radius of `word`, by
+    exhaustive search, or None (there is at most one)."""
     near = [
         cw for cw in code.enumerate_codewords()
-        if sum(1 for a, b in zip(cw, word) if a != b) <= radius
+        if sum(1 for a, b in zip(cw, word) if a != b) <= code.unique_decoding_radius
     ]
     assert len(near) <= 1
     return near[0] if near else None
@@ -291,16 +252,15 @@ def _nearest_within(code, word, radius):
 def test_decode_matches_nearest_codeword_search(data):
     code = _SEARCH_CODES[data.draw(st.sampled_from(sorted(_SEARCH_CODES)))]
     q, n = code.field.q, code.n
-    radius = data.draw(st.integers(0, code.unique_decoding_radius))
     msg = data.draw(st.lists(st.integers(0, q - 1), min_size=code.dim, max_size=code.dim))
     word = list(code.encode(msg))
-    # weights up to radius + 1: the last one is beyond the radius, where the
-    # decoder must return another codeword within it or nothing
-    weight = data.draw(st.integers(0, radius + 1))
+    # weights up to n - k: past the radius the decoder must return another
+    # codeword within it or nothing
+    weight = data.draw(st.integers(0, n - code.dim))
     positions = data.draw(st.permutations(range(n)))[:weight]
     for pos in positions:
         word[pos] = (word[pos] + data.draw(st.integers(1, q - 1))) % q
-    assert rs_unique_decode(code, word, radius) == _nearest_within(code, word, radius)
+    assert rs_unique_decode(code, word) == _nearest_within(code, word)
 
 
 # -- against Berlekamp-Welch, on codes too large to search --------------------
@@ -369,8 +329,8 @@ def test_decode_matches_berlekamp_welch_oracle(data):
     weight = data.draw(st.integers(0, n - k))
     for pos in data.draw(st.permutations(range(n)))[:weight]:
         word[pos] = (word[pos] + data.draw(st.integers(1, q - 1))) % q
-    radius = data.draw(st.integers(0, code.unique_decoding_radius))
+    radius = code.unique_decoding_radius
     expected = berlekamp_welch(code, word, radius)
-    assert rs_unique_decode(code, word, radius) == expected
+    assert rs_unique_decode(code, word) == expected
     if weight <= radius:
         assert expected == code.encode(msg)

@@ -78,7 +78,7 @@ def _full_scan_oracle(code, weights):
     for j, theta in enumerate(_threshold_endpoints_oracle(weights)):
         picks = _round_at_oracle(weights, theta)
         f_star = [code.inner_index_to_outer_symbol(i) for i in picks]
-        h_star = rs_unique_decode(outer, f_star, outer.unique_decoding_radius)
+        h_star = rs_unique_decode(outer, f_star)
         if h_star is None:
             continue
         inner_indices = [code.outer_symbol_to_inner_index(s) for s in h_star]
