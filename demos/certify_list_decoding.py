@@ -51,7 +51,7 @@ if report["empirical_pass"]:
 
 # threshold rounding: recover a codeword from soft per-vertex weights
 target = code.encode_message([2, 6])
-picks = [code.outer_symbol_to_inner_index(s) for s in code.decode_to_outer(target)]
+picks = list(code.decode_to_outer(target))
 m = code.inner.size
 weights = []
 for idx in picks:

@@ -31,20 +31,22 @@ from .graphs import BipartiteGraph, verify_eml_sets
 
 class AELCode:
     """
-    Composite (G, C_out, C_in, phi) code.
+    Composite (G, C_out, C_in) code.  phi is part of the construction, not
+    a parameter: it sends outer symbol sigma (an integer representative of
+    the outer field) to the sigma-th inner codeword in message order, so an
+    outer symbol is its inner codebook index.
 
-    phi maps outer-alphabet symbols (integer representatives of the outer
-    field) to inner codewords.  The default is message-lexicographic: symbol
-    sigma maps to the sigma-th inner codeword in lexicographic message order.
+    phi is GF(p)-linear, so the AEL code is too.  The constructor fixes
+    q_out = |C_in| = q_in^dim, so both fields have characteristic p, and
+    both add their integer representatives digit by digit in base p.  The
+    sigma-th message in `itertools.product` order has the base-q_in digits
+    of sigma as its symbols, so sigma's base-p digits are its message's
+    digits, and outer addition is message addition.  Inner encoding is
+    linear, so phi(sigma + tau) = phi(sigma) + phi(tau).  Nothing relies on
+    this: `translation_closed` still checks closure on the words.
     """
 
-    def __init__(
-        self,
-        graph: BipartiteGraph,
-        inner: LinearCode,
-        outer: LinearCode,
-        phi: list | None = None,
-    ):
+    def __init__(self, graph: BipartiteGraph, inner: LinearCode, outer: LinearCode):
         if inner.n != graph.d:
             raise GraphMismatch(
                 f"inner block length {inner.n} != graph degree {graph.d}"
@@ -58,18 +60,8 @@ class AELCode:
         self.graph = graph
         self.inner = inner
         self.outer = outer
-        inner_words = inner.enumerate_codewords()
-        if phi is None:
-            phi = list(inner_words)
-        self.phi = [tuple(w) for w in phi]
-        if sorted(self.phi) != sorted(inner_words) or len(set(self.phi)) != len(
-            self.phi
-        ):
-            raise ValueError("phi is not a bijection onto the inner codebook")
+        self.phi = inner.enumerate_codewords()
         self._phi_inv = {w: sigma for sigma, w in enumerate(self.phi)}
-        inner_index = {w: i for i, w in enumerate(inner_words)}
-        self._symbol_of_index = [self._phi_inv[w] for w in inner_words]
-        self._index_of_symbol = [inner_index[w] for w in self.phi]
         self._codewords: list[tuple] | None = None
 
     @property
@@ -118,12 +110,9 @@ class AELCode:
         edge_vals[self.graph.route] = word
         return edge_vals
 
-    def inner_index_to_outer_symbol(self, i: int) -> int:
-        """Codebook index (message-lex order of C_in) -> outer symbol via phi^{-1}."""
-        return self._symbol_of_index[i]
-
     def outer_symbol_to_inner_index(self, sigma: int) -> int:
-        return self._index_of_symbol[sigma]
+        """The inner codebook index of phi(sigma): sigma itself."""
+        return sigma
 
     def decode_to_outer(self, word) -> tuple:
         """phi^{-1} applied to every left view; raises KeyError off-codebook."""
@@ -139,8 +128,13 @@ class AELCode:
     # -- metrics ---------------------------------------------------------------
 
     def _check(self, word) -> None:
-        if len(word) != self.n or any(len(t) != self.d for t in word if t is not ERASED):
+        """GraphMismatch unless the word is n symbols, each erased or d entries in [0, q_in)."""
+        symbols = [t for t in word if t is not ERASED]
+        if len(word) != self.n or any(len(t) != self.d for t in symbols):
             raise GraphMismatch("word shape does not match the graph")
+        entries = set().union(*symbols)
+        if entries and not (0 <= min(entries) and max(entries) < self.inner.field.q):
+            raise GraphMismatch(f"word has an entry outside [0, {self.inner.field.q})")
 
     def delta_L(self, w1, w2) -> Fraction:
         """Fraction of left vertices whose full d-symbol view differs."""

@@ -80,8 +80,8 @@ def translation_closed(words, field) -> bool:
     as base-p digits, so words are vectors over GF(p).  Distinct words W lie
     in their GF(p)-span, which has p^rank elements, and a group is its own
     span (c*w is w added c times), so W is a group iff |W| = p^rank.  The
-    rank is over GF(p), not GF(q): an additive phi keeps AEL words closed
-    under addition without making them GF(q)-linear.  Repeated digit
+    rank is over GF(p), not GF(q): AEL words, whose phi is GF(p)-linear,
+    are closed under addition but need not be GF(q)-linear.  Repeated digit
     columns, which leave the rank alone, are dropped first.  A symbol
     outside [0, q), a repeated word or no field gives False.
     """

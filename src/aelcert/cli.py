@@ -98,13 +98,21 @@ def _parse_field(value) -> Field:
         raise ConfigInvalid(str(exc)) from None
 
 
+def _fraction_of_n(value) -> Fraction:
+    """A fraction of the block length: an exact fraction in [0, 1]."""
+    if not 0 <= (frac := aio.parse_frac(value)) <= 1:
+        raise ConfigInvalid(f"expected a fraction in [0, 1], got {value!r}")
+    return frac
+
+
 # config key -> parser; a key has one type in every subcommand
 _KEY_TYPES = {
     **dict.fromkeys(("k", "n", "d", "b", "length", "dim", "trials", "max_tries",
                      "subset_cap"), _size),
     **dict.fromkeys(("seed", "errors", "erasures"),
                     _typed(lambda v: type(v) is int and v >= 0, "an integer >= 0")),
-    **dict.fromkeys(("delta0", "eps_target", "eps", "rho", "beta"), aio.parse_frac),
+    **dict.fromkeys(("eps_target", "eps", "rho"), aio.parse_frac),
+    **dict.fromkeys(("delta0", "beta"), _fraction_of_n),
     **dict.fromkeys(("message", "points", "alphas"), _typed(
         lambda v: type(v) is list and all(type(x) is int and x >= 0 for x in v),
         "a list of integers >= 0")),

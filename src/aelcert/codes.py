@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import (
@@ -74,11 +75,17 @@ class LinearCode:
             raise DimensionMismatch("ragged generator matrix")
         if any(x >= field.q or x < 0 for row in self.generator for x in row):
             raise FieldMismatch("generator entry outside field")
-        # kept: contains() re-encodes words through the reduced rows
-        self._reduced, self._pivots = rref(field, self.generator)
-        if len(self._reduced) != self.dim:
+        if not self._full_rank():
             raise DimensionMismatch("generator matrix is not full row rank")
         self._codewords: list[tuple[int, ...]] | None = None
+
+    def _full_rank(self) -> bool:
+        return len(self._echelon[0]) == self.dim
+
+    @cached_property
+    def _echelon(self) -> tuple[list[list[int]], list[int]]:
+        # (reduced rows, pivot columns): contains() re-encodes through them
+        return rref(self.field, self.generator)
 
     @property
     def rate(self) -> Fraction:
@@ -127,7 +134,8 @@ class LinearCode:
             raise LengthMismatch(f"word length {len(word)} != n {self.n}")
         if any(not 0 <= x < self.field.q for x in word):
             return False
-        return self._combine([word[p] for p in self._pivots], self._reduced) == word
+        reduced, pivots = self._echelon
+        return self._combine([word[p] for p in pivots], reduced) == word
 
     def min_distance(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
         """Minimum fractional distance; by linearity the minimum nonzero weight."""

@@ -19,13 +19,15 @@ from .arld import (
     epsilon_min,
     intern_symbols,
     min_disagreement_by_size,
+    pair_disagreements,
     plurality_center,
     subset_search_count,
     translation_closed,
 )
-from .codes import ERASED, ErasedWord, LinearCode, pairwise_min_distance
+from .codes import ERASED, ErasedWord, LinearCode
 from .errors import (
     DimensionMismatch,
+    EmptySet,
     EnumerationTooLarge,
     FieldTooSmall,
     NotAppropriate,
@@ -279,8 +281,11 @@ class BlockCode:
         self.field = field
 
     def min_distance(self) -> Fraction:
-        """Minimum pairwise distance by direct enumeration over all pairs."""
-        return pairwise_min_distance(self.codewords)
+        """Minimum pairwise distance, from the `pair_disagreements` counts."""
+        if len(self.codewords) < 2:
+            raise EmptySet("need at least two codewords")
+        dist = pair_disagreements(intern_symbols(self.codewords)[0])
+        return Fraction(int(dist[np.triu_indices(len(dist), k=1)].min()), self.n)
 
     def __len__(self) -> int:
         return len(self.codewords)

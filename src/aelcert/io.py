@@ -185,7 +185,11 @@ def save_bundle(path, graph_file: str, inner_file: str, outer_file: str) -> None
 
 
 def load_bundle(path) -> AELCode:
+    """The AEL code a bundle names.  `phi` must be "lexicographic", the one
+    symbol map an `AELCode` has; any other value raises ConfigInvalid."""
     rec = _load_kind(path, "ael_bundle")
+    if rec["phi"] != "lexicographic":
+        raise ConfigInvalid(f"{path}: phi {rec['phi']!r} is not \"lexicographic\"")
     base = Path(path).parent
     graph = load_graph(base / rec["graph_file"])
     inner = load_code(base / rec["inner_file"])
@@ -204,10 +208,16 @@ def save_word(path, word) -> None:
 
 
 def load_word(path) -> ErasedWord:
+    """The word at `path`: each symbol null (erased) or a list of JSON ints
+    (bools refused); anything else raises ConfigInvalid."""
     rec = _load_kind(path, "word")
-    return ErasedWord(
-        tuple(ERASED if sym is None else tuple(sym) for sym in rec["symbols"])
-    )
+    symbols = rec["symbols"]
+    if type(symbols) is not list or not all(
+        sym is None or (type(sym) is list and all(type(x) is int for x in sym))
+        for sym in symbols
+    ):
+        raise ConfigInvalid(f"{path}: symbols must be null or lists of integers")
+    return ErasedWord(tuple(ERASED if sym is None else tuple(sym) for sym in symbols))
 
 
 # -- certificates and reports ----------------------------------------------------

@@ -32,6 +32,7 @@ def brute_force_list(code: AELCode, center, beta: Fraction):
     center = center if isinstance(center, ErasedWord) else ErasedWord(center)
     if center.n != code.n:
         raise LengthMismatch("length mismatch with graph size")
+    code._check(center.symbols)  # the words `decode` refuses
     limit = math.floor(Fraction(beta) * code.n)
     kept = [(r, g) for r, g in enumerate(center.symbols) if g is not ERASED]
     words = code.enumerate_codewords()

@@ -20,7 +20,11 @@ from .gf import Field
 
 
 class RSOuterCode(LinearCode):
-    """Evaluation-encoded RS code over distinct points."""
+    """Evaluation-encoded RS code over distinct points.
+
+    Its generator is the dim x n Vandermonde matrix of the points, so its
+    rank follows from a theorem and no elimination runs: distinct points
+    give full row rank exactly when 1 <= dim <= n."""
 
     def __init__(self, field: Field, n: int, dim: int, points=None):
         if points is None:
@@ -36,6 +40,9 @@ class RSOuterCode(LinearCode):
         super().__init__(field, generator)
         self.points = tuple(points)
         self._interp: tuple[list[int], list[list[int]]] | None = None
+
+    def _full_rank(self) -> bool:
+        return self.dim <= self.n
 
     def _interpolation_table(self) -> tuple[list[int], list[list[int]]]:
         """(g0, basis): g0 = prod (x - a) over the points, and per point a

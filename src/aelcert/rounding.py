@@ -18,17 +18,18 @@ from itertools import accumulate
 import numpy as np
 
 from .ael import AELCode
-from .codes import ERASED
+from .codes import ERASED, hamming_distance
 from .errors import AelcertError
 from .outer import RSOuterCode, rs_unique_decode
 
 
 @dataclass
 class InnerDistributionEnsemble:
-    """Per left vertex, a probability vector over the M inner codewords
-    (indexed in the fixed codebook order).  Weights are exact Fractions;
+    """Per left vertex, a probability vector over the M inner codewords,
+    indexed by outer symbol: entry sigma is the weight of phi(sigma), the
+    sigma-th codeword in the codebook order.  Weights are exact Fractions;
     `counts` are the weights times `scale`, the lcm of their denominators,
-    and codebook index i of row l owns [ends[l][i-1], ends[l][i]) / scale."""
+    and symbol sigma of row l owns [ends[l][sigma-1], ends[l][sigma]) / scale."""
 
     weights: list[list[Fraction]]
 
@@ -56,16 +57,16 @@ class InnerDistributionEnsemble:
         return len(self.weights[0])
 
     def round_at(self, theta: Fraction) -> list[int]:
-        """Codebook index per left vertex: the interval containing theta, or
-        the last index when no interval does (theta < 0 or theta >= 1)."""
+        """Outer symbol per left vertex: the interval containing theta, or
+        the last symbol when no interval does (theta < 0 or theta >= 1)."""
         t = math.floor(Fraction(theta) * self.scale)
         if t < 0:
             t = self.scale
         return [min(bisect_right(ends, t), len(ends) - 1) for ends in self.ends]
 
-    def expected_disagreement(self, inner_indices) -> Fraction:
-        """E_l E_{f~D_l}[1{f != given inner codeword index at l}]."""
-        agree = sum(self.counts[l][idx] for l, idx in enumerate(inner_indices))
+    def expected_disagreement(self, symbols) -> Fraction:
+        """E_l E_{f~D_l}[1{f != phi(symbols[l])}]."""
+        agree = sum(self.counts[l][sigma] for l, sigma in enumerate(symbols))
         return Fraction(self.n * self.scale - agree, self.n * self.scale)
 
 
@@ -98,20 +99,15 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
         raise ValueError("ensemble shape does not match the AEL code")
     delta_dec = outer.delta_dec
     for theta in threshold_endpoints(ensemble):
-        picks = ensemble.round_at(theta)
-        f_star = [code.inner_index_to_outer_symbol(i) for i in picks]
-        h_star = rs_unique_decode(outer, f_star)
-        if h_star is None:
-            continue
-        inner_indices = [code.outer_symbol_to_inner_index(sigma) for sigma in h_star]
-        if ensemble.expected_disagreement(inner_indices) <= delta_dec:
+        h_star = rs_unique_decode(outer, ensemble.round_at(theta))
+        if h_star is not None and ensemble.expected_disagreement(h_star) <= delta_dec:
             return code.encode(h_star)
     return None
 
 
 def local_views_to_distributions(code: AELCode, word) -> InnerDistributionEnsemble:
     """Uniform distribution over the nearest inner codewords per left view."""
-    codebook = np.array(code.inner.enumerate_codewords())  # (M, d)
+    codebook = np.array(code.phi)  # (M, d)
     views = np.array(code.left_views(word))  # (n, d)
     dists = (views[:, None, :] != codebook[None, :, :]).sum(axis=2)  # (n, M)
     nearest = (dists == dists.min(axis=1, keepdims=True)).tolist()
@@ -140,4 +136,4 @@ def ael_unique_decode(code: AELCode, word):
     h = decode_from_distributions(code, ensemble)
     if h is None:
         return None
-    return h, code.delta_R(tuple(word), h)
+    return h, hamming_distance(word, h)  # the word's shape is checked above

@@ -59,7 +59,7 @@ def planted_weights(code, rng):
     words = code.enumerate_codewords()
     m_inner = code.inner.size
     h = words[rng.integers(0, len(words))]
-    picks = [code.outer_symbol_to_inner_index(s) for s in code.decode_to_outer(h)]
+    picks = list(code.decode_to_outer(h))
     budget = code.outer.delta_dec * code.n
     weights = []
     for l in range(code.n):

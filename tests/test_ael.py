@@ -1,6 +1,7 @@
 """Edge-routed code composition, fold/unfold, metrics, distance amplification."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -118,11 +119,19 @@ def test_fold_unfold_all_codewords(instance12):
         assert instance12.fold(instance12.unfold(word)) == word
 
 
-def test_phi_is_a_bijection(instance12):
-    n_symbols = instance12.outer.field.q
-    images = {instance12.phi[s] for s in range(n_symbols)}
-    assert len(images) == n_symbols
-    assert images == set(instance12.inner.enumerate_codewords())
+def test_phi_is_the_codebook_order_and_additive(instance12):
+    # phi(sigma) encodes the sigma-th message in lexicographic order, and
+    # phi(sigma + tau) = phi(sigma) + phi(tau) for all 16 x 16 pairs
+    inner, F_out = instance12.inner, instance12.outer.field
+    F_in = inner.field
+    messages = list(product(range(F_in.q), repeat=inner.dim))
+    assert len(instance12.phi) == len(messages) == F_out.q
+    for sigma, msg in enumerate(messages):
+        assert instance12.phi[sigma] == inner.encode(msg)
+        assert instance12.outer_symbol_to_inner_index(sigma) == sigma
+    for sigma, tau in product(range(F_out.q), repeat=2):
+        total = tuple(F_in.add(a, b) for a, b in zip(instance12.phi[sigma], instance12.phi[tau]))
+        assert instance12.phi[F_out.add(sigma, tau)] == total
 
 
 def test_metrics_identical_words(instance12):

@@ -20,7 +20,8 @@ def _write_config(path, payload):
 
 @pytest.fixture
 def workspace(tmp_path):
-    """Built graph + inner + outer + bundle, ready for downstream commands."""
+    """Built graph + inner + outer + bundle, and the codeword of message
+    [1, 0] in word.json, ready for downstream commands."""
     def cfg(name, payload):
         return _write_config(tmp_path / name, payload)
 
@@ -43,6 +44,10 @@ def workspace(tmp_path):
         "inner_file": str(tmp_path / "inner_code.json"),
         "outer_file": str(tmp_path / "outer_code.json"),
         "bundle_out": str(tmp_path / "bundle.json"),
+    })]) == 0
+    assert main(["encode", "--config", cfg("enc.json", {
+        "version": 1, "bundle_file": str(tmp_path / "bundle.json"),
+        "message": [1, 0], "word_out": str(tmp_path / "word.json"),
     })]) == 0
     return tmp_path
 
@@ -357,11 +362,56 @@ _ACCEPTED = {
         "delta0": "1/2", "certificate_out": str(tmp / "vi_cert.json")},
     "verify-amplification": lambda tmp: {
         "version": 1, "bundle_file": str(tmp / "bundle.json")},
+    "corrupt": lambda tmp: {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "word_file": str(tmp / "word.json"), "seed": 3, "errors": 1,
+        "word_out": str(tmp / "c.json")},
+    "decode": lambda tmp: {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "word_file": str(tmp / "word.json")},
+    "list-decode": lambda tmp: {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "word_file": str(tmp / "word.json"), "beta": "1/2"},
 }
 
 
 def _probe(command, **changes):
     return command, lambda tmp: {**_ACCEPTED[command](tmp), **changes}
+
+
+def _word_probe(command, mangle):
+    """`command` on the workspace word after `mangle` rewrites its symbols."""
+    def payload(tmp):
+        rec = load_artifact(tmp / "word.json")
+        rec["symbols"] = mangle(rec["symbols"])
+        (tmp / "mangled.json").write_text(json.dumps(rec))
+        return {**_ACCEPTED[command](tmp), "word_file": str(tmp / "mangled.json")}
+    return command, payload
+
+
+def _bundle_probe(command, phi):
+    """`command` on the workspace bundle with its `phi` field set to `phi`."""
+    def payload(tmp):
+        rec = load_artifact(tmp / "bundle.json")
+        rec["phi"] = phi
+        (tmp / "bundle.json").write_text(json.dumps(rec))
+        return _ACCEPTED[command](tmp)
+    return command, payload
+
+
+_WORD_COMMANDS = ("corrupt", "decode", "list-decode")
+# word files `load_word` refuses (exit 2), and well-formed ones whose
+# symbols do not fit the code (exit 1)
+_UNREADABLE_WORDS = {
+    "int-symbols": lambda symbols: [0] * len(symbols),
+    "float-entry": lambda symbols: [[0.5, 0, 0, 0]] + symbols[1:],
+    "bool-entry": lambda symbols: [[True, 0, 0, 0]] + symbols[1:],
+    "symbols-not-a-list": lambda symbols: "0000",
+}
+_MISFIT_WORDS = {
+    "entry-outside-field": lambda symbols: [[99, 99, 99, 99]] + symbols[1:],
+    "narrow-symbols": lambda symbols: [sym[:3] for sym in symbols],
+}
 
 
 @pytest.mark.parametrize("command", sorted(_ACCEPTED))
@@ -421,13 +471,25 @@ def test_probe_bases_are_accepted(workspace, command):
     _probe("verify-eml", seed="x"),
     _probe("verify-inner", subset_cap=0),
     _probe("verify-amplification", report_out=3),
+    _probe("list-decode", beta="-1/2"),
+    _probe("list-decode", beta="3"),
+    ("verify-singleton", lambda tmp: {
+        "version": 1, "bundle_file": str(tmp / "bundle.json"),
+        "k": 3, "delta0": "-1", "eps": "1/4"}),
+    _probe("verify-inner", delta0="3/2"),
+    *[_word_probe(command, mangle) for command in _WORD_COMMANDS
+      for mangle in _UNREADABLE_WORDS.values()],
+    _bundle_probe("decode", "random"),
 ], ids=["duplicate-points", "degree-above-n", "field-m0", "parallel-edge-graph-file",
         "k-str", "k-float", "k-bool", "k-zero", "k-negative", "verify-inner-k-zero",
         "build-inner-k-str", "complete-str", "max_tries-str", "max_tries-zero", "d-float",
         "lambda_target-str", "lambda_target-nan", "lambda_target-negative", "seed-float",
         "version-bool", "version-float", "dim-str", "dim-zero", "points-float",
         "points-outside-field", "field-extra-key", "field-p-not-prime", "b-str", "message-str",
-        "message-short", "message-outside-field", "seed-str", "subset_cap-zero", "report_out-int"])
+        "message-short", "message-outside-field", "seed-str", "subset_cap-zero", "report_out-int",
+        "beta-negative", "beta-above-1", "delta0-negative", "delta0-above-1",
+        *[f"{command}-{name}" for command in _WORD_COMMANDS for name in _UNREADABLE_WORDS],
+        "phi-random"])
 def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload):
     config = payload(workspace)
     outputs = [Path(v) for key, v in config.items() if key.endswith("_out") and type(v) is str]
@@ -440,6 +502,20 @@ def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload
     assert "PASS" not in captured.out
     assert "error" in captured.err and "Traceback" not in captured.err
     assert not any(out.exists() for out in outputs)
+
+
+@pytest.mark.parametrize("name", sorted(_MISFIT_WORDS))
+@pytest.mark.parametrize("command", _WORD_COMMANDS)
+def test_word_that_does_not_fit_the_code_exits_1(workspace, capsys, command, name):
+    # `list-decode` and `corrupt` refuse what `decode` refuses
+    _, payload = _word_probe(command, _MISFIT_WORDS[name])
+    config = payload(workspace)
+    capsys.readouterr()
+    assert main([command, "--config", _write_config(workspace / "misfit.json", config)]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "error: word" in captured.err and "Traceback" not in captured.err
+    assert not (workspace / "c.json").exists()
 
 
 def test_verify_inner(workspace):

@@ -39,6 +39,7 @@ from aelcert.errors import (
     SubsetEnumerationTooLarge,
     SubsetSizeTooLarge,
 )
+from aelcert.codes import pairwise_min_distance
 from aelcert.inner import BlockCode
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
@@ -621,3 +622,24 @@ def test_block_code_distance():
     code = BlockCode([(0, 0), (0, 1), (1, 1)])
     assert code.min_distance() == Fraction(1, 2)
     assert len(code) == 3
+
+
+@pytest.mark.parametrize("n,rho", [(4, Fraction(1, 4)), (8, Fraction(1, 8))])
+def test_block_code_distance_matches_pairwise_oracle_on_frs(gf17, n, rho):
+    block = make_folded_rs(gf17, 2, n, rho).as_block_code()
+    assert block.min_distance() == pairwise_min_distance(block.codewords)
+
+
+def test_block_code_distance_matches_pairwise_oracle_on_random_tuple_words():
+    # few symbols over a small alphabet, so repeated words (distance 0) and
+    # near neighbours both occur
+    rng = np.random.default_rng(283)
+    for _ in range(40):
+        m, n, width = (int(x) for x in rng.integers(2, [30, 7, 4]))
+        words = [
+            tuple(tuple(int(x) for x in rng.integers(0, 2, width)) for _ in range(n))
+            for _ in range(m)
+        ]
+        assert BlockCode(words).min_distance() == pairwise_min_distance(words)
+    with pytest.raises(EmptySet):
+        BlockCode([((0, 1),)]).min_distance()

@@ -111,6 +111,33 @@ def test_bundle_round_trip(tmp_path, gf4, gf16):
     assert code.encode_message([1, 0]) == direct.encode_message([1, 0])
 
 
+@pytest.mark.parametrize("phi", ["random", None, 0, "absent"])
+def test_bundle_with_another_phi_rejected(tmp_path, phi):
+    # the AEL code has one symbol map; a bundle naming another is refused
+    save_graph(tmp_path / "graph.json", random_regular_bipartite(12, 4, seed=7, lam_target=0.95))
+    save_code(tmp_path / "inner.json", RSOuterCode(make_field(2, 2), 4, 2, points=[0, 1, 2, 3]))
+    save_code(tmp_path / "outer.json", RSOuterCode(make_field(2, 4), 12, 2))
+    save_bundle(tmp_path / "bundle.json", "graph.json", "inner.json", "outer.json")
+    rec = load_artifact(tmp_path / "bundle.json")
+    if phi == "absent":
+        del rec["phi"]
+    else:
+        rec["phi"] = phi
+    (tmp_path / "bundle.json").write_text(json.dumps(rec))
+    with pytest.raises(ConfigInvalid, match="phi"):
+        load_bundle(tmp_path / "bundle.json")
+
+
+@pytest.mark.parametrize("symbols", [
+    [0, 1], [[0.5, 0]], [[True, 0]], [["0", 0]], [[0, None]], "00", None,
+])
+def test_word_with_a_malformed_symbol_rejected(tmp_path, symbols):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps({"kind": "word", "version": 1, "symbols": symbols}))
+    with pytest.raises(ConfigInvalid):
+        load_word(path)
+
+
 def test_word_round_trip_with_erasures(tmp_path):
     word = [(0, 1, 2, 3), ERASED, (1, 1, 1, 1)]
     save_word(tmp_path / "word.json", word)

@@ -7,11 +7,13 @@ import pytest
 
 from aelcert import (
     AELCode,
+    BlockCode,
     ERASED,
     ErasedWord,
     brute_force_list,
     common_error_fraction,
     complete_bipartite,
+    min_arld_slack,
     partition_profile,
     plurality_center,
     random_regular_bipartite,
@@ -23,6 +25,7 @@ from aelcert import (
 from aelcert.errors import (
     DuplicateCodewords,
     EnumerationTooLarge,
+    GraphMismatch,
     LengthMismatch,
     PrerequisiteNotVerified,
     SubsetTooSmall,
@@ -77,6 +80,16 @@ def test_list_rejects_a_center_of_the_wrong_length(instance12):
         brute_force_list(instance12, ErasedWord((ERASED,) * 11), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("bend", [
+    lambda t: t[:3], lambda t: t + (0,), lambda t: (99,) * 4, lambda t: (-1, 0, 0, 0),
+], ids=["narrow", "wide", "entry-above-q", "entry-negative"])
+def test_list_rejects_what_unique_decoding_rejects(instance12, bend):
+    # the center of `decode`'s shape check: n symbols of d entries in GF(4)
+    h = instance12.encode_message([3, 3])
+    with pytest.raises(GraphMismatch):
+        brute_force_list(instance12, (bend(h[0]), ERASED) + h[2:], Fraction(1, 2))
+
+
 def test_singleton_k1_trivial(instance12):
     report = verify_generalized_singleton(instance12, 1, Fraction(1, 2), 0)
     assert report["empirical_pass"]
@@ -111,17 +124,26 @@ def test_singleton_report_counts_the_reduced_sweep(acceptance):
     assert report["subsets_examined"] == subset_search_count(256, 4)
 
 
-def test_singleton_without_additive_phi_sweeps_in_full(instance12):
-    # swapping two inner codewords in phi breaks additivity, so the AEL
-    # words are no longer a group, and the sweep is not reduced
-    phi = list(instance12.phi)
-    phi[1], phi[2] = phi[2], phi[1]
-    code = AELCode(instance12.graph, instance12.inner, instance12.outer, phi)
-    words = code.enumerate_codewords()
-    assert not translation_closed(words, code.inner.field)
-    report = verify_generalized_singleton(code, 3, Fraction(1, 2), Fraction(0))
-    assert report["reduction"] == "none"
-    assert report["subsets_evaluated"] == report["subsets_examined"]
+@pytest.mark.parametrize("which", ["instance12", "ac4"])
+def test_ael_words_are_translation_closed(instance12, acceptance, which):
+    # phi is GF(p)-linear, so the AEL words form a group under addition
+    code = instance12 if which == "instance12" else acceptance["ac4"]["ael"]
+    assert translation_closed(code.enumerate_codewords(), code.inner.field)
+
+
+def test_word_set_that_is_not_a_group_sweeps_in_full(instance12):
+    # the AEL words with phi(1) and phi(2) swapped: no longer closed under
+    # addition, so the sweep is not reduced
+    swap = {1: 2, 2: 1}
+    words = [
+        instance12.fold([x for s in h for x in instance12.phi[swap.get(s, s)]])
+        for h in instance12.outer.enumerate_codewords()
+    ]
+    field = instance12.inner.field
+    assert not translation_closed(words, field)
+    cert = min_arld_slack(BlockCode(words, field), 3, Fraction(1, 2))
+    assert cert.reduction == "none"
+    assert cert.subsets_evaluated == cert.subsets_examined == subset_search_count(256, 3)
 
 
 def test_list_size_corollary(instance12):

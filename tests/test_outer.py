@@ -51,6 +51,25 @@ def test_encode_dimension_mismatch(rs12):
         rs12.encode([1, 2, 3])
 
 
+@pytest.mark.parametrize("dim", [0, -1, 5, 17])
+def test_dimension_outside_1_to_n_is_refused(gf16, dim):
+    with pytest.raises(DimensionMismatch):
+        RSOuterCode(gf16, 4, dim)
+
+
+def test_contains_row_reduces_once_on_first_call(gf16, monkeypatch):
+    # the rank comes from the theorem; `contains` builds its reduced rows
+    # on its first call and keeps them
+    rref, calls = aelcert.codes.rref, []
+    monkeypatch.setattr(aelcert.codes, "rref",
+                        lambda field, rows: calls.append(len(rows)) or rref(field, rows))
+    code = RSOuterCode(gf16, 6, 3)
+    assert calls == []
+    cw = code.encode([1, 2, 3])
+    assert code.contains(cw) and not code.contains(cw[:-1] + ((cw[-1] + 1) % 16,))
+    assert calls == [3]
+
+
 def test_decode_uncorrupted(rs12):
     for msg in ([0, 0], [1, 1], [13, 7]):
         cw = rs12.encode(msg)
@@ -201,20 +220,24 @@ def test_interpolation_table_is_built_on_first_decode():
             ]
 
 
-def test_decode_never_row_reduces(rs12, monkeypatch):
-    def no_rref(*args, **kwargs):
-        raise AssertionError("rs_unique_decode called codes.rref")
+def _no_rref(*args, **kwargs):
+    raise AssertionError("called codes.rref")
 
+
+def test_decode_never_row_reduces(rs12, monkeypatch):
     cw = rs12.encode([9, 4])
     word = list(cw)
     for pos in (0, 3, 7, 11):
         word[pos] ^= 5
-    monkeypatch.setattr(aelcert.codes, "rref", no_rref)
+    monkeypatch.setattr(aelcert.codes, "rref", _no_rref)
     assert rs_unique_decode(rs12, word) == cw
     assert rs_unique_decode(rs12, [0, 1] * 6) is None
 
 
-def test_decode_rs255_223_with_16_errors():
+def test_decode_rs255_223_with_16_errors(monkeypatch):
+    # an RS generator has full rank by theorem, so neither building the
+    # code nor decoding row-reduces
+    monkeypatch.setattr(aelcert.codes, "rref", _no_rref)
     code = RSOuterCode(make_field(2, 8), 255, 223)
     assert code.unique_decoding_radius == 16
     rng = np.random.default_rng(255)

@@ -63,10 +63,10 @@ def _threshold_endpoints_oracle(weights):
     return sorted(points)
 
 
-def _expected_disagreement_oracle(weights, inner_indices):
+def _expected_disagreement_oracle(weights, symbols):
     total = Fraction(0)
-    for l, idx in enumerate(inner_indices):
-        total += 1 - weights[l][idx]
+    for l, sigma in enumerate(symbols):
+        total += 1 - weights[l][sigma]
     return total / len(weights)
 
 
@@ -76,13 +76,10 @@ def _full_scan_oracle(code, weights):
     outer = code.outer
     found = []
     for j, theta in enumerate(_threshold_endpoints_oracle(weights)):
-        picks = _round_at_oracle(weights, theta)
-        f_star = [code.inner_index_to_outer_symbol(i) for i in picks]
-        h_star = rs_unique_decode(outer, f_star)
+        h_star = rs_unique_decode(outer, _round_at_oracle(weights, theta))
         if h_star is None:
             continue
-        inner_indices = [code.outer_symbol_to_inner_index(s) for s in h_star]
-        if _expected_disagreement_oracle(weights, inner_indices) <= outer.delta_dec:
+        if _expected_disagreement_oracle(weights, h_star) <= outer.delta_dec:
             h = code.encode(h_star)
             if all(h != g for _, g in found):
                 found.append((j, h))
@@ -104,7 +101,7 @@ def _local_views_oracle(code, word):
 
 
 def _point_mass_ensemble(code, word):
-    picks = [code.outer_symbol_to_inner_index(s) for s in code.decode_to_outer(word)]
+    picks = list(code.decode_to_outer(word))
     m = code.inner.size
     weights = []
     for idx in picks:
@@ -307,7 +304,7 @@ def _ensemble_rows(draw, code):
     words = code.enumerate_codewords()
     m = code.inner.size
     h = words[draw(st.integers(0, len(words) - 1))]
-    picks = [code.outer_symbol_to_inner_index(s) for s in code.decode_to_outer(h)]
+    picks = list(code.decode_to_outer(h))
     family = draw(st.sampled_from(["point", "planted", "ties", "decoy", "random"]))
     budget = code.outer.delta_dec * code.n * draw(st.sampled_from([1, 2]))
     index = st.integers(0, m - 1)
@@ -379,10 +376,7 @@ def test_ambiguous_ensemble_fails(instance12):
 def test_local_views_point_mass_on_codeword(instance12):
     h = instance12.encode_message([9, 9])
     ens = local_views_to_distributions(instance12, h)
-    picks = [
-        instance12.outer_symbol_to_inner_index(s)
-        for s in instance12.decode_to_outer(h)
-    ]
+    picks = list(instance12.decode_to_outer(h))
     for l, idx in enumerate(picks):
         assert ens.weights[l][idx] == 1
 
@@ -394,10 +388,7 @@ def test_local_views_single_flip_keeps_point_mass(instance12):
     edges[0] = (edges[0] + 1) % 4
     g = instance12.fold(edges)
     ens = local_views_to_distributions(instance12, g)
-    picks = [
-        instance12.outer_symbol_to_inner_index(s)
-        for s in instance12.decode_to_outer(h)
-    ]
+    picks = list(instance12.decode_to_outer(h))
     for l, idx in enumerate(picks):
         assert ens.weights[l][idx] == 1
 
@@ -423,10 +414,12 @@ def _shifted(symbols):
     return tuple(tuple((x + 1) % 4 for x in t) for t in symbols)
 
 
-@pytest.mark.parametrize("shape", ["short", "short-and-far", "long", "too-wide", "too-narrow"])
+@pytest.mark.parametrize("shape", ["short", "short-and-far", "long", "too-wide", "too-narrow",
+                                   "entry-above-q", "entry-negative"])
 def test_ael_unique_decode_checks_shape_first(instance12, monkeypatch, shape):
     # "short" would decode and "short-and-far" would not; both are refused
-    # before the decoder runs, as are a long word and mis-sized symbols
+    # before the decoder runs, as are a long word, mis-sized symbols and
+    # entries outside GF(4)
     h = instance12.encode_message([3, 3])
     word = {
         "short": h[:11],
@@ -434,6 +427,8 @@ def test_ael_unique_decode_checks_shape_first(instance12, monkeypatch, shape):
         "long": h + h[:1],
         "too-wide": tuple(t + (0,) for t in h),
         "too-narrow": tuple(t[:3] for t in h),
+        "entry-above-q": ((99, 99, 99, 99),) + h[1:],
+        "entry-negative": ((-1, 0, 0, 0),) + h[1:],
     }[shape]
 
     def no_decode(*args):
@@ -466,10 +461,7 @@ def test_returned_codeword_meets_guarantee(instance12):
     ens = local_views_to_distributions(instance12, h)
     got = decode_from_distributions(instance12, ens)
     assert got == h
-    picks = [
-        instance12.outer_symbol_to_inner_index(s)
-        for s in instance12.decode_to_outer(got)
-    ]
+    picks = list(instance12.decode_to_outer(got))
     assert ens.expected_disagreement(picks) <= instance12.outer.delta_dec
 
 
