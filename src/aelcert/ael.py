@@ -18,14 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .arld import intern_symbols, pair_disagreements
-from .codes import (DEFAULT_ENUMERATION_CAP, ERASED, ErasedWord, LinearCode,
-                    dist_with_erasures, hamming_distance)
-from .errors import (
-    AmplificationViolation,
-    GraphMismatch,
-    LengthMismatch,
-    NotAnOuterCodeword,
-)
+from .codes import DEFAULT_ENUMERATION_CAP, ERASED, LinearCode
+from .errors import AmplificationViolation, GraphMismatch, NotAnOuterCodeword
 from .graphs import BipartiteGraph, verify_eml_sets
 
 
@@ -135,24 +129,6 @@ class AELCode:
         entries = set().union(*symbols)
         if entries and not (0 <= min(entries) and max(entries) < self.inner.field.q):
             raise GraphMismatch(f"word has an entry outside [0, {self.inner.field.q})")
-
-    def delta_L(self, w1, w2) -> Fraction:
-        """Fraction of left vertices whose full d-symbol view differs."""
-        self._check(w1)
-        self._check(w2)
-        return hamming_distance(self.left_views(w1), self.left_views(w2))
-
-    def delta_R(self, w1, w2) -> Fraction:
-        """Fraction of right vertices whose folded symbol differs."""
-        self._check(w1)
-        self._check(w2)
-        return hamming_distance(w1, w2)
-
-    def delta_R_erased(self, erased: ErasedWord, word) -> Fraction:
-        """Erased-distance on the right: erased vertices contribute nothing."""
-        if erased.n != self.n:
-            raise LengthMismatch("length mismatch with graph size")
-        return dist_with_erasures(erased, word)
 
     def rate(self) -> Fraction:
         """log_|Sigma| |C_AEL| / n, exact: the constructor fixes q_out =

@@ -14,7 +14,6 @@ from itertools import combinations, product
 
 from .errors import (
     DimensionMismatch,
-    EmptyResidual,
     EmptySet,
     EnumerationTooLarge,
     FieldMismatch,
@@ -145,20 +144,6 @@ class LinearCode:
             if 0 < w < best:
                 best = w
         return Fraction(best, self.n)
-
-    def puncture(self, coords) -> "LinearCode":
-        """Remove the coordinate set `coords`; dimension recomputed by rank."""
-        remove = set(coords)
-        keep = [i for i in range(self.n) if i not in remove]
-        if not keep:
-            raise EmptyResidual("puncturing removed every coordinate")
-        rows = [[row[i] for i in keep] for row in self.generator]
-        reduced, _ = rref(self.field, rows)
-        if not reduced:
-            # all-zero residual: dimension collapsed entirely; keep a zero row
-            # is not a valid generator, so report via EmptyResidual
-            raise EmptyResidual("punctured code has dimension 0")
-        return LinearCode(self.field, reduced)
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.field.q}, n={self.n}, dim={self.dim})"

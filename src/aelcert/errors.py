@@ -41,10 +41,6 @@ class SubsetSizeTooLarge(AelcertError):
     pass
 
 
-class EmptyResidual(AelcertError):
-    pass
-
-
 class EmptySet(AelcertError):
     pass
 

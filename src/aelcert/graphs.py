@@ -13,12 +13,15 @@ lambda_hat is the second singular value of the normalized biadjacency
 matrix from one dense LAPACK SVD, at every graph size.  Downstream
 inequality checks consume lambda_hat + 1e-6 (`lam_bound`); that margin is
 not yet backed by a proof that it covers the SVD's rounding error.
+`lam_bound` is computed once per graph, on first access, and is a plain
+attribute after that: assigning it sets the bound every check reads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -49,22 +52,17 @@ class BipartiteGraph:
         # route[r, j]: id of the j-th edge of right vertex r (module docstring)
         self.route = np.argsort(adj.ravel(), kind="stable").reshape(n, d)
         self.lam = second_singular_value(self)
-        self._lam_bound = (None, None)  # (lam, lam_bound), see lam_bound
 
     def biadjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
         A[np.arange(self.n).repeat(self.d), np.ravel(self.left_adj).astype(np.intp)] = 1.0
         return A
 
-    @property
+    @cached_property
     def lam_bound(self) -> Fraction:
-        """Conservative rational upper bound on the true lambda.  Cached
-        with the lambda it came from, so it follows a reassigned `lam`."""
-        lam, bound = self._lam_bound
-        if lam != self.lam:
-            bound = Fraction(self.lam).limit_denominator(10**12) + LAMBDA_SAFETY
-            self._lam_bound = (self.lam, bound)
-        return bound
+        """Conservative rational upper bound on the true lambda, computed
+        once from the measured `lam`; an assigned value replaces it."""
+        return Fraction(self.lam).limit_denominator(10**12) + LAMBDA_SAFETY
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(n={self.n}, d={self.d}, lam={self.lam:.6f})"

@@ -40,6 +40,8 @@ from .seeds import derive_seed
 
 # generator matrices drawn before a full-rank sample counts as unreachable
 SAMPLE_ATTEMPTS = 100
+# centers the literal oracle may enumerate for one erasure set
+CENTER_CAP = 1 << 22
 
 
 def resolve_words(code_or_words) -> tuple[list[tuple], int]:
@@ -150,31 +152,25 @@ def exhaustive_arld_check(
     k: int,
     delta0: Fraction,
     eps: Fraction,
-    erasures: bool = True,
-    alphabet=None,
-    center_cap: int = 1 << 22,
 ):
     """Literal quantifier sweep of the average-radius definition.
 
     Independent oracle: enumerates every subset H (2 <= |H| <= k), every
-    erasure set S (when erasures=True) and every center over the non-erased
-    coordinates.  Returns (True, None) or (False, witness dict).
+    erasure set S and every center over the non-erased coordinates, drawn
+    from the field of a LinearCode or else the symbols the words use.
+    Returns (True, None) or (False, witness dict); more than CENTER_CAP
+    centers for one erasure set raise EnumerationTooLarge.
     """
     words, n = resolve_words(code_or_words)
     delta0, eps = Fraction(delta0), Fraction(eps)
-    if alphabet is None:
-        if isinstance(code_or_words, LinearCode):
-            alphabet = list(range(code_or_words.field.q))
-        else:
-            alphabet = sorted({s for w in words for s in w})
+    if isinstance(code_or_words, LinearCode):
+        alphabet = list(range(code_or_words.field.q))
+    else:
+        alphabet = sorted({s for w in words for s in w})
     index = {s: i for i, s in enumerate(alphabet)}
     sym = np.array([[index[s] for s in w] for w in words], dtype=np.int64)
     Q = len(alphabet)
-    erasure_sets = (
-        [frozenset(S) for r in range(n + 1) for S in combinations(range(n), r)]
-        if erasures
-        else [frozenset()]
-    )
+    erasure_sets = [frozenset(S) for r in range(n + 1) for S in combinations(range(n), r)]
     for m in range(2, min(k, len(words)) + 1):
         for idx in combinations(range(len(words)), m):
             rows = sym[list(idx)]
@@ -188,9 +184,9 @@ def exhaustive_arld_check(
                         return False, witness
                     continue
                 t = len(keep)
-                if Q**t > center_cap:
+                if Q**t > CENTER_CAP:
                     raise EnumerationTooLarge(
-                        f"{Q}^{t} centers exceed cap {center_cap}"
+                        f"{Q}^{t} centers exceed cap {CENTER_CAP}"
                     )
                 centers = _all_tuples(Q, t)
                 restricted = rows[:, keep]  # (m, t)

@@ -85,11 +85,29 @@ def _load_kind(path, *kinds) -> dict:
     return rec
 
 
+def _is_int_tree(x, depth: int) -> bool:
+    """x is a JSON int at depth 0, else a list of depth - 1 trees; a bool is
+    not an int here."""
+    if depth == 0:
+        return type(x) is int
+    return type(x) is list and all(_is_int_tree(y, depth - 1) for y in x)
+
+
+def _ints(rec, key, depth: int = 0):
+    """rec[key] if it is an int (depth 0), a list of ints (1) or a list of
+    lists of ints (2); ConfigInvalid otherwise, so nothing is converted."""
+    value = rec[key]
+    if not _is_int_tree(value, depth):
+        shape = ("an integer", "a list of integers", "a list of lists of integers")[depth]
+        raise ConfigInvalid(f"{rec.path}: {key} must be {shape}, got {value!r}")
+    return value
+
+
 # -- fields and codes ----------------------------------------------------------
 
 
 def field_from_payload(rec: dict) -> Field:
-    return Field(rec["p"], rec["m"], tuple(rec["modulus"]))
+    return Field(_ints(rec, "p"), _ints(rec, "m"), tuple(_ints(rec, "modulus", 1)))
 
 
 def save_code(path, code: LinearCode) -> None:
@@ -111,8 +129,10 @@ def load_code(path) -> LinearCode:
     rec = _load_kind(path, "rs_code", "linear_code")
     field = field_from_payload(rec["field"])
     if rec["kind"] == "rs_code":
-        return RSOuterCode(field, rec["n"], rec["dim"], rec["evaluation_points"])
-    return LinearCode(field, rec["generator"])
+        return RSOuterCode(
+            field, _ints(rec, "n"), _ints(rec, "dim"), _ints(rec, "evaluation_points", 1)
+        )
+    return LinearCode(field, _ints(rec, "generator", 2))
 
 
 def save_frs(path, frs: FoldedRSCode) -> None:
@@ -134,7 +154,9 @@ def save_frs(path, frs: FoldedRSCode) -> None:
 def load_frs(path) -> FoldedRSCode:
     rec = _load_kind(path, "folded_rs")
     field = field_from_payload(rec["field"])
-    return FoldedRSCode(field, rec["b"], rec["n"], parse_frac(rec["rho"]), rec["alphas"])
+    return FoldedRSCode(
+        field, _ints(rec, "b"), _ints(rec, "n"), parse_frac(rec["rho"]), _ints(rec, "alphas", 1)
+    )
 
 
 # -- graphs --------------------------------------------------------------------
@@ -157,7 +179,8 @@ def save_graph(path, graph: BipartiteGraph) -> None:
 
 def load_graph(path) -> BipartiteGraph:
     rec = _load_kind(path, "bipartite_graph")
-    graph = BipartiteGraph(rec["n"], rec["d"], rec["left_adj"], seed=rec.get("seed"))
+    seed = None if rec.get("seed") is None else _ints(rec, "seed")
+    graph = BipartiteGraph(_ints(rec, "n"), _ints(rec, "d"), _ints(rec, "left_adj", 2), seed=seed)
     # the stored lambda must be the one this graph's adjacency gives
     stored = rec.get("lambda")
     if not isinstance(stored, (int, float)) or abs(stored - graph.lam) > 1e-9:
@@ -213,8 +236,7 @@ def load_word(path) -> ErasedWord:
     rec = _load_kind(path, "word")
     symbols = rec["symbols"]
     if type(symbols) is not list or not all(
-        sym is None or (type(sym) is list and all(type(x) is int for x in sym))
-        for sym in symbols
+        sym is None or _is_int_tree(sym, 1) for sym in symbols
     ):
         raise ConfigInvalid(f"{path}: symbols must be null or lists of integers")
     return ErasedWord(tuple(ERASED if sym is None else tuple(sym) for sym in symbols))
@@ -303,7 +325,7 @@ def report_csv_rows(report_paths) -> list[str]:
     lines = [CSV_HEADER]
     for p in sorted(str(x) for x in report_paths):
         rec = load_artifact(p)
-        if rec.get("kind") != "verification_report":
+        if not isinstance(rec, dict) or rec.get("kind") != "verification_report":
             continue
         for row in rec["rows"]:
             lines.append(

@@ -171,10 +171,6 @@ class PartitionProfile:
     nontrivial_mass: int
     bound: Fraction  # delta_out * n / k^k
 
-    @property
-    def bound_met(self) -> bool:
-        return self.tau_star is not None and len(self.l_star) >= self.bound
-
 
 def _canonical_partition(views) -> tuple:
     groups: dict[tuple, list[int]] = {}
@@ -210,13 +206,9 @@ def partition_profile(code: AELCode, subset) -> PartitionProfile:
     )
 
 
-def local_erasure_fractions(code: AELCode, erased: ErasedWord) -> list[Fraction]:
-    """s_l per left vertex: fraction of its edges landing on erased right
-    vertices (an erased right vertex erases the whole d-tuple)."""
-    return [Fraction(h, code.d) for h in _erased_edge_counts(code, erased)]
-
-
 def _erased_edge_counts(code: AELCode, erased: ErasedWord) -> list[int]:
+    """Per left vertex, its edges landing on erased right vertices (an
+    erased right vertex erases the whole d-tuple)."""
     if erased.n != code.n:
         raise LengthMismatch(f"erased word length {erased.n} != graph size {code.n}")
     erased_mask = [sym is ERASED for sym in erased.symbols]

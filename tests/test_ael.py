@@ -12,6 +12,8 @@ from aelcert import (
     ErasedWord,
     LinearCode,
     complete_bipartite,
+    dist_with_erasures,
+    hamming_distance,
     pair_counting_check,
     random_regular_bipartite,
     sample_random_linear_code,
@@ -23,6 +25,7 @@ from aelcert.errors import (
     GraphMismatch,
     NotAnOuterCodeword,
 )
+from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
 
@@ -136,8 +139,8 @@ def test_phi_is_the_codebook_order_and_additive(instance12):
 
 def test_metrics_identical_words(instance12):
     w = instance12.encode_message([5, 1])
-    assert instance12.delta_L(w, w) == 0
-    assert instance12.delta_R(w, w) == 0
+    assert hamming_distance(instance12.left_views(w), instance12.left_views(w)) == 0
+    assert hamming_distance(w, w) == 0
 
 
 def test_single_edge_difference(gf2):
@@ -149,8 +152,8 @@ def test_single_edge_difference(gf2):
     edges = code.unfold(w)
     edges[0] ^= 1
     w2 = code.fold(edges)
-    assert code.delta_L(w, w2) == Fraction(1, 2)
-    assert code.delta_R(w, w2) == Fraction(1, 2)
+    assert hamming_distance(code.left_views(w), code.left_views(w2)) == Fraction(1, 2)
+    assert hamming_distance(w, w2) == Fraction(1, 2)
 
 
 def make_gf4():
@@ -167,18 +170,18 @@ def test_delta_L_equals_outer_distance(instance12):
     outer1 = instance12.outer.encode([1, 1])
     outer2 = instance12.outer.encode([1, 2])
     expect = Fraction(sum(1 for a, b in zip(outer1, outer2) if a != b), 12)
-    assert instance12.delta_L(w1, w2) == expect
+    assert hamming_distance(instance12.left_views(w1), instance12.left_views(w2)) == expect
     assert expect == Fraction(11, 12)
 
 
 def test_delta_R_erased(instance12):
     w = instance12.encode_message([1, 0])
-    assert instance12.delta_R_erased(ErasedWord(w), w) == 0
-    assert instance12.delta_R_erased(ErasedWord((ERASED,) * 12), w) == 0
+    assert dist_with_erasures(ErasedWord(w), w) == 0
+    assert dist_with_erasures(ErasedWord((ERASED,) * 12), w) == 0
     other = instance12.encode_message([2, 0])
     masked = tuple(ERASED if i == 0 else w[i] for i in range(12))
-    d_plain = instance12.delta_R(w, other)
-    d_masked = instance12.delta_R_erased(ErasedWord(masked), other)
+    d_plain = hamming_distance(w, other)
+    d_masked = dist_with_erasures(ErasedWord(masked), other)
     hidden = Fraction(1 if w[0] != other[0] else 0, 12)
     assert d_masked == d_plain - hidden
 
@@ -238,6 +241,9 @@ def test_pair_counting_argument(instance12):
             continue
         result = pair_counting_check(instance12, words[i], words[j])
         assert result["lower_ok"] and result["upper_ok"]
+    # L' is empty: e(L', R') = 0 = delta_in * d * |L'|, the lower bound at equality
+    same = pair_counting_check(instance12, words[0], words[0])
+    assert same["L_size"] == same["edges"] == 0 and same["lower_ok"]
 
 
 def test_amplification_violation_raises(gf4, gf16):
@@ -312,12 +318,13 @@ def _assert_amplification_matches_oracle(code):
 
 
 def _ac3_code(gf4, gf16, lam=None):
-    """The AC3 instance; lam, when given, replaces the graph's measured lambda."""
+    """The AC3 instance; lam, when given, replaces the graph's measured
+    lambda: the bound becomes the decimal lam plus the safety margin."""
     graph = random_regular_bipartite(
         12, 4, seed=derive_seed(2024, "ac3-graph"), lam_target=0.95
     )
     if lam is not None:
-        graph.lam = lam
+        graph.lam_bound = Fraction(str(lam)) + LAMBDA_SAFETY
     return AELCode(
         graph, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]), RSOuterCode(gf16, 12, 2)
     )
@@ -347,7 +354,7 @@ def _tampered_pair(gf4, gf16, lam):
     """Two words of the instance12 shape that differ only in left vertex 0's
     view, replaced by an inner codeword at distance 3 from it."""
     graph = random_regular_bipartite(12, 4, seed=7, lam_target=0.95)
-    graph.lam = lam
+    graph.lam_bound = Fraction(str(lam)) + LAMBDA_SAFETY
     code = AELCode(
         graph, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]), RSOuterCode(gf16, 12, 2)
     )
@@ -361,8 +368,8 @@ def _tampered_pair(gf4, gf16, lam):
     for i, x in enumerate(far):
         edges[0 * code.d + i] = x  # edge l*d + i is the i-th edge of left vertex l
     w2 = code.fold(edges)
-    assert code.delta_L(w, w2) == Fraction(1, 12)
-    assert code.delta_R(w, w2) == Fraction(3, 12)
+    assert hamming_distance(code.left_views(w), code.left_views(w2)) == Fraction(1, 12)
+    assert hamming_distance(w, w2) == Fraction(3, 12)
     code._codewords = [w, w2]
     return code
 

@@ -389,14 +389,36 @@ def _word_probe(command, mangle):
     return command, payload
 
 
-def _bundle_probe(command, phi):
-    """`command` on the workspace bundle with its `phi` field set to `phi`."""
+def _artifact_probe(command, name, where, value):
+    """`command` after the workspace artifact `name` gets `value` at `where`,
+    a path of keys and indices into its JSON body."""
     def payload(tmp):
-        rec = load_artifact(tmp / "bundle.json")
-        rec["phi"] = phi
-        (tmp / "bundle.json").write_text(json.dumps(rec))
+        rec = load_artifact(tmp / name)
+        node = rec
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        (tmp / name).write_text(json.dumps(rec))
         return _ACCEPTED[command](tmp)
     return command, payload
+
+
+# artifact fields `io` reads as ints, given a value that is not a JSON int
+_NON_INT_FIELDS = {
+    "generator-float": ("verify-inner", "inner_code.json", ("generator", 0, 0), 1.5),
+    "generator-bool": ("verify-inner", "inner_code.json", ("generator", 0, 0), True),
+    "left_adj-float": ("verify-eml", "graph_out.json", ("left_adj", 0, 0), 10.5),
+    "graph-n-float": ("verify-eml", "graph_out.json", ("n",), 12.0),
+    "graph-d-float": ("verify-eml", "graph_out.json", ("d",), 4.0),
+    "graph-seed-float": ("verify-eml", "graph_out.json", ("seed",), 7.0),
+    "graph-seed-bool": ("verify-eml", "graph_out.json", ("seed",), True),
+    "rs-n-float": ("decode", "outer_code.json", ("n",), 12.0),
+    "rs-dim-str": ("decode", "outer_code.json", ("dim",), "2"),
+    "rs-point-float": ("decode", "outer_code.json", ("evaluation_points", 0), 0.0),
+    "field-p-float": ("decode", "outer_code.json", ("field", "p"), 2.0),
+    "field-m-float": ("list-decode", "inner_code.json", ("field", "m"), 2.0),
+    "field-modulus-float": ("decode", "outer_code.json", ("field", "modulus", 0), 1.0),
+}
 
 
 _WORD_COMMANDS = ("corrupt", "decode", "list-decode")
@@ -479,7 +501,8 @@ def test_probe_bases_are_accepted(workspace, command):
     _probe("verify-inner", delta0="3/2"),
     *[_word_probe(command, mangle) for command in _WORD_COMMANDS
       for mangle in _UNREADABLE_WORDS.values()],
-    _bundle_probe("decode", "random"),
+    _artifact_probe("decode", "bundle.json", ("phi",), "random"),
+    *[_artifact_probe(*probe) for probe in _NON_INT_FIELDS.values()],
 ], ids=["duplicate-points", "degree-above-n", "field-m0", "parallel-edge-graph-file",
         "k-str", "k-float", "k-bool", "k-zero", "k-negative", "verify-inner-k-zero",
         "build-inner-k-str", "complete-str", "max_tries-str", "max_tries-zero", "d-float",
@@ -489,7 +512,7 @@ def test_probe_bases_are_accepted(workspace, command):
         "message-short", "message-outside-field", "seed-str", "subset_cap-zero", "report_out-int",
         "beta-negative", "beta-above-1", "delta0-negative", "delta0-above-1",
         *[f"{command}-{name}" for command in _WORD_COMMANDS for name in _UNREADABLE_WORDS],
-        "phi-random"])
+        "phi-random", *_NON_INT_FIELDS])
 def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload):
     config = payload(workspace)
     outputs = [Path(v) for key, v in config.items() if key.endswith("_out") and type(v) is str]
@@ -557,6 +580,7 @@ def test_report_csv(workspace, capsys):
         "version": 1, "bundle_file": str(tmp / "bundle.json"),
         "report_out": str(tmp / "amp_report.json"),
     })])
+    (tmp / "list.json").write_text("[1, 2]")  # JSON that is not an object: skipped
     assert main(["report", "--dir", str(tmp), "--out", str(tmp / "out.csv")]) == 0
     lines = (tmp / "out.csv").read_text().splitlines()
     assert lines[0].startswith("instance,parameter")

@@ -1,4 +1,4 @@
-"""Linear codes: encoding, enumeration, distance, puncturing, erasures."""
+"""Linear codes: encoding, enumeration, distance, erasures."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -12,7 +12,6 @@ from aelcert import ERASED, ErasedWord, LinearCode, dist_with_erasures, make_fie
 from aelcert.codes import pairwise_min_distance, rref
 from aelcert.errors import (
     DimensionMismatch,
-    EmptyResidual,
     EnumerationTooLarge,
     FieldMismatch,
     LengthMismatch,
@@ -112,42 +111,6 @@ def test_min_distance_matches_pairwise_oracle(gf4):
     ]:
         code = LinearCode(gf4, rows)
         assert code.min_distance() == pairwise_min_distance(code.enumerate_codewords())
-
-
-def test_puncture_empty_set(rs42):
-    same = rs42.puncture([])
-    assert same.n == 4 and same.dim == 2
-    # puncturing re-derives the generator, so compare codeword sets
-    assert set(same.enumerate_codewords()) == set(rs42.enumerate_codewords())
-
-
-def test_puncture_repetition(rep3):
-    punctured = rep3.puncture([2])
-    assert punctured.n == 2 and punctured.dim == 1
-    assert punctured.enumerate_codewords() == [(0, 0), (1, 1)]
-
-
-def test_puncture_rs42_rate_one(rs42):
-    punctured = rs42.puncture([0, 1])
-    assert punctured.n == 2 and punctured.dim == 2
-    assert punctured.rate == 1
-
-
-def test_puncture_everything_raises(rep3):
-    with pytest.raises(EmptyResidual):
-        rep3.puncture([0, 1, 2])
-
-
-def test_puncture_rate_never_drops(gf4):
-    # dim can only drop under puncturing; rate = dim/n can only grow or
-    # stay while the punctured distance stays positive
-    code = LinearCode(gf4, [[1, 1, 1, 0], [0, 1, 2, 3]])
-    for r in range(1, 3):
-        for coords in combinations(range(4), r):
-            punctured = code.puncture(coords)
-            assert punctured.dim <= code.dim
-            if code.min_distance() > Fraction(r, 4):
-                assert punctured.dim == code.dim
 
 
 def test_erased_word_fraction():

@@ -17,6 +17,7 @@ from aelcert import (
     verify_eml_sets,
 )
 from aelcert.errors import LengthMismatch, TargetUnreachable
+from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.seeds import derive_seed
 
 
@@ -53,7 +54,7 @@ def test_lam_bound_is_conservative(cycle8):
     assert float(cycle8.lam_bound) - cycle8.lam <= 2e-6
 
 
-def test_lam_bound_is_cached_and_follows_lam(cycle8, monkeypatch):
+def test_lam_bound_is_computed_once_and_assignable(cycle8, monkeypatch):
     calls = []
     limit = Fraction.limit_denominator
     monkeypatch.setattr(
@@ -62,11 +63,15 @@ def test_lam_bound_is_cached_and_follows_lam(cycle8, monkeypatch):
     first = cycle8.lam_bound
     assert cycle8.lam_bound == first and cycle8.lam_bound == first
     assert len(calls) == 1
-    # a reassigned lambda gets its own bound, computed once
-    cycle8.lam = 0.1
-    assert cycle8.lam_bound == Fraction(1, 10) + Fraction(1, 10**6)
-    assert cycle8.lam_bound == Fraction(1, 10) + Fraction(1, 10**6)
-    assert len(calls) == 2
+    # one edge between left 0 and right 0: a nonzero deviation, which the
+    # measured bound allows and an assigned bound of 0 does not
+    f, g = [1, 0, 0, 0], [1, 0, 0, 0]
+    assert verify_eml(cycle8, f, g)[2]
+    cycle8.lam_bound = Fraction(0)
+    _, bound, ok = verify_eml(cycle8, f, g)
+    assert bound == 0.0 and not ok
+    assert cycle8.lam == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("graph", [
@@ -184,7 +189,7 @@ def _understated_lambda_graph():
     # a false lambda makes the check fail on most inputs, so the verdict
     # is compared on failures as well as passes
     graph = BipartiteGraph(4, 2, [[0, 1], [1, 2], [2, 3], [3, 0]])
-    graph.lam = 0.1
+    graph.lam_bound = Fraction(1, 10) + LAMBDA_SAFETY
     return graph
 
 

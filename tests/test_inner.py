@@ -20,7 +20,7 @@ from aelcert import (
     sample_random_linear_code,
     search_inner_code,
 )
-from aelcert import arld
+from aelcert import arld, inner
 from aelcert.arld import (
     MAX_SUBSET_SIZE,
     _search_generic,
@@ -33,6 +33,7 @@ from aelcert.arld import (
 )
 from aelcert.errors import (
     EmptySet,
+    EnumerationTooLarge,
     FieldTooSmall,
     NotAppropriate,
     SearchExhausted,
@@ -417,6 +418,16 @@ def test_exhaustive_all_erased_center_boundary(gf2):
     assert ok
     bad, witness = exhaustive_arld_check(code, k=2, delta0=2, eps=0)
     assert not bad
+
+
+def test_exhaustive_center_cap_fails_closed(gf2, monkeypatch):
+    # with no erasure the sweep enumerates 2^2 centers of a length-2 code
+    code = LinearCode(gf2, [[1, 1]])
+    monkeypatch.setattr(inner, "CENTER_CAP", 4)
+    assert exhaustive_arld_check(code, k=2, delta0=1, eps=0) == (True, None)
+    monkeypatch.setattr(inner, "CENTER_CAP", 3)
+    with pytest.raises(EnumerationTooLarge):
+        exhaustive_arld_check(code, k=2, delta0=1, eps=0)
 
 
 def test_oracle_agreement_random_instances(gf4):

@@ -71,6 +71,21 @@ def test_frs_round_trip(tmp_path, gf17):
     assert loaded.codewords() == frs.codewords()
 
 
+@pytest.mark.parametrize("key,index,value", [
+    ("b", None, 2.0), ("n", None, True), ("alphas", 0, 1.0), ("alphas", None, "1,2"),
+])
+def test_frs_with_a_non_int_field_rejected(tmp_path, gf17, key, index, value):
+    save_frs(tmp_path / "frs.json", make_folded_rs(gf17, 2, 4, Fraction(1, 4)))
+    rec = load_artifact(tmp_path / "frs.json")
+    if index is None:
+        rec[key] = value
+    else:
+        rec[key][index] = value
+    (tmp_path / "frs.json").write_text(json.dumps(rec))
+    with pytest.raises(ConfigInvalid, match=key):
+        load_frs(tmp_path / "frs.json")
+
+
 def test_graph_round_trip(tmp_path):
     g = random_regular_bipartite(12, 4, seed=7, lam_target=0.95)
     save_graph(tmp_path / "graph.json", g)

@@ -13,6 +13,8 @@ from aelcert import (
     brute_force_list,
     common_error_fraction,
     complete_bipartite,
+    dist_with_erasures,
+    hamming_distance,
     min_arld_slack,
     partition_profile,
     plurality_center,
@@ -31,7 +33,7 @@ from aelcert.errors import (
     SubsetTooSmall,
 )
 from aelcert.arld import subset_search_count, translation_closed
-from aelcert.listdec import local_erasure_fractions
+from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 
 
@@ -63,7 +65,7 @@ def test_list_agrees_with_distances(instance12):
         erased = ErasedWord(
             tuple(ERASED if r in mask else s for r, s in enumerate(center))
         )
-        hits = {instance12.delta_R_erased(erased, w) * 12 for w in words}
+        hits = {dist_with_erasures(erased, w) * 12 for w in words}
         # beta = k/n exactly keeps the words at k disagreements; just below
         # it drops them
         betas = {Fraction(1, 2)} | {Fraction(int(h), 12) for h in hits}
@@ -71,7 +73,7 @@ def test_list_agrees_with_distances(instance12):
         for beta in sorted(betas):
             center_arg = erased if mask else center
             lst = brute_force_list(instance12, center_arg, beta)
-            expect = [w for w in words if instance12.delta_R_erased(erased, w) <= beta]
+            expect = [w for w in words if dist_with_erasures(erased, w) <= beta]
             assert lst == expect
 
 
@@ -114,6 +116,28 @@ def test_singleton_hypothesis_gate(instance12):
     )
     assert not report["hypothesis_satisfied"]
     assert report["theorem_assertion"] == "NOT APPLICABLE"
+
+
+def test_singleton_passes_at_its_empirical_eps_min(instance12):
+    # at eps = eps_min the worst witness meets the bound with equality,
+    # which is no violation
+    eps_min = verify_generalized_singleton(instance12, 3, 1, 0)["empirical_eps_min"]
+    assert eps_min > 0
+    report = verify_generalized_singleton(instance12, 3, 1, eps_min)
+    assert report["empirical_pass"] and not report["violations"]
+    below = verify_generalized_singleton(instance12, 3, 1, eps_min - Fraction(1, 10**6))
+    assert not below["empirical_pass"]
+
+
+def test_singleton_hypothesis_holds_at_equality(instance12, monkeypatch):
+    # lambda exactly delta_out * eps / (6 k^k) satisfies the hypothesis
+    k, eps = 2, Fraction(1, 4)
+    boundary = instance12.delta_out * eps / (6 * k**k)
+    monkeypatch.setattr(instance12.graph, "lam_bound", boundary)
+    report = verify_generalized_singleton(instance12, k, Fraction(1, 2), eps)
+    assert report["lam_bound"] == report["hypothesis_rhs"] == boundary
+    assert report["hypothesis_satisfied"]
+    assert report["theorem_assertion"] == "PASS"
 
 
 def test_singleton_report_counts_the_reduced_sweep(acceptance):
@@ -165,7 +189,7 @@ def test_common_error_fraction_examples(instance12):
     w = instance12.encode_message([1, 0])
     assert common_error_fraction(w, [w]) == 0
     other = instance12.encode_message([2, 5])
-    assert common_error_fraction(w, [other]) == instance12.delta_R(w, other)
+    assert common_error_fraction(w, [other]) == hamming_distance(w, other)
 
 
 def test_common_error_fraction_hand_built():
@@ -231,7 +255,8 @@ def test_partition_pair(instance12):
     profile = partition_profile(instance12, [h1, h2])
     # two-element tuples only admit {{1,2}} and {{1},{2}}
     assert set(profile.partitions) <= {((0,), (1,)), ((0, 1),)}
-    assert profile.nontrivial_mass == instance12.delta_L(h1, h2) * 12
+    views = (instance12.left_views(h1), instance12.left_views(h2))
+    assert profile.nontrivial_mass == hamming_distance(*views) * 12
     assert profile.nontrivial_mass >= profile.bound
 
 
@@ -277,21 +302,20 @@ def test_partition_bound_random_subsets(instance12):
             assert sum(profile.histogram.values()) == 12
 
 
-def test_local_erasure_fractions_no_erasures(instance12):
-    w = instance12.encode_message([0, 0])
-    erased = ErasedWord(tuple(w))
-    assert local_erasure_fractions(instance12, erased) == [Fraction(0)] * 12
-
-
 def test_sampling_bound_complete_graph(gf4, gf16):
     # K_{n,n}: every left vertex sees every right vertex, so s_l = s exactly
     graph = complete_bipartite(12)
     inner = sample_random_linear_code(gf4, 12, 2, np.random.default_rng(1))
     code = AELCode(graph, inner, RSOuterCode(gf16, 12, 2))
     erased = ErasedWord(tuple(ERASED if r < 3 else ((0,) * 12) for r in range(12)))
-    fractions = local_erasure_fractions(code, erased)
-    assert fractions == [Fraction(3, 12)] * 12
+    for l in range(12):
+        assert sampling_bound_check(code, erased, [l])["lhs"] == Fraction(3, 12)
     result = sampling_bound_check(code, erased, list(range(12)))
+    assert result["passed"]
+    # lambda(K_{n,n}) = 0 exactly, so both sides are s: equality passes
+    graph.lam_bound = Fraction(0)
+    result = sampling_bound_check(code, erased, list(range(12)))
+    assert result["lhs"] == result["rhs"] == Fraction(3, 12)
     assert result["passed"]
 
 
@@ -311,6 +335,15 @@ def test_sampling_bound_small_lstar_rejected(instance12):
     w = instance12.encode_message([0, 0])
     with pytest.raises(SubsetTooSmall):
         sampling_bound_check(instance12, ErasedWord(tuple(w)), [])
+
+
+def test_sampling_bound_accepts_lstar_of_exactly_the_required_size(instance12):
+    # k = 1 requires |L*| >= delta_out * n = 11/12 * 12 = 11
+    erased = ErasedWord(tuple(instance12.encode_message([0, 0])))
+    assert instance12.delta_out * instance12.n == 11
+    assert sampling_bound_check(instance12, erased, list(range(11)), k=1)["l_star_size"] == 11
+    with pytest.raises(SubsetTooSmall):
+        sampling_bound_check(instance12, erased, list(range(10)), k=1)
 
 
 def _local_erasure_fractions_oracle(code, erased):
@@ -334,7 +367,8 @@ def _sampling_bound_fraction_oracle(code, erased, l_star):
 def test_sampling_bound_matches_fraction_oracle(gf4, gf16, lam):
     graph = random_regular_bipartite(12, 4, seed=7, lam_target=0.95)
     if lam is not None:
-        graph.lam = lam  # an understated lambda makes some checks fail
+        # an understated lambda makes some checks fail
+        graph.lam_bound = Fraction(str(lam)) + LAMBDA_SAFETY
     code = AELCode(
         graph, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]), RSOuterCode(gf16, 12, 2)
     )
@@ -346,9 +380,9 @@ def test_sampling_bound_matches_fraction_oracle(gf4, gf16, lam):
         erased = ErasedWord(tuple(ERASED if m else w[r] for r, m in enumerate(mask)))
         # L* with repeats, as a list: both sides average over its entries
         l_star = [int(x) for x in rng.integers(0, 12, int(rng.integers(1, 13)))]
-        assert local_erasure_fractions(code, erased) == _local_erasure_fractions_oracle(
-            code, erased
-        )
+        fractions = _local_erasure_fractions_oracle(code, erased)
+        for l in range(12):
+            assert sampling_bound_check(code, erased, [l])["lhs"] == fractions[l]
         got = sampling_bound_check(code, erased, l_star)
         assert got == _sampling_bound_fraction_oracle(code, erased, l_star)
         verdicts.add(got["passed"])
@@ -365,7 +399,5 @@ def test_sampling_bound_rejects_vertices_outside_range(instance12):
 
 def test_erased_word_length_must_match_graph(instance12):
     short = ErasedWord((ERASED, ERASED, ERASED))
-    with pytest.raises(LengthMismatch):
-        local_erasure_fractions(instance12, short)
     with pytest.raises(LengthMismatch):
         sampling_bound_check(instance12, short, [0, 1])
