@@ -14,12 +14,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .arld import intern_symbols, pair_disagreements
 from .codes import DEFAULT_ENUMERATION_CAP, ERASED, LinearCode
 from .errors import AmplificationViolation, GraphMismatch, NotAnOuterCodeword
+from .gf import _ints
 from .graphs import BipartiteGraph, verify_eml_sets
 
 
@@ -122,11 +124,13 @@ class AELCode:
     # -- metrics ---------------------------------------------------------------
 
     def _check(self, word) -> None:
-        """GraphMismatch unless the word is n symbols, each erased or d entries in [0, q_in)."""
+        """GraphMismatch unless the word is n symbols, each erased or d entries
+        in [0, q_in); ValueError for an entry that is not an integer."""
         symbols = [t for t in word if t is not ERASED]
         if len(word) != self.n or any(len(t) != self.d for t in symbols):
             raise GraphMismatch("word shape does not match the graph")
-        entries = set().union(*symbols)
+        # every entry, not a set of them: {1, True} is {1}
+        entries = _ints(chain.from_iterable(symbols), "word entry", 1)
         if entries and not (0 <= min(entries) and max(entries) < self.inner.field.q):
             raise GraphMismatch(f"word has an entry outside [0, {self.inner.field.q})")
 

@@ -19,7 +19,7 @@ from .errors import (
     FieldMismatch,
     LengthMismatch,
 )
-from .gf import Field
+from .gf import Field, _ints
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
@@ -60,12 +60,13 @@ class LinearCode:
     Parameters
     ----------
     field : Field
-    generator : sequence of rows (each a sequence of int representatives)
+    generator : sequence of rows, each a sequence of integer representatives
+        (a bool or float entry raises ValueError)
     """
 
     def __init__(self, field: Field, generator):
         self.field = field
-        self.generator = tuple(tuple(int(x) for x in row) for row in generator)
+        self.generator = tuple(map(tuple, _ints(generator, "generator", 2)))
         if not self.generator:
             raise DimensionMismatch("generator must have at least one row")
         self.dim = len(self.generator)

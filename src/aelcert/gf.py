@@ -19,10 +19,47 @@ primitives fall back to `mul` per element.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from numbers import Integral
+
 from .errors import DivisionByZero, FieldTooLarge, NonPrimeCharacteristic
 
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16  # exp/log tables only for q up to this
+
+
+def _ints(value, name: str, depth: int = 0):
+    """`value` with its integers as Python ints: an integer at depth 0, else
+    a list of depth - 1 values, read from any iterable but a string.  An int
+    or a numpy integer is an integer; a bool, float, string or anything else
+    raises ValueError naming `name`, so nothing is truncated."""
+    if depth:
+        if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+            raise ValueError(f"{name}: expected a sequence, got {value!r}")
+        value = list(value)
+        # a list of plain ints, the common case, costs one pass over its types
+        if depth > 1 or not set(map(type, value)) <= {int}:
+            value = [_ints(x, name, depth - 1) for x in value]
+        return value
+    if type(value) is int:
+        return value
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
+def _checked_order(p, m) -> tuple[int, int]:
+    """(p, m) as ints, for m >= 1 (else ValueError), p^m <= MAX_FIELD_ORDER
+    (else FieldTooLarge) and p prime (else NonPrimeCharacteristic).  The cap
+    comes first, so trial division never sees a p above it."""
+    p, m = _ints(p, "p"), _ints(m, "m")
+    if m < 1:
+        raise ValueError("extension degree must be >= 1")
+    if p > MAX_FIELD_ORDER or p**m > MAX_FIELD_ORDER:
+        raise FieldTooLarge(f"GF({p}^{m}) exceeds the cap q <= {MAX_FIELD_ORDER}")
+    if not _is_prime(p):
+        raise NonPrimeCharacteristic(f"{p} is not prime")
+    return p, m
 
 
 def _is_prime(p: int) -> bool:
@@ -38,7 +75,9 @@ def _is_prime(p: int) -> bool:
 
 class Field:
     """
-    GF(p^m) with a fixed monic irreducible modulus polynomial.
+    GF(p^m) with a fixed monic irreducible modulus polynomial.  The
+    constructor proves it is a field (`_checked_order`, then the modulus
+    by exhaustive trial division) and raises otherwise.
 
     Parameters
     ----------
@@ -52,12 +91,14 @@ class Field:
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.m = m
-        self.q = p**m
-        self.modulus = tuple(modulus)
-        if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
+        p, m = _checked_order(p, m)
+        self.p, self.m, self.q = p, m, p**m
+        self.modulus = tuple(_ints(modulus, "modulus", 1))
+        if (len(self.modulus) != m + 1 or self.modulus[-1] != 1
+                or not all(0 <= c < p for c in self.modulus)):
+            raise ValueError(f"modulus must be monic of degree {m} over GF({p})")
+        if not _poly_is_irreducible(p, self.modulus):
+            raise ValueError(f"modulus {self.modulus} is not irreducible over GF({p})")
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         if self.q <= _TABLE_LIMIT:
@@ -172,8 +213,6 @@ class Field:
             exp[i] = x
             log[x] = i
             x = self._mul_poly(x, g)
-        if x != 1:
-            raise ValueError("modulus is not irreducible: generator order wrong")
         self._exp, self._log = exp + exp, log
         self._generator = g
 
@@ -187,7 +226,7 @@ class Field:
                 k += 1
             if k == target and x == 1:
                 return g
-        raise ValueError("no multiplicative generator found; modulus not irreducible?")
+        raise AssertionError("unreachable: the multiplicative group of a field is cyclic")
 
     # -- misc ---------------------------------------------------------------
 
@@ -252,13 +291,9 @@ def make_field(p: int, m: int = 1) -> Field:
 
     The scan is over the integer encoding of the lower coefficients
     (low-to-high, base p), so the result is deterministic and reproducible.
+    `Field` checks p and m again; the scan needs them checked first.
     """
-    if not _is_prime(p):
-        raise NonPrimeCharacteristic(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("extension degree must be >= 1")
-    if p**m > MAX_FIELD_ORDER:
-        raise FieldTooLarge(f"p^m = {p**m} exceeds cap {MAX_FIELD_ORDER}")
+    p, m = _checked_order(p, m)
     if m == 1:
         return Field(p, 1, (0, 1))
     for enc in range(p**m):

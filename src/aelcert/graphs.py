@@ -27,6 +27,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import LengthMismatch, ParallelEdgeExhaustion, TargetUnreachable
+from .gf import _ints
 
 LAMBDA_SAFETY = Fraction(1, 10**6)
 # permutations drawn per matching before parallel edges count as unavoidable
@@ -34,13 +35,14 @@ MATCHING_ATTEMPTS = 50000
 
 
 class BipartiteGraph:
-    """A d-regular bipartite graph on n + n vertices with fixed edge ordering."""
+    """A d-regular bipartite graph on n + n vertices with fixed edge ordering.
+    A bool or float in `n`, `d`, `left_adj` or `seed` raises ValueError."""
 
     def __init__(self, n: int, d: int, left_adj, seed=None):
-        self.n = n
-        self.d = d
-        self.left_adj = [list(map(int, row)) for row in left_adj]
-        self.seed = seed
+        n, d = _ints(n, "n"), _ints(d, "d")
+        self.n, self.d = n, d
+        self.left_adj = _ints(left_adj, "left_adj", 2)
+        self.seed = None if seed is None else _ints(seed, "seed")
         if len(self.left_adj) != n or any(len(r) != d for r in self.left_adj):
             raise ValueError("left adjacency must be n rows of d right vertices")
         _check_vertices(n, [r for row in self.left_adj for r in row])

@@ -34,7 +34,7 @@ from .errors import (
     RankFailure,
     SearchExhausted,
 )
-from .gf import Field, multiplicative_generator
+from .gf import Field, _ints, multiplicative_generator
 from .outer import RSOuterCode
 from .seeds import derive_seed
 
@@ -178,11 +178,6 @@ def exhaustive_arld_check(
                 keep = [i for i in range(n) if i not in S]
                 s_frac = Fraction(len(S), n)
                 bound = (m - 1) * (delta0 - s_frac - eps)
-                if not keep:
-                    if Fraction(0) < bound:
-                        witness = _witness(words, idx, [ERASED] * n, Fraction(0), bound)
-                        return False, witness
-                    continue
                 t = len(keep)
                 if Q**t > CENTER_CAP:
                     raise EnumerationTooLarge(
@@ -206,8 +201,9 @@ def exhaustive_arld_check(
 
 
 def _all_tuples(Q: int, t: int) -> np.ndarray:
+    """The Q^t tuples over range(Q) as rows; one empty row when t = 0."""
     grids = np.indices((Q,) * t)
-    return grids.reshape(t, -1).T.copy()
+    return grids.reshape(t, Q**t).T.copy()
 
 
 def _witness(words, idx, center, lhs, bound):
@@ -306,10 +302,12 @@ class FoldedRSCode:
     rho : Fraction
         Rate; message polynomials have degree < rho*b*n <= b*n.
     alphas : tuple of int
-        Evaluation anchors, one per folded symbol.
+        Evaluation anchors, one per folded symbol.  A bool or float here or
+        in `b` or `n` raises ValueError.
     """
 
     def __init__(self, field: Field, b: int, n: int, rho: Fraction, alphas):
+        b, n = _ints(b, "b"), _ints(n, "n")
         if field.q < b * n:
             raise FieldTooSmall(f"q={field.q} < bn={b * n}")
         rho = Fraction(rho)
@@ -322,7 +320,7 @@ class FoldedRSCode:
         self.rho = rho
         self.dim = int(dim)
         self.gamma = multiplicative_generator(field)
-        self.alphas = tuple(int(a) for a in alphas)
+        self.alphas = tuple(_ints(alphas, "alphas", 1))
         if len(self.alphas) != n:
             raise ValueError("need one evaluation anchor per folded symbol")
         points = [field.mul(field.pow(self.gamma, i), a) for a in self.alphas

@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import wraps
 from pathlib import Path
 
 from .ael import AELCode
 from .codes import ERASED, ErasedWord, LinearCode
-from .errors import ConfigInvalid
-from .gf import Field
+from .errors import ConfigInvalid, FieldTooLarge, NonPrimeCharacteristic
+from .gf import Field, _ints
 from .graphs import BipartiteGraph
 from .inner import ARLDCertificate, FoldedRSCode
 from .outer import RSOuterCode
@@ -85,29 +86,30 @@ def _load_kind(path, *kinds) -> dict:
     return rec
 
 
-def _is_int_tree(x, depth: int) -> bool:
-    """x is a JSON int at depth 0, else a list of depth - 1 trees; a bool is
-    not an int here."""
-    if depth == 0:
-        return type(x) is int
-    return type(x) is list and all(_is_int_tree(y, depth - 1) for y in x)
+def _refusals_name_the_file(load):
+    """`load(path)`, with a constructor's refusal of a value in the file
+    (ValueError, NonPrimeCharacteristic, FieldTooLarge) as ConfigInvalid."""
+    @wraps(load)
+    def checked(path):
+        try:
+            return load(path)
+        except (ValueError, NonPrimeCharacteristic, FieldTooLarge) as exc:
+            raise ConfigInvalid(f"{path}: {exc}") from None
+    return checked
 
 
-def _ints(rec, key, depth: int = 0):
-    """rec[key] if it is an int (depth 0), a list of ints (1) or a list of
-    lists of ints (2); ConfigInvalid otherwise, so nothing is converted."""
-    value = rec[key]
-    if not _is_int_tree(value, depth):
-        shape = ("an integer", "a list of integers", "a list of lists of integers")[depth]
-        raise ConfigInvalid(f"{rec.path}: {key} must be {shape}, got {value!r}")
-    return value
+def _stored(rec, key, derived, depth: int = 0) -> None:
+    """ConfigInvalid unless rec[key] is the integer (tree) `derived` that the
+    loaded object gives: a stored field is used or refused, never ignored."""
+    if _ints(rec[key], key, depth) != derived:
+        raise ConfigInvalid(f"{rec.path}: {key} does not match the {rec['kind']} it stores")
 
 
 # -- fields and codes ----------------------------------------------------------
 
 
 def field_from_payload(rec: dict) -> Field:
-    return Field(_ints(rec, "p"), _ints(rec, "m"), tuple(_ints(rec, "modulus", 1)))
+    return Field(rec["p"], rec["m"], rec["modulus"])
 
 
 def save_code(path, code: LinearCode) -> None:
@@ -125,14 +127,18 @@ def save_code(path, code: LinearCode) -> None:
     save_artifact(path, payload)
 
 
+@_refusals_name_the_file
 def load_code(path) -> LinearCode:
     rec = _load_kind(path, "rs_code", "linear_code")
     field = field_from_payload(rec["field"])
     if rec["kind"] == "rs_code":
-        return RSOuterCode(
-            field, _ints(rec, "n"), _ints(rec, "dim"), _ints(rec, "evaluation_points", 1)
-        )
-    return LinearCode(field, _ints(rec, "generator", 2))
+        code = RSOuterCode(field, rec["n"], rec["dim"], rec["evaluation_points"])
+        _stored(rec, "generator", [list(row) for row in code.generator], 2)
+    else:
+        code = LinearCode(field, rec["generator"])
+        _stored(rec, "n", code.n)
+        _stored(rec, "dim", code.dim)
+    return code
 
 
 def save_frs(path, frs: FoldedRSCode) -> None:
@@ -151,12 +157,13 @@ def save_frs(path, frs: FoldedRSCode) -> None:
     )
 
 
+@_refusals_name_the_file
 def load_frs(path) -> FoldedRSCode:
     rec = _load_kind(path, "folded_rs")
     field = field_from_payload(rec["field"])
-    return FoldedRSCode(
-        field, _ints(rec, "b"), _ints(rec, "n"), parse_frac(rec["rho"]), _ints(rec, "alphas", 1)
-    )
+    frs = FoldedRSCode(field, rec["b"], rec["n"], parse_frac(rec["rho"]), rec["alphas"])
+    _stored(rec, "gamma", frs.gamma)
+    return frs
 
 
 # -- graphs --------------------------------------------------------------------
@@ -177,10 +184,10 @@ def save_graph(path, graph: BipartiteGraph) -> None:
     )
 
 
+@_refusals_name_the_file
 def load_graph(path) -> BipartiteGraph:
     rec = _load_kind(path, "bipartite_graph")
-    seed = None if rec.get("seed") is None else _ints(rec, "seed")
-    graph = BipartiteGraph(_ints(rec, "n"), _ints(rec, "d"), _ints(rec, "left_adj", 2), seed=seed)
+    graph = BipartiteGraph(rec["n"], rec["d"], rec["left_adj"], seed=rec.get("seed"))
     # the stored lambda must be the one this graph's adjacency gives
     stored = rec.get("lambda")
     if not isinstance(stored, (int, float)) or abs(stored - graph.lam) > 1e-9:
@@ -230,16 +237,17 @@ def save_word(path, word) -> None:
     )
 
 
+@_refusals_name_the_file
 def load_word(path) -> ErasedWord:
-    """The word at `path`: each symbol null (erased) or a list of JSON ints
-    (bools refused); anything else raises ConfigInvalid."""
+    """The word at `path`: a list of symbols, each null (erased) or a list
+    of integers; anything else raises ConfigInvalid."""
     rec = _load_kind(path, "word")
     symbols = rec["symbols"]
-    if type(symbols) is not list or not all(
-        sym is None or _is_int_tree(sym, 1) for sym in symbols
-    ):
-        raise ConfigInvalid(f"{path}: symbols must be null or lists of integers")
-    return ErasedWord(tuple(ERASED if sym is None else tuple(sym) for sym in symbols))
+    if type(symbols) is not list:
+        raise ConfigInvalid(f"{path}: symbols must be a list")
+    return ErasedWord(tuple(
+        ERASED if sym is None else tuple(_ints(sym, "symbols", 1)) for sym in symbols
+    ))
 
 
 # -- certificates and reports ----------------------------------------------------
@@ -274,21 +282,26 @@ def save_certificate(path, cert: ARLDCertificate) -> None:
     )
 
 
+@_refusals_name_the_file
 def load_certificate(path) -> ARLDCertificate:
+    """The certificate at `path`; its counts and indices must be integers.
+    A `min_disagreements_by_size` key is a JSON integer in a string."""
     rec = _load_kind(path, "arld_certificate")
+    by_size = "min_disagreements_by_size"
     return ARLDCertificate(
         delta0=parse_frac(rec["delta0"]),
-        k=rec["k"],
+        k=_ints(rec["k"], "k"),
         eps_min=parse_frac(rec["eps_min"]),
-        n=rec["n"],
-        witness_indices=tuple(rec["witness_indices"]),
+        n=_ints(rec["n"], "n"),
+        witness_indices=tuple(_ints(rec["witness_indices"], "witness_indices", 1)),
         witness_center=_symbols_from_json(rec["witness_center"]),
-        witness_disagreements=rec["witness_disagreements"],
-        subsets_examined=rec["subsets_examined"],
+        witness_disagreements=_ints(rec["witness_disagreements"], "witness_disagreements"),
+        subsets_examined=_ints(rec["subsets_examined"], "subsets_examined"),
         runtime_seconds=0.0,
         code_description=rec.get("code_description", ""),
         min_disagreements_by_size={
-            int(m): d for m, d in rec.get("min_disagreements_by_size", {}).items()
+            _ints(json.loads(m), by_size): _ints(d, by_size)
+            for m, d in rec.get(by_size, {}).items()
         },
     )
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .codes import LinearCode
 from .errors import FieldMismatch, FieldTooSmall, LengthMismatch
-from .gf import Field
+from .gf import Field, _ints
 
 
 class RSOuterCode(LinearCode):
@@ -27,11 +27,12 @@ class RSOuterCode(LinearCode):
     give full row rank exactly when 1 <= dim <= n."""
 
     def __init__(self, field: Field, n: int, dim: int, points=None):
+        n, dim = _ints(n, "n"), _ints(dim, "dim")
         if points is None:
             if field.q < n:
                 raise FieldTooSmall(f"q={field.q} < n={n}")
-            points = list(range(n))
-        points = [int(a) for a in points]
+            points = range(n)
+        points = _ints(points, "points", 1)
         if len(points) != n or len(set(points)) != n or not all(0 <= a < field.q for a in points):
             raise ValueError("evaluation points must be n distinct field elements")
         generator = [

@@ -550,6 +550,41 @@ def test_verify_inner(workspace):
     })]) == 0
 
 
+def test_verify_inner_above_eps_target_fails(workspace, capsys):
+    # a [4,2] code has two words at distance <= 3/4, so eps_min >= 1/4 at delta0 = 1
+    tmp = workspace
+    capsys.readouterr()
+    assert main(["verify-inner", "--config", _write_config(tmp / "vi.json", {
+        "version": 1, "code_file": str(tmp / "inner_code.json"),
+        "k": 2, "delta0": "1", "eps_target": "0",
+        "certificate_out": str(tmp / "vi_cert.json"),
+    })]) == 1
+    assert re.match(r"FAIL verify-inner: eps_min = \S+ > 0, ", capsys.readouterr().out)
+    assert (tmp / "vi_cert.json").exists()  # the certificate states the eps_min found
+
+
+def test_decode_of_a_word_with_an_erasure_exits_2(workspace, capsys):
+    _, payload = _word_probe("decode", lambda symbols: [None] + symbols[1:])
+    capsys.readouterr()
+    assert main(["decode", "--config", _write_config(
+        workspace / "erased.json", payload(workspace))]) == 2
+    assert "config error: decode expects an unerased word" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [
+    {"p": 300, "m": 2, "modulus": [1, 0, 1]},
+    # x^17 + 1 is reducible, and q = 2^17 builds no tables that would notice
+    {"p": 2, "m": 17, "modulus": [1] + [0] * 16 + [1]},
+], ids=["p-not-prime", "modulus-reducible"])
+def test_code_file_over_a_non_field_exits_2(workspace, capsys, field):
+    command, payload = _artifact_probe("decode", "outer_code.json", ("field",), field)
+    capsys.readouterr()
+    assert main([command, "--config", _write_config(
+        workspace / "nonfield.json", payload(workspace))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "outer_code.json" in err
+
+
 @pytest.mark.parametrize("command,payload,evaluated", [
     # [4,2]/GF(4) inner codes: 16 words, 120 pairs + C(15, 2) triples
     ("build-inner", {"seed": 1, "field": {"p": 2, "m": 2}, "length": 4, "dim": 2,

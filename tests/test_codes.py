@@ -48,6 +48,19 @@ def test_generator_entries_must_lie_in_field(gf2):
         LinearCode(gf2, [[1, 2, 0]])
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "1"])
+def test_generator_entry_that_is_not_an_integer_rejected(gf4, entry):
+    # int() would read 1.5 and True as 1 and build another code
+    with pytest.raises(ValueError, match="generator"):
+        LinearCode(gf4, [[entry, 1, 1, 1]])
+
+
+def test_generator_of_numpy_integers_accepted(gf4):
+    code = LinearCode(gf4, np.array([[1, 2, 3, 1]]))
+    assert code.generator == ((1, 2, 3, 1),)
+    assert type(code.generator[0][0]) is int
+
+
 def test_encode_zero_message(rs42):
     assert rs42.encode([0, 0]) == (0, 0, 0, 0)
 

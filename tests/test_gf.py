@@ -3,12 +3,14 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aelcert import make_field, multiplicative_generator
+from aelcert import Field, make_field, multiplicative_generator
 from aelcert.errors import DivisionByZero, FieldTooLarge, NonPrimeCharacteristic
+from aelcert.gf import _ints
 
 
 def test_make_field_gf2_modulus():
@@ -41,6 +43,50 @@ def test_make_field_rejects_nonprime():
 def test_make_field_rejects_too_large():
     with pytest.raises(FieldTooLarge):
         make_field(2, 21)
+    # the cap is checked before trial division, which would take ~10^9 steps
+    with pytest.raises(FieldTooLarge):
+        make_field(2**61 - 1)
+
+
+@pytest.mark.parametrize("p,m,modulus,error", [
+    # x^17 + 1 = (x + 1)(x^16 + ... + 1); q > 2^16, so no table build sees it
+    (2, 17, (1,) + (0,) * 16 + (1,), ValueError),
+    (2, 2, (0, 1, 1), ValueError),  # x^2 + x = x(x + 1)
+    (2, 2, (1, 1, 0), ValueError),  # degree 1, not 2
+    (3, 2, (1, 3, 1), ValueError),  # a coefficient outside GF(3)
+    (300, 2, (1, 0, 1), NonPrimeCharacteristic),
+    (2, 0, (1,), ValueError),
+    (2, 21, (1, 0, 1) + (0,) * 18 + (1,), FieldTooLarge),
+    (2.0, 2, (1, 1, 1), ValueError),
+    (2, True, (0, 1), ValueError),
+    (2, 2, (1, 1.0, 1), ValueError),
+])
+def test_field_refuses_what_is_not_a_field(p, m, modulus, error):
+    with pytest.raises(error):
+        Field(p, m, modulus)
+
+
+def test_field_accepts_numpy_integers():
+    f = Field(np.int64(2), np.int32(2), np.array([1, 1, 1]))
+    assert f == make_field(2, 2)
+    assert all(type(x) is int for x in (f.p, f.m, *f.modulus))
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, 1.5, "1", None])
+def test_ints_refuses_what_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="^x: "):
+        _ints(value, "x")
+    with pytest.raises(ValueError, match="^x: "):
+        _ints([[0], [1, value]], "x", 2)
+
+
+def test_ints_reads_sequences_and_numpy_integers():
+    assert _ints((np.int64(3), np.uint8(2), 1), "x", 1) == [3, 2, 1]
+    assert _ints(np.array([[1, 2], [3, 4]]), "x", 2) == [[1, 2], [3, 4]]
+    assert type(_ints(np.int64(3), "x")) is int
+    for not_a_sequence in ("12", 12):
+        with pytest.raises(ValueError, match="sequence"):
+            _ints(not_a_sequence, "x", 1)
 
 
 def test_gf4_alpha_squared(gf4):
@@ -167,6 +213,16 @@ def test_gf16_pow_matches_repeated_mul(a, e, gf16):
 TABLE_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 2), (17, 1)]
 # no exp/log tables above q = 2^16: the row primitives fall back to `mul`
 TABLELESS_FIELDS = [(2, 17), (3, 11)]
+
+
+@pytest.mark.parametrize("p,m", TABLELESS_FIELDS)
+def test_inverse_without_tables(p, m):
+    # inv is pow(a, q - 2) over the schoolbook product here
+    f = make_field(p, m)
+    assert f._exp is None
+    rng = random.Random(p * 100 + m)
+    for a in [1, 2, f.q - 1] + [rng.randrange(1, f.q) for _ in range(20)]:
+        assert f.mul(a, f.inv(a)) == 1
 
 
 @pytest.mark.parametrize("p,m", TABLE_FIELDS)

@@ -102,6 +102,24 @@ def test_vertex_outside_range_rejected():
         verify_eml_sets(k44, [0], [7, 8, 9])
 
 
+@pytest.mark.parametrize("n,d,left_adj,seed,name", [
+    (2, 2, [[0.9, 1.2], [0, 1]], None, "left_adj"),
+    (2.0, 2, [[0, 1], [1, 0]], None, "n"),
+    (2, True, [[0], [1]], None, "d"),
+    (2, 1, [[0], [1]], 7.0, "seed"),
+])
+def test_graph_input_that_is_not_an_integer_rejected(n, d, left_adj, seed, name):
+    with pytest.raises(ValueError, match=name):
+        BipartiteGraph(n, d, left_adj, seed=seed)
+
+
+def test_graph_of_numpy_integers_accepted():
+    g = BipartiteGraph(np.int64(4), np.int32(2), np.array([[0, 1], [1, 2], [2, 3], [3, 0]]),
+                       seed=np.uint8(3))
+    assert g.left_adj == [[0, 1], [1, 2], [2, 3], [3, 0]]
+    assert all(type(x) is int for x in (g.n, g.d, g.seed, g.left_adj[0][0]))
+
+
 def test_biadjacency_matches_loop_oracle():
     g = random_regular_bipartite(24, 5, seed=11, lam_target=1.0)
     A = np.zeros((g.n, g.n))

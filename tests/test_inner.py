@@ -416,8 +416,12 @@ def test_exhaustive_all_erased_center_boundary(gf2):
     code = LinearCode(gf2, [[1, 1, 1]])
     ok, witness = exhaustive_arld_check(code, k=2, delta0=1, eps=0)
     assert ok
+    # past it, S = {} fails first: the center h_1 gives a sum of at most
+    # m - 1 < (m - 1)(delta0 - eps), so the witness erases nothing
     bad, witness = exhaustive_arld_check(code, k=2, delta0=2, eps=0)
     assert not bad
+    assert ERASED not in witness["center"]
+    assert (witness["lhs"], witness["rhs"]) == (1, 2)
 
 
 def test_exhaustive_center_cap_fails_closed(gf2, monkeypatch):
@@ -577,6 +581,16 @@ def test_frs_rate_above_one_rejected(gf17):
     with pytest.raises(ValueError, match=r"\[1, bn = 4\]"):
         make_folded_rs(gf17, 2, 2, Fraction(3, 2))
     assert make_folded_rs(gf17, 2, 2, 1).dim == 4
+
+
+@pytest.mark.parametrize("b,n,alphas,name", [
+    (2, 4, [1.9, 2, 4, 8], "alphas"),
+    (2.0, 4, [1, 2, 4, 8], "b"),
+    (2, True, [1, 2, 4, 8], "n"),
+])
+def test_frs_input_that_is_not_an_integer_rejected(gf17, b, n, alphas, name):
+    with pytest.raises(ValueError, match=name):
+        make_folded_rs(gf17, b, n, Fraction(1, 4), alphas=alphas)
 
 
 def _horner_frs_encode(frs, msg):

@@ -9,6 +9,7 @@ import pytest
 from aelcert import (
     AELCode,
     ERASED,
+    LinearCode,
     make_field,
     make_folded_rs,
     min_arld_slack,
@@ -84,6 +85,40 @@ def test_frs_with_a_non_int_field_rejected(tmp_path, gf17, key, index, value):
     (tmp_path / "frs.json").write_text(json.dumps(rec))
     with pytest.raises(ConfigInvalid, match=key):
         load_frs(tmp_path / "frs.json")
+
+
+def _rewrite(path, where, value):
+    """The artifact at `path` with `value` stored at `where`, a path of keys
+    and indices into its JSON body."""
+    rec = load_artifact(path)
+    node = rec
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path.write_text(json.dumps(rec))
+
+
+@pytest.mark.parametrize("kind,where,value", [
+    ("linear_code", ("n",), 9),
+    ("linear_code", ("dim",), 5),
+    ("rs_code", ("generator", 1, 2), 0),
+    ("folded_rs", ("gamma",), 5),  # a generator of GF(17)*, but not the one in use
+])
+def test_stored_field_that_disagrees_with_the_code_rejected(tmp_path, gf4, gf17,
+                                                            kind, where, value):
+    path = tmp_path / "code.json"
+    if kind == "folded_rs":
+        save_frs(path, make_folded_rs(gf17, 2, 4, Fraction(1, 4)))
+        load = load_frs
+    else:
+        rows = [[1, 0, 1, 1], [0, 1, 2, 3]]
+        save_code(path, LinearCode(gf4, rows) if kind == "linear_code"
+                  else RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]))
+        load = load_code
+    load(path)
+    _rewrite(path, where, value)
+    with pytest.raises(ConfigInvalid, match=f"{where[0]} does not match"):
+        load(path)
 
 
 def test_graph_round_trip(tmp_path):
@@ -174,6 +209,37 @@ def test_certificate_round_trip(tmp_path, gf4):
     assert {m: w.disagreement_count for m, w in cert.witnesses.items()} == (
         cert.min_disagreements_by_size)
     assert loaded.witnesses == {}
+
+
+@pytest.mark.parametrize("where,value", [
+    (("k",), "3"),
+    (("n",), 4.0),
+    (("witness_indices",), "01"),
+    (("witness_indices", 0), True),
+    (("witness_disagreements",), 1.5),
+    (("subsets_examined",), "225"),
+    (("min_disagreements_by_size", "2"), "3"),
+])
+def test_certificate_with_a_non_int_field_rejected(tmp_path, gf4, where, value):
+    # a string or bool here would reach reevaluate as a wrong index or count
+    path = tmp_path / "cert.json"
+    save_certificate(path, min_arld_slack(RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]),
+                                          k=3, delta0=Fraction(3, 4)))
+    _rewrite(path, where, value)
+    with pytest.raises(ConfigInvalid, match=where[0]):
+        load_certificate(path)
+
+
+@pytest.mark.parametrize("key", ["2.0", "true", "x"])
+def test_certificate_with_a_non_int_size_key_rejected(tmp_path, gf4, key):
+    path = tmp_path / "cert.json"
+    save_certificate(path, min_arld_slack(RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]),
+                                          k=3, delta0=Fraction(3, 4)))
+    rec = load_artifact(path)
+    rec["min_disagreements_by_size"][key] = rec["min_disagreements_by_size"].pop("2")
+    path.write_text(json.dumps(rec))
+    with pytest.raises(ConfigInvalid):
+        load_certificate(path)
 
 
 def test_certificate_sweep_counts_in_header_only(tmp_path, gf4):

@@ -219,6 +219,21 @@ def test_common_error_center_in_subset(instance12):
     assert report["passed"]
 
 
+def test_common_error_violation_is_reported(instance12):
+    # the prerequisite passes at delta0 = 1/2; at delta0 = 1 a pair at distance
+    # 11/12 needs a sum of 1 from a center that agrees with one of them everywhere
+    singleton = verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0)
+    w, v = instance12.encode_message([4, 4]), instance12.encode_message([3, 9])
+    assert hamming_distance(w, v) == Fraction(11, 12)
+    g = tuple(v[r] if r < 6 else w[r] for r in range(12))
+    report = verify_common_error_bound(
+        instance12, 2, 1, 0, [g], beta=Fraction(1, 2), singleton_report=singleton,
+    )
+    assert not report["passed"]
+    assert report["violations"] == [
+        {"center": g, "size": 2, "lhs": Fraction(11, 12), "rhs": 1}]
+
+
 def test_common_error_counts_centers_from_an_iterator(acceptance):
     ael, singleton = acceptance["ac4"]["ael"], acceptance["ac4"]["report"]
     centers = ael.enumerate_codewords()[:5]

@@ -26,6 +26,16 @@ def test_construction_requires_enough_points(gf4):
         RSOuterCode(gf4, 12, 2)
 
 
+@pytest.mark.parametrize("n,dim,points,name", [
+    (4, 2, [0, 1.7, 2, 3], "points"),
+    (4.0, 2, None, "n"),
+    (4, "2", None, "dim"),
+])
+def test_input_that_is_not_an_integer_rejected(gf16, n, dim, points, name):
+    with pytest.raises(ValueError, match=name):
+        RSOuterCode(gf16, n, dim, points=points)
+
+
 def test_mds_distance(rs12):
     assert rs12.min_distance() == Fraction(11, 12)
 

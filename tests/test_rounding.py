@@ -439,6 +439,15 @@ def test_ael_unique_decode_checks_shape_first(instance12, monkeypatch, shape):
         ael_unique_decode(instance12, word)
 
 
+@pytest.mark.parametrize("entry", [0.5, True])
+def test_ael_unique_decode_refuses_an_entry_that_is_not_an_integer(instance12, entry):
+    # either entry is near enough to decode to h; numpy integers are integers
+    h = instance12.encode_message([3, 3])
+    with pytest.raises(ValueError, match="word entry"):
+        ael_unique_decode(instance12, ((entry,) + h[0][1:],) + h[1:])
+    assert ael_unique_decode(instance12, [tuple(np.array(t)) for t in h])[0] == h
+
+
 def test_ael_unique_decode_far_center_fails(instance12):
     words = instance12.enumerate_codewords()
     rng = np.random.default_rng(21)
