@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io as aio
-from .ael import verify_distance_amplification
+from .ael import AELCode, verify_distance_amplification
 from .arld import DEFAULT_SUBSET_CAP
 from .codes import ERASED
 from .errors import (AelcertError, AmplificationViolation, ConfigInvalid, FieldTooLarge,
@@ -200,17 +201,12 @@ def _cmd_build_outer(cfg) -> Verdict:
 
 
 def _cmd_build_ael(cfg) -> Verdict:
+    # the parts must fit before the bundle, which names them relative to itself, is written
+    code = AELCode(aio.load_graph(cfg["graph_file"]), aio.load_code(cfg["inner_file"]),
+                   aio.load_code(cfg["outer_file"]))
     bundle_path = Path(cfg["bundle_out"])
-    # store file references relative to the bundle for relocatability
-    refs = {}
-    for key in ("graph_file", "inner_file", "outer_file"):
-        p = Path(cfg[key])
-        try:
-            refs[key] = str(p.relative_to(bundle_path.parent))
-        except ValueError:
-            refs[key] = str(p)
-    aio.save_bundle(bundle_path, refs["graph_file"], refs["inner_file"], refs["outer_file"])
-    code = aio.load_bundle(bundle_path)  # validates consistency
+    aio.save_bundle(bundle_path, *(os.path.relpath(cfg[key], bundle_path.parent)
+                                   for key in ("graph_file", "inner_file", "outer_file")))
     return Verdict(True, f"n={code.n}, d={code.d}, |C|={code.outer.size}")
 
 

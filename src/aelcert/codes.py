@@ -19,7 +19,7 @@ from .errors import (
     FieldMismatch,
     LengthMismatch,
 )
-from .gf import Field, _ints
+from .gf import Field, _seq
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
@@ -60,21 +60,20 @@ class LinearCode:
     Parameters
     ----------
     field : Field
-    generator : sequence of rows, each a sequence of integer representatives
-        (a bool or float entry raises ValueError)
+    generator : sequence of rows, each a vector over `field` (read by
+        `Field.vector`, so an entry that is not an element raises FieldMismatch)
     """
 
     def __init__(self, field: Field, generator):
         self.field = field
-        self.generator = tuple(map(tuple, _ints(generator, "generator", 2)))
+        self.generator = tuple(tuple(field.vector(row, "generator"))
+                               for row in _seq(generator, "generator"))
         if not self.generator:
             raise DimensionMismatch("generator must have at least one row")
         self.dim = len(self.generator)
         self.n = len(self.generator[0])
         if any(len(row) != self.n for row in self.generator):
             raise DimensionMismatch("ragged generator matrix")
-        if any(x >= field.q or x < 0 for row in self.generator for x in row):
-            raise FieldMismatch("generator entry outside field")
         if not self._full_rank():
             raise DimensionMismatch("generator matrix is not full row rank")
         self._codewords: list[tuple[int, ...]] | None = None
@@ -96,11 +95,9 @@ class LinearCode:
         return self.field.q**self.dim
 
     def encode(self, msg) -> tuple[int, ...]:
-        msg = list(msg)
+        msg = self.field.vector(msg, "message")
         if len(msg) != self.dim:
             raise DimensionMismatch(f"message length {len(msg)} != dim {self.dim}")
-        if any(x >= self.field.q or x < 0 for x in msg):
-            raise FieldMismatch("message symbol outside field")
         return self._combine(msg, self.generator)
 
     def _combine(self, coeffs, rows) -> tuple[int, ...]:
@@ -119,11 +116,11 @@ class LinearCode:
         if self.size > cap:
             raise EnumerationTooLarge(f"{self.size} codewords exceed cap {cap}")
         if self._codewords is None:
-            self._codewords = [self.encode(m) for m in self.messages()]
+            self._codewords = [self._combine(m, self.generator) for m in self.messages()]
         return self._codewords
 
     def contains(self, word) -> bool:
-        """Exact membership test; False for a word with a symbol outside [0, q).
+        """Exact membership test; False for a word `Field.vector` refuses.
 
         The only codeword that agrees with `word` on the pivot columns is
         sum_i word[pivot_i] * reduced_row_i, so `word` is a codeword iff it
@@ -132,7 +129,9 @@ class LinearCode:
         word = tuple(word)
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n {self.n}")
-        if any(not 0 <= x < self.field.q for x in word):
+        try:
+            word = tuple(self.field.vector(word, "word"))
+        except FieldMismatch:
             return False
         reduced, pivots = self._echelon
         return self._combine([word[p] for p in pivots], reduced) == word

@@ -13,8 +13,8 @@ class FieldTooLarge(AelcertError):
     pass
 
 
-class FieldMismatch(AelcertError):
-    pass
+class FieldMismatch(AelcertError, ValueError):
+    """A value that is not a vector over the field: a bad input value."""
 
 
 class DivisionByZero(AelcertError):

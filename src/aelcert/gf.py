@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from numbers import Integral
 
-from .errors import DivisionByZero, FieldTooLarge, NonPrimeCharacteristic
+from .errors import DivisionByZero, FieldMismatch, FieldTooLarge, NonPrimeCharacteristic
 
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16  # exp/log tables only for q up to this
@@ -34,9 +34,7 @@ def _ints(value, name: str, depth: int = 0):
     or a numpy integer is an integer; a bool, float, string or anything else
     raises ValueError naming `name`, so nothing is truncated."""
     if depth:
-        if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
-            raise ValueError(f"{name}: expected a sequence, got {value!r}")
-        value = list(value)
+        value = _seq(value, name)
         # a list of plain ints, the common case, costs one pass over its types
         if depth > 1 or not set(map(type, value)) <= {int}:
             value = [_ints(x, name, depth - 1) for x in value]
@@ -48,14 +46,22 @@ def _ints(value, name: str, depth: int = 0):
     raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
+def _seq(value, name: str) -> list:
+    """`value`, any iterable but a string, as a list; else ValueError."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ValueError(f"{name}: expected a sequence, got {value!r}")
+    return list(value)
+
+
 def _checked_order(p, m) -> tuple[int, int]:
     """(p, m) as ints, for m >= 1 (else ValueError), p^m <= MAX_FIELD_ORDER
     (else FieldTooLarge) and p prime (else NonPrimeCharacteristic).  The cap
-    comes first, so trial division never sees a p above it."""
+    comes first, so trial division never sees a p above it, and m is bounded
+    before p**m is computed: 2^m alone exceeds the cap for larger m."""
     p, m = _ints(p, "p"), _ints(m, "m")
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    if p > MAX_FIELD_ORDER or p**m > MAX_FIELD_ORDER:
+    if p > MAX_FIELD_ORDER or m >= MAX_FIELD_ORDER.bit_length() or p**m > MAX_FIELD_ORDER:
         raise FieldTooLarge(f"GF({p}^{m}) exceeds the cap q <= {MAX_FIELD_ORDER}")
     if not _is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
@@ -103,6 +109,18 @@ class Field:
         self._log: list[int] | None = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
+
+    def vector(self, values, name: str) -> list[int]:
+        """`values` as a list of ints in [0, q), the one check of a vector over
+        this field; anything else (`_ints` refusals too) raises FieldMismatch."""
+        try:
+            values = _ints(values, name, 1)
+        except ValueError as exc:
+            raise FieldMismatch(str(exc)) from None
+        if values and not (0 <= min(values) and max(values) < self.q):
+            bad = next(x for x in values if not 0 <= x < self.q)
+            raise FieldMismatch(f"{name}: {bad} is not an element of GF({self.q})")
+        return values
 
     # -- encoding ---------------------------------------------------------
 

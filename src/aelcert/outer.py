@@ -11,11 +11,10 @@ most that weight and never returns a codeword farther from the word.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .codes import LinearCode
-from .errors import FieldMismatch, FieldTooSmall, LengthMismatch
+from .errors import FieldTooSmall, LengthMismatch
 from .gf import Field, _ints
 
 
@@ -32,8 +31,8 @@ class RSOuterCode(LinearCode):
             if field.q < n:
                 raise FieldTooSmall(f"q={field.q} < n={n}")
             points = range(n)
-        points = _ints(points, "points", 1)
-        if len(points) != n or len(set(points)) != n or not all(0 <= a < field.q for a in points):
+        points = field.vector(points, "points")
+        if len(points) != n or len(set(points)) != n:
             raise ValueError("evaluation points must be n distinct field elements")
         generator = [
             [field.pow(a, i) for a in points] for i in range(dim)
@@ -133,17 +132,9 @@ def rs_unique_decode(code: RSOuterCode, word):
     """
     F = code.field
     n, k = code.n, code.dim
-    symbols = list(word)
-    if len(symbols) != n:
-        raise LengthMismatch(f"word length {len(symbols)} != n {n}")
-    try:
-        word = [operator.index(y) for y in symbols]
-        if any(not 0 <= y < F.q for y in word):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise FieldMismatch(
-            f"word has a symbol that is not an integer in [0, {F.q})"
-        ) from None
+    word = F.vector(word, "word")
+    if len(word) != n:
+        raise LengthMismatch(f"word length {len(word)} != n {n}")
     # g1 interpolates the word: g1(a) = y_a at every point a
     g0, basis = code._interpolation_table()
     g1 = [0] * n

@@ -487,6 +487,8 @@ def test_probe_bases_are_accepted(workspace, command):
     _probe("build-outer", field={"p": 2, "m": 2, "modulus": [1, 1, 1]}),
     _probe("build-outer", field={"p": 4}),
     _probe("build-frs", b="2"),
+    _probe("build-frs", alphas=[20, 3, 5, 7]),
+    _probe("build-outer", field={"p": 2, "m": 10**12}),
     _probe("encode", message=["1", 0]),
     _probe("encode", message=[1]),
     _probe("encode", message=[999, 0]),
@@ -502,17 +504,19 @@ def test_probe_bases_are_accepted(workspace, command):
     *[_word_probe(command, mangle) for command in _WORD_COMMANDS
       for mangle in _UNREADABLE_WORDS.values()],
     _artifact_probe("decode", "bundle.json", ("phi",), "random"),
+    _artifact_probe("verify-inner", "inner_code.json", ("generator", 0, 0), 99),
     *[_artifact_probe(*probe) for probe in _NON_INT_FIELDS.values()],
 ], ids=["duplicate-points", "degree-above-n", "field-m0", "parallel-edge-graph-file",
         "k-str", "k-float", "k-bool", "k-zero", "k-negative", "verify-inner-k-zero",
         "build-inner-k-str", "complete-str", "max_tries-str", "max_tries-zero", "d-float",
         "lambda_target-str", "lambda_target-nan", "lambda_target-negative", "seed-float",
         "version-bool", "version-float", "dim-str", "dim-zero", "points-float",
-        "points-outside-field", "field-extra-key", "field-p-not-prime", "b-str", "message-str",
+        "points-outside-field", "field-extra-key", "field-p-not-prime", "b-str",
+        "alphas-outside-field", "field-m-huge", "message-str",
         "message-short", "message-outside-field", "seed-str", "subset_cap-zero", "report_out-int",
         "beta-negative", "beta-above-1", "delta0-negative", "delta0-above-1",
         *[f"{command}-{name}" for command in _WORD_COMMANDS for name in _UNREADABLE_WORDS],
-        "phi-random", *_NON_INT_FIELDS])
+        "phi-random", "generator-outside-field", *_NON_INT_FIELDS])
 def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload):
     config = payload(workspace)
     outputs = [Path(v) for key, v in config.items() if key.endswith("_out") and type(v) is str]
@@ -525,6 +529,36 @@ def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload
     assert "PASS" not in captured.out
     assert "error" in captured.err and "Traceback" not in captured.err
     assert not any(out.exists() for out in outputs)
+
+
+def test_build_ael_of_parts_that_do_not_fit_writes_no_bundle(workspace, capsys):
+    tmp = workspace
+    assert main(["build-outer", "--config", _write_config(tmp / "o8.json", {
+        "version": 1, "field": {"p": 2, "m": 4}, "n": 8, "dim": 2,
+        "code_out": str(tmp / "outer8.json")})]) == 0
+    capsys.readouterr()
+    assert main(["build-ael", "--config", _write_config(tmp / "ael8.json", {
+        "version": 1, "graph_file": str(tmp / "graph_out.json"),
+        "inner_file": str(tmp / "inner_code.json"), "outer_file": str(tmp / "outer8.json"),
+        "bundle_out": str(tmp / "bundle8.json")})]) == 1
+    captured = capsys.readouterr()
+    assert "error: outer length 8 != graph size 12" in captured.err
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    assert not (tmp / "bundle8.json").exists()
+
+
+def test_build_ael_bundle_outside_the_parts_directory_loads(workspace):
+    tmp = workspace
+    (tmp / "sub").mkdir()
+    assert main(["build-ael", "--config", _write_config(tmp / "ael_sub.json", {
+        "version": 1, "graph_file": str(tmp / "graph_out.json"),
+        "inner_file": str(tmp / "inner_code.json"), "outer_file": str(tmp / "outer_code.json"),
+        "bundle_out": str(tmp / "sub" / "bundle.json")})]) == 0
+    assert load_artifact(tmp / "sub" / "bundle.json")["graph_file"] == "../graph_out.json"
+    assert main(["encode", "--config", _write_config(tmp / "enc_sub.json", {
+        "version": 1, "bundle_file": str(tmp / "sub" / "bundle.json"),
+        "message": [1, 0], "word_out": str(tmp / "sub" / "word.json")})]) == 0
+    assert load_artifact(tmp / "sub" / "word.json") == load_artifact(tmp / "word.json")
 
 
 @pytest.mark.parametrize("name", sorted(_MISFIT_WORDS))

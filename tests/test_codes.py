@@ -55,6 +55,12 @@ def test_generator_entry_that_is_not_an_integer_rejected(gf4, entry):
         LinearCode(gf4, [[entry, 1, 1, 1]])
 
 
+@pytest.mark.parametrize("generator", [5, "1111", None])
+def test_generator_that_is_not_a_sequence_of_rows_rejected(gf4, generator):
+    with pytest.raises(ValueError, match="generator"):
+        LinearCode(gf4, generator)
+
+
 def test_generator_of_numpy_integers_accepted(gf4):
     code = LinearCode(gf4, np.array([[1, 2, 3, 1]]))
     assert code.generator == ((1, 2, 3, 1),)
@@ -82,6 +88,16 @@ def test_encode_dimension_mismatch(rs42):
 def test_encode_message_outside_field(rs42):
     with pytest.raises(FieldMismatch):
         rs42.encode([1, 7])
+
+
+@pytest.mark.parametrize("symbol", [True, 1.5, -1, 4, None])
+def test_encode_refuses_a_symbol_that_is_not_a_field_element(rs42, symbol):
+    with pytest.raises(FieldMismatch, match="message"):
+        rs42.encode([symbol, 0])
+
+
+def test_encode_reads_numpy_integers(rs42):
+    assert rs42.encode(np.array([1, 1])) == rs42.encode([1, 1]) == (1, 0, 3, 2)
 
 
 def test_enumerate_repetition(rep3):
@@ -195,6 +211,17 @@ def test_contains_rejects_symbols_outside_field(gf16):
     assert ternary_rep.contains([2, 2, 2])
     assert not ternary_rep.contains([4, 4, 4])
     assert not ternary_rep.contains([3, 3, 3])
+
+
+def test_contains_is_false_for_what_is_not_a_field_element():
+    code = RSOuterCode(make_field(17), 4, 2)
+    assert code.contains([1, 1, 1, 1])
+    assert code.contains(np.array([1, 1, 1, 1]))
+    # True == 1, but a bool is not a field element
+    for bad in (True, 1.0, "1", None):
+        assert not code.contains([bad, 1, 1, 1])
+    with pytest.raises(LengthMismatch):
+        code.contains([True, 1, 1])
 
 
 def test_contains_agrees_with_enumeration(gf2, gf4):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aelcert import Field, make_field, multiplicative_generator
-from aelcert.errors import DivisionByZero, FieldTooLarge, NonPrimeCharacteristic
-from aelcert.gf import _ints
+from aelcert.errors import DivisionByZero, FieldMismatch, FieldTooLarge, NonPrimeCharacteristic
+from aelcert.gf import _checked_order, _ints
 
 
 def test_make_field_gf2_modulus():
@@ -46,6 +46,18 @@ def test_make_field_rejects_too_large():
     # the cap is checked before trial division, which would take ~10^9 steps
     with pytest.raises(FieldTooLarge):
         make_field(2**61 - 1)
+
+
+def test_huge_degree_is_refused_before_p_to_the_m():
+    # 2^(10^12) would be a 10^12-bit integer; the degree bound refuses it first
+    with pytest.raises(FieldTooLarge):
+        make_field(2, 10**12)
+    with pytest.raises(FieldTooLarge):
+        Field(2, 10**12, (1, 1))
+    # the degree bound is exact: GF(2^20) is at the cap, GF(2^21) above it
+    assert _checked_order(2, 20) == (2, 20)
+    with pytest.raises(FieldTooLarge):
+        _checked_order(2, 21)
 
 
 @pytest.mark.parametrize("p,m,modulus,error", [
@@ -87,6 +99,29 @@ def test_ints_reads_sequences_and_numpy_integers():
     for not_a_sequence in ("12", 12):
         with pytest.raises(ValueError, match="sequence"):
             _ints(not_a_sequence, "x", 1)
+
+
+def test_vector_reads_field_elements(gf16):
+    assert gf16.vector([0, 15, 7], "v") == [0, 15, 7]
+    assert gf16.vector((np.int64(15), np.uint8(0)), "v") == [15, 0]
+    assert gf16.vector([], "v") == []
+    assert all(type(x) is int for x in gf16.vector(np.array([1, 2]), "v"))
+
+
+@pytest.mark.parametrize("bad", [-1, 16, 99, True, 1.0, 0.5, "3", None, float("nan")])
+def test_vector_refuses_what_is_not_a_field_element(gf16, bad):
+    for vector in ([bad], [0, 3, bad]):
+        with pytest.raises(FieldMismatch, match="^v: "):
+            gf16.vector(vector, "v")
+    # FieldMismatch is a ValueError, the type of every other bad input value
+    with pytest.raises(ValueError):
+        gf16.vector([bad], "v")
+
+
+def test_vector_refuses_what_is_not_a_sequence(gf16):
+    for not_a_sequence in (3, "0123", None):
+        with pytest.raises(FieldMismatch, match="v: expected a sequence"):
+            gf16.vector(not_a_sequence, "v")
 
 
 def test_gf4_alpha_squared(gf4):

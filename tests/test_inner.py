@@ -34,6 +34,7 @@ from aelcert.arld import (
 from aelcert.errors import (
     EmptySet,
     EnumerationTooLarge,
+    FieldMismatch,
     FieldTooSmall,
     NotAppropriate,
     SearchExhausted,
@@ -41,7 +42,7 @@ from aelcert.errors import (
     SubsetSizeTooLarge,
 )
 from aelcert.codes import pairwise_min_distance
-from aelcert.inner import BlockCode
+from aelcert.inner import BlockCode, FoldedRSCode
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
 
@@ -587,10 +588,23 @@ def test_frs_rate_above_one_rejected(gf17):
     (2, 4, [1.9, 2, 4, 8], "alphas"),
     (2.0, 4, [1, 2, 4, 8], "b"),
     (2, True, [1, 2, 4, 8], "n"),
+    (2.0, 4, None, "b"),  # the default anchors are computed only after b is read
 ])
 def test_frs_input_that_is_not_an_integer_rejected(gf17, b, n, alphas, name):
     with pytest.raises(ValueError, match=name):
         make_folded_rs(gf17, b, n, Fraction(1, 4), alphas=alphas)
+
+
+@pytest.mark.parametrize("alphas", [[-1, 3, 5, 7], [20, 3, 5, 7], [True, 3, 5, 7]])
+def test_frs_anchor_outside_the_field_rejected(gf17, alphas):
+    with pytest.raises(FieldMismatch, match="alphas"):
+        FoldedRSCode(gf17, 2, 4, Fraction(1, 4), alphas)
+
+
+def test_frs_reads_numpy_integers(gf17):
+    frs = FoldedRSCode(gf17, np.int64(2), np.int32(4), Fraction(1, 4), np.array([1, 9, 13, 15]))
+    assert frs.alphas == make_folded_rs(gf17, 2, 4, Fraction(1, 4)).alphas == (1, 9, 13, 15)
+    assert all(type(x) is int for x in (frs.b, frs.n, *frs.alphas))
 
 
 def _horner_frs_encode(frs, msg):

@@ -87,6 +87,17 @@ def test_frs_with_a_non_int_field_rejected(tmp_path, gf17, key, index, value):
         load_frs(tmp_path / "frs.json")
 
 
+@pytest.mark.parametrize("anchor", [-1, 20])
+def test_frs_file_with_an_anchor_outside_the_field_rejected(tmp_path, gf17, anchor):
+    # GF(17) would read -1 as 16; the file must say 16 or be refused
+    save_frs(tmp_path / "frs.json", make_folded_rs(gf17, 2, 4, Fraction(1, 4)))
+    rec = load_artifact(tmp_path / "frs.json")
+    rec["alphas"][0] = anchor
+    (tmp_path / "frs.json").write_text(json.dumps(rec))
+    with pytest.raises(ConfigInvalid, match=f"frs.json: alphas: {anchor} is not an element"):
+        load_frs(tmp_path / "frs.json")
+
+
 def _rewrite(path, where, value):
     """The artifact at `path` with `value` stored at `where`, a path of keys
     and indices into its JSON body."""

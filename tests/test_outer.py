@@ -192,9 +192,10 @@ def test_decode_rejects_a_fractional_symbol(rs12):
     assert rs_unique_decode(rs12, numpy_word) == rs12.encode([3, 5])
 
 
-@pytest.mark.parametrize("symbol", [None, "3", float("nan")])
+@pytest.mark.parametrize("symbol", [None, "3", float("nan"), True])
 def test_decode_rejects_a_non_numeric_symbol(rs12, symbol):
-    # None is the ERASED marker: an outer decoder has no erasure support
+    # None is the ERASED marker: an outer decoder has no erasure support;
+    # True == 1, yet a bool is not a field element
     word = list(rs12.encode([3, 5]))
     word[2] = symbol
     with pytest.raises(FieldMismatch):
