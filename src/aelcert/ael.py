@@ -59,6 +59,7 @@ class AELCode:
         self.phi = inner.enumerate_codewords()
         self._phi_inv = {w: sigma for sigma, w in enumerate(self.phi)}
         self._codewords: list[tuple] | None = None
+        self._interned: tuple = (None,)  # (codeword list, its symbol_ids)
 
     @property
     def n(self) -> int:
@@ -120,6 +121,13 @@ class AELCode:
         if self._codewords is None:
             self._codewords = [self.encode(w) for w in outer_words]
         return self._codewords
+
+    def symbol_ids(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, dict]:
+        """`arld.intern_symbols` of the codewords, computed once per codeword list."""
+        words = self.enumerate_codewords(cap)
+        if self._interned[0] is not words:
+            self._interned = (words, *intern_symbols(words))
+        return self._interned[1:]
 
     # -- metrics ---------------------------------------------------------------
 
@@ -184,7 +192,7 @@ def verify_distance_amplification(code: AELCode, cap: int = DEFAULT_ENUMERATION_
         math.ceil(n * max([delta_in - lam * n / c] + asserted)) for c in range(1, n + 1)
     ])
     iu = np.triu_indices(len(words), k=1)
-    dr = pair_disagreements(intern_symbols(words)[0])[iu]
+    dr = pair_disagreements(code.symbol_ids(cap)[0])[iu]
     dl = pair_disagreements(intern_symbols(code.left_views(w) for w in words)[0])[iu]
     bad = np.flatnonzero(dr < limit[dl])
     if bad.size:

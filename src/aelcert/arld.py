@@ -59,17 +59,16 @@ _BYTE_SUM, _TOP_BYTE = np.uint64(0x0101010101010101), np.uint64(56)
 MAX_SUBSET_SIZE = 31
 
 
-def intern_symbols(codewords) -> tuple[np.ndarray, list]:
-    """Map codewords over an arbitrary hashable alphabet to integer ids.
+def intern_symbols(codewords) -> tuple[np.ndarray, dict]:
+    """The (M, n) integer ids of codewords over a hashable alphabet, and the id map.
 
     Ids are assigned in sorted symbol order, so id comparisons agree with
     the canonical "smallest element encoding" tie-break.
     """
     words = [tuple(w) for w in codewords]
-    alphabet = sorted({s for w in words for s in w})
-    index = {s: i for i, s in enumerate(alphabet)}
+    index = {s: i for i, s in enumerate(sorted({s for w in words for s in w}))}
     mat = np.array([[index[s] for s in w] for w in words], dtype=np.int64)
-    return mat, alphabet
+    return mat, index
 
 
 def translation_closed(words, field) -> bool:

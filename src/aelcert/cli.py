@@ -153,7 +153,7 @@ def _cmd_build_inner(cfg) -> Verdict:
 
 
 def _cmd_verify_inner(cfg) -> Verdict:
-    code = aio.load_code(cfg["code_file"])
+    code = aio.load_inner(cfg["code_file"])
     cert = min_arld_slack(code, cfg["k"], cfg["delta0"],
                           subset_cap=cfg.get("subset_cap", DEFAULT_SUBSET_CAP),
                           description=cfg["code_file"])
@@ -317,12 +317,13 @@ def _cmd_verify_eml(cfg) -> Verdict:
     rng = np.random.default_rng(derive_seed(cfg["seed"], "eml"))
     failures = 0
     for _ in range(trials):
-        f = [Fraction(int(x), 100) for x in rng.integers(-100, 101, size=graph.n)]
-        g = [Fraction(int(x), 100) for x in rng.integers(-100, 101, size=graph.n)]
-        if not verify_eml(graph, f, g)[2]:
+        # the verdict on f = F/100, g = G/100 (`verify_eml` is homogeneous in each)
+        F = rng.integers(-100, 101, size=graph.n)
+        G = rng.integers(-100, 101, size=graph.n)
+        if not verify_eml(graph, F, G)[2]:
             failures += 1
-        S = [i for i in range(graph.n) if rng.random() < 0.5]
-        T = [i for i in range(graph.n) if rng.random() < 0.5]
+        S = np.flatnonzero(rng.random(graph.n) < 0.5).tolist()
+        T = np.flatnonzero(rng.random(graph.n) < 0.5).tolist()
         if not verify_eml_sets(graph, S, T)[2]:
             failures += 1
     rows = [_row(cfg["graph_file"], "eml_failures", failures, failures == 0, 0, -failures)]

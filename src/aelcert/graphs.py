@@ -15,6 +15,9 @@ inequality checks consume lambda_hat + 1e-6 (`lam_bound`); that margin is
 not yet backed by a proof that it covers the SVD's rounding error.
 `lam_bound` is computed once per graph, on first access, and is a plain
 attribute after that: assigning it sets the bound every check reads.
+
+The mixing-lemma checks are integer numpy kernels over the (n, d) array
+`adj`, in int64 only where `verify_eml`'s bound proves every sum exact.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
@@ -30,6 +32,8 @@ from .errors import LengthMismatch, ParallelEdgeExhaustion, TargetUnreachable
 from .gf import _ints
 
 LAMBDA_SAFETY = Fraction(1, 10**6)
+# `verify_eml` sums in int64 while its bound on every partial sum is below this
+INT64_EXACT = 1 << 62
 # permutations drawn per matching before parallel edges count as unavoidable
 MATCHING_ATTEMPTS = 50000
 
@@ -46,7 +50,7 @@ class BipartiteGraph:
         if len(self.left_adj) != n or any(len(r) != d for r in self.left_adj):
             raise ValueError("left adjacency must be n rows of d right vertices")
         _check_vertices(n, [r for row in self.left_adj for r in row])
-        adj = np.array(self.left_adj, dtype=np.int64).reshape(n, d)
+        self.adj = adj = np.array(self.left_adj, dtype=np.int64).reshape(n, d)
         if np.any(np.diff(np.sort(adj, axis=1), axis=1) == 0):
             raise ValueError("parallel edges in left adjacency")
         if np.any(np.bincount(adj.ravel(), minlength=n) != d):
@@ -57,7 +61,7 @@ class BipartiteGraph:
 
     def biadjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
-        A[np.arange(self.n).repeat(self.d), np.ravel(self.left_adj).astype(np.intp)] = 1.0
+        A[np.arange(self.n).repeat(self.d), self.adj.ravel()] = 1.0
         return A
 
     @cached_property
@@ -126,20 +130,25 @@ def verify_eml(graph: BipartiteGraph, f, g) -> tuple[Fraction, float, bool]:
     f and g are rational-valued vectors on L and R.  Returns
     (deviation, float bound, pass).  The comparison squares both sides so it
     stays exact; norms are normalized second moments E[x^2].  f and g are
-    scaled once to integers F = f*Df, G = g*Dg by their common denominators,
-    so every sum is a Python int:
+    scaled once to integers F = f*Df, G = g*Dg by their common denominators:
         deviation = |n*E(F,G) - d*sum(F)*sum(G)| / (n^2 d Df Dg),
         pass iff  (n*E - d*sum(F)*sum(G))^2 <= lam^2 n^2 d^2 sum(F^2) sum(G^2).
+    The verdict is homogeneous of degree 2 in F and in G (F -> cF, c != 0,
+    scales both sides by c^2), so integer vectors give the verdict of F/Df.
+    E(F,G) = F @ G[adj].sum(1) and the four sums run in int64 while
+    n*max(d|F||G|, |F|^2, |G|^2) < 2^62 (|F| = max_i |F_i|), else on Python
+    ints: no partial sum exceeds d|G| <= n|G|^2 (d <= n), n*d|F||G|, n|F| <=
+    n|F|^2 or n|F|^2 (or the same for G), so none reaches 2^63.
     """
     n, d = graph.n, graph.d
     if len(f) != n or len(g) != n:
         raise LengthMismatch("f and g must have length n")
-    F, Df = _common_denominator(f)
-    G, Dg = _common_denominator(g)
-    edge_sum = sum(F[l] * sum(G[r] for r in graph.left_adj[l]) for l in range(n))
-    num = abs(n * edge_sum - d * sum(F) * sum(G))
-    f2 = sum(x * x for x in F)
-    g2 = sum(x * x for x in G)
+    (F, Df, top_f), (G, Dg, top_g) = _integer_vector(f), _integer_vector(g)
+    small = n * max(d * top_f * top_g, top_f * top_f, top_g * top_g) < INT64_EXACT
+    F, G = (np.array(X, dtype=np.int64 if small else object) for X in (F, G))
+    edge_sum = int(F @ G[graph.adj].sum(1))
+    num = abs(n * edge_sum - d * int(F.sum()) * int(G.sum()))
+    f2, g2 = int(F @ F), int(G @ G)
     lam = graph.lam_bound
     bound = float(lam) * math.sqrt((f2 / (n * Df * Df)) * (g2 / (n * Dg * Dg)))
     return Fraction(num, n * n * d * Df * Dg), bound, _mixing_ok(num, n, d, f2, g2, lam)
@@ -150,27 +159,29 @@ def _mixing_ok(num: int, n: int, d: int, f2: int, g2: int, lam: Fraction) -> boo
     return (num * lam.denominator) ** 2 <= (lam.numerator * n * d) ** 2 * f2 * g2
 
 
-def _common_denominator(xs) -> tuple[list[int], int]:
-    """Integers X and the least D with X[i] = xs[i] * D exactly.  Ints and
-    Fractions pass through; other integers (numpy's) become ints, since a
-    Fraction would keep their fixed width; anything else converts exactly."""
-    xs = [
-        x if isinstance(x, (int, Fraction))
-        else int(x) if isinstance(x, Integral)
-        else Fraction(x)
-        for x in xs
-    ]
-    D = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (D // x.denominator) for x in xs], D
+def _integer_vector(xs) -> tuple[list[int], int, int]:
+    """Integers X, the least D with X = xs * D exactly, and max |X|: each entry
+    read once by `as_integer_ratio`, a numpy integer (which lacks it) as an int."""
+    xs = xs.tolist() if isinstance(xs, np.ndarray) else xs
+    try:
+        ratios = [x.as_integer_ratio() for x in xs]
+    except AttributeError:
+        ratios = [(int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio() for x in xs]
+    D = math.lcm(*{b for _, b in ratios})
+    X = [a * (D // b) for a, b in ratios]
+    return X, D, max(map(abs, X), default=0)
 
 
 def verify_eml_sets(graph: BipartiteGraph, S, T) -> tuple[int, Fraction, bool]:
     """Set form of the mixing lemma: |E(S,T) - d|S||T|/n| <= lam*d*sqrt(|S||T|),
-    decided in Python ints as `verify_eml` decides it on indicator vectors."""
-    S, T = set(S), set(T)
+    decided in Python ints as `verify_eml` decides it on indicator vectors.
+    A repeated vertex counts once; one outside [0, n) raises ValueError."""
+    S, T = set(_ints(S, "S", 1)), set(_ints(T, "T", 1))
     n, d = graph.n, graph.d
     _check_vertices(n, S | T)
-    e_st = sum(1 for l in S for r in graph.left_adj[l] if r in T)
+    in_T = np.zeros(n, dtype=bool)
+    in_T[list(T)] = True
+    e_st = int(np.count_nonzero(in_T[graph.adj[list(S)]]))
     num = abs(n * e_st - d * len(S) * len(T))
     return e_st, Fraction(num, n), _mixing_ok(num, n, d, len(S), len(T), graph.lam_bound)
 

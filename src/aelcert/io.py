@@ -20,7 +20,7 @@ from .codes import ERASED, ErasedWord, LinearCode
 from .errors import ConfigInvalid, FieldTooLarge, NonPrimeCharacteristic
 from .gf import Field, _ints
 from .graphs import BipartiteGraph
-from .inner import ARLDCertificate, FoldedRSCode
+from .inner import ARLDCertificate, BlockCode, FoldedRSCode
 from .outer import RSOuterCode
 
 FORMAT_VERSION = 1
@@ -164,6 +164,13 @@ def load_frs(path) -> FoldedRSCode:
     frs = FoldedRSCode(field, rec["b"], rec["n"], parse_frac(rec["rho"]), rec["alphas"])
     _stored(rec, "gamma", frs.gamma)
     return frs
+
+
+def load_inner(path) -> BlockCode:
+    """An rs_code or linear_code file's code, or a folded_rs file's block code."""
+    if _load_kind(path, "rs_code", "linear_code", "folded_rs")["kind"] == "folded_rs":
+        return load_frs(path).as_block_code()
+    return load_code(path)
 
 
 # -- graphs --------------------------------------------------------------------

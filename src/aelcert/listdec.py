@@ -28,15 +28,19 @@ from .inner import BlockCode, min_arld_slack
 
 def brute_force_list(code: AELCode, center, beta: Fraction):
     """All codewords within (erased) distance <= beta of the center: those
-    with at most floor(beta * n) disagreements on the unerased vertices."""
+    with at most floor(beta * n) disagreements on the unerased vertices,
+    counted in one comparison with the code's symbol-id matrix (a center
+    symbol that no codeword has gets id -1, equal to no id)."""
     center = center if isinstance(center, ErasedWord) else ErasedWord(center)
     if center.n != code.n:
         raise LengthMismatch("length mismatch with graph size")
     code._check(center.symbols)  # the words `decode` refuses
     limit = math.floor(Fraction(beta) * code.n)
-    kept = [(r, g) for r, g in enumerate(center.symbols) if g is not ERASED]
     words = code.enumerate_codewords()
-    return [w for w in words if sum(1 for r, g in kept if w[r] != g) <= limit]
+    mat, ids = code.symbol_ids()
+    kept = [r for r, g in enumerate(center.symbols) if g is not ERASED]
+    center_ids = [ids.get(tuple(center.symbols[r]), -1) for r in kept]
+    return [words[i] for i in ((mat[:, kept] != center_ids).sum(1) <= limit).nonzero()[0]]
 
 
 def verify_generalized_singleton(

@@ -2,13 +2,18 @@
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_graphs import _verify_eml_fraction_oracle, _verify_eml_sets_fraction_oracle
 
+from aelcert import io as aio
 from aelcert.cli import _COMMANDS, _KEY_TYPES, main
 from aelcert.errors import AmplificationViolation
-from aelcert.io import artifact_body_bytes, load_artifact, save_word
+from aelcert.io import artifact_body_bytes, load_artifact, load_graph, save_word
+from aelcert.seeds import derive_seed
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -300,6 +305,46 @@ def test_verify_eml(workspace):
     })]) == 0
 
 
+def _verify_eml_cli_fraction_oracle(graph, seed, trials):
+    """Reference: the verify-eml loop with f = F/100 and g = G/100 as
+    Fractions and S, T drawn one vertex at a time, checked by the Fraction
+    oracles of the mixing lemma."""
+    rng = np.random.default_rng(derive_seed(seed, "eml"))
+    failures = 0
+    for _ in range(trials):
+        f = [Fraction(int(x), 100) for x in rng.integers(-100, 101, size=graph.n)]
+        g = [Fraction(int(x), 100) for x in rng.integers(-100, 101, size=graph.n)]
+        failures += not _verify_eml_fraction_oracle(graph, f, g)[2]
+        S = [i for i in range(graph.n) if rng.random() < 0.5]
+        T = [i for i in range(graph.n) if rng.random() < 0.5]
+        failures += not _verify_eml_sets_fraction_oracle(graph, S, T)[2]
+    return failures
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 10), Fraction(1, 5)])
+def test_verify_eml_counts_the_failures_of_the_fraction_loop(workspace, capsys, monkeypatch,
+                                                             lam):
+    # an understated lambda fails some trials of each form; the integer draws
+    # fail exactly the trials their Fractions F/100, G/100 fail
+    def understated(path):
+        graph = load_graph(path)
+        graph.lam_bound = lam
+        return graph
+
+    monkeypatch.setattr(aio, "load_graph", understated)
+    trials, seed = 40, 5
+    expected = _verify_eml_cli_fraction_oracle(
+        understated(workspace / "graph_out.json"), seed, trials)
+    assert 0 < expected < 2 * trials
+    capsys.readouterr()
+    assert main(["verify-eml", "--config", _write_config(workspace / "eml.json", {
+        "version": 1, "graph_file": str(workspace / "graph_out.json"),
+        "seed": seed, "trials": trials,
+    })]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL verify-eml: {expected} violations in {trials} trials\n")
+
+
 @pytest.mark.parametrize("trials", [0, -3, "20", 2.5, True, None])
 def test_verify_eml_rejects_trials_not_a_positive_int(workspace, capsys, trials):
     tmp = workspace
@@ -582,6 +627,32 @@ def test_verify_inner(workspace):
         "k": 3, "delta0": "1/2", "eps_target": "1/4",
         "certificate_out": str(tmp / "vi_cert.json"),
     })]) == 0
+
+
+def test_verify_inner_reads_a_folded_rs_file(tmp_path, capsys):
+    # the AC8 code: its block view over GF(17)^2 certifies eps_min = 0 at k = 3
+    assert main(["build-frs", "--config", _write_config(tmp_path / "frs.json", {
+        "version": 1, "field": {"p": 17, "m": 1}, "b": 2, "n": 4, "rho": "1/4",
+        "code_out": str(tmp_path / "frs_out.json"),
+    })]) == 0
+    capsys.readouterr()
+    assert main(["verify-inner", "--config", _write_config(tmp_path / "vi.json", {
+        "version": 1, "code_file": str(tmp_path / "frs_out.json"), "k": 3, "delta0": "3/4",
+        "eps_target": "0", "certificate_out": str(tmp_path / "frs_cert.json"),
+    })]) == 0
+    assert re.match(r"PASS verify-inner: eps_min = 0, subsets_evaluated = \d+, "
+                    r"reduction = translation\n$", capsys.readouterr().out)
+    cert = load_artifact(tmp_path / "frs_cert.json")
+    assert (cert["eps_min"], cert["n"], cert["k"]) == ("0/1", 4, 3)
+    assert all(len(symbol) == 2 for symbol in cert["witness_center"])
+
+
+def test_verify_inner_refuses_a_file_of_another_kind(workspace, capsys):
+    assert main(["verify-inner", "--config", _write_config(workspace / "vi.json", {
+        "version": 1, "code_file": str(workspace / "graph_out.json"), "k": 3,
+        "delta0": "1/2", "certificate_out": str(workspace / "vi_cert.json"),
+    })]) == 2
+    assert "rs_code/linear_code/folded_rs" in capsys.readouterr().err
 
 
 def test_verify_inner_above_eps_target_fails(workspace, capsys):

@@ -17,7 +17,8 @@ from aelcert import (
     verify_eml_sets,
 )
 from aelcert.errors import LengthMismatch, TargetUnreachable
-from aelcert.graphs import LAMBDA_SAFETY
+from aelcert import graphs
+from aelcert.graphs import INT64_EXACT, LAMBDA_SAFETY
 from aelcert.seeds import derive_seed
 
 
@@ -244,6 +245,66 @@ def test_eml_matches_fraction_oracle(case):
     assert (lhs, bound, ok) == ref
 
 
+# pairwise coprime, so the common denominator is their product
+_COPRIME_DENOMINATORS = [1, 3, 5, 7, 11, 13, 17, 19, 23]
+
+
+@st.composite
+def _eml_big_case(draw):
+    """Entries of magnitude 2^40 and more over coprime denominators: every
+    such pair is past the int64 bound, so `verify_eml` sums in Python ints."""
+    graph = _EML_GRAPHS[draw(st.sampled_from(sorted(_EML_GRAPHS)))]
+    entry = st.builds(
+        lambda sign, num, den: Fraction(sign * num, den),
+        st.sampled_from([-1, 1]), st.integers(2**40, 2**70),
+        st.sampled_from(_COPRIME_DENOMINATORS),
+    )
+    vec = st.lists(entry, min_size=graph.n, max_size=graph.n)
+    return graph, draw(vec), draw(vec)
+
+
+def _largest_scaled(v):
+    """max |v[i] * D|, D the least common denominator of v."""
+    D = math.lcm(*(x.denominator for x in v))
+    return max(abs(x.numerator) * (D // x.denominator) for x in v)
+
+
+def test_eml_past_the_int64_bound_needs_python_ints(monkeypatch):
+    # entries that fit int64 but whose products wrap it: with the bound
+    # lifted, the int64 path gives another answer (entries past 2^63, as in
+    # the property test below, cannot even be stored), so forcing int64
+    # fails both tests
+    graph = _EML_GRAPHS["random12"]
+    f = [Fraction(2**40 + i, _COPRIME_DENOMINATORS[i % 4]) for i in range(graph.n)]
+    g = [Fraction(-(2**41) - 3 * i, _COPRIME_DENOMINATORS[(i + 2) % 4]) for i in range(graph.n)]
+    assert _largest_scaled(f) < 2**63 and _largest_scaled(g) < 2**63
+    exact = _verify_eml_fraction_oracle(graph, f, g)
+    assert verify_eml(graph, f, g) == exact
+    monkeypatch.setattr(graphs, "INT64_EXACT", 1 << 200)
+    assert verify_eml(graph, f, g)[0] != exact[0]
+
+
+@given(case=_eml_big_case())
+@settings(max_examples=200, deadline=None)
+def test_eml_matches_fraction_oracle_past_the_int64_bound(case):
+    graph, f, g = case
+    assert graph.n * _largest_scaled(f) * _largest_scaled(g) >= INT64_EXACT  # Python ints
+    assert verify_eml(graph, f, g) == _verify_eml_fraction_oracle(graph, f, g)
+
+
+@pytest.mark.parametrize("offset", [0, -1], ids=["largest", "one-below"])
+def test_eml_int64_bound_counts_the_degree(offset):
+    # F = G = M everywhere, n*M^2 below 2^62 (M the largest such, or one
+    # less): the squared sums fit int64 but the edge sum n*d*M^2 is past
+    # 2^63, so the bound must count d
+    graph = _EML_GRAPHS["random12"]
+    M = math.isqrt((INT64_EXACT - 1) // graph.n) + offset
+    f = [M] * graph.n
+    assert graph.n * M * M < INT64_EXACT <= graph.n * graph.d * M * M
+    assert verify_eml(graph, f, f) == _verify_eml_fraction_oracle(graph, f, f)
+    assert verify_eml(graph, f, f)[0] == 0
+
+
 def _verify_eml_sets_fraction_oracle(graph, S, T):
     """Reference: the set form of the mixing lemma with Fraction squaring."""
     S, T = set(S), set(T)
@@ -269,6 +330,36 @@ def test_eml_sets_matches_fraction_oracle(case):
     got = verify_eml_sets(graph, S, T)
     assert isinstance(got[1], Fraction)
     assert got == _verify_eml_sets_fraction_oracle(graph, S, T)
+
+
+@pytest.mark.parametrize("S,T", [
+    ([3, 3, 1, 3], [0, 0, 2]),
+    ([], [0, 1, 2]),
+    ([0, 1], []),
+    ([], []),
+], ids=["duplicates", "empty-S", "empty-T", "both-empty"])
+def test_eml_sets_duplicates_count_once_and_empty_sets_pass(S, T):
+    graph = _EML_GRAPHS["random12"]
+    got = verify_eml_sets(graph, S, T)
+    assert got == verify_eml_sets(graph, sorted(set(S)), sorted(set(T)))
+    assert got == _verify_eml_sets_fraction_oracle(graph, S, T)
+    if not S or not T:
+        assert got == (0, 0, True)
+
+
+@pytest.mark.parametrize("S,T", [
+    ([-1], [0]), ([0], [-1]), ([12], [0]), ([0, 5], [3, 12]),
+], ids=["S-minus-one", "T-minus-one", "S-n", "T-n"])
+def test_eml_sets_vertex_outside_range_raises(S, T):
+    # checked before any index: numpy would wrap -1 to vertex n - 1
+    with pytest.raises(ValueError, match="outside"):
+        verify_eml_sets(_EML_GRAPHS["random12"], S, T)
+
+
+@pytest.mark.parametrize("S", [[True], [0, 1.0], ["1"]], ids=["bool", "float", "str"])
+def test_eml_sets_vertex_that_is_not_an_integer_raises(S):
+    with pytest.raises(ValueError, match="S"):
+        verify_eml_sets(_EML_GRAPHS["random12"], S, [0])
 
 
 def test_eml_sets_oracle_cases_include_failures():

@@ -1,9 +1,12 @@
 """List-decoding oracle and the subset/partition/sampling verifiers."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aelcert import (
     AELCode,
@@ -33,8 +36,10 @@ from aelcert.errors import (
     SubsetTooSmall,
 )
 from aelcert.arld import subset_search_count, translation_closed
+from aelcert.gf import make_field
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
+from aelcert.seeds import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +95,68 @@ def test_list_rejects_what_unique_decoding_rejects(instance12, bend):
     h = instance12.encode_message([3, 3])
     with pytest.raises(GraphMismatch):
         brute_force_list(instance12, (bend(h[0]), ERASED) + h[2:], Fraction(1, 2))
+
+
+def _brute_force_list_scan_oracle(code, center, beta):
+    """Reference: the list scan as one symbol comparison per unerased vertex
+    and codeword."""
+    center = center if isinstance(center, ErasedWord) else ErasedWord(center)
+    limit = math.floor(Fraction(beta) * code.n)
+    kept = [(r, g) for r, g in enumerate(center.symbols) if g is not ERASED]
+    words = code.enumerate_codewords()
+    return [w for w in words if sum(1 for r, g in kept if w[r] != g) <= limit]
+
+
+def _ael12(graph_seed, outer_dim):
+    gf4, gf16 = make_field(2, 2), make_field(2, 4)
+    return AELCode(random_regular_bipartite(12, 4, seed=graph_seed, lam_target=0.95),
+                   RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]), RSOuterCode(gf16, 12, outer_dim))
+
+
+_LIST_CODES = {
+    "instance12": _ael12(7, 2),
+    "ac3": _ael12(derive_seed(2024, "ac3-graph"), 2),
+    # 16 words: at most 192 of the 256 GF(4)^4 symbols occur, so a center
+    # can hold symbols that no codeword has anywhere
+    "ac3-outer-dim1": _ael12(derive_seed(2024, "ac3-graph"), 1),
+}
+
+
+@st.composite
+def _list_case(draw):
+    code = _LIST_CODES[draw(st.sampled_from(sorted(_LIST_CODES)))]
+    words = code.enumerate_codewords()
+    center = list(words[draw(st.integers(0, len(words) - 1))])
+    for r in range(code.n):
+        kind = draw(st.sampled_from(["keep", "codeword", "any", "erased"]))
+        if kind == "codeword":  # another codeword's symbol at this vertex
+            center[r] = words[draw(st.integers(0, len(words) - 1))][r]
+        elif kind == "any":  # any symbol over GF(4), on the codebook or off it
+            center[r] = draw(st.tuples(*[st.integers(0, 3)] * code.d))
+        elif kind == "erased":
+            center[r] = ERASED
+    beta = draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    return code, center, beta
+
+
+@given(case=_list_case())
+@settings(max_examples=300, deadline=None)
+def test_list_matches_scan_oracle(case):
+    code, center, beta = case
+    as_word = brute_force_list(code, ErasedWord(center), beta)
+    assert as_word == brute_force_list(code, center, beta)
+    assert as_word == _brute_force_list_scan_oracle(code, center, beta)
+
+
+def test_list_center_symbol_off_the_alphabet_disagrees_with_every_word():
+    code = _LIST_CODES["ac3-outer-dim1"]
+    ids = code.symbol_ids()[1]
+    off = next(t for t in np.ndindex(4, 4, 4, 4) if t not in ids)
+    w = code.enumerate_codewords()[5]
+    center = (off,) + w[1:]
+    assert brute_force_list(code, center, Fraction(0)) == []
+    assert brute_force_list(code, center, Fraction(1, 12)) == [w]
+    assert brute_force_list(code, (ERASED,) + w[1:], Fraction(0)) == [w]
 
 
 def test_singleton_k1_trivial(instance12):
