@@ -15,6 +15,12 @@ comprehension of table lookups; so is `sub_scaled_row` in characteristic 2,
 where the subtraction is an XOR.  In odd characteristic `sub_scaled_row`
 calls `sub` and `mul` per element.  Larger fields have no tables, and both
 primitives fall back to `mul` per element.
+
+Polynomials over a field are coefficient lists, low degree first:
+`poly_trim`, `poly_mul` and `poly_divmod` serve both the irreducibility test
+here (trial division over GF(p)) and Gao's decoder in `outer`.  `_digits`
+is the one base-p digit map, and `multiplicative_generator` the one
+generator search: the tables are a single walk of its generator's powers.
 """
 
 from __future__ import annotations
@@ -69,14 +75,28 @@ def _checked_order(p, m) -> tuple[int, int]:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
+    return p > 1 and _prime_factors(p) == [p]
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, increasing, by trial division."""
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] if n > 1 else out
+
+
+def _digits(a: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of a, low to high."""
+    out = []
+    for _ in range(m):
+        out.append(a % p)
+        a //= p
+    return out
 
 
 class Field:
@@ -126,11 +146,7 @@ class Field:
 
     def to_coeffs(self, a: int) -> list[int]:
         """Integer representative -> coefficient vector (length m, low-to-high)."""
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return _digits(a, self.p, self.m)
 
     def from_coeffs(self, coeffs) -> int:
         a = 0
@@ -223,7 +239,8 @@ class Field:
         return result
 
     def _build_tables(self) -> None:
-        g = self._find_generator_poly()
+        """One walk of the powers of the generator, multiplied by `_mul_poly`."""
+        g = multiplicative_generator(self)
         exp = [1] * (self.q - 1)
         log = [0] * self.q
         x = 1
@@ -232,19 +249,6 @@ class Field:
             log[x] = i
             x = self._mul_poly(x, g)
         self._exp, self._log = exp + exp, log
-        self._generator = g
-
-    def _find_generator_poly(self) -> int:
-        """Smallest representative of multiplicative order q - 1 (table-free)."""
-        target = self.q - 1
-        for g in range(1, self.q):
-            x, k = g, 1
-            while x != 1 and k <= target:
-                x = self._mul_poly(x, g)
-                k += 1
-            if k == target and x == 1:
-                return g
-        raise AssertionError("unreachable: the multiplicative group of a field is cyclic")
 
     # -- misc ---------------------------------------------------------------
 
@@ -253,12 +257,8 @@ class Field:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, Field) and (self.p, self.m, self.modulus) == (
+            other.p, other.m, other.modulus)
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.modulus))
@@ -267,40 +267,56 @@ class Field:
         return f"Field(p={self.p}, m={self.m}, q={self.q})"
 
 
-def _poly_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
-    """Exhaustive trial division of a monic polynomial over GF(p).
+# -- polynomials over a Field --------------------------------------------------
+# Polynomials are coefficient lists, low degree first; zero is [].
 
-    Divides by every monic polynomial of degree 1..deg//2; feasible for the
-    field sizes this package supports.
-    """
+
+def poly_trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_mul(F: Field, a: list[int], b: list[int]) -> list[int]:
+    """a * b for trimmed a and b: one `sub_scaled_row` per coefficient of a."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + len(b)] = F.sub_scaled_row(out[i:i + len(b)], F.neg(c), b)
+    return out
+
+
+def poly_divmod(F: Field, num: list[int], den: list[int]):
+    """(quotient, remainder) of num / den: one `sub_scaled_row` per
+    quotient coefficient."""
+    num = list(num)
+    den = poly_trim(list(den))
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    width = len(den)
+    quot = [0] * max(len(num) - width + 1, 0)
+    inv_lead = F.inv(den[-1])
+    for i in range(len(num) - width, -1, -1):
+        c = F.mul(num[i + width - 1], inv_lead)
+        if c:
+            quot[i] = c
+            num[i:i + width] = F.sub_scaled_row(num[i:i + width], c, den)
+    return poly_trim(quot), poly_trim(num)
+
+
+def _poly_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
+    """Trial division of a monic polynomial over GF(p) by every monic
+    polynomial of degree 1..deg//2, by `poly_divmod`; feasible for the field
+    sizes this package supports.  Degree 1 returns before GF(p) is built, so
+    building GF(p) does not recurse."""
     deg = len(coeffs) - 1
     if deg == 1:
         return True
-    if coeffs[0] == 0:  # root at 0
-        return False
-
-    def divides(divisor: list[int]) -> bool:
-        rem = list(coeffs)
-        ddeg = len(divisor) - 1
-        for top in range(deg, ddeg - 1, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            for j in range(ddeg + 1):
-                rem[top - ddeg + j] = (rem[top - ddeg + j] - c * divisor[j]) % p
-        return all(c == 0 for c in rem[:ddeg])
-
-    for ddeg in range(1, deg // 2 + 1):
-        for enc in range(p**ddeg):
-            divisor = []
-            e = enc
-            for _ in range(ddeg):
-                divisor.append(e % p)
-                e //= p
-            divisor.append(1)  # monic
-            if divides(divisor):
-                return False
-    return True
+    prime = Field(p, 1, (0, 1))
+    return all(poly_divmod(prime, coeffs, _digits(enc, p, ddeg) + [1])[1]
+               for ddeg in range(1, deg // 2 + 1) for enc in range(p**ddeg))
 
 
 def make_field(p: int, m: int = 1) -> Field:
@@ -315,23 +331,19 @@ def make_field(p: int, m: int = 1) -> Field:
     if m == 1:
         return Field(p, 1, (0, 1))
     for enc in range(p**m):
-        lower = []
-        e = enc
-        for _ in range(m):
-            lower.append(e % p)
-            e //= p
-        coeffs = tuple(lower) + (1,)
+        coeffs = tuple(_digits(enc, p, m)) + (1,)
         if _poly_is_irreducible(p, coeffs):
             return Field(p, m, coeffs)
     raise AssertionError("unreachable: irreducible polynomials exist for every degree")
 
 
 def multiplicative_generator(field: Field) -> int:
-    """Smallest element of multiplicative order q - 1, verified exhaustively.
-
-    Fields with exp/log tables found it while building them; larger fields
-    search for it by the same table-free scan.
-    """
-    if field._exp is not None:
-        return field._generator
-    return field._find_generator_poly()
+    """Smallest element of multiplicative order q - 1: g has that order iff
+    g^((q - 1)/r) != 1 for every prime r dividing q - 1.  The table build
+    calls it before the tables exist, so it needs none."""
+    q = field.q
+    factors = _prime_factors(q - 1)
+    for g in range(1, q):
+        if all(field.pow(g, (q - 1) // r) != 1 for r in factors):
+            return g
+    raise AssertionError("unreachable: the multiplicative group of a field is cyclic")

@@ -49,8 +49,8 @@ class BipartiteGraph:
         self.seed = None if seed is None else _ints(seed, "seed")
         if len(self.left_adj) != n or any(len(r) != d for r in self.left_adj):
             raise ValueError("left adjacency must be n rows of d right vertices")
-        _check_vertices(n, [r for row in self.left_adj for r in row])
-        self.adj = adj = np.array(self.left_adj, dtype=np.int64).reshape(n, d)
+        flat = [r for row in self.left_adj for r in row]
+        self.adj = adj = _vertex_array(n, flat, "left_adj").reshape(n, d)
         if np.any(np.diff(np.sort(adj, axis=1), axis=1) == 0):
             raise ValueError("parallel edges in left adjacency")
         if np.any(np.bincount(adj.ravel(), minlength=n) != d):
@@ -150,8 +150,23 @@ def verify_eml(graph: BipartiteGraph, f, g) -> tuple[Fraction, float, bool]:
     num = abs(n * edge_sum - d * int(F.sum()) * int(G.sum()))
     f2, g2 = int(F @ F), int(G @ G)
     lam = graph.lam_bound
-    bound = float(lam) * math.sqrt((f2 / (n * Df * Df)) * (g2 / (n * Dg * Dg)))
+    bound = _display_bound(lam, f2, n * Df * Df, g2, n * Dg * Dg)
     return Fraction(num, n * n * d * Df * Dg), bound, _mixing_ok(num, n, d, f2, g2, lam)
+
+
+def _display_bound(lam: Fraction, f2: int, nf: int, g2: int, ng: int) -> float:
+    """lam * sqrt((f2 / nf) * (g2 / ng)) as a float, for display only: taken
+    in log space where a factor or the product leaves the float range, and
+    inf only where the bound itself does."""
+    if not (lam and f2 and g2):
+        return 0.0
+    lf, lg = math.log(f2) - math.log(nf), math.log(g2) - math.log(ng)
+    if max(abs(lf), abs(lg), abs(lf + lg)) < 700:  # e^709 is near the float maximum
+        return float(lam) * math.sqrt((f2 / nf) * (g2 / ng))
+    try:
+        return math.exp(math.log(lam) + (lf + lg) / 2)
+    except OverflowError:
+        return math.inf
 
 
 def _mixing_ok(num: int, n: int, d: int, f2: int, g2: int, lam: Fraction) -> bool:
@@ -176,18 +191,21 @@ def verify_eml_sets(graph: BipartiteGraph, S, T) -> tuple[int, Fraction, bool]:
     """Set form of the mixing lemma: |E(S,T) - d|S||T|/n| <= lam*d*sqrt(|S||T|),
     decided in Python ints as `verify_eml` decides it on indicator vectors.
     A repeated vertex counts once; one outside [0, n) raises ValueError."""
-    S, T = set(_ints(S, "S", 1)), set(_ints(T, "T", 1))
     n, d = graph.n, graph.d
-    _check_vertices(n, S | T)
-    in_T = np.zeros(n, dtype=bool)
-    in_T[list(T)] = True
-    e_st = int(np.count_nonzero(in_T[graph.adj[list(S)]]))
-    num = abs(n * e_st - d * len(S) * len(T))
-    return e_st, Fraction(num, n), _mixing_ok(num, n, d, len(S), len(T), graph.lam_bound)
+    in_S, in_T = np.zeros((2, n), dtype=bool)
+    in_S[_vertex_array(n, _ints(S, "S", 1), "S")] = True
+    in_T[_vertex_array(n, _ints(T, "T", 1), "T")] = True
+    e_st = int(np.count_nonzero(in_T[graph.adj[in_S]]))
+    s, t = int(np.count_nonzero(in_S)), int(np.count_nonzero(in_T))
+    num = abs(n * e_st - d * s * t)
+    return e_st, Fraction(num, n), _mixing_ok(num, n, d, s, t, graph.lam_bound)
 
 
-def _check_vertices(n: int, vertices) -> None:
-    """ValueError unless every vertex lies in [0, n)."""
-    bad = [v for v in vertices if not 0 <= v < n]
-    if bad:
-        raise ValueError(f"vertex {bad[0]} outside [0, {n})")
+def _vertex_array(n: int, vertices: list[int], name: str) -> np.ndarray:
+    """`vertices` as an int64 array; ValueError naming `name` unless every
+    vertex lies in [0, n).  The one range check runs on the Python ints, so
+    a vertex past int64 is refused too, and it runs before any indexing."""
+    if vertices and not (0 <= min(vertices) and max(vertices) < n):
+        bad = next(v for v in vertices if not 0 <= v < n)
+        raise ValueError(f"{name}: vertex {bad} outside [0, {n})")
+    return np.array(vertices, dtype=np.int64)

@@ -7,6 +7,7 @@ interpolant and prod (x - a) over the evaluation points, and divides.  It
 takes O(n^2) field operations per word, with no linear system, and decodes
 at the one radius floor((n - k) / 2): it corrects every error pattern of at
 most that weight and never returns a codeword farther from the word.
+Its polynomial arithmetic is `gf.poly_divmod` and `gf.poly_mul`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .codes import LinearCode
 from .errors import FieldTooSmall, LengthMismatch
-from .gf import Field, _ints
+from .gf import Field, _ints, poly_divmod, poly_mul, poly_trim
 
 
 class RSOuterCode(LinearCode):
@@ -43,6 +44,12 @@ class RSOuterCode(LinearCode):
 
     def _full_rank(self) -> bool:
         return self.dim <= self.n
+
+    def min_distance(self, cap=None) -> Fraction:
+        """(n - dim + 1)/n, with no enumeration (`cap` is not read): a nonzero
+        word is a polynomial of degree < dim, zero on at most dim - 1 points,
+        and prod (x - a) over dim - 1 of the points meets that."""
+        return Fraction(self.n - self.dim + 1, self.n)
 
     def _interpolation_table(self) -> tuple[list[int], list[list[int]]]:
         """(g0, basis): g0 = prod (x - a) over the points, and per point a
@@ -74,45 +81,6 @@ class RSOuterCode(LinearCode):
     @property
     def delta_dec(self) -> Fraction:
         return Fraction(self.unique_decoding_radius, self.n)
-
-
-# -- polynomial helpers over a Field ------------------------------------------
-# Polynomials are coefficient lists, low degree first; zero is [].
-
-
-def poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_mul(F: Field, a: list[int], b: list[int]) -> list[int]:
-    """a * b for trimmed a and b: one `sub_scaled_row` per coefficient of a."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            out[i:i + len(b)] = F.sub_scaled_row(out[i:i + len(b)], F.neg(c), b)
-    return out
-
-
-def poly_divmod(F: Field, num: list[int], den: list[int]):
-    """(quotient, remainder) of num / den: one `sub_scaled_row` per
-    quotient coefficient."""
-    num = list(num)
-    den = poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    width = len(den)
-    quot = [0] * max(len(num) - width + 1, 0)
-    inv_lead = F.inv(den[-1])
-    for i in range(len(num) - width, -1, -1):
-        c = F.mul(num[i + width - 1], inv_lead)
-        if c:
-            quot[i] = c
-            num[i:i + width] = F.sub_scaled_row(num[i:i + width], c, den)
-    return poly_trim(quot), poly_trim(num)
 
 
 def rs_unique_decode(code: RSOuterCode, word):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aelcert import Field, make_field, multiplicative_generator
 from aelcert.errors import DivisionByZero, FieldMismatch, FieldTooLarge, NonPrimeCharacteristic
-from aelcert.gf import _checked_order, _ints
+from aelcert.gf import _checked_order, _ints, poly_divmod, poly_mul, poly_trim
 
 
 def test_make_field_gf2_modulus():
@@ -72,6 +72,8 @@ def test_huge_degree_is_refused_before_p_to_the_m():
     (2.0, 2, (1, 1, 1), ValueError),
     (2, True, (0, 1), ValueError),
     (2, 2, (1, 1.0, 1), ValueError),
+    # (x^2 + x + 1)^2 has no root: only a divisor of degree deg // 2 finds it
+    (2, 4, (1, 0, 1, 0, 1), ValueError),
 ])
 def test_field_refuses_what_is_not_a_field(p, m, modulus, error):
     with pytest.raises(error):
@@ -179,6 +181,30 @@ def test_generator_enumerates_all_nonzero():
         assert powers == set(range(1, f.q))
 
 
+def _poly(f):
+    return st.lists(st.integers(0, f.q - 1), max_size=7).map(poly_trim)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (17, 1)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_poly_divmod_is_division_with_remainder(p, m, data):
+    f = make_field(p, m)
+    num = data.draw(_poly(f))
+    den = data.draw(_poly(f).filter(bool))
+    quot, rem = poly_divmod(f, num, den)
+    assert len(rem) < len(den) and (not quot or quot[-1])
+    # num = quot * den + rem
+    prod = poly_mul(f, quot, den)
+    pad = len(num) - len(prod), len(num) - len(rem)
+    assert poly_trim(f.sub_scaled_row(prod + [0] * pad[0], f.neg(1), rem + [0] * pad[1])) == num
+
+
+def test_poly_divmod_by_zero_raises(gf4):
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(gf4, [1, 1], [0, 0])
+
+
 def test_pow_of_zero(gf8):
     assert gf8.pow(0, 0) == 1
     assert gf8.pow(0, 1) == 0
@@ -248,6 +274,22 @@ def test_gf16_pow_matches_repeated_mul(a, e, gf16):
 TABLE_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 2), (17, 1)]
 # no exp/log tables above q = 2^16: the row primitives fall back to `mul`
 TABLELESS_FIELDS = [(2, 17), (3, 11)]
+
+
+def _order(f, g):
+    """Multiplicative order of g != 0 by repeated schoolbook products."""
+    x, k = g, 1
+    while x != 1:
+        x, k = f._mul_poly(x, g), k + 1
+    return k
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_generator_is_the_smallest_element_of_full_order(p, m):
+    f = make_field(p, m)
+    assert multiplicative_generator(f) == min(g for g in range(1, f.q) if _order(f, g) == f.q - 1)
+    # the tables are the walk of its powers
+    assert f._exp[1] == multiplicative_generator(f)
 
 
 @pytest.mark.parametrize("p,m", TABLELESS_FIELDS)

@@ -305,6 +305,35 @@ def test_eml_int64_bound_counts_the_degree(offset):
     assert verify_eml(graph, f, f)[0] == 0
 
 
+def test_eml_entries_past_the_float_range_give_the_exact_verdict():
+    # second moments near 2^1200: the display float saturates to inf, while
+    # the deviation and the verdict stay exact
+    assert verify_eml(complete_bipartite(4), [2**600, 1, 0, 3], [1, 2, 3, 2**600]) == (
+        0, math.inf, True)
+    # a zero vector makes the bound 0 however large the other one is
+    assert verify_eml(complete_bipartite(4), [0] * 4, [2**600] * 4) == (0, 0, True)
+    # a finite bound is returned even where a factor leaves the float range:
+    # E[f^2] ~ 2^1198 with E[g^2] = 2^-1200 gives about lam/2, and
+    # E[f^2] = 2^1100 with E[g^2] = 1 gives lam * 2^550
+    lam = float(complete_bipartite(4).lam_bound)
+    for f, g, expected in [([2**600, 1, 0, 3], [Fraction(1, 2**600)] * 4,
+                            lam * math.sqrt((2**1200 + 10) / (4 * 2**1200))),
+                           ([2**550] * 4, [1] * 4, lam * 2.0**550)]:
+        dev, bound, ok = verify_eml(complete_bipartite(4), f, g)
+        assert (dev, ok) == (0, True)
+        assert math.isclose(bound, expected, rel_tol=1e-12)
+    # the verdict is homogeneous, so scaling f by 2^600 scales the deviation
+    # and keeps the verdict of the oracle on the unscaled vectors
+    rng = np.random.default_rng(5)
+    for name in ("random12", "cycle8-understated"):
+        graph = _EML_GRAPHS[name]
+        for _ in range(5):
+            f, g = (rng.integers(-9, 10, graph.n).tolist() for _ in range(2))
+            dev, bound, ok = verify_eml(graph, [2**600 * x for x in f], [2**600 * y for y in g])
+            ref_dev, _, ref_ok = _verify_eml_fraction_oracle(graph, f, g)
+            assert (dev, bound, ok) == (2**1200 * ref_dev, math.inf, ref_ok)
+
+
 def _verify_eml_sets_fraction_oracle(graph, S, T):
     """Reference: the set form of the mixing lemma with Fraction squaring."""
     S, T = set(S), set(T)
@@ -360,6 +389,21 @@ def test_eml_sets_vertex_outside_range_raises(S, T):
 def test_eml_sets_vertex_that_is_not_an_integer_raises(S):
     with pytest.raises(ValueError, match="S"):
         verify_eml_sets(_EML_GRAPHS["random12"], S, [0])
+    with pytest.raises(ValueError, match="T"):
+        verify_eml_sets(_EML_GRAPHS["random12"], [0], np.array(S))
+
+
+def test_eml_sets_reads_integer_arrays_and_refuses_vertices_past_int64():
+    graph = _EML_GRAPHS["random12"]
+    S, T = [0, 3, 3, 7], [1, 2, 11]
+    as_lists = verify_eml_sets(graph, S, T)
+    assert verify_eml_sets(graph, np.array(S), np.array(T, dtype=np.uint8)) == as_lists
+    assert verify_eml_sets(graph, [np.int64(v) for v in S], T) == as_lists
+    for huge in (2**63, 2**70, -(2**70)):
+        with pytest.raises(ValueError, match="outside"):
+            verify_eml_sets(graph, [0, huge], T)
+        with pytest.raises(ValueError, match="outside"):
+            BipartiteGraph(2, 1, [[0], [huge]])
 
 
 def test_eml_sets_oracle_cases_include_failures():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import aelcert.codes
 from aelcert import make_field, rs_unique_decode
 from aelcert.errors import DimensionMismatch, FieldMismatch, FieldTooSmall, LengthMismatch
+from aelcert.codes import LinearCode, pairwise_min_distance
 from aelcert.outer import RSOuterCode
 from test_codes import solve
 
@@ -38,6 +39,29 @@ def test_input_that_is_not_an_integer_rejected(gf16, n, dim, points, name):
 
 def test_mds_distance(rs12):
     assert rs12.min_distance() == Fraction(11, 12)
+
+
+@pytest.mark.parametrize("p,m,n,dim,points", [
+    (2, 4, 12, 2, None),
+    (2, 4, 6, 2, [15, 3, 8, 1, 12, 6]),
+    (2, 4, 5, 3, [9, 0, 14, 2, 7]),
+    (17, 1, 17, 2, None),
+    (17, 1, 6, 1, [16, 2, 9, 4, 11, 5]),
+    (3, 2, 9, 2, None),
+    (3, 2, 4, 4, [8, 1, 5, 3]),
+    (3, 2, 7, 2, [8, 7, 6, 5, 4, 3, 2]),
+])
+def test_mds_distance_matches_the_enumerations(p, m, n, dim, points):
+    code = RSOuterCode(make_field(p, m), n, dim, points=points)
+    assert code.min_distance() == Fraction(n - dim + 1, n) == LinearCode.min_distance(code)
+    if code.size <= 300:
+        assert code.min_distance() == pairwise_min_distance(code.enumerate_codewords())
+
+
+def test_mds_distance_needs_no_enumeration():
+    # 256^223 codewords: the enumeration would raise EnumerationTooLarge
+    code = RSOuterCode(make_field(2, 8), 255, 223)
+    assert code.min_distance() == Fraction(33, 255)
 
 
 def test_unique_decoding_radius(rs12):
