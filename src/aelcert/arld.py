@@ -21,6 +21,9 @@ the two words agree, 0 where they differ and in the padding bytes past n).
 A byte of a subset's count lane is at most its size m, so counts add as
 whole words without carries, and one multiply sums a lane's eight bytes
 exactly while 8m < 256; larger sizes are refused before the sweep starts.
+The kernel runs one Python iteration per third-largest member `last` of
+H and evaluates every subset with that `last` in bounded numpy blocks, so
+its Python overhead grows with M, not with the number of subsets.
 Each reported witness is the lexicographically smallest minimizing index
 tuple, so it is a function of the word list alone.  `_search_generic`, a
 direct plurality enumeration, is the reference the tests hold the kernel to.
@@ -57,6 +60,9 @@ DEFAULT_SUBSET_CAP = 2 * 10**8
 # eight bytes, each at most the subset size m, sum below 256, i.e. m <= 31
 _BYTE_SUM, _TOP_BYTE = np.uint64(0x0101010101010101), np.uint64(56)
 MAX_SUBSET_SIZE = 31
+# elements (lanes x prefixes x pairs) of one `_search_subsets` block, 128 KiB
+# of uint64, unless a single prefix has more
+_BLOCK = 1 << 14
 
 
 def intern_symbols(codewords) -> tuple[np.ndarray, dict]:
@@ -220,50 +226,66 @@ def _search_subsets(eq: np.ndarray, m: int, closed: bool) -> SubsetWitness:
     `eq` of `_equality_lanes`, with the lexicographically smallest witness;
     with `closed`, over the m-subsets that contain index 0.
 
-    H is written prefix + (last, c, d) with prefix < last < c < d.  Python
-    loops fix `last` and the m - 3 prefix indices below it; numpy evaluates
-    every pair (c, d) above `last` at once.  D(H) = m*n - sum_i t_i, where
-    t_i is the largest symbol multiplicity at coordinate i.  A member's count
-    at i is 1 plus the later members equal to it there; the first member of
-    each symbol class counts the whole class, so t_i is the largest count.
+    H is written prefix + (last, c, d) with prefix < last < c < d.  One
+    Python iteration fixes `last`; numpy evaluates its (m - 3)-prefixes and
+    every pair (c, d) above it at once, as (L, prefixes, pairs) blocks of at
+    most _BLOCK elements (one prefix per block if a prefix alone is larger).
+    D(H) = m*n - sum_i t_i, where t_i is the largest symbol multiplicity at
+    coordinate i.  A member's count at i is 1 plus the later members equal
+    to it there; the first member of each symbol class counts the whole
+    class, so t_i is the largest count.
 
-    Every row of counts is an (L, P) uint64 array over the P pairs (c, d),
-    one coordinate per byte as in `eq`, so each gather is a 1-D uint64
-    `take` along a lane row.  A count byte is at most m, so counts add as
-    whole lanes with no carry between bytes and maxima are taken on the
-    uint8 view of the same memory.  sum_i t_i is, per lane, the top byte of
-    x * 0x0101010101010101 (the running byte sums stay below 8m < 256, so
-    no carry reaches it), summed over the lanes.  Padding bytes are 0 in
-    `eq` and in `one`, so they add nothing.
+    Counts are uint64 blocks, one coordinate per byte as in `eq`.  A count
+    byte is at most m, so counts add as whole lanes with no carry between
+    bytes and maxima are taken on the uint8 view of the same memory.
+    sum_i t_i is, per lane, the top byte of x * 0x0101010101010101 (the
+    running byte sums stay below 8m < 256, so no carry reaches it), summed
+    over the lanes.  Padding bytes are 0 in `eq` and in `one`, so they add
+    nothing.  The pairs are built once: `np.triu_indices` is row-major, so
+    the pairs above `last` are a suffix of it.  Prefixes are in
+    `combinations` order and pairs in row-major order, so a block's first
+    maximum is its lexicographically smallest minimizer, and blocks are
+    compared on (D, indices).
     """
     L, M, _ = eq.shape
     one = eq[:, 0, 0][:, None]  # 1 in every real byte, 0 in padding
     n = int(one.view(np.uint8).sum())
     flat = eq.reshape(L, M * M)
-    best = None
+    C_all, D_all = np.triu_indices(M, k=1)
+    # the count of c: d, counted 1, is never above it
+    c_count = flat.take(C_all * M + D_all, 1) + one
     # with `closed`, index 0 is `last` when m = 3 and the prefix head otherwise
+    if closed and m > 3:
+        heads = [(0,) + rest for rest in combinations(range(1, M - 3), m - 4)]
+    else:
+        heads = list(combinations(range(M - 3), m - 3))
+    heads = np.array(heads, dtype=np.intp)
+    head_max = heads.max(1, initial=-1)
+    best = None
     lasts = range(1) if closed and m == 3 else range(m - 3, M - 2)
     for last in lasts:
-        ci, di = np.triu_indices(M - last - 1, k=1)
-        C, D = ci + last + 1, di + last + 1
-        # the counts of last and c; d, counted 1, is never above them
+        s = (last + 1) * (2 * M - 2 - last) // 2  # the pairs with c <= last
+        C, D = C_all[s:], D_all[s:]
+        ci, di = C - (last + 1), D - (last + 1)
+        # the counts of last and c
         row = eq[:, last]
         top = row.take(C, 1) + row.take(D, 1) + one
-        np.maximum(top.view(np.uint8), (flat.take(C * M + D, 1) + one).view(np.uint8),
-                   out=top.view(np.uint8))
-        if closed and m > 3:
-            prefixes = ((0,) + rest for rest in combinations(range(1, last), m - 4))
-        else:
-            prefixes = combinations(range(last), m - 3)
-        for prefix in prefixes:
-            fixed = prefix + (last,)
+        np.maximum(top.view(np.uint8), c_count[:, s:].view(np.uint8), out=top.view(np.uint8))
+        top = top[:, None]
+        # the prefixes below `last`, in `combinations` order, then `last`
+        fixed = heads[head_max < last]
+        fixed = np.column_stack((fixed, np.full(len(fixed), last)))
+        # per prefix position: 1 plus the later fixed members equal to it
+        later = [(eq[:, fixed[:, i, None], fixed[:, i + 1:]].sum(2) + one)[:, :, None]
+                 for i in range(m - 3)]
+        step = max(1, _BLOCK // (L * len(C)))
+        for b in range(0, len(fixed), step):
             maxc = top
-            for i, a in enumerate(prefix):
-                row = eq[:, a]
-                # c, d, and a with the later fixed members equal to it
-                count = row.take(C, 1)
-                count += row.take(D, 1)
-                count += sum((row[:, f, None] for f in fixed[i + 1:]), one)
+            for i in range(m - 3):
+                rows = eq[:, fixed[b:b + step, i], last + 1:]
+                count = rows.take(ci, 2)
+                count += rows.take(di, 2)
+                count += later[i][:, b:b + step]
                 np.maximum(maxc.view(np.uint8), count.view(np.uint8), out=count.view(np.uint8))
                 maxc = count
             # each lane's byte sum, then their total over the lanes
@@ -272,8 +294,9 @@ def _search_subsets(eq: np.ndarray, m: int, closed: bool) -> SubsetWitness:
             kept = lanes[0]
             for lane in lanes[1:]:
                 kept += lane
-            j = int(kept.argmax())
-            cand = (m * n - int(kept[j]), fixed + (int(C[j]), int(D[j])))
+            k, j = divmod(int(kept.argmax()), len(C))
+            cand = (m * n - int(kept[k, j]),
+                    tuple(fixed[b + k].tolist()) + (int(C[j]), int(D[j])))
             if best is None or cand < best:
                 best = cand
     return SubsetWitness(m, best[1], best[0])
@@ -295,7 +318,8 @@ def epsilon_min(
     witnesses: dict[int, SubsetWitness], n: int, delta0: Fraction
 ) -> tuple[Fraction, SubsetWitness | None]:
     """Smallest eps for which every subset satisfies
-    D(H)/n >= (|H|-1)(delta0 - eps), clamped below at 0."""
+    D(H)/n >= (|H|-1)(delta0 - eps), clamped below at 0, and the witness
+    that sets it; on ties the smallest size's."""
     eps = Fraction(0)
     worst = None
     for m, w in witnesses.items():

@@ -12,9 +12,11 @@ mod q - 1.  Linear algebra works on whole rows through two primitives:
 `scale_row(f, row)` is [f*y] and `sub_scaled_row(x, f, y)` is [x_i - f*y_i]
 (pass `neg(f)` for the axpy x + f*y).  `scale_row` is one list
 comprehension of table lookups; so is `sub_scaled_row` in characteristic 2,
-where the subtraction is an XOR.  In odd characteristic `sub_scaled_row`
-calls `sub` and `mul` per element.  Larger fields have no tables, and both
-primitives fall back to `mul` per element.
+where the subtraction is an XOR.  Over a prime field (m = 1) `add`, `neg`
+and `sub_scaled_row` are plain integer arithmetic mod p; in an extension
+of odd characteristic `sub_scaled_row` calls `sub` and `mul` per element.
+Larger fields have no tables, and `scale_row` falls back to `mul` per
+element, as `sub_scaled_row` does unless m = 1.
 
 Polynomials over a field are coefficient lists, low degree first:
 `poly_trim`, `poly_mul` and `poly_divmod` serve both the irreducibility test
@@ -123,7 +125,9 @@ class Field:
         if (len(self.modulus) != m + 1 or self.modulus[-1] != 1
                 or not all(0 <= c < p for c in self.modulus)):
             raise ValueError(f"modulus must be monic of degree {m} over GF({p})")
-        if not _poly_is_irreducible(p, self.modulus):
+        # degree 1 is irreducible, and GF(p) checks nothing more, so this
+        # does not recurse
+        if m > 1 and not _poly_is_irreducible(Field(p, 1, (0, 1)), self.modulus):
             raise ValueError(f"modulus {self.modulus} is not irreducible over GF({p})")
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -159,12 +163,16 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.m == 1:
+            return (a + b) % self.p
         ca, cb = self.to_coeffs(a), self.to_coeffs(b)
         return self.from_coeffs((x + y) % self.p for x, y in zip(ca, cb))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
+        if self.m == 1:
+            return -a % self.p
         return self.from_coeffs((-x) % self.p for x in self.to_coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
@@ -212,6 +220,9 @@ class Field:
         """[x_i - f * y_i]; sub_scaled_row(x, neg(f), y) is x + f * y."""
         if f == 0:
             return list(x)
+        if self.m == 1:
+            p = self.p
+            return [(a - f * b) % p for a, b in zip(x, y)]
         exp, log = self._exp, self._log
         if exp is None or self.p != 2:
             return [self.sub(a, self.mul(f, b)) for a, b in zip(x, y)]
@@ -306,15 +317,11 @@ def poly_divmod(F: Field, num: list[int], den: list[int]):
     return poly_trim(quot), poly_trim(num)
 
 
-def _poly_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
-    """Trial division of a monic polynomial over GF(p) by every monic
-    polynomial of degree 1..deg//2, by `poly_divmod`; feasible for the field
-    sizes this package supports.  Degree 1 returns before GF(p) is built, so
-    building GF(p) does not recurse."""
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-    prime = Field(p, 1, (0, 1))
+def _poly_is_irreducible(prime: Field, coeffs: tuple[int, ...]) -> bool:
+    """Trial division of a monic polynomial over `prime` = GF(p) by every
+    monic polynomial of degree 1..deg//2, by `poly_divmod`; feasible for the
+    field sizes this package supports."""
+    p, deg = prime.p, len(coeffs) - 1
     return all(poly_divmod(prime, coeffs, _digits(enc, p, ddeg) + [1])[1]
                for ddeg in range(1, deg // 2 + 1) for enc in range(p**ddeg))
 
@@ -325,14 +332,16 @@ def make_field(p: int, m: int = 1) -> Field:
 
     The scan is over the integer encoding of the lower coefficients
     (low-to-high, base p), so the result is deterministic and reproducible.
-    `Field` checks p and m again; the scan needs them checked first.
+    GF(p) is built once for every candidate's trial division.  `Field`
+    checks p and m again; the scan needs them checked first.
     """
     p, m = _checked_order(p, m)
+    prime = Field(p, 1, (0, 1))
     if m == 1:
-        return Field(p, 1, (0, 1))
+        return prime
     for enc in range(p**m):
         coeffs = tuple(_digits(enc, p, m)) + (1,)
-        if _poly_is_irreducible(p, coeffs):
+        if _poly_is_irreducible(prime, coeffs):
             return Field(p, m, coeffs)
     raise AssertionError("unreachable: irreducible polynomials exist for every degree")
 

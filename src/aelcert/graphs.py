@@ -106,19 +106,20 @@ def random_regular_bipartite(
         raise ValueError("d must be <= n")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
-        cols: list[np.ndarray] = []
-        for _ in range(d):
+        # row i is the i-th accepted matching; a draw is compared once
+        # against all of them
+        cols = np.empty((d, n), dtype=np.int64)
+        for i in range(d):
             for _ in range(MATCHING_ATTEMPTS):
                 perm = rng.permutation(n)
-                if all(not np.any(perm == c) for c in cols):
-                    cols.append(perm)
+                if not (cols[:i] == perm).any():
+                    cols[i] = perm
                     break
             else:
                 raise ParallelEdgeExhaustion(
                     f"could not extend to {d} disjoint matchings"
                 )
-        left_adj = [[int(cols[i][l]) for i in range(d)] for l in range(n)]
-        graph = BipartiteGraph(n, d, left_adj, seed=seed)
+        graph = BipartiteGraph(n, d, cols.T.tolist(), seed=seed)
         if graph.lam <= lam_target:
             return graph
     raise TargetUnreachable(f"no graph with lambda <= {lam_target} in {max_tries} tries")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aelcert import Field, make_field, multiplicative_generator
+from aelcert import Field, gf, make_field, multiplicative_generator
 from aelcert.errors import DivisionByZero, FieldMismatch, FieldTooLarge, NonPrimeCharacteristic
 from aelcert.gf import _checked_order, _ints, poly_divmod, poly_mul, poly_trim
 
@@ -362,3 +362,66 @@ def test_row_primitives_return_new_lists(gf16):
     out = gf16.sub_scaled_row(x, 0, [4, 5, 6])
     assert out == x and out is not x
     assert gf16.scale_row(0, x) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 17])
+def test_prime_field_arithmetic_matches_the_digit_path(p):
+    # m = 1 computes mod p directly; the extension-field path goes through
+    # the base-p digits of `to_coeffs` and `from_coeffs`
+    f = make_field(p)
+
+    def add(a, b):
+        return f.from_coeffs((x + y) % p for x, y in zip(f.to_coeffs(a), f.to_coeffs(b)))
+
+    def neg(a):
+        return f.from_coeffs((-x) % p for x in f.to_coeffs(a))
+
+    xs, ys = zip(*product(range(p), repeat=2))
+    for a, b in zip(xs, ys):
+        assert f.add(a, b) == add(a, b)
+        assert f.sub(a, b) == add(a, neg(b))
+    assert [f.neg(a) for a in range(p)] == [neg(a) for a in range(p)]
+    for c in range(p):
+        assert f.sub_scaled_row(xs, c, ys) == [add(a, neg(f.mul(c, b))) for a, b in zip(xs, ys)]
+
+
+# (modulus, multiplicative_generator) of every field the tests and the
+# benchmark build: how the scan runs its trial divisions must not move them
+PINNED_FIELDS = {
+    (2, 1): ((0, 1), 1),
+    (2, 2): ((1, 1, 1), 2),
+    (2, 3): ((1, 1, 0, 1), 2),
+    (2, 4): ((1, 1, 0, 0, 1), 2),
+    (2, 8): ((1, 1, 0, 1, 1, 0, 0, 0, 1), 3),
+    (2, 17): ((1, 0, 0, 1) + (0,) * 13 + (1,), 2),
+    (3, 1): ((0, 1), 2),
+    (3, 2): ((1, 0, 1), 4),
+    (3, 11): ((2, 0, 1) + (0,) * 8 + (1,), 5),
+    (5, 1): ((0, 1), 2),
+    (5, 2): ((2, 0, 1), 6),
+    (17, 1): ((0, 1), 3),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(PINNED_FIELDS))
+def test_moduli_and_generators_are_pinned(p, m):
+    f = make_field(p, m)
+    assert (f.modulus, multiplicative_generator(f)) == PINNED_FIELDS[p, m]
+
+
+def test_make_field_builds_the_prime_field_once_per_scan(monkeypatch):
+    calls = []
+    init = gf.Field.__init__
+
+    def counted(self, p, m, modulus):
+        calls.append((p, m))
+        init(self, p, m, modulus)
+
+    monkeypatch.setattr(gf.Field, "__init__", counted)
+    # the tables are not part of the count, and GF(2^16)'s take a second
+    monkeypatch.setattr(gf.Field, "_build_tables", lambda self: None)
+    f = make_field(2, 16)
+    assert f.modulus == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
+    # the scan's GF(2), then GF(2^16), whose constructor checks its modulus
+    # over a GF(2) of its own
+    assert calls == [(2, 1), (2, 16), (2, 1)]

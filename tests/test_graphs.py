@@ -1,5 +1,6 @@
 """Bipartite expanders: regularity, the route array, spectra, mixing lemma."""
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -447,3 +448,15 @@ def test_lambda_is_dense_svd_sigma2_above_512_vertices():
     g = random_regular_bipartite(600, 4, seed=3, lam_target=1.0)
     sigma = np.linalg.svd(g.biadjacency() / g.d, compute_uv=False)
     assert g.lam == float(sigma[1])
+
+
+@pytest.mark.parametrize("n,d,key,lam,digest", [
+    (12, 4, "ac3-graph", 0.95, "e221adaca945a49df0d93654ba986fb8af2d95b54b7baf2aabad58e14a262bcf"),
+    (64, 8, "ac7-graph", 0.9, "07b298dd28bdf91901ec803a957dce11664cc9fe9b7e08e94197e2c5d61c7b8f"),
+    (600, 8, "big-graph", 0.9, "e19ccc74a27daabd918a38ab35cda3fb91ba8cbf822658ec11a2f5d9804bb08b"),
+], ids=["ac3", "ac7", "n600"])
+def test_matching_draws_are_pinned(n, d, key, lam, digest):
+    # sha256 of repr(left_adj): how a draw is tested against the accepted
+    # matchings must not change the RNG stream or the permutations kept
+    g = random_regular_bipartite(n, d, seed=derive_seed(2024, key), lam_target=lam)
+    assert hashlib.sha256(repr(g.left_adj).encode()).hexdigest() == digest

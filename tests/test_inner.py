@@ -158,6 +158,39 @@ def test_vectorized_search_matches_generic_oracle():
     )
 
 
+def test_kernel_matches_oracle_on_lanes_and_edges(gf2):
+    rng = np.random.default_rng(21)
+    # two and three byte lanes
+    for n in (9, 17):
+        words = [tuple(int(x) for x in rng.integers(0, 3, n)) for _ in range(11)]
+        _assert_kernel_matches_oracle(words, 5)
+    # a GF(2)-linear word set two lanes long, translation-reduced
+    words = sample_random_linear_code(gf2, 9, 4, np.random.default_rng(5)).enumerate_codewords()
+    assert translation_closed(words, gf2)
+    _assert_kernel_matches_oracle(words, 5, closed=True)
+    # M == m: one subset of the largest size, with and without `closed`
+    for M in (3, 4, 5):
+        _assert_kernel_matches_oracle(words[:M], M)
+    assert translation_closed(words[:4], gf2)
+    _assert_kernel_matches_oracle(words[:4], 4, closed=True)
+
+
+@pytest.mark.parametrize("block", [1, 20, 100])
+def test_kernel_witness_does_not_depend_on_the_blocking(monkeypatch, gf2, block):
+    # 1 puts each prefix in a block of its own; on the 16 binary words of
+    # length 4 at m = 5, 20 and 100 split the prefixes of one `last` into
+    # several blocks (at last = 10, 45 prefixes of 10 pairs each go 2 per
+    # block at 20; at last = 5, 10 prefixes of 45 pairs go 2 per block at
+    # 100), so tied minima fall in different blocks
+    monkeypatch.setattr(arld, "_BLOCK", block)
+    words = list(product(range(2), repeat=4))
+    _assert_kernel_matches_oracle(words, 5)
+    _assert_kernel_matches_oracle(words, 5, closed=True)
+    rng = np.random.default_rng(block)
+    _assert_kernel_matches_oracle(
+        [tuple(int(x) for x in rng.integers(0, 2, 17)) for _ in range(10)], 5)
+
+
 @st.composite
 def _small_word_lists(draw):
     q = draw(st.integers(2, 4))
@@ -390,6 +423,19 @@ def test_epsilon_min_clamps_at_zero():
     )
     assert eps == 0
     assert worst is not None
+
+
+def test_epsilon_min_reports_the_smallest_size_on_ties():
+    from aelcert.arld import SubsetWitness
+
+    # sizes 2 and 3 both meet delta0 = 1/2 exactly (eps 0), then both miss
+    # it by 1/4
+    for (d2, d3), eps in [((2, 4), 0), ((1, 2), Fraction(1, 4))]:
+        got, worst = epsilon_min(
+            {2: SubsetWitness(2, (0, 1), d2), 3: SubsetWitness(3, (0, 1, 2), d3)},
+            n=4, delta0=Fraction(1, 2),
+        )
+        assert got == eps and worst.size == 2
 
 
 # -- exhaustive oracle ------------------------------------------------------------
