@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -394,7 +395,10 @@ def _cmd_report(args) -> None:
         sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call: parsing leaves it
+    unchanged, so every `main` call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="aelcert",
         description="Build and exactly certify expander-amplified codes.",
@@ -406,7 +410,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("report")
     p.add_argument("--dir", required=True, help="directory of verification reports")
     p.add_argument("--out", help="CSV output path (default: stdout)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "report":
             _cmd_report(args)

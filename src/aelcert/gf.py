@@ -28,6 +28,7 @@ generator search: the tables are a single walk of its generator's powers.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import cache
 from numbers import Integral
 
 from .errors import DivisionByZero, FieldMismatch, FieldTooLarge, NonPrimeCharacteristic
@@ -127,7 +128,7 @@ class Field:
             raise ValueError(f"modulus must be monic of degree {m} over GF({p})")
         # degree 1 is irreducible, and GF(p) checks nothing more, so this
         # does not recurse
-        if m > 1 and not _poly_is_irreducible(Field(p, 1, (0, 1)), self.modulus):
+        if m > 1 and not _poly_is_irreducible(_prime_field(p), self.modulus):
             raise ValueError(f"modulus {self.modulus} is not irreducible over GF({p})")
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -326,19 +327,27 @@ def _poly_is_irreducible(prime: Field, coeffs: tuple[int, ...]) -> bool:
                for ddeg in range(1, deg // 2 + 1) for enc in range(p**ddeg))
 
 
+@cache
+def _prime_field(p: int) -> Field:
+    """GF(p) for trial division, built once per p and shared: a `Field` is
+    not changed after its constructor returns."""
+    return Field(p, 1, (0, 1))
+
+
 def make_field(p: int, m: int = 1) -> Field:
     """
     Build GF(p^m) with the lexicographically smallest monic irreducible modulus.
 
     The scan is over the integer encoding of the lower coefficients
     (low-to-high, base p), so the result is deterministic and reproducible.
-    GF(p) is built once for every candidate's trial division.  `Field`
-    checks p and m again; the scan needs them checked first.
+    Every candidate's trial division, and the check in `Field`, runs over the
+    one shared GF(p) of `_prime_field`.  `Field` checks p and m again; the
+    scan needs them checked first.
     """
     p, m = _checked_order(p, m)
-    prime = Field(p, 1, (0, 1))
     if m == 1:
-        return prime
+        return Field(p, 1, (0, 1))
+    prime = _prime_field(p)
     for enc in range(p**m):
         coeffs = tuple(_digits(enc, p, m)) + (1,)
         if _poly_is_irreducible(prime, coeffs):

@@ -2,18 +2,19 @@
 Decode-from-distributions via threshold rounding, and the composition
 giving AEL unique decoding from a corrupted right-folded word.
 
-Weights are exact rationals, held as integer prefix sums over one common
-scale, so the finite threshold set (one per interval endpoint, at most
-M * n values) provably covers every theta in [0, 1).
+An ensemble is exact integers throughout: one common `scale` and an (n, M)
+array of `counts`, row l's weights times `scale`, with prefix sums `ends`.
+A threshold is an integer t in [0, scale), standing for theta = t / scale;
+rounding row l at t picks the first symbol whose end exceeds t.  Rounding
+only changes at an end, so the finite threshold set {0} plus every end
+below `scale` (at most M * n values) provably covers every theta in [0, 1).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
 
 import numpy as np
 
@@ -23,67 +24,99 @@ from .errors import AelcertError
 from .outer import RSOuterCode, rs_unique_decode
 
 
-@dataclass
+def _count_dtype(scale: int):
+    """int64 when it holds every count and prefix sum (all at most `scale`),
+    else Python ints in an object array, exact at any scale."""
+    return np.int64 if scale < 1 << 63 else object
+
+
 class InnerDistributionEnsemble:
     """Per left vertex, a probability vector over the M inner codewords,
     indexed by outer symbol: entry sigma is the weight of phi(sigma), the
-    sigma-th codeword in the codebook order.  Weights are exact Fractions;
-    `counts` are the weights times `scale`, the lcm of their denominators,
-    and symbol sigma of row l owns [ends[l][sigma-1], ends[l][sigma]) / scale."""
+    sigma-th codeword in the codebook order.
 
-    weights: list[list[Fraction]]
+    Built from rows of exact weights (Fractions, ints or numpy ints), stored
+    as `scale`, the lcm of their denominators, and the (n, M) integer array
+    `counts` of weights times `scale`; `ends` is its row-wise cumulative sum,
+    so symbol sigma of row l owns [ends[l, sigma-1], ends[l, sigma]) / scale.
+    """
 
-    def __post_init__(self):
-        self.weights = [
-            [w if isinstance(w, Fraction) else Fraction(w) for w in row]
-            for row in self.weights
-        ]
-        self.scale = math.lcm(*(w.denominator for row in self.weights for w in row))
-        self.counts = [
-            [w.numerator * (self.scale // w.denominator) for w in row]
-            for row in self.weights
-        ]
-        for row in self.counts:
-            if any(c < 0 for c in row) or sum(row) != self.scale:
+    def __init__(self, weights):
+        rows = [[w if isinstance(w, Fraction) else Fraction(w) for w in row] for row in weights]
+        scale = math.lcm(*(w.denominator for row in rows for w in row))
+        counts = [[w.numerator * (scale // w.denominator) for w in row] for row in rows]
+        for row in counts:
+            if any(c < 0 for c in row) or sum(row) != scale:
                 raise ValueError("each distribution must be nonnegative and sum to 1")
-        self.ends = [list(accumulate(row)) for row in self.counts]
+        if len({len(row) for row in counts}) != 1:
+            raise ValueError("weights must be a nonempty table of equal-length rows")
+        self._store(scale, np.array(counts, dtype=_count_dtype(scale)))
+
+    @classmethod
+    def _from_counts(cls, scale: int, counts: np.ndarray) -> InnerDistributionEnsemble:
+        """An ensemble from integer counts already known to be nonnegative
+        with every row summing to `scale`."""
+        ensemble = cls.__new__(cls)
+        ensemble._store(scale, counts)
+        return ensemble
+
+    def _store(self, scale: int, counts: np.ndarray) -> None:
+        self.scale = scale
+        self.counts = counts
+        self.ends = counts.cumsum(axis=1)
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return self.counts.shape[0]
 
     @property
     def m(self) -> int:
-        return len(self.weights[0])
+        return self.counts.shape[1]
+
+    @cached_property
+    def weights(self) -> list[list[Fraction]]:
+        return [[Fraction(c, self.scale) for c in row] for row in self.counts.tolist()]
+
+    def _round(self, t: int) -> list[int]:
+        """Outer symbol per left vertex at integer threshold t: the first
+        symbol whose end exceeds t, or the last symbol when none does."""
+        return np.minimum((self.ends <= t).sum(axis=1), self.m - 1).tolist()
+
+    def _thresholds(self) -> list[int]:
+        """0 and every end below `scale`, ascending and distinct."""
+        ends = self.ends
+        return sorted({0, *ends[ends < self.scale].tolist()})
+
+    def _disagreement(self, symbols) -> int:
+        """n * scale * ED(symbols), as a Python int."""
+        agree = sum(self.counts[np.arange(self.n), symbols].tolist())
+        return self.n * self.scale - agree
 
     def round_at(self, theta: Fraction) -> list[int]:
         """Outer symbol per left vertex: the interval containing theta, or
         the last symbol when no interval does (theta < 0 or theta >= 1)."""
         t = math.floor(Fraction(theta) * self.scale)
-        if t < 0:
-            t = self.scale
-        return [min(bisect_right(ends, t), len(ends) - 1) for ends in self.ends]
+        return self._round(self.scale if t < 0 else t)
 
     def expected_disagreement(self, symbols) -> Fraction:
         """E_l E_{f~D_l}[1{f != phi(symbols[l])}]."""
-        agree = sum(self.counts[l][sigma] for l, sigma in enumerate(symbols))
-        return Fraction(self.n * self.scale - agree, self.n * self.scale)
+        return Fraction(self._disagreement(symbols), self.n * self.scale)
 
 
 def threshold_endpoints(ensemble: InnerDistributionEnsemble) -> list[Fraction]:
     """All interval endpoints in [0, 1); rounding is constant between them."""
-    scale = ensemble.scale
-    points = {0, *(e for ends in ensemble.ends for e in ends if e < scale)}
-    return [Fraction(p, scale) for p in sorted(points)]
+    return [Fraction(t, ensemble.scale) for t in ensemble._thresholds()]
 
 
 def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble):
     """Threshold rounding + outer unique decoding.
 
     Returns the AEL codeword of the first outer codeword h, over the
-    endpoint thresholds in ascending order, that the outer unique decoder
-    (`rs_unique_decode`) recovers and whose expected ensemble disagreement ED(h) is at most
-    delta_dec = floor((n - k) / 2) / n; None if no threshold yields one.
+    integer thresholds in ascending order, that the outer unique decoder
+    (`rs_unique_decode`) recovers and whose expected ensemble disagreement
+    ED(h) is at most delta_dec = floor((n - k) / 2) / n; None if no
+    threshold yields one.  The test is n * scale - agree <=
+    floor((n - k) / 2) * scale in Python ints, agree being h's total count.
 
     No other codeword can meet that guarantee, so stopping at the first is
     the same as scanning every threshold.  RS[n, k] on distinct points is
@@ -97,26 +130,26 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
         raise TypeError("decode_from_distributions needs an RSOuterCode outer code")
     if ensemble.n != code.n or ensemble.m != code.inner.size:
         raise ValueError("ensemble shape does not match the AEL code")
-    delta_dec = outer.delta_dec
-    for theta in threshold_endpoints(ensemble):
-        h_star = rs_unique_decode(outer, ensemble.round_at(theta))
-        if h_star is not None and ensemble.expected_disagreement(h_star) <= delta_dec:
+    allowed = outer.unique_decoding_radius * ensemble.scale
+    for t in ensemble._thresholds():
+        h_star = rs_unique_decode(outer, ensemble._round(t))
+        if h_star is not None and ensemble._disagreement(h_star) <= allowed:
             return code.encode(h_star)
     return None
 
 
 def local_views_to_distributions(code: AELCode, word) -> InnerDistributionEnsemble:
-    """Uniform distribution over the nearest inner codewords per left view."""
+    """Uniform distribution over the nearest inner codewords per left view:
+    with `ties` nearest codewords in row l and scale the lcm of the ties,
+    each of them gets count scale // ties."""
     codebook = np.array(code.phi)  # (M, d)
     views = np.array(code.left_views(word))  # (n, d)
     dists = (views[:, None, :] != codebook[None, :, :]).sum(axis=2)  # (n, M)
-    nearest = (dists == dists.min(axis=1, keepdims=True)).tolist()
-    zero = Fraction(0)
-    weights = []
-    for row in nearest:
-        share = Fraction(1, row.count(True))
-        weights.append([share if hit else zero for hit in row])
-    return InnerDistributionEnsemble(weights)
+    nearest = dists == dists.min(axis=1, keepdims=True)
+    ties = nearest.sum(axis=1).tolist()
+    scale = math.lcm(*ties)
+    share = np.array([scale // t for t in ties], dtype=_count_dtype(scale))
+    return InnerDistributionEnsemble._from_counts(scale, nearest * share[:, None])
 
 
 def ael_unique_decode(code: AELCode, word):

@@ -1,5 +1,6 @@
 """Command-line harness: configs, subcommands, exit codes, determinism."""
 
+import argparse
 import json
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from test_graphs import _verify_eml_fraction_oracle, _verify_eml_sets_fraction_oracle
 
+from aelcert import cli
 from aelcert import io as aio
 from aelcert.cli import _COMMANDS, _KEY_TYPES, main
 from aelcert.errors import AmplificationViolation
@@ -725,6 +727,28 @@ def test_report_csv(workspace, capsys):
     lines = (tmp / "out.csv").read_text().splitlines()
     assert lines[0].startswith("instance,parameter")
     assert len(lines) >= 2
+
+
+def test_one_parser_serves_every_main_call(tmp_path, monkeypatch, capsys):
+    # a refused subcommand leaves the shared parser as it was: the next call
+    # in the same process parses and exits as a first call would
+    cli._parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+    assert main(["report", "--dir", str(tmp_path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert (tmp_path / "out.csv").read_text().startswith("instance,parameter")
+    assert len(built) == len(_COMMANDS) + 2  # the parser and one per subcommand
+    assert cli._parser() is cli._parser()
 
 
 def test_cli_outputs_deterministic(tmp_path):

@@ -420,8 +420,13 @@ def test_make_field_builds_the_prime_field_once_per_scan(monkeypatch):
     monkeypatch.setattr(gf.Field, "__init__", counted)
     # the tables are not part of the count, and GF(2^16)'s take a second
     monkeypatch.setattr(gf.Field, "_build_tables", lambda self: None)
-    f = make_field(2, 16)
+    gf._prime_field.cache_clear()
+    try:
+        f = make_field(2, 16)
+        g = make_field(2, 4)
+    finally:
+        gf._prime_field.cache_clear()  # its GF(2) was built without tables
     assert f.modulus == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
-    # the scan's GF(2), then GF(2^16), whose constructor checks its modulus
-    # over a GF(2) of its own
-    assert calls == [(2, 1), (2, 16), (2, 1)]
+    assert g.modulus == (1, 1, 0, 0, 1)
+    # one GF(2) serves both scans and both constructors' modulus checks
+    assert calls == [(2, 1), (2, 16), (2, 4)]

@@ -140,7 +140,10 @@ def _assert_ensemble_matches_oracle(weights):
     fracs, scale, counts, ends = _ensemble_oracle(weights)
     assert all(type(w) is Fraction for row in ens.weights for w in row)
     assert ens.weights == fracs
-    assert (ens.scale, ens.counts, ens.ends) == (scale, counts, ends)
+    assert ens.scale == scale
+    assert (ens.counts.tolist(), ens.ends.tolist()) == (counts, ends)
+    # int64 holds every count and end (all at most scale) exactly when scale < 2^63
+    assert ens.counts.dtype == ens.ends.dtype == (np.int64 if scale < 2**63 else object)
 
 
 def test_ensemble_matches_oracle_on_ac6(acceptance):
@@ -166,6 +169,11 @@ def test_ensemble_accepts_mixed_weight_types():
         InnerDistributionEnsemble([[1, 0], [np.int64(1), Fraction(1, 3)]])
     with pytest.raises(ValueError):
         InnerDistributionEnsemble([[0, 2, -1]])
+    # rows of unequal length, at an int64 scale and past it, and no rows
+    past = Fraction(1, 2**63)
+    for ragged in ([[1, 0], [1]], [[past, 1 - past], [1]], []):
+        with pytest.raises(ValueError, match="equal-length rows"):
+            InnerDistributionEnsemble(ragged)
 
 
 def test_round_at_picks_interval():
@@ -179,6 +187,9 @@ def test_round_at_picks_interval():
     assert ens.round_at(Fraction(999, 1000)) == [2]
 
 
+# the Mersenne primes 2^61 - 1 and 2^31 - 1: their product passes 2^63
+_M61, _M31 = 2**61 - 1, 2**31 - 1
+
 # name -> (weight rows, expected common scale)
 _EDGE_TABLES = {
     "quarters": ([["1/4", "1/4", "1/2"]], 4),
@@ -186,6 +197,12 @@ _EDGE_TABLES = {
     "coprime": ([["1/3", "2/3", "0", "0"], ["1/7", "0", "6/7", "0"],
                  ["0", "1/11", "10/11", "0"], ["0", "0", "5/13", "8/13"]], 3 * 7 * 11 * 13),
     "point-mass": ([["0", "0", "1", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "1"]], 1),
+    # the largest scale stored in int64, and the first past it, whose ends
+    # [1, 2^63] would wrap in int64
+    "int64-max": ([[f"1/{2**63 - 1}", f"{2**63 - 2}/{2**63 - 1}"]], 2**63 - 1),
+    "past-int64": ([[f"1/{2**63}", f"{2**63 - 1}/{2**63}"]], 2**63),
+    "mersenne": ([[f"1/{_M61}", f"{_M61 - 1}/{_M61}"], [f"{_M31 - 1}/{_M31}", f"1/{_M31}"]],
+                 _M61 * _M31),
 }
 
 
@@ -193,6 +210,7 @@ _EDGE_TABLES = {
 def test_integer_rounding_matches_fraction_oracle(name):
     rows, scale = _EDGE_TABLES[name]
     weights = [[Fraction(w) for w in row] for row in rows]
+    _assert_ensemble_matches_oracle(weights)
     ens = InnerDistributionEnsemble(weights)
     assert ens.scale == scale
     endpoints = threshold_endpoints(ens)
@@ -350,6 +368,58 @@ def test_decode_matches_full_scan_oracle(instance12, data):
     assert len(found) <= 1
     expected = found[0][1] if found else None
     assert decode_from_distributions(instance12, ens) == expected
+
+
+@pytest.mark.parametrize("family", ["planted", "decoy"])
+def test_ensemble_past_int64_decodes_as_the_oracle(instance12, family):
+    # weights 1/(2^61 - 1) and 1/(2^31 - 1) on alternate rows: the scale is
+    # their product, past 2^63, so counts and ends are Python ints; "planted"
+    # puts that weight off h's symbol, "decoy" puts it on h's symbol
+    h = instance12.encode_message([7, 2])
+    _, picks = _point_mass_ensemble(instance12, h)
+    m = instance12.inner.size
+    weights = []
+    for l, pick in enumerate(picks):
+        row = [Fraction(0)] * m
+        small = Fraction(1, _M61 if l % 2 else _M31)
+        other = (pick + 1 + l) % m
+        row[pick], row[other] = (1 - small, small) if family == "planted" else (small, 1 - small)
+        weights.append(row)
+    _assert_ensemble_matches_oracle(weights)
+    ens = InnerDistributionEnsemble(weights)
+    assert ens.scale == _M61 * _M31
+    endpoints = threshold_endpoints(ens)
+    assert endpoints == _threshold_endpoints_oracle(weights)
+    for theta in endpoints + [Fraction(1)]:
+        assert ens.round_at(theta) == _round_at_oracle(weights, theta)
+    assert ens.expected_disagreement(picks) == _expected_disagreement_oracle(weights, picks)
+    found = _full_scan_oracle(instance12, weights)
+    got = decode_from_distributions(instance12, ens)
+    assert got == (found[0][1] if found else None)
+    assert (got == h) == (family == "planted")
+
+
+@st.composite
+def _noisy_words(draw, code):
+    """A codeword of `code` with some of its edge symbols overwritten, which
+    leaves ties among the nearest inner codewords at some left views."""
+    h = code.encode_message([draw(st.integers(0, 15)), draw(st.integers(0, 15))])
+    edges = code.unfold(h)
+    count = draw(st.integers(0, len(edges)))
+    for pos in draw(st.permutations(range(len(edges))))[:count]:
+        edges[pos] = draw(st.integers(0, 3))
+    return code.fold(edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_local_views_decode_matches_fraction_oracles(instance12, data):
+    word = data.draw(_noisy_words(instance12))
+    weights = _local_views_oracle(instance12, word)
+    ens = local_views_to_distributions(instance12, word)
+    assert ens.weights == weights
+    found = _full_scan_oracle(instance12, weights)
+    assert decode_from_distributions(instance12, ens) == (found[0][1] if found else None)
 
 
 def test_ambiguous_ensemble_fails(instance12):
