@@ -85,10 +85,15 @@ class AELCode:
         outer_codeword = tuple(outer_codeword)
         if not self.outer.contains(outer_codeword):
             raise NotAnOuterCodeword(f"{outer_codeword} is not in C_out")
-        return self.fold([x for sigma in outer_codeword for x in self.phi[sigma]])
+        return self._fold_phi(outer_codeword)
 
     def encode_message(self, msg) -> tuple:
-        return self.encode(self.outer.encode(msg))
+        return self._fold_phi(self.outer.encode(msg))
+
+    def _fold_phi(self, outer_codeword) -> tuple:
+        """`encode` without the membership test, for a word the outer code
+        made itself (a message's encoding or an enumerated codeword)."""
+        return self.fold([x for sigma in outer_codeword for x in self.phi[sigma]])
 
     def fold(self, edge_vals) -> tuple:
         """Edge labelling -> right-folded word."""
@@ -119,7 +124,7 @@ class AELCode:
         # the outer code checks the cap on every call, cached or not
         outer_words = self.outer.enumerate_codewords(cap)
         if self._codewords is None:
-            self._codewords = [self.encode(w) for w in outer_words]
+            self._codewords = [self._fold_phi(w) for w in outer_words]
         return self._codewords
 
     def symbol_ids(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, dict]:

@@ -33,7 +33,8 @@ from .codes import ERASED
 from .errors import (AelcertError, AmplificationViolation, ConfigInvalid, FieldTooLarge,
                      NonPrimeCharacteristic, SearchExhausted)
 from .gf import Field, make_field
-from .graphs import complete_bipartite, random_regular_bipartite, verify_eml, verify_eml_sets
+from .graphs import (_eml_rows, _eml_set_rows, _mixing_ok, _row_blocks, complete_bipartite,
+                     random_regular_bipartite)
 from .inner import make_folded_rs, min_arld_slack, search_inner_code
 from .listdec import brute_force_list, verify_generalized_singleton
 from .outer import RSOuterCode
@@ -315,18 +316,25 @@ def _cmd_verify_amplification(cfg) -> Verdict:
 def _cmd_verify_eml(cfg) -> Verdict:
     trials = cfg.get("trials", 1000)
     graph = aio.load_graph(cfg["graph_file"])
+    n, d, lam = graph.n, graph.d, graph.lam_bound
     rng = np.random.default_rng(derive_seed(cfg["seed"], "eml"))
     failures = 0
-    for _ in range(trials):
-        # the verdict on f = F/100, g = G/100 (`verify_eml` is homogeneous in each)
-        F = rng.integers(-100, 101, size=graph.n)
-        G = rng.integers(-100, 101, size=graph.n)
-        if not verify_eml(graph, F, G)[2]:
-            failures += 1
-        S = np.flatnonzero(rng.random(graph.n) < 0.5).tolist()
-        T = np.flatnonzero(rng.random(graph.n) < 0.5).tolist()
-        if not verify_eml_sets(graph, S, T)[2]:
-            failures += 1
+    # one kernel block of trials at a time, so memory does not grow with
+    # `trials`; trial i draws F, G, then the masks of S and T, and the
+    # verdict on F, G is that on f = F/100, g = G/100 (homogeneous in each)
+    for block in _row_blocks(graph.adj, trials):
+        size = min(block.stop, trials) - block.start
+        FG = np.empty((2, size, n), dtype=np.int64)
+        ST = np.empty((2, size, n), dtype=bool)
+        for i in range(size):
+            FG[0, i] = rng.integers(-100, 101, size=n)
+            FG[1, i] = rng.integers(-100, 101, size=n)
+            ST[0, i] = rng.random(n) < 0.5
+            ST[1, i] = rng.random(n) < 0.5
+        failures += sum(not _mixing_ok(num, n, d, f2, g2, lam)
+                        for num, f2, g2 in _eml_rows(graph.adj, FG))
+        failures += sum(not _mixing_ok(num, n, d, s, t, lam)
+                        for _, num, s, t in _eml_set_rows(graph.adj, ST))
     rows = [_row(cfg["graph_file"], "eml_failures", failures, failures == 0, 0, -failures)]
     if failures:
         return Verdict(False, f"{failures} violations in {trials} trials", rows)

@@ -16,8 +16,17 @@ not yet backed by a proof that it covers the SVD's rounding error.
 `lam_bound` is computed once per graph, on first access, and is a plain
 attribute after that: assigning it sets the bound every check reads.
 
-The mixing-lemma checks are integer numpy kernels over the (n, d) array
-`adj`, in int64 only where `verify_eml`'s bound proves every sum exact.
+Every mixing-lemma verdict comes from two integer numpy kernels over the
+(n, d) array `adj`, one row per check: `_eml_rows` for real vectors and
+`_eml_set_rows` for vertex sets.  `verify_eml` and `verify_eml_sets` run
+them on one row, the CLI on each block of its trials; a block of rows sums
+in int64 only where `_eml_rows`'s bound proves every sum exact, and
+`_mixing_ok` is the one comparison.
+
+`random_regular_bipartite` draws each matching as the first of successive
+`rng.permutation(n)` calls that adds no parallel edge.  It draws and tests
+them in batches and rewinds the generator past the accepted one, so the
+graph and the generator's final state are those of the one-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -32,10 +41,14 @@ from .errors import LengthMismatch, ParallelEdgeExhaustion, TargetUnreachable
 from .gf import _ints
 
 LAMBDA_SAFETY = Fraction(1, 10**6)
-# `verify_eml` sums in int64 while its bound on every partial sum is below this
+# `_eml_rows` sums in int64 while its bound on every partial sum is below this
 INT64_EXACT = 1 << 62
+# elements of the (rows, n, d) gather one block of a mixing-lemma kernel makes
+_BLOCK_ELEMENTS = 1 << 16
 # permutations drawn per matching before parallel edges count as unavoidable
 MATCHING_ATTEMPTS = 50000
+# most permutations `_draw_matching` draws and tests at once
+_MATCHING_BATCH = 128
 
 
 class BipartiteGraph:
@@ -99,30 +112,60 @@ def random_regular_bipartite(
 ) -> BipartiteGraph:
     """Union of d uniformly random perfect matchings, spectrally verified.
 
-    Matchings creating parallel edges are rejected and resampled; the whole
-    graph is rejected unless its measured lambda is <= lam_target.
+    Matching i is the first of the permutations `rng.permutation(n)`, drawn
+    one after another, that shares no edge with matchings 0..i-1; the whole
+    graph is rejected unless its measured lambda is <= lam_target.  The
+    draws are made and tested in batches (`_draw_matching`), and the
+    generator ends each matching in the state the one-at-a-time loop leaves,
+    so a seed gives the same graph either way.  After MATCHING_ATTEMPTS
+    rejected permutations for one matching, ParallelEdgeExhaustion.
     """
     if d > n:
         raise ValueError("d must be <= n")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
-        # row i is the i-th accepted matching; a draw is compared once
-        # against all of them
+        # used[l, r]: an accepted matching already joins left l to right r
+        used = np.zeros((n, n), dtype=bool)
         cols = np.empty((d, n), dtype=np.int64)
         for i in range(d):
-            for _ in range(MATCHING_ATTEMPTS):
-                perm = rng.permutation(n)
-                if not (cols[:i] == perm).any():
-                    cols[i] = perm
-                    break
-            else:
-                raise ParallelEdgeExhaustion(
-                    f"could not extend to {d} disjoint matchings"
-                )
+            if (perm := _draw_matching(rng, used)) is None:
+                raise ParallelEdgeExhaustion(f"could not extend to {d} disjoint matchings")
+            cols[i] = perm
+            used[np.arange(n), perm] = True
         graph = BipartiteGraph(n, d, cols.T.tolist(), seed=seed)
         if graph.lam <= lam_target:
             return graph
     raise TargetUnreachable(f"no graph with lambda <= {lam_target} in {max_tries} tries")
+
+
+def _draw_matching(rng: np.random.Generator, used: np.ndarray) -> np.ndarray | None:
+    """The first of successive `rng.permutation(n)` draws that avoids every
+    edge of `used`, leaving `rng` where that draw left it; None when none of
+    MATCHING_ATTEMPTS draws does.
+
+    Batches of b = 1, 2, 4, ..., _MATCHING_BATCH permutations come from one
+    `rng.permuted` call, whose rows are successive `permutation` draws, and
+    are tested in one gather.  When row j of a batch is accepted and rows
+    past it were drawn, the generator goes back to its state before the
+    batch and draws exactly j + 1 rows again.
+    """
+    n = len(used)
+    identity = np.arange(n)
+    drawn, b = 0, 1
+    while drawn < MATCHING_ATTEMPTS:
+        b = min(b, MATCHING_ATTEMPTS - drawn)
+        state = rng.bit_generator.state
+        batch = rng.permuted(np.broadcast_to(identity, (b, n)), axis=1)
+        free = ~used[identity, batch].any(axis=1)
+        if free.any():
+            j = int(free.argmax())
+            if j + 1 < b:
+                rng.bit_generator.state = state
+                rng.permuted(np.broadcast_to(identity, (j + 1, n)), axis=1)
+            return batch[j]
+        drawn += b
+        b = min(2 * b, _MATCHING_BATCH)
+    return None
 
 
 def verify_eml(graph: BipartiteGraph, f, g) -> tuple[Fraction, float, bool]:
@@ -136,23 +179,73 @@ def verify_eml(graph: BipartiteGraph, f, g) -> tuple[Fraction, float, bool]:
         pass iff  (n*E - d*sum(F)*sum(G))^2 <= lam^2 n^2 d^2 sum(F^2) sum(G^2).
     The verdict is homogeneous of degree 2 in F and in G (F -> cF, c != 0,
     scales both sides by c^2), so integer vectors give the verdict of F/Df.
-    E(F,G) = F @ G[adj].sum(1) and the four sums run in int64 while
-    n*max(d|F||G|, |F|^2, |G|^2) < 2^62 (|F| = max_i |F_i|), else on Python
-    ints: no partial sum exceeds d|G| <= n|G|^2 (d <= n), n*d|F||G|, n|F| <=
-    n|F|^2 or n|F|^2 (or the same for G), so none reaches 2^63.
+    The sums are `_eml_rows` on the one row (F, G).
     """
     n, d = graph.n, graph.d
     if len(f) != n or len(g) != n:
         raise LengthMismatch("f and g must have length n")
-    (F, Df, top_f), (G, Dg, top_g) = _integer_vector(f), _integer_vector(g)
-    small = n * max(d * top_f * top_g, top_f * top_f, top_g * top_g) < INT64_EXACT
-    F, G = (np.array(X, dtype=np.int64 if small else object) for X in (F, G))
-    edge_sum = int(F @ G[graph.adj].sum(1))
-    num = abs(n * edge_sum - d * int(F.sum()) * int(G.sum()))
-    f2, g2 = int(F @ F), int(G @ G)
+    (F, Df), (G, Dg) = _integer_vector(f), _integer_vector(g)
+    [(num, f2, g2)] = _eml_rows(graph.adj, _exact_array([[F], [G]]))
     lam = graph.lam_bound
     bound = _display_bound(lam, f2, n * Df * Df, g2, n * Dg * Dg)
     return Fraction(num, n * n * d * Df * Dg), bound, _mixing_ok(num, n, d, f2, g2, lam)
+
+
+def _exact_array(rows: list) -> np.ndarray:
+    """The nested lists of Python ints `rows` as an int64 array, or as an
+    object array where one lies past int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def _row_blocks(adj: np.ndarray, rows: int):
+    """Slices of max(1, _BLOCK_ELEMENTS // (n d)) rows covering `rows`, so
+    the (rows, n, d) gather of a block stays within _BLOCK_ELEMENTS."""
+    step = max(1, _BLOCK_ELEMENTS // adj.size)
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _eml_rows(adj: np.ndarray, FG: np.ndarray) -> list[tuple[int, int, int]]:
+    """(num, f2, g2) of each trial t of the (2, T, n) integer array FG (int64
+    or object), F = FG[0, t] and G = FG[1, t], as Python ints:
+    num = |n*E(F,G) - d*sum(F)*sum(G)| with E(F,G) = sum_l F[l] * sum_i
+    G[adj[l, i]], f2 = F @ F and g2 = G @ G.
+
+    A block of trials sums in int64 while n*max(d|F||G|, |F|^2, |G|^2) < 2^62
+    (|F| the largest |F[l]| of the block), else on Python ints: no partial
+    sum exceeds d|G| <= n|G|^2 (d <= n), n*d|F||G|, n|F| <= n|F|^2 or n|F|^2
+    (or the same for G), so none reaches 2^63.  num is formed on Python ints.
+    """
+    n, d = adj.shape
+    out = []
+    for rows in _row_blocks(adj, FG.shape[1]):
+        X = FG[:, rows]
+        flat = X.reshape(2, -1)
+        (hi_f, hi_g), (lo_f, lo_g) = flat.max(1).tolist(), flat.min(1).tolist()
+        top_f, top_g = max(hi_f, -lo_f), max(hi_g, -lo_g)
+        small = n * max(d * top_f * top_g, top_f * top_f, top_g * top_g) < INT64_EXACT
+        X = X.astype(np.int64 if small else object, copy=False)
+        edge = np.einsum("tl,tli->t", X[0], X[1].take(adj, axis=1)).tolist()
+        (sf, sg), (f2, g2) = X.sum(2).tolist(), (X * X).sum(2).tolist()
+        out += [(abs(n * e - d * a * b), x, y) for e, a, b, x, y in zip(edge, sf, sg, f2, g2)]
+    return out
+
+
+def _eml_set_rows(adj: np.ndarray, ST: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(e_st, num, s, t) of each trial of the (2, T, n) bool array ST, the
+    masks of S = ST[0, t] and T = ST[1, t], as Python ints: e_st = E(S, T),
+    s = |S|, t = |T| and num = |n e_st - d s t|, `_eml_rows`'s num on the
+    indicator vectors, whose f2 and g2 are s and t."""
+    n, d = adj.shape
+    out = []
+    for rows in _row_blocks(adj, ST.shape[1]):
+        in_S, in_T = block = ST[:, rows]
+        e_st = (in_T.take(adj, axis=1) & in_S[:, :, None]).sum((1, 2))
+        s, t = block.sum(2).tolist()
+        out += [(e, abs(n * e - d * a * b), a, b) for e, a, b in zip(e_st.tolist(), s, t)]
+    return out
 
 
 def _display_bound(lam: Fraction, f2: int, nf: int, g2: int, ng: int) -> float:
@@ -175,17 +268,16 @@ def _mixing_ok(num: int, n: int, d: int, f2: int, g2: int, lam: Fraction) -> boo
     return (num * lam.denominator) ** 2 <= (lam.numerator * n * d) ** 2 * f2 * g2
 
 
-def _integer_vector(xs) -> tuple[list[int], int, int]:
-    """Integers X, the least D with X = xs * D exactly, and max |X|: each entry
-    read once by `as_integer_ratio`, a numpy integer (which lacks it) as an int."""
+def _integer_vector(xs) -> tuple[list[int], int]:
+    """Integers X and the least D with X = xs * D exactly: each entry read
+    once by `as_integer_ratio`, a numpy integer (which lacks it) as an int."""
     xs = xs.tolist() if isinstance(xs, np.ndarray) else xs
     try:
         ratios = [x.as_integer_ratio() for x in xs]
     except AttributeError:
         ratios = [(int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio() for x in xs]
     D = math.lcm(*{b for _, b in ratios})
-    X = [a * (D // b) for a, b in ratios]
-    return X, D, max(map(abs, X), default=0)
+    return [a * (D // b) for a, b in ratios], D
 
 
 def verify_eml_sets(graph: BipartiteGraph, S, T) -> tuple[int, Fraction, bool]:
@@ -193,12 +285,10 @@ def verify_eml_sets(graph: BipartiteGraph, S, T) -> tuple[int, Fraction, bool]:
     decided in Python ints as `verify_eml` decides it on indicator vectors.
     A repeated vertex counts once; one outside [0, n) raises ValueError."""
     n, d = graph.n, graph.d
-    in_S, in_T = np.zeros((2, n), dtype=bool)
-    in_S[_vertex_array(n, _ints(S, "S", 1), "S")] = True
-    in_T[_vertex_array(n, _ints(T, "T", 1), "T")] = True
-    e_st = int(np.count_nonzero(in_T[graph.adj[in_S]]))
-    s, t = int(np.count_nonzero(in_S)), int(np.count_nonzero(in_T))
-    num = abs(n * e_st - d * s * t)
+    ST = np.zeros((2, 1, n), dtype=bool)
+    ST[0, 0, _vertex_array(n, _ints(S, "S", 1), "S")] = True
+    ST[1, 0, _vertex_array(n, _ints(T, "T", 1), "T")] = True
+    [(e_st, num, s, t)] = _eml_set_rows(graph.adj, ST)
     return e_st, Fraction(num, n), _mixing_ok(num, n, d, s, t, graph.lam_bound)
 
 

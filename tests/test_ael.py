@@ -344,6 +344,28 @@ def test_enumeration_cap_is_checked_after_the_words_are_cached(gf4, gf16):
     assert code.enumerate_codewords(cap=256) is words
 
 
+def test_outer_words_of_the_outer_code_are_not_checked_again(gf4, gf16, monkeypatch):
+    # enumeration and message encoding fold words the outer code made itself;
+    # `encode` still tests the word it is given
+    code = _ac3_code(gf4, gf16)
+    outer_words = code.outer.enumerate_codewords()
+
+    def refuse(word):
+        raise AssertionError("membership test on the outer code's own word")
+
+    monkeypatch.setattr(code.outer, "contains", refuse)
+    words = code.enumerate_codewords()
+    assert words == [_encode_loop_oracle(code, w) for w in outer_words]
+    assert all(type(x) is int for word in words for symbol in word for x in symbol)
+    assert code.encode_message([3, 7]) == words[3 * 16 + 7]
+    with pytest.raises(AssertionError, match="membership"):
+        code.encode(outer_words[1])
+    monkeypatch.undo()
+    assert code.encode(outer_words[1]) == words[1]
+    with pytest.raises(NotAnOuterCodeword):
+        code.encode([1] + [0] * 11)
+
+
 def test_amplification_matches_oracle_on_ac3(ac3):
     report = _assert_amplification_matches_oracle(ac3)
     assert report["pairs_checked"] == 32640

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from test_graphs import _verify_eml_fraction_oracle, _verify_eml_sets_fraction_oracle
 
-from aelcert import cli
+from aelcert import cli, graphs
 from aelcert import io as aio
 from aelcert.cli import _COMMANDS, _KEY_TYPES, main
 from aelcert.errors import AmplificationViolation
@@ -342,6 +342,23 @@ def test_verify_eml_counts_the_failures_of_the_fraction_loop(workspace, capsys, 
     assert main(["verify-eml", "--config", _write_config(workspace / "eml.json", {
         "version": 1, "graph_file": str(workspace / "graph_out.json"),
         "seed": seed, "trials": trials,
+    })]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL verify-eml: {expected} violations in {trials} trials\n")
+
+
+def test_verify_eml_in_several_blocks_counts_the_same_failures(workspace, capsys, monkeypatch):
+    # blocks of 3 trials: the draws keep their order across blocks
+    monkeypatch.setattr(aio, "load_graph", _understated_graph)
+    graph = _understated_graph(workspace / "graph_out.json")
+    monkeypatch.setattr(graphs, "_BLOCK_ELEMENTS", 3 * graph.adj.size)
+    trials = 10
+    expected = _verify_eml_cli_fraction_oracle(graph, 5, trials)
+    assert 0 < expected < 2 * trials
+    capsys.readouterr()
+    assert main(["verify-eml", "--config", _write_config(workspace / "eml.json", {
+        "version": 1, "graph_file": str(workspace / "graph_out.json"),
+        "seed": 5, "trials": trials,
     })]) == 1
     assert capsys.readouterr().out == (
         f"FAIL verify-eml: {expected} violations in {trials} trials\n")
@@ -841,6 +858,12 @@ def test_pipeline_stdout_is_golden(tmp_path, capsys):
         assert capsys.readouterr().out == line + "\n"
 
 
+def _understated_graph(path):
+    graph = load_graph(path)
+    graph.lam_bound = Fraction(1, 10)
+    return graph
+
+
 def _violated_amplification(code):
     raise AmplificationViolation("pair (0,1): Delta_R=0 < 1")
 
@@ -849,9 +872,10 @@ def _violated_amplification(code):
     ("decode", {"bundle_file": "bundle.json", "word_file": "worse_word.json"}, None),
     ("verify-singleton", {"bundle_file": "bundle.json", "k": 3, "delta0": "1/2",
                           "eps": "-1/2"}, None),
-    # a correct lambda cannot make these two fail, so their check is replaced
+    # a correct lambda cannot make these two fail: the graph's lambda is
+    # understated, and the amplification check is replaced
     ("verify-eml", {"graph_file": "graph_out.json", "seed": 5, "trials": 2},
-     ("verify_eml", lambda graph, f, g: (0, 0, False))),
+     ("aio.load_graph", _understated_graph)),
     ("verify-amplification", {"bundle_file": "bundle.json"},
      ("verify_distance_amplification", _violated_amplification)),
 ])

@@ -17,9 +17,9 @@ from aelcert import (
     verify_eml,
     verify_eml_sets,
 )
-from aelcert.errors import LengthMismatch, TargetUnreachable
+from aelcert.errors import LengthMismatch, ParallelEdgeExhaustion, TargetUnreachable
 from aelcert import graphs
-from aelcert.graphs import INT64_EXACT, LAMBDA_SAFETY
+from aelcert.graphs import INT64_EXACT, LAMBDA_SAFETY, _eml_rows, _eml_set_rows, _mixing_ok
 from aelcert.seeds import derive_seed
 
 
@@ -460,3 +460,125 @@ def test_matching_draws_are_pinned(n, d, key, lam, digest):
     # matchings must not change the RNG stream or the permutations kept
     g = random_regular_bipartite(n, d, seed=derive_seed(2024, key), lam_target=lam)
     assert hashlib.sha256(repr(g.left_adj).encode()).hexdigest() == digest
+
+
+def _one_at_a_time_sampler(n, d, seed, lam_target, max_tries=20):
+    """Reference: the sampler drawing one `rng.permutation(n)` at a time and
+    comparing it with every accepted matching.  Returns the left adjacency,
+    or the class of the error it stops with, and the generator's final state."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_tries):
+        cols = np.empty((d, n), dtype=np.int64)
+        for i in range(d):
+            for _ in range(graphs.MATCHING_ATTEMPTS):
+                perm = rng.permutation(n)
+                if not (cols[:i] == perm).any():
+                    cols[i] = perm
+                    break
+            else:
+                return ParallelEdgeExhaustion, rng.bit_generator.state
+        graph = BipartiteGraph(n, d, cols.T.tolist())
+        if graph.lam <= lam_target:
+            return graph.left_adj, rng.bit_generator.state
+    return TargetUnreachable, rng.bit_generator.state
+
+
+def _sampler_outcome(monkeypatch, n, d, seed, lam_target):
+    """`random_regular_bipartite` as the oracle reports it: its left
+    adjacency or error class, and the final state of the generator it made."""
+    made, default_rng = [], np.random.default_rng
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[0])
+        try:
+            result = random_regular_bipartite(n, d, seed, lam_target).left_adj
+        except (ParallelEdgeExhaustion, TargetUnreachable) as exc:
+            result = type(exc)
+    return result, made[0].bit_generator.state
+
+
+# every d of n <= 5, then d = 1, 2, n/2 and n: d = n runs out of draws
+_SAMPLER_GRID = [(n, d) for n in (1, 2, 5) for d in range(1, n + 1)] + [
+    (n, d) for n in (12, 64) for d in (1, 2, n // 2, n)]
+
+
+@pytest.mark.parametrize("n,d", _SAMPLER_GRID, ids=[f"n{n}-d{d}" for n, d in _SAMPLER_GRID])
+def test_batched_sampler_matches_the_one_at_a_time_loop(monkeypatch, n, d):
+    # lambda_target 0.99 rejects some whole graphs, so retries are compared too
+    for seed in range(3 if n * d < 100 else 1):
+        expected = _one_at_a_time_sampler(n, d, seed, 0.99)
+        assert _sampler_outcome(monkeypatch, n, d, seed, 0.99) == expected
+
+
+@pytest.mark.parametrize("attempts", [1, 2, 3, 7])
+def test_batched_sampler_runs_out_of_draws_where_the_loop_does(monkeypatch, attempts):
+    monkeypatch.setattr(graphs, "MATCHING_ATTEMPTS", attempts)
+    outcomes = set()
+    for n, d in [(2, 2), (5, 3), (12, 4), (12, 12), (64, 8)]:
+        for seed in range(4):
+            expected = _one_at_a_time_sampler(n, d, seed, 1.0)
+            assert _sampler_outcome(monkeypatch, n, d, seed, 1.0) == expected
+            outcomes.add(expected[0] is ParallelEdgeExhaustion)
+    assert outcomes == {True, False}
+
+
+def _kernel_rows_oracle(graph, F, G):
+    """`_eml_rows` and `_mixing_ok` on each row of F, G, as the Fraction
+    oracle's (deviation, pass) and the two sums of squares."""
+    n, d = graph.n, graph.d
+    out = []
+    rows = _eml_rows(graph.adj, np.stack((F, G)))
+    for (num, f2, g2), f, g in zip(rows, F.tolist(), G.tolist()):
+        assert (f2, g2) == (sum(x * x for x in f), sum(y * y for y in g))
+        out.append((Fraction(num, n * n * d), _mixing_ok(num, n, d, f2, g2, graph.lam_bound)))
+    return out
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize("name", ["random12", "cycle8-understated"])
+def test_eml_kernel_matches_fraction_oracle_across_the_int64_bound(monkeypatch, name,
+                                                                   block_rows):
+    graph = _EML_GRAPHS[name]
+    if block_rows:
+        monkeypatch.setattr(graphs, "_BLOCK_ELEMENTS", block_rows * graph.adj.size)
+    rng = np.random.default_rng(31)
+    M = math.isqrt((INT64_EXACT - 1) // (graph.n * graph.d))
+    rows = [rng.integers(-9, 10, graph.n).tolist() for _ in range(6)]
+    # below and past the bound, at its edge and at the ends of int64
+    rows += [[M] * graph.n, [M + 1] * graph.n, [-(2**63)] + [1] * (graph.n - 1),
+             [2**63 - 1] * graph.n, [2**70 + i for i in range(graph.n)]]
+    F = np.array(rows + rows[::-1], dtype=object)
+    G = np.array(rows[::-1] + rows, dtype=object)
+    assert len(list(graphs._row_blocks(graph.adj, len(F)))) == (
+        1 if block_rows is None else math.ceil(len(F) / block_rows))
+    expected = [_verify_eml_fraction_oracle(graph, f, g) for f, g in zip(F.tolist(), G.tolist())]
+    got = _kernel_rows_oracle(graph, F, G)
+    assert got == [(lhs, ok) for lhs, _, ok in expected]
+    if name == "cycle8-understated":
+        assert not all(ok for _, ok in got)
+    # the rows that fit int64 give the same sums from an int64 array
+    fits = [i for i, (f, g) in enumerate(zip(F.tolist(), G.tolist()))
+            if all(-(2**63) <= x < 2**63 for x in f + g)]
+    assert len(fits) == len(F) - 4  # the 2^70 row, as f and as g
+    assert _kernel_rows_oracle(graph, F[fits].astype(np.int64), G[fits].astype(np.int64)) == [
+        got[i] for i in fits]
+
+
+@pytest.mark.parametrize("block_rows", [None, 2], ids=["one-block", "blocks-of-2"])
+def test_eml_set_kernel_matches_fraction_oracle(monkeypatch, block_rows):
+    rng = np.random.default_rng(37)
+    for name, graph in sorted(_EML_GRAPHS.items()):
+        if block_rows:
+            monkeypatch.setattr(graphs, "_BLOCK_ELEMENTS", block_rows * graph.adj.size)
+        # lists with repeated vertices, the empty set and the whole vertex set
+        sets = [rng.integers(0, graph.n, rng.integers(0, 2 * graph.n)).tolist()
+                for _ in range(9)] + [[], list(range(graph.n))]
+        pairs = [(S, T) for S in sets for T in sets[::3]]
+        ST = np.zeros((2, len(pairs), graph.n), dtype=bool)
+        for i, (S, T) in enumerate(pairs):
+            ST[0, i, S], ST[1, i, T] = True, True
+        n, d = graph.n, graph.d
+        rows = _eml_set_rows(graph.adj, ST)
+        assert [(e_st, Fraction(num, n), _mixing_ok(num, n, d, s, t, graph.lam_bound))
+                for e_st, num, s, t in rows] == [
+            _verify_eml_sets_fraction_oracle(graph, S, T) for S, T in pairs]
+        assert [(s, t) for _, _, s, t in rows] == [(len(set(S)), len(set(T))) for S, T in pairs]

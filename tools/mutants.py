@@ -11,9 +11,10 @@ The catalogue, `tools/mutants.json`, is a list of rows
      "equivalent": "why no test can tell"}   optional
 
 The fragment must occur exactly once in its file.  The runner copies
-`src/`, `tests/` and `pyproject.toml` to a temporary directory, checks that
-the unmutated listed tests pass there, then applies one mutant at a time and
-runs `pytest -x -q` on its row's test files.  A mutant is killed when a test
+`src/`, `tests/`, `pyproject.toml` and `README.md` (which `tests/test_cli.py`
+reads) to a temporary directory, checks that the unmutated listed tests
+pass there, then applies one mutant at a time and runs `pytest -x -q` on
+its row's test files.  A mutant is killed when a test
 fails or the run times out, and survives when every test passes.  The
 working tree is never written.
 
@@ -103,7 +104,8 @@ def main() -> int:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, work / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy2(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, work)
         all_tests = sorted({t for row in rows for t in row["tests"]})
         if _pytest(work, all_tests) != 0:
             print("the unmutated tests do not pass, so no mutant can be judged")
