@@ -20,7 +20,7 @@ import numpy as np
 
 from .arld import intern_symbols, pair_disagreements
 from .codes import DEFAULT_ENUMERATION_CAP, ERASED, LinearCode
-from .errors import AmplificationViolation, GraphMismatch, NotAnOuterCodeword
+from .errors import AmplificationViolation, Mismatch
 from .gf import _ints
 from .graphs import BipartiteGraph, verify_eml_sets
 
@@ -44,15 +44,11 @@ class AELCode:
 
     def __init__(self, graph: BipartiteGraph, inner: LinearCode, outer: LinearCode):
         if inner.n != graph.d:
-            raise GraphMismatch(
-                f"inner block length {inner.n} != graph degree {graph.d}"
-            )
+            raise Mismatch(f"inner block length {inner.n} != graph degree {graph.d}")
         if outer.n != graph.n:
-            raise GraphMismatch(f"outer length {outer.n} != graph size {graph.n}")
+            raise Mismatch(f"outer length {outer.n} != graph size {graph.n}")
         if outer.field.q != inner.size:
-            raise GraphMismatch(
-                f"|Sigma_out| = {outer.field.q} != |C_in| = {inner.size}"
-            )
+            raise Mismatch(f"|Sigma_out| = {outer.field.q} != |C_in| = {inner.size}")
         self.graph = graph
         self.inner = inner
         self.outer = outer
@@ -69,7 +65,7 @@ class AELCode:
     def d(self) -> int:
         return self.graph.d
 
-    # computed on first access, so an EnumerationTooLarge surfaces there
+    # computed on first access, so a TooLarge surfaces there
     @cached_property
     def delta_in(self) -> Fraction:
         return self.inner.min_distance()
@@ -84,7 +80,7 @@ class AELCode:
         """Right-folded AEL codeword from an outer codeword."""
         outer_codeword = tuple(outer_codeword)
         if not self.outer.contains(outer_codeword):
-            raise NotAnOuterCodeword(f"{outer_codeword} is not in C_out")
+            raise Mismatch(f"{outer_codeword} is not in C_out")
         return self._fold_phi(outer_codeword)
 
     def encode_message(self, msg) -> tuple:
@@ -137,15 +133,15 @@ class AELCode:
     # -- metrics ---------------------------------------------------------------
 
     def _check(self, word) -> None:
-        """GraphMismatch unless the word is n symbols, each erased or d entries
+        """Mismatch unless the word is n symbols, each erased or d entries
         in [0, q_in); ValueError for an entry that is not an integer."""
         symbols = [t for t in word if t is not ERASED]
         if len(word) != self.n or any(len(t) != self.d for t in symbols):
-            raise GraphMismatch("word shape does not match the graph")
+            raise Mismatch("word shape does not match the graph")
         # every entry, not a set of them: {1, True} is {1}
         entries = _ints(chain.from_iterable(symbols), "word entry", 1)
         if entries and not (0 <= min(entries) and max(entries) < self.inner.field.q):
-            raise GraphMismatch(f"word has an entry outside [0, {self.inner.field.q})")
+            raise Mismatch(f"word has an entry outside [0, {self.inner.field.q})")
 
     def rate(self) -> Fraction:
         """log_|Sigma| |C_AEL| / n, exact: the constructor fixes q_out =
@@ -183,8 +179,10 @@ def verify_distance_amplification(code: AELCode, cap: int = DEFAULT_ENUMERATION_
     delta_in - lam/delta_out is non-positive the report flags vacuity and
     only the per-pair form is asserted.  Raises AmplificationViolation on
     any failing pair.  Delta_R and Delta_L are integer counts from
-    `pair_disagreements` on the folded words and on their left views; one
-    exact integer threshold per Delta_L count decides every pair.
+    `pair_disagreements` on the folded words and on the outer words: phi is
+    injective, so two left views differ exactly where the outer symbols
+    differ.  One exact integer threshold per Delta_L count decides every
+    pair.
     """
     words = code.enumerate_codewords(cap)
     delta_in, delta_out = code.delta_in, code.delta_out
@@ -198,7 +196,7 @@ def verify_distance_amplification(code: AELCode, cap: int = DEFAULT_ENUMERATION_
     ])
     iu = np.triu_indices(len(words), k=1)
     dr = pair_disagreements(code.symbol_ids(cap)[0])[iu]
-    dl = pair_disagreements(intern_symbols(code.left_views(w) for w in words)[0])[iu]
+    dl = pair_disagreements(np.array(code.outer.enumerate_codewords(cap), dtype=np.int64))[iu]
     bad = np.flatnonzero(dr < limit[dl])
     if bad.size:
         p = int(bad[0])

@@ -52,7 +52,7 @@ from math import comb
 import numpy as np
 
 from .codes import rref
-from .errors import EmptySet, SubsetEnumerationTooLarge, SubsetSizeTooLarge
+from .errors import Mismatch, TooLarge
 from .gf import make_field
 
 DEFAULT_SUBSET_CAP = 2 * 10**8
@@ -116,7 +116,7 @@ def plurality_center(words) -> tuple[tuple, list[int]]:
     """
     words = [tuple(w) for w in words]
     if not words:
-        raise EmptySet("plurality of an empty set")
+        raise Mismatch("plurality of an empty set")
     n = len(words[0])
     center = []
     contribs = []
@@ -183,13 +183,13 @@ def min_disagreement_by_size(
     """
     M, n = sym.shape
     if min(k, M) > MAX_SUBSET_SIZE:
-        raise SubsetSizeTooLarge(
+        raise TooLarge(
             f"subset size {min(k, M)} exceeds the byte-lane limit {MAX_SUBSET_SIZE}:"
             " a uint64 lane sums eight byte counts exactly only while 8m < 256"
         )
     evaluated = subset_search_count(M, k, closed)
     if evaluated > subset_cap:
-        raise SubsetEnumerationTooLarge(
+        raise TooLarge(
             f"{evaluated} subsets to evaluate ({subset_search_count(M, k)}"
             f" covered) exceed cap {subset_cap}"
         )

@@ -30,8 +30,7 @@ from . import io as aio
 from .ael import AELCode, verify_distance_amplification
 from .arld import DEFAULT_SUBSET_CAP
 from .codes import ERASED
-from .errors import (AelcertError, AmplificationViolation, ConfigInvalid, FieldTooLarge,
-                     NonPrimeCharacteristic, SearchExhausted)
+from .errors import AelcertError, AmplificationViolation, ConfigInvalid, SearchExhausted
 from .gf import Field, make_field
 from .graphs import (_eml_rows, _eml_set_rows, _mixing_ok, _row_blocks, complete_bipartite,
                      random_regular_bipartite)
@@ -97,7 +96,7 @@ def _parse_field(value) -> Field:
         raise ConfigInvalid(f'expected {{"p": prime, "m": degree}}, got {value!r}')
     try:
         return make_field(_size(value["p"]), _size(value.get("m", 1)))
-    except (NonPrimeCharacteristic, FieldTooLarge) as exc:
+    except ValueError as exc:  # FieldRefused
         raise ConfigInvalid(str(exc)) from None
 
 

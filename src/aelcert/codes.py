@@ -12,13 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
-from .errors import (
-    DimensionMismatch,
-    EmptySet,
-    EnumerationTooLarge,
-    FieldMismatch,
-    LengthMismatch,
-)
+from .errors import FieldMismatch, Mismatch, TooLarge
 from .gf import Field, _seq
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
@@ -69,13 +63,13 @@ class LinearCode:
         self.generator = tuple(tuple(field.vector(row, "generator"))
                                for row in _seq(generator, "generator"))
         if not self.generator:
-            raise DimensionMismatch("generator must have at least one row")
+            raise Mismatch("generator must have at least one row")
         self.dim = len(self.generator)
         self.n = len(self.generator[0])
         if any(len(row) != self.n for row in self.generator):
-            raise DimensionMismatch("ragged generator matrix")
+            raise Mismatch("ragged generator matrix")
         if not self._full_rank():
-            raise DimensionMismatch("generator matrix is not full row rank")
+            raise Mismatch("generator matrix is not full row rank")
         self._codewords: list[tuple[int, ...]] | None = None
 
     def _full_rank(self) -> bool:
@@ -97,7 +91,7 @@ class LinearCode:
     def encode(self, msg) -> tuple[int, ...]:
         msg = self.field.vector(msg, "message")
         if len(msg) != self.dim:
-            raise DimensionMismatch(f"message length {len(msg)} != dim {self.dim}")
+            raise Mismatch(f"message length {len(msg)} != dim {self.dim}")
         return self._combine(msg, self.generator)
 
     def _combine(self, coeffs, rows) -> tuple[int, ...]:
@@ -114,7 +108,7 @@ class LinearCode:
 
     def enumerate_codewords(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
         if self.size > cap:
-            raise EnumerationTooLarge(f"{self.size} codewords exceed cap {cap}")
+            raise TooLarge(f"{self.size} codewords exceed cap {cap}")
         if self._codewords is None:
             self._codewords = [self._combine(m, self.generator) for m in self.messages()]
         return self._codewords
@@ -128,7 +122,7 @@ class LinearCode:
         """
         word = tuple(word)
         if len(word) != self.n:
-            raise LengthMismatch(f"word length {len(word)} != n {self.n}")
+            raise Mismatch(f"word length {len(word)} != n {self.n}")
         try:
             word = tuple(self.field.vector(word, "word"))
         except FieldMismatch:
@@ -179,7 +173,7 @@ def dist_with_erasures(erased: ErasedWord, word) -> Fraction:
     """Disagreements on non-erased coordinates, over the full length n."""
     word = tuple(word)
     if len(word) != erased.n:
-        raise LengthMismatch(f"{len(word)} != {erased.n}")
+        raise Mismatch(f"{len(word)} != {erased.n}")
     hits = sum(1 for g, h in zip(erased.symbols, word) if g is not ERASED and g != h)
     return Fraction(hits, erased.n)
 
@@ -187,7 +181,7 @@ def dist_with_erasures(erased: ErasedWord, word) -> Fraction:
 def hamming_distance(a, b) -> Fraction:
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
-        raise LengthMismatch(f"{len(a)} != {len(b)}")
+        raise Mismatch(f"{len(a)} != {len(b)}")
     return Fraction(sum(1 for x, y in zip(a, b) if x != y), len(a))
 
 
@@ -203,5 +197,5 @@ def pairwise_min_distance(codewords) -> Fraction:
         if best is None or d < best:
             best = d
     if best is None:
-        raise EmptySet("need at least two codewords")
+        raise Mismatch("need at least two codewords")
     return best

@@ -1,97 +1,39 @@
-"""Exception hierarchy shared by all aelcert modules."""
+"""Exception hierarchy shared by all aelcert modules: one class per
+decision a caller makes (README, "Errors")."""
 
 
 class AelcertError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonPrimeCharacteristic(AelcertError):
-    pass
-
-
-class FieldTooLarge(AelcertError):
-    pass
+class ConfigInvalid(AelcertError):
+    """A config or artifact file that cannot be used as written."""
 
 
 class FieldMismatch(AelcertError, ValueError):
     """A value that is not a vector over the field: a bad input value."""
 
 
-class DivisionByZero(AelcertError):
-    pass
+class FieldRefused(AelcertError, ValueError):
+    """GF(p^m) is refused: p is not prime, or p^m exceeds the order cap."""
 
 
-class DimensionMismatch(AelcertError):
-    pass
+class DivisionByZero(AelcertError, ZeroDivisionError):
+    """Division by the zero field element or the zero polynomial."""
 
 
-class LengthMismatch(AelcertError):
-    pass
+class Mismatch(AelcertError):
+    """Arguments that do not fit together: lengths, shapes, a field too
+    small, a word outside the code, a set too small or an unmet premise."""
 
 
-class EnumerationTooLarge(AelcertError):
-    pass
-
-
-class SubsetEnumerationTooLarge(AelcertError):
-    pass
-
-
-class SubsetSizeTooLarge(AelcertError):
-    pass
-
-
-class EmptySet(AelcertError):
-    pass
-
-
-class RankFailure(AelcertError):
-    pass
+class TooLarge(AelcertError):
+    """A cap refused the work before it started: it fails closed."""
 
 
 class SearchExhausted(AelcertError):
-    pass
-
-
-class NotAppropriate(AelcertError):
-    pass
-
-
-class FieldTooSmall(AelcertError):
-    pass
-
-
-class TargetUnreachable(AelcertError):
-    pass
-
-
-class ParallelEdgeExhaustion(AelcertError):
-    pass
-
-
-class GraphMismatch(AelcertError):
-    pass
-
-
-class NotAnOuterCodeword(AelcertError):
-    pass
+    """A randomized search or sampler used up its tries."""
 
 
 class AmplificationViolation(AelcertError):
-    pass
-
-
-class DuplicateCodewords(AelcertError):
-    pass
-
-
-class SubsetTooSmall(AelcertError):
-    pass
-
-
-class PrerequisiteNotVerified(AelcertError):
-    pass
-
-
-class ConfigInvalid(AelcertError):
-    pass
+    """A pair of AEL codewords is closer than the amplified distance allows."""

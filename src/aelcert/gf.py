@@ -31,7 +31,7 @@ from collections.abc import Iterable
 from functools import cache
 from numbers import Integral
 
-from .errors import DivisionByZero, FieldMismatch, FieldTooLarge, NonPrimeCharacteristic
+from .errors import DivisionByZero, FieldMismatch, FieldRefused
 
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16  # exp/log tables only for q up to this
@@ -63,17 +63,17 @@ def _seq(value, name: str) -> list:
 
 
 def _checked_order(p, m) -> tuple[int, int]:
-    """(p, m) as ints, for m >= 1 (else ValueError), p^m <= MAX_FIELD_ORDER
-    (else FieldTooLarge) and p prime (else NonPrimeCharacteristic).  The cap
-    comes first, so trial division never sees a p above it, and m is bounded
-    before p**m is computed: 2^m alone exceeds the cap for larger m."""
+    """(p, m) as ints, for m >= 1 (else ValueError); FieldRefused unless
+    p^m <= MAX_FIELD_ORDER and p is prime.  The cap comes first, so trial
+    division never sees a p above it, and m is bounded before p**m is
+    computed: 2^m alone exceeds the cap for larger m."""
     p, m = _ints(p, "p"), _ints(m, "m")
     if m < 1:
         raise ValueError("extension degree must be >= 1")
     if p > MAX_FIELD_ORDER or m >= MAX_FIELD_ORDER.bit_length() or p**m > MAX_FIELD_ORDER:
-        raise FieldTooLarge(f"GF({p}^{m}) exceeds the cap q <= {MAX_FIELD_ORDER}")
+        raise FieldRefused(f"GF({p}^{m}) exceeds the cap q <= {MAX_FIELD_ORDER}")
     if not _is_prime(p):
-        raise NonPrimeCharacteristic(f"{p} is not prime")
+        raise FieldRefused(f"{p} is not prime")
     return p, m
 
 
@@ -306,7 +306,7 @@ def poly_divmod(F: Field, num: list[int], den: list[int]):
     num = list(num)
     den = poly_trim(list(den))
     if not den:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise DivisionByZero("polynomial division by zero")
     width = len(den)
     quot = [0] * max(len(num) - width + 1, 0)
     inv_lead = F.inv(den[-1])

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LengthMismatch, ParallelEdgeExhaustion, TargetUnreachable
+from .errors import Mismatch, SearchExhausted
 from .gf import _ints
 
 LAMBDA_SAFETY = Fraction(1, 10**6)
@@ -118,7 +118,7 @@ def random_regular_bipartite(
     draws are made and tested in batches (`_draw_matching`), and the
     generator ends each matching in the state the one-at-a-time loop leaves,
     so a seed gives the same graph either way.  After MATCHING_ATTEMPTS
-    rejected permutations for one matching, ParallelEdgeExhaustion.
+    rejected permutations for one matching, SearchExhausted.
     """
     if d > n:
         raise ValueError("d must be <= n")
@@ -129,13 +129,13 @@ def random_regular_bipartite(
         cols = np.empty((d, n), dtype=np.int64)
         for i in range(d):
             if (perm := _draw_matching(rng, used)) is None:
-                raise ParallelEdgeExhaustion(f"could not extend to {d} disjoint matchings")
+                raise SearchExhausted(f"could not extend to {d} disjoint matchings")
             cols[i] = perm
             used[np.arange(n), perm] = True
         graph = BipartiteGraph(n, d, cols.T.tolist(), seed=seed)
         if graph.lam <= lam_target:
             return graph
-    raise TargetUnreachable(f"no graph with lambda <= {lam_target} in {max_tries} tries")
+    raise SearchExhausted(f"no graph with lambda <= {lam_target} in {max_tries} tries")
 
 
 def _draw_matching(rng: np.random.Generator, used: np.ndarray) -> np.ndarray | None:
@@ -183,7 +183,7 @@ def verify_eml(graph: BipartiteGraph, f, g) -> tuple[Fraction, float, bool]:
     """
     n, d = graph.n, graph.d
     if len(f) != n or len(g) != n:
-        raise LengthMismatch("f and g must have length n")
+        raise Mismatch("f and g must have length n")
     (F, Df), (G, Dg) = _integer_vector(f), _integer_vector(g)
     [(num, f2, g2)] = _eml_rows(graph.adj, _exact_array([[F], [G]]))
     lam = graph.lam_bound

@@ -25,15 +25,7 @@ from .arld import (
     translation_closed,
 )
 from .codes import ERASED, ErasedWord, LinearCode
-from .errors import (
-    DimensionMismatch,
-    EmptySet,
-    EnumerationTooLarge,
-    FieldTooSmall,
-    NotAppropriate,
-    RankFailure,
-    SearchExhausted,
-)
+from .errors import Mismatch, SearchExhausted, TooLarge
 from .gf import Field, _ints, multiplicative_generator
 from .outer import RSOuterCode
 from .seeds import derive_seed
@@ -159,7 +151,7 @@ def exhaustive_arld_check(
     erasure set S and every center over the non-erased coordinates, drawn
     from the field of a LinearCode or else the symbols the words use.
     Returns (True, None) or (False, witness dict); more than CENTER_CAP
-    centers for one erasure set raise EnumerationTooLarge.
+    centers for one erasure set raise TooLarge.
     """
     words, n = resolve_words(code_or_words)
     delta0, eps = Fraction(delta0), Fraction(eps)
@@ -180,9 +172,7 @@ def exhaustive_arld_check(
                 bound = (m - 1) * (delta0 - s_frac - eps)
                 t = len(keep)
                 if Q**t > CENTER_CAP:
-                    raise EnumerationTooLarge(
-                        f"{Q}^{t} centers exceed cap {CENTER_CAP}"
-                    )
+                    raise TooLarge(f"{Q}^{t} centers exceed cap {CENTER_CAP}")
                 centers = _all_tuples(Q, t)
                 restricted = rows[:, keep]  # (m, t)
                 d_counts = (centers[:, None, :] != restricted[None, :, :]).sum(
@@ -221,14 +211,16 @@ def sample_random_linear_code(
 ) -> LinearCode:
     """Uniform full-rank generator matrix; deterministic under the given rng."""
     if dim < 1:
-        raise DimensionMismatch("generator must have at least one row")
+        raise Mismatch("generator must have at least one row")
+    if dim > length:
+        raise Mismatch(f"dim {dim} > length {length}: no generator has full row rank")
     for _ in range(SAMPLE_ATTEMPTS):
         gen = rng.integers(0, field.q, size=(dim, length))
         try:
             return LinearCode(field, gen.tolist())
-        except DimensionMismatch:
+        except Mismatch:
             continue
-    raise RankFailure(f"no full-rank sample in {SAMPLE_ATTEMPTS} attempts")
+    raise SearchExhausted(f"no full-rank sample in {SAMPLE_ATTEMPTS} attempts")
 
 
 def search_inner_code(
@@ -275,7 +267,7 @@ class BlockCode:
     def min_distance(self) -> Fraction:
         """Minimum pairwise distance, from the `pair_disagreements` counts."""
         if len(self.codewords) < 2:
-            raise EmptySet("need at least two codewords")
+            raise Mismatch("need at least two codewords")
         dist = pair_disagreements(intern_symbols(self.codewords)[0])
         return Fraction(int(dist[np.triu_indices(len(dist), k=1)].min()), self.n)
 
@@ -309,7 +301,7 @@ class FoldedRSCode:
     def __init__(self, field: Field, b: int, n: int, rho: Fraction, alphas=None):
         b, n = _ints(b, "b"), _ints(n, "n")
         if field.q < b * n:
-            raise FieldTooSmall(f"q={field.q} < bn={b * n}")
+            raise Mismatch(f"q={field.q} < bn={b * n}")
         rho = Fraction(rho)
         dim = rho * b * n
         if dim.denominator != 1 or not 1 <= dim <= b * n:
@@ -328,7 +320,7 @@ class FoldedRSCode:
         points = [field.mul(field.pow(gamma, i), a) for a in self.alphas
                   for i in range(b)]
         if len(set(points)) != b * n:
-            raise NotAppropriate("evaluation points {gamma^i alpha_j} collide")
+            raise Mismatch("evaluation points {gamma^i alpha_j} collide")
         self.rs = RSOuterCode(field, b * n, self.dim, points)
 
     def _fold(self, word) -> tuple[tuple[int, ...], ...]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .ael import AELCode
 from .codes import ERASED, ErasedWord, LinearCode
-from .errors import ConfigInvalid, FieldTooLarge, NonPrimeCharacteristic
+from .errors import ConfigInvalid
 from .gf import Field, _ints
 from .graphs import BipartiteGraph
 from .inner import ARLDCertificate, BlockCode, FoldedRSCode
@@ -88,12 +88,12 @@ def _load_kind(path, *kinds) -> dict:
 
 def _refusals_name_the_file(load):
     """`load(path)`, with a constructor's refusal of a value in the file
-    (ValueError, NonPrimeCharacteristic, FieldTooLarge) as ConfigInvalid."""
+    (a ValueError, `FieldRefused` included) as ConfigInvalid."""
     @wraps(load)
     def checked(path):
         try:
             return load(path)
-        except (ValueError, NonPrimeCharacteristic, FieldTooLarge) as exc:
+        except ValueError as exc:
             raise ConfigInvalid(f"{path}: {exc}") from None
     return checked
 

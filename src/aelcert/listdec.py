@@ -16,13 +16,7 @@ from itertools import combinations
 from .ael import AELCode
 from .arld import DEFAULT_SUBSET_CAP
 from .codes import ERASED, ErasedWord, hamming_distance
-from .errors import (
-    DuplicateCodewords,
-    EnumerationTooLarge,
-    LengthMismatch,
-    PrerequisiteNotVerified,
-    SubsetTooSmall,
-)
+from .errors import Mismatch, TooLarge
 from .inner import BlockCode, min_arld_slack
 
 
@@ -33,7 +27,7 @@ def brute_force_list(code: AELCode, center, beta: Fraction):
     symbol that no codeword has gets id -1, equal to no id)."""
     center = center if isinstance(center, ErasedWord) else ErasedWord(center)
     if center.n != code.n:
-        raise LengthMismatch("length mismatch with graph size")
+        raise Mismatch("length mismatch with graph size")
     code._check(center.symbols)  # the words `decode` refuses
     limit = math.floor(Fraction(beta) * code.n)
     words = code.enumerate_codewords()
@@ -130,21 +124,19 @@ def verify_common_error_bound(
     For each center g and every subset H (|H| <= k) of the radius-beta list:
         sum_h Delta(g, h) >= (|H| - 1)(delta0 - eps) + common_error_fraction.
     Requires a passing generalized-Singleton report for the same parameters.
-    A list longer than list_cap raises EnumerationTooLarge instead of being
+    A list longer than list_cap raises TooLarge instead of being
     checked in part.
     """
     delta0, eps = Fraction(delta0), Fraction(eps)
     if singleton_report is None or not singleton_report.get("empirical_pass"):
-        raise PrerequisiteNotVerified(
-            "verify_generalized_singleton must pass first at (delta0, k, eps)"
-        )
+        raise Mismatch("verify_generalized_singleton must pass first at (delta0, k, eps)")
     checked = n_centers = 0
     violations = []
     for n_centers, g in enumerate(centers, 1):
         g = tuple(g)
         lst = brute_force_list(code, g, beta)
         if len(lst) > list_cap:
-            raise EnumerationTooLarge(
+            raise TooLarge(
                 f"radius-{beta} list of center {g} has {len(lst)} members,"
                 f" over list_cap {list_cap}"
             )
@@ -189,7 +181,7 @@ def partition_profile(code: AELCode, subset) -> PartitionProfile:
     subset = [tuple(h) for h in subset]
     k = len(subset)
     if len(set(subset)) != k:
-        raise DuplicateCodewords("codewords in H must be distinct")
+        raise Mismatch("codewords in H must be distinct")
     all_views = [code.left_views(h) for h in subset]
     partitions = []
     for l in range(code.n):
@@ -214,7 +206,7 @@ def _erased_edge_counts(code: AELCode, erased: ErasedWord) -> list[int]:
     """Per left vertex, its edges landing on erased right vertices (an
     erased right vertex erases the whole d-tuple)."""
     if erased.n != code.n:
-        raise LengthMismatch(f"erased word length {erased.n} != graph size {code.n}")
+        raise Mismatch(f"erased word length {erased.n} != graph size {code.n}")
     erased_mask = [sym is ERASED for sym in erased.symbols]
     return [sum(erased_mask[r] for r in row) for row in code.graph.left_adj]
 
@@ -232,13 +224,13 @@ def sampling_bound_check(
     l_star = list(l_star)
     n, d, m = code.n, code.d, len(l_star)
     if not l_star:
-        raise SubsetTooSmall("L* is empty")
+        raise Mismatch("L* is empty")
     if any(not 0 <= l < n for l in l_star):
         raise ValueError(f"L* has a vertex outside [0, {n})")
     if k is not None:
         required = code.delta_out * n / Fraction(k) ** k
         if m < required:
-            raise SubsetTooSmall(f"|L*| = {m} < {required}")
+            raise Mismatch(f"|L*| = {m} < {required}")
     counts = _erased_edge_counts(code, erased)
     hits = sum(counts[l] for l in l_star)
     lam = code.graph.lam_bound

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .codes import LinearCode
-from .errors import FieldTooSmall, LengthMismatch
+from .errors import Mismatch
 from .gf import Field, _ints, poly_divmod, poly_mul, poly_trim
 
 
@@ -30,7 +30,7 @@ class RSOuterCode(LinearCode):
         n, dim = _ints(n, "n"), _ints(dim, "dim")
         if points is None:
             if field.q < n:
-                raise FieldTooSmall(f"q={field.q} < n={n}")
+                raise Mismatch(f"q={field.q} < n={n}")
             points = range(n)
         points = field.vector(points, "points")
         if len(points) != n or len(set(points)) != n:
@@ -87,7 +87,7 @@ def rs_unique_decode(code: RSOuterCode, word):
     """Gao's decoding at the unique radius t = floor((n - k) / 2).
 
     Returns the codeword within t errors of the word if there is one, else
-    None.  Raises LengthMismatch for a word of the wrong length and
+    None.  Raises Mismatch for a word of the wrong length and
     FieldMismatch for a symbol that is not an integer in [0, q).
 
     No codeword beyond t comes back.  The Euclid loop keeps
@@ -102,7 +102,7 @@ def rs_unique_decode(code: RSOuterCode, word):
     n, k = code.n, code.dim
     word = F.vector(word, "word")
     if len(word) != n:
-        raise LengthMismatch(f"word length {len(word)} != n {n}")
+        raise Mismatch(f"word length {len(word)} != n {n}")
     # g1 interpolates the word: g1(a) = y_a at every point a
     g0, basis = code._interpolation_table()
     g1 = [0] * n

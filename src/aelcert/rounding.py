@@ -20,7 +20,7 @@ import numpy as np
 
 from .ael import AELCode
 from .codes import ERASED, hamming_distance
-from .errors import AelcertError
+from .errors import Mismatch
 from .outer import RSOuterCode, rs_unique_decode
 
 
@@ -156,15 +156,13 @@ def ael_unique_decode(code: AELCode, word):
     """Nearest-inner-codeword distributions, then threshold-rounding decode.
 
     Returns (codeword, Delta_R(word, codeword)) or None.  Raises
-    GraphMismatch before any decoding when the word's shape does not match
-    the graph, and AelcertError when a symbol is erased.
+    Mismatch before any decoding when the word's shape does not match
+    the graph or a symbol is erased.
     """
     code._check(word)
     erased = [r for r, sym in enumerate(word) if sym is ERASED]
     if erased:
-        raise AelcertError(
-            f"symbol {erased[0]} is erased; unique decoding needs an unerased word"
-        )
+        raise Mismatch(f"symbol {erased[0]} is erased; unique decoding needs an unerased word")
     ensemble = local_views_to_distributions(code, word)
     h = decode_from_distributions(code, ensemble)
     if h is None:

@@ -19,12 +19,8 @@ from aelcert import (
     sample_random_linear_code,
     verify_distance_amplification,
 )
-from aelcert.errors import (
-    AmplificationViolation,
-    EnumerationTooLarge,
-    GraphMismatch,
-    NotAnOuterCodeword,
-)
+from aelcert.errors import AmplificationViolation, Mismatch, TooLarge
+from aelcert.arld import intern_symbols, pair_disagreements
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
@@ -41,11 +37,11 @@ def instance12(gf4, gf16):
 def test_component_shape_validation(gf2, gf4, gf16):
     graph = complete_bipartite(4)
     inner = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
-    with pytest.raises(GraphMismatch):
-        AELCode(graph, inner, RSOuterCode(gf16, 12, 2))  # outer length != n
-    with pytest.raises(GraphMismatch):
+    with pytest.raises(Mismatch, match="outer length 12 != graph size 4"):
+        AELCode(graph, inner, RSOuterCode(gf16, 12, 2))
+    with pytest.raises(Mismatch, match="inner block length 3 != graph degree 4"):
         AELCode(graph, LinearCode(gf2, [[1, 1, 1]]), RSOuterCode(gf16, 4, 2))
-    with pytest.raises(GraphMismatch):
+    with pytest.raises(Mismatch, match=r"\|Sigma_out\| = 4 != \|C_in\| = 16"):
         # |Sigma_out| = 4 but |C_in| = 16
         AELCode(graph, inner, RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]))
 
@@ -57,12 +53,12 @@ def test_delta_in_and_out_are_computed_once(gf4, gf16, monkeypatch):
     )
 
     def too_large():
-        raise EnumerationTooLarge("too many codewords")
+        raise TooLarge("too many codewords")
 
     # a refused enumeration surfaces on access, each time, and is not kept
     monkeypatch.setattr(code.inner, "min_distance", too_large)
     for _ in range(2):
-        with pytest.raises(EnumerationTooLarge):
+        with pytest.raises(TooLarge, match="too many codewords"):
             code.delta_in
     monkeypatch.undo()
     calls = []
@@ -90,14 +86,14 @@ def test_zero_codeword_maps_to_zero(instance12):
 
 
 def test_encode_rejects_non_codeword(instance12):
-    with pytest.raises(NotAnOuterCodeword):
+    with pytest.raises(Mismatch, match="is not in C_out"):
         instance12.encode([1] + [0] * 11)
 
 
 def test_encode_rejects_symbols_outside_outer_field(instance12):
     # GF(16) symbols lie in [0, 16); anything else is not an outer codeword
     for bad in (99, 16, -1):
-        with pytest.raises(NotAnOuterCodeword):
+        with pytest.raises(Mismatch, match="is not in C_out"):
             instance12.encode([bad] + [0] * 11)
 
 
@@ -249,20 +245,26 @@ def test_pair_counting_argument(instance12):
 def test_amplification_violation_raises(gf4, gf16):
     graph = complete_bipartite(12)
     inner = sample_random_linear_code(gf4, 12, 2, np.random.default_rng(1))
-    code = AELCode(graph, inner, RSOuterCode(gf16, 12, 2))
-    words = code.enumerate_codewords()
+    outer_words = RSOuterCode(gf16, 12, 2).enumerate_codewords()
     # duplicated codewords trip the Delta_L = 0 degeneracy check
     with pytest.raises(AmplificationViolation):
         code2 = AELCode(graph, inner, RSOuterCode(gf16, 12, 2))
-        code2._codewords = [words[0], words[0]]
+        _set_outer_words(code2, [outer_words[0], outer_words[0]])
         verify_distance_amplification(code2)
     assert _assert_amplification_matches_oracle(code2) == (
         "AmplificationViolation: pair (0,1) has Delta_L = 0"
     )
     # a single word leaves no pair to check
-    code2._codewords = [words[0]]
+    _set_outer_words(code2, [outer_words[0]])
     report = _assert_amplification_matches_oracle(code2)
     assert report["pairs_checked"] == 0 and report["min_delta_R"] is None
+
+
+def _set_outer_words(code, outer_words):
+    """Make `outer_words` the word list of the outer code, so the AEL code
+    enumerates their encodings in that order."""
+    code.outer._codewords = list(outer_words)
+    code._codewords = None
 
 
 def _verify_amplification_pair_loop_oracle(code):
@@ -339,7 +341,7 @@ def test_enumeration_cap_is_checked_after_the_words_are_cached(gf4, gf16):
     code = _ac3_code(gf4, gf16)
     words = code.enumerate_codewords()
     assert len(words) == 256
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(TooLarge, match="256 codewords exceed cap 10"):
         code.enumerate_codewords(cap=10)
     assert code.enumerate_codewords(cap=256) is words
 
@@ -362,8 +364,22 @@ def test_outer_words_of_the_outer_code_are_not_checked_again(gf4, gf16, monkeypa
         code.encode(outer_words[1])
     monkeypatch.undo()
     assert code.encode(outer_words[1]) == words[1]
-    with pytest.raises(NotAnOuterCodeword):
+    with pytest.raises(Mismatch, match="is not in C_out"):
         code.encode([1] + [0] * 11)
+
+
+@pytest.mark.parametrize("graph", ["ac3", "complete"])
+def test_delta_L_counts_from_outer_words_match_the_left_views(gf4, gf16, ac3, graph):
+    # the left-view route: intern every codeword's left views and count
+    # their disagreements; phi is injective, so the outer words give the same
+    if graph == "complete":
+        inner = sample_random_linear_code(gf4, 12, 2, np.random.default_rng(1))
+        code = AELCode(complete_bipartite(12), inner, RSOuterCode(gf16, 12, 2))
+    else:
+        code = ac3
+    views = intern_symbols(code.left_views(w) for w in code.enumerate_codewords())[0]
+    outer_words = np.array(code.outer.enumerate_codewords(), dtype=np.int64)
+    assert np.array_equal(pair_disagreements(views), pair_disagreements(outer_words))
 
 
 def test_amplification_matches_oracle_on_ac3(ac3):
@@ -374,7 +390,8 @@ def test_amplification_matches_oracle_on_ac3(ac3):
 
 def _tampered_pair(gf4, gf16, lam):
     """Two words of the instance12 shape that differ only in left vertex 0's
-    view, replaced by an inner codeword at distance 3 from it."""
+    view, replaced by an inner codeword at distance 3 from it: the encodings
+    of two outer words that differ only in symbol 0."""
     graph = random_regular_bipartite(12, 4, seed=7, lam_target=0.95)
     graph.lam_bound = Fraction(str(lam)) + LAMBDA_SAFETY
     code = AELCode(
@@ -392,7 +409,10 @@ def _tampered_pair(gf4, gf16, lam):
     w2 = code.fold(edges)
     assert hamming_distance(code.left_views(w), code.left_views(w2)) == Fraction(1, 12)
     assert hamming_distance(w, w2) == Fraction(3, 12)
-    code._codewords = [w, w2]
+    outer_word = code.outer.encode([3, 1])
+    _set_outer_words(code, [outer_word, (code.inner.enumerate_codewords().index(far),)
+                            + outer_word[1:]])
+    assert code.enumerate_codewords() == [w, w2]
     return code
 
 

@@ -59,6 +59,21 @@ def workspace(tmp_path):
     return tmp_path
 
 
+def test_build_inner_refuses_dim_above_length(tmp_path, capsys):
+    # refused before any draw, as an error, not a FAIL verdict of the search
+    cfg = _write_config(tmp_path / "inner.json", {
+        "version": 1, "seed": 0, "field": {"p": 2, "m": 2}, "length": 3,
+        "dim": 5, "k": 3, "delta0": "1/2", "eps_target": "1/4",
+        "code_out": str(tmp_path / "code.json"),
+        "certificate_out": str(tmp_path / "cert.json"),
+    })
+    assert main(["build-inner", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dim 5 > length 3: no generator has full row rank\n"
+    assert not (tmp_path / "code.json").exists()
+
+
 def test_missing_config_file():
     assert main(["encode", "--config", "/nonexistent/cfg.json"]) == 2
 

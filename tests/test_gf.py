@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aelcert import Field, gf, make_field, multiplicative_generator
-from aelcert.errors import DivisionByZero, FieldMismatch, FieldTooLarge, NonPrimeCharacteristic
+from aelcert.errors import DivisionByZero, FieldMismatch, FieldRefused
 from aelcert.gf import _checked_order, _ints, poly_divmod, poly_mul, poly_trim
 
 
@@ -34,30 +34,34 @@ def test_make_field_gf16_modulus():
 
 
 def test_make_field_rejects_nonprime():
-    with pytest.raises(NonPrimeCharacteristic):
+    with pytest.raises(FieldRefused, match="^4 is not prime$"):
         make_field(4, 1)
-    with pytest.raises(NonPrimeCharacteristic):
+    with pytest.raises(FieldRefused, match="^1 is not prime$"):
         make_field(1, 2)
 
 
 def test_make_field_rejects_too_large():
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(FieldRefused, match=r"GF\(2\^21\) exceeds the cap"):
         make_field(2, 21)
     # the cap is checked before trial division, which would take ~10^9 steps
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(FieldRefused, match=r"\^1\) exceeds the cap"):
         make_field(2**61 - 1)
 
 
 def test_huge_degree_is_refused_before_p_to_the_m():
     # 2^(10^12) would be a 10^12-bit integer; the degree bound refuses it first
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(FieldRefused, match="exceeds the cap"):
         make_field(2, 10**12)
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(FieldRefused, match="exceeds the cap"):
         Field(2, 10**12, (1, 1))
     # the degree bound is exact: GF(2^20) is at the cap, GF(2^21) above it
     assert _checked_order(2, 20) == (2, 20)
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(FieldRefused, match="exceeds the cap"):
         _checked_order(2, 21)
+
+
+# the message of each FieldRefused row of the table below
+_FIELD_REFUSED = {(300, 2): "^300 is not prime$", (2, 21): r"^GF\(2\^21\) exceeds the cap"}
 
 
 @pytest.mark.parametrize("p,m,modulus,error", [
@@ -66,9 +70,9 @@ def test_huge_degree_is_refused_before_p_to_the_m():
     (2, 2, (0, 1, 1), ValueError),  # x^2 + x = x(x + 1)
     (2, 2, (1, 1, 0), ValueError),  # degree 1, not 2
     (3, 2, (1, 3, 1), ValueError),  # a coefficient outside GF(3)
-    (300, 2, (1, 0, 1), NonPrimeCharacteristic),
+    (300, 2, (1, 0, 1), FieldRefused),
     (2, 0, (1,), ValueError),
-    (2, 21, (1, 0, 1) + (0,) * 18 + (1,), FieldTooLarge),
+    (2, 21, (1, 0, 1) + (0,) * 18 + (1,), FieldRefused),
     (2.0, 2, (1, 1, 1), ValueError),
     (2, True, (0, 1), ValueError),
     (2, 2, (1, 1.0, 1), ValueError),
@@ -76,7 +80,7 @@ def test_huge_degree_is_refused_before_p_to_the_m():
     (2, 4, (1, 0, 1, 0, 1), ValueError),
 ])
 def test_field_refuses_what_is_not_a_field(p, m, modulus, error):
-    with pytest.raises(error):
+    with pytest.raises(error, match=_FIELD_REFUSED.get((p, m))):
         Field(p, m, modulus)
 
 
@@ -157,7 +161,7 @@ def test_gf16_inv_exhaustive(gf16):
 
 
 def test_inv_zero_raises(gf4):
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero, match="0 has no multiplicative inverse"):
         gf4.inv(0)
 
 
@@ -201,8 +205,10 @@ def test_poly_divmod_is_division_with_remainder(p, m, data):
 
 
 def test_poly_divmod_by_zero_raises(gf4):
-    with pytest.raises(ZeroDivisionError):
+    # one class for both divisions by zero, still a ZeroDivisionError
+    with pytest.raises(DivisionByZero, match="polynomial division by zero"):
         poly_divmod(gf4, [1, 1], [0, 0])
+    assert issubclass(DivisionByZero, ZeroDivisionError)
 
 
 def test_pow_of_zero(gf8):

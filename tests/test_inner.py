@@ -31,16 +31,7 @@ from aelcert.arld import (
     subset_search_count,
     translation_closed,
 )
-from aelcert.errors import (
-    EmptySet,
-    EnumerationTooLarge,
-    FieldMismatch,
-    FieldTooSmall,
-    NotAppropriate,
-    SearchExhausted,
-    SubsetEnumerationTooLarge,
-    SubsetSizeTooLarge,
-)
+from aelcert.errors import FieldMismatch, Mismatch, SearchExhausted, TooLarge
 from aelcert.codes import pairwise_min_distance
 from aelcert.inner import BlockCode, FoldedRSCode
 from aelcert.outer import RSOuterCode
@@ -71,7 +62,7 @@ def test_plurality_tie_breaks_low():
 
 
 def test_plurality_empty_raises():
-    with pytest.raises(EmptySet):
+    with pytest.raises(Mismatch, match="plurality of an empty set"):
         plurality_center([])
 
 
@@ -101,7 +92,7 @@ def test_subset_search_count():
 
 def test_subset_cap_enforced():
     sym = np.zeros((100, 4), dtype=np.int64)
-    with pytest.raises(SubsetEnumerationTooLarge):
+    with pytest.raises(TooLarge, match="subsets to evaluate .* exceed cap 1000"):
         min_disagreement_by_size(sym, 4, subset_cap=1000)
 
 
@@ -115,7 +106,7 @@ def test_subset_cap_bounds_the_evaluated_subsets(gf2):
     assert capped.reduction == "translation"
     assert capped.min_disagreements_by_size == free.min_disagreements_by_size
     assert capped.witness_indices == free.witness_indices
-    with pytest.raises(SubsetEnumerationTooLarge, match="680 .*2500"):
+    with pytest.raises(TooLarge, match="680 .*2500"):
         min_arld_slack(code, 4, Fraction(1, 2), subset_cap=679)
 
 
@@ -240,9 +231,9 @@ def test_subset_size_beyond_the_byte_lanes_fails_closed(monkeypatch):
     words = list(product(range(2), repeat=5))
     assert subset_search_count(32, 32) < 10**10
     sym, _ = intern_symbols(words)
-    with pytest.raises(SubsetSizeTooLarge, match=f"byte-lane limit {MAX_SUBSET_SIZE}"):
+    with pytest.raises(TooLarge, match=f"byte-lane limit {MAX_SUBSET_SIZE}"):
         min_disagreement_by_size(sym, 32, subset_cap=10**10)
-    with pytest.raises(SubsetSizeTooLarge):
+    with pytest.raises(TooLarge, match=f"byte-lane limit {MAX_SUBSET_SIZE}"):
         min_arld_slack(words, 32, Fraction(1, 2), subset_cap=10**10)
     assert MAX_SUBSET_SIZE == 31 and 8 * MAX_SUBSET_SIZE < 256
 
@@ -477,7 +468,7 @@ def test_exhaustive_center_cap_fails_closed(gf2, monkeypatch):
     monkeypatch.setattr(inner, "CENTER_CAP", 4)
     assert exhaustive_arld_check(code, k=2, delta0=1, eps=0) == (True, None)
     monkeypatch.setattr(inner, "CENTER_CAP", 3)
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(TooLarge, match="centers exceed cap 3"):
         exhaustive_arld_check(code, k=2, delta0=1, eps=0)
 
 
@@ -569,11 +560,22 @@ def test_search_vacuous_target(gf8):
 
 
 def test_search_impossible_target(gf8):
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted, match="no code with eps_min <= -1 in"):
         search_inner_code(
             gf8, 6, 2, k=3, delta0=Fraction(1, 2), eps_target=Fraction(-1),
             seed=0, max_tries=3,
         )
+
+
+def test_sample_refuses_dim_above_length_before_any_draw(gf2):
+    # no generator with more rows than columns has full row rank
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(Mismatch, match="^dim 5 > length 3: no generator has full row rank$"):
+        sample_random_linear_code(gf2, 3, 5, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(Mismatch, match="dim 5 > length 3"):
+        search_inner_code(gf2, 3, 5, k=2, delta0=Fraction(1, 2), eps_target=1, seed=0)
 
 
 def test_search_deterministic(gf8):
@@ -619,7 +621,7 @@ def test_frs_appropriateness_distinct_points(gf17):
 
 def test_frs_repeated_point_rejected(gf17):
     # alpha_1 = gamma * alpha_0 makes gamma^1*alpha_0 = gamma^0*alpha_1 collide
-    with pytest.raises(NotAppropriate):
+    with pytest.raises(Mismatch, match="collide"):
         make_folded_rs(gf17, 2, 4, Fraction(1, 4), alphas=[1, 3, 9, 13])
 
 
@@ -683,7 +685,7 @@ def test_frs_codewords_match_horner_oracle(p, m, b, n, rho):
 
 
 def test_frs_field_too_small(gf4):
-    with pytest.raises(FieldTooSmall):
+    with pytest.raises(Mismatch, match="q=4 < bn=8"):
         make_folded_rs(gf4, 2, 4, Fraction(1, 4))
 
 
@@ -726,5 +728,5 @@ def test_block_code_distance_matches_pairwise_oracle_on_random_tuple_words():
             for _ in range(m)
         ]
         assert BlockCode(words).min_distance() == pairwise_min_distance(words)
-    with pytest.raises(EmptySet):
+    with pytest.raises(Mismatch, match="need at least two codewords"):
         BlockCode([((0, 1),)]).min_distance()

@@ -27,14 +27,7 @@ from aelcert import (
     verify_common_error_bound,
     verify_generalized_singleton,
 )
-from aelcert.errors import (
-    DuplicateCodewords,
-    EnumerationTooLarge,
-    GraphMismatch,
-    LengthMismatch,
-    PrerequisiteNotVerified,
-    SubsetTooSmall,
-)
+from aelcert.errors import Mismatch, TooLarge
 from aelcert.arld import subset_search_count, translation_closed
 from aelcert.gf import make_field
 from aelcert.graphs import LAMBDA_SAFETY
@@ -83,17 +76,18 @@ def test_list_agrees_with_distances(instance12):
 
 
 def test_list_rejects_a_center_of_the_wrong_length(instance12):
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(Mismatch, match="length mismatch with graph size"):
         brute_force_list(instance12, ErasedWord((ERASED,) * 11), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("bend", [
-    lambda t: t[:3], lambda t: t + (0,), lambda t: (99,) * 4, lambda t: (-1, 0, 0, 0),
+@pytest.mark.parametrize("bend,message", [
+    (lambda t: t[:3], "word shape"), (lambda t: t + (0,), "word shape"),
+    (lambda t: (99,) * 4, "entry outside"), (lambda t: (-1, 0, 0, 0), "entry outside"),
 ], ids=["narrow", "wide", "entry-above-q", "entry-negative"])
-def test_list_rejects_what_unique_decoding_rejects(instance12, bend):
+def test_list_rejects_what_unique_decoding_rejects(instance12, bend, message):
     # the center of `decode`'s shape check: n symbols of d entries in GF(4)
     h = instance12.encode_message([3, 3])
-    with pytest.raises(GraphMismatch):
+    with pytest.raises(Mismatch, match=message):
         brute_force_list(instance12, (bend(h[0]), ERASED) + h[2:], Fraction(1, 2))
 
 
@@ -268,7 +262,7 @@ def test_common_error_fraction_hand_built():
 
 
 def test_common_error_requires_prerequisite(instance12):
-    with pytest.raises(PrerequisiteNotVerified):
+    with pytest.raises(Mismatch, match="verify_generalized_singleton must pass first"):
         verify_common_error_bound(
             instance12, 3, Fraction(1, 2), 0, [], beta=Fraction(1, 2)
         )
@@ -324,7 +318,7 @@ def test_common_error_list_over_cap_fails_closed(instance12):
     g = v[:6] + w[6:]  # halfway between w and v
     beta = Fraction(1, 2)
     assert len(brute_force_list(instance12, g, beta)) == 2
-    with pytest.raises(EnumerationTooLarge, match="has 2 members"):
+    with pytest.raises(TooLarge, match="has 2 members"):
         verify_common_error_bound(
             instance12, 2, Fraction(1, 2), 0, [g], beta=beta,
             singleton_report=singleton, list_cap=1,
@@ -369,7 +363,7 @@ def test_partition_three_disjoint(instance12):
 
 def test_partition_duplicates_rejected(instance12):
     w = instance12.encode_message([0, 1])
-    with pytest.raises(DuplicateCodewords):
+    with pytest.raises(Mismatch, match="codewords in H must be distinct"):
         partition_profile(instance12, [w, w])
 
 
@@ -415,7 +409,7 @@ def test_sampling_bound_expander(instance12):
 
 def test_sampling_bound_small_lstar_rejected(instance12):
     w = instance12.encode_message([0, 0])
-    with pytest.raises(SubsetTooSmall):
+    with pytest.raises(Mismatch, match="L\\* is empty"):
         sampling_bound_check(instance12, ErasedWord(tuple(w)), [])
 
 
@@ -424,7 +418,7 @@ def test_sampling_bound_accepts_lstar_of_exactly_the_required_size(instance12):
     erased = ErasedWord(tuple(instance12.encode_message([0, 0])))
     assert instance12.delta_out * instance12.n == 11
     assert sampling_bound_check(instance12, erased, list(range(11)), k=1)["l_star_size"] == 11
-    with pytest.raises(SubsetTooSmall):
+    with pytest.raises(Mismatch, match=r"\|L\*\| = 10 < 11"):
         sampling_bound_check(instance12, erased, list(range(10)), k=1)
 
 
@@ -481,5 +475,5 @@ def test_sampling_bound_rejects_vertices_outside_range(instance12):
 
 def test_erased_word_length_must_match_graph(instance12):
     short = ErasedWord((ERASED, ERASED, ERASED))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(Mismatch, match="erased word length 3 != graph size 12"):
         sampling_bound_check(instance12, short, [0, 1])

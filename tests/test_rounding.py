@@ -21,7 +21,7 @@ from aelcert import (
     random_regular_bipartite,
     threshold_endpoints,
 )
-from aelcert.errors import AelcertError, GraphMismatch
+from aelcert.errors import Mismatch
 from aelcert.outer import RSOuterCode, rs_unique_decode
 from aelcert.seeds import derive_seed
 from instances import ROOT_SEED, planted_weights
@@ -505,7 +505,8 @@ def test_ael_unique_decode_checks_shape_first(instance12, monkeypatch, shape):
         raise AssertionError("decoded a word of the wrong shape")
 
     monkeypatch.setattr(aelcert.rounding, "decode_from_distributions", no_decode)
-    with pytest.raises(GraphMismatch):
+    message = "word has an entry outside" if shape.startswith("entry") else "word shape"
+    with pytest.raises(Mismatch, match=message):
         ael_unique_decode(instance12, word)
 
 
@@ -578,5 +579,5 @@ def test_ael_unique_decode_rejects_erased_word(instance12, monkeypatch):
         raise AssertionError("decoded an erased word")
 
     monkeypatch.setattr(aelcert.rounding, "decode_from_distributions", no_decode)
-    with pytest.raises(AelcertError, match="symbol 1 is erased"):
+    with pytest.raises(Mismatch, match="symbol 1 is erased"):
         ael_unique_decode(instance12, word)
