@@ -16,6 +16,7 @@ from .gf import Field, make_field, multiplicative_generator
 from .graphs import (
     BipartiteGraph,
     complete_bipartite,
+    eml_failures,
     random_regular_bipartite,
     second_singular_value,
     verify_eml,
@@ -73,6 +74,7 @@ __all__ = [
     "decode_from_distributions",
     "derive_seed",
     "dist_with_erasures",
+    "eml_failures",
     "exhaustive_arld_check",
     "frs_as_linear_code",
     "hamming_distance",

@@ -52,6 +52,8 @@ class AELCode:
         self.graph = graph
         self.inner = inner
         self.outer = outer
+        # the field whose coordinatewise addition acts on the folded symbols
+        self.field = inner.field
         self.phi = inner.enumerate_codewords()
         self._phi_inv = {w: sigma for sigma, w in enumerate(self.phi)}
         self._codewords: list[tuple] | None = None

@@ -32,8 +32,7 @@ from .arld import DEFAULT_SUBSET_CAP
 from .codes import ERASED
 from .errors import AelcertError, AmplificationViolation, ConfigInvalid, SearchExhausted
 from .gf import Field, make_field
-from .graphs import (_eml_rows, _eml_set_rows, _mixing_ok, _row_blocks, complete_bipartite,
-                     random_regular_bipartite)
+from .graphs import complete_bipartite, eml_failures, random_regular_bipartite
 from .inner import make_folded_rs, min_arld_slack, search_inner_code
 from .listdec import brute_force_list, verify_generalized_singleton
 from .outer import RSOuterCode
@@ -51,6 +50,9 @@ class Verdict(NamedTuple):
     detail: str = ""
     rows: list | None = None
     extra: dict | None = None
+
+
+_EML_CHUNK = 1024  # mixing-lemma trials `verify-eml` draws and judges at once
 
 
 def _load_config(path, subcommand: str) -> dict:
@@ -132,8 +134,7 @@ _KEY_TYPES = {
 
 def _row(instance, parameter: str, value, passed: bool, bound="", margin="") -> dict:
     """One report row, the unit of `aelcert report`'s CSV."""
-    return {"instance": instance, "parameter": parameter, "value": value,
-            "bound": bound, "margin": margin, "pass": passed}
+    return dict(zip(aio.REPORT_COLUMNS, (instance, parameter, value, bound, margin, passed)))
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -315,25 +316,16 @@ def _cmd_verify_amplification(cfg) -> Verdict:
 def _cmd_verify_eml(cfg) -> Verdict:
     trials = cfg.get("trials", 1000)
     graph = aio.load_graph(cfg["graph_file"])
-    n, d, lam = graph.n, graph.d, graph.lam_bound
-    rng = np.random.default_rng(derive_seed(cfg["seed"], "eml"))
+    real = np.random.default_rng(derive_seed(cfg["seed"], "eml", "real"))
+    sets = np.random.default_rng(derive_seed(cfg["seed"], "eml", "sets"))
     failures = 0
-    # one kernel block of trials at a time, so memory does not grow with
-    # `trials`; trial i draws F, G, then the masks of S and T, and the
-    # verdict on F, G is that on f = F/100, g = G/100 (homogeneous in each)
-    for block in _row_blocks(graph.adj, trials):
-        size = min(block.stop, trials) - block.start
-        FG = np.empty((2, size, n), dtype=np.int64)
-        ST = np.empty((2, size, n), dtype=bool)
-        for i in range(size):
-            FG[0, i] = rng.integers(-100, 101, size=n)
-            FG[1, i] = rng.integers(-100, 101, size=n)
-            ST[0, i] = rng.random(n) < 0.5
-            ST[1, i] = rng.random(n) < 0.5
-        failures += sum(not _mixing_ok(num, n, d, f2, g2, lam)
-                        for num, f2, g2 in _eml_rows(graph.adj, FG))
-        failures += sum(not _mixing_ok(num, n, d, s, t, lam)
-                        for _, num, s, t in _eml_set_rows(graph.adj, ST))
+    # trial i: F, G and the masks of S, T are row i of each stream, filled in
+    # stream order whatever the chunk; F, G judge f = F/100, g = G/100
+    for start in range(0, trials, _EML_CHUNK):
+        size = min(_EML_CHUNK, trials - start)
+        FG = real.integers(-100, 101, size=(size, 2, graph.n)).swapaxes(0, 1)
+        ST = (sets.random((size, 2, graph.n)) < 0.5).swapaxes(0, 1)
+        failures += eml_failures(graph, FG, ST)
     rows = [_row(cfg["graph_file"], "eml_failures", failures, failures == 0, 0, -failures)]
     if failures:
         return Verdict(False, f"{failures} violations in {trials} trials", rows)

@@ -19,7 +19,7 @@ attribute after that: assigning it sets the bound every check reads.
 Every mixing-lemma verdict comes from two integer numpy kernels over the
 (n, d) array `adj`, one row per check: `_eml_rows` for real vectors and
 `_eml_set_rows` for vertex sets.  `verify_eml` and `verify_eml_sets` run
-them on one row, the CLI on each block of its trials; a block of rows sums
+them on one row, `eml_failures` on stacks of trials; a block of rows sums
 in int64 only where `_eml_rows`'s bound proves every sum exact, and
 `_mixing_ok` is the one comparison.
 
@@ -246,6 +246,14 @@ def _eml_set_rows(adj: np.ndarray, ST: np.ndarray) -> list[tuple[int, int, int, 
         s, t = block.sum(2).tolist()
         out += [(e, abs(n * e - d * a * b), a, b) for e, a, b in zip(e_st.tolist(), s, t)]
     return out
+
+
+def eml_failures(graph: BipartiteGraph, FG: np.ndarray, ST: np.ndarray) -> int:
+    """How many stacked trials fail the mixing lemma: the real trials of the (2, T, n) integer
+    array FG (F, G judge F/D, G/D, see `verify_eml`) and the set trials of the bool array ST."""
+    n, d, lam = graph.n, graph.d, graph.lam_bound
+    rows = _eml_rows(graph.adj, FG) + [row[1:] for row in _eml_set_rows(graph.adj, ST)]
+    return sum(not _mixing_ok(num, n, d, f2, g2, lam) for num, f2, g2 in rows)
 
 
 def _display_bound(lam: Fraction, f2: int, nf: int, g2: int, ng: int) -> float:

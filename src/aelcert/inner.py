@@ -24,7 +24,7 @@ from .arld import (
     subset_search_count,
     translation_closed,
 )
-from .codes import ERASED, ErasedWord, LinearCode
+from .codes import DEFAULT_ENUMERATION_CAP, ERASED, ErasedWord, LinearCode
 from .errors import Mismatch, SearchExhausted, TooLarge
 from .gf import Field, _ints, multiplicative_generator
 from .outer import RSOuterCode
@@ -37,13 +37,9 @@ CENTER_CAP = 1 << 22
 
 
 def resolve_words(code_or_words) -> tuple[list[tuple], int]:
-    """Accept a LinearCode, a BlockCode, or a plain codeword list."""
-    if isinstance(code_or_words, LinearCode):
-        words = code_or_words.enumerate_codewords()
-    elif isinstance(code_or_words, BlockCode):
-        words = code_or_words.codewords
-    else:
-        words = [tuple(w) for w in code_or_words]
+    """The words of any code that answers `enumerate_codewords()` or of a word list, and n."""
+    enumerate_codewords = getattr(code_or_words, "enumerate_codewords", None)
+    words = enumerate_codewords() if enumerate_codewords else [tuple(w) for w in code_or_words]
     return list(words), len(words[0])
 
 
@@ -101,9 +97,9 @@ def min_arld_slack(
 
     The center quantifier collapses to the coordinate-wise plurality; the
     subset quantifier is enumerated exhaustively, only over the subsets that
-    contain word 0 when the words of a LinearCode or a field-carrying
-    BlockCode form a group.  Plain word lists carry no field and are swept
-    in full.
+    contain word 0 when the words form a group under the addition of the
+    code's `field` (a linear, folded RS, AEL or field-carrying block code).
+    Plain word lists carry no field and are swept in full.
     """
     words, n = resolve_words(code_or_words)
     delta0 = Fraction(delta0)
@@ -264,6 +260,9 @@ class BlockCode:
         self.n = len(self.codewords[0])
         self.field = field
 
+    def enumerate_codewords(self) -> list[tuple]:
+        return self.codewords
+
     def min_distance(self) -> Fraction:
         """Minimum pairwise distance, from the `pair_disagreements` counts."""
         if len(self.codewords) < 2:
@@ -329,12 +328,9 @@ class FoldedRSCode:
     def encode(self, msg) -> tuple[tuple[int, ...], ...]:
         return self._fold(self.rs.encode(msg))
 
-    def codewords(self) -> list[tuple]:
-        return [self._fold(w) for w in self.rs.enumerate_codewords()]
-
-    def as_block_code(self) -> BlockCode:
-        """Block view over the folded alphabet F_q^b; feeds the ARLD verifiers."""
-        return BlockCode(self.codewords(), self.field)
+    def enumerate_codewords(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple]:
+        """The codewords over the folded alphabet F_q^b, in message order."""
+        return [self._fold(w) for w in self.rs.enumerate_codewords(cap)]
 
 
 def make_folded_rs(field: Field, b: int, n: int, rho: Fraction, alphas=None) -> FoldedRSCode:
@@ -344,4 +340,4 @@ def make_folded_rs(field: Field, b: int, n: int, rho: Fraction, alphas=None) -> 
 
 
 def frs_as_linear_code(frs: FoldedRSCode) -> BlockCode:
-    return frs.as_block_code()
+    return BlockCode(frs.enumerate_codewords(), frs.field)

@@ -9,10 +9,12 @@ JSON body byte-identically.
 
 from __future__ import annotations
 
+import csv
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import wraps
+from io import StringIO
 from pathlib import Path
 
 from .ael import AELCode
@@ -20,7 +22,7 @@ from .codes import ERASED, ErasedWord, LinearCode
 from .errors import ConfigInvalid
 from .gf import Field, _ints
 from .graphs import BipartiteGraph
-from .inner import ARLDCertificate, BlockCode, FoldedRSCode
+from .inner import ARLDCertificate, FoldedRSCode
 from .outer import RSOuterCode
 
 FORMAT_VERSION = 1
@@ -166,10 +168,10 @@ def load_frs(path) -> FoldedRSCode:
     return frs
 
 
-def load_inner(path) -> BlockCode:
-    """An rs_code or linear_code file's code, or a folded_rs file's block code."""
+def load_inner(path) -> LinearCode | FoldedRSCode:
+    """The code of an rs_code, linear_code or folded_rs file."""
     if _load_kind(path, "rs_code", "linear_code", "folded_rs")["kind"] == "folded_rs":
-        return load_frs(path).as_block_code()
+        return load_frs(path)
     return load_code(path)
 
 
@@ -195,9 +197,10 @@ def save_graph(path, graph: BipartiteGraph) -> None:
 def load_graph(path) -> BipartiteGraph:
     rec = _load_kind(path, "bipartite_graph")
     graph = BipartiteGraph(rec["n"], rec["d"], rec["left_adj"], seed=rec.get("seed"))
-    # the stored lambda must be the one this graph's adjacency gives
+    # the stored lambda must be the one this graph's adjacency gives: a bool
+    # is no number, and NaN or an infinity lies in no interval
     stored = rec.get("lambda")
-    if not isinstance(stored, (int, float)) or abs(stored - graph.lam) > 1e-9:
+    if type(stored) not in (int, float) or not graph.lam - 1e-9 <= stored <= graph.lam + 1e-9:
         raise ConfigInvalid(
             f"graph file lambda {stored!r} does not match recomputed {graph.lam!r}"
         )
@@ -338,20 +341,22 @@ def save_report(path, name: str, rows: list[dict], passed: bool, extra: dict | N
     save_artifact(path, payload)
 
 
-CSV_HEADER = "instance,parameter,value,bound,margin,pass"
+# the columns of a report row, in the order `aelcert report` writes them
+REPORT_COLUMNS = ("instance", "parameter", "value", "bound", "margin", "pass")
+CSV_HEADER = ",".join(REPORT_COLUMNS)
 
 
 def report_csv_rows(report_paths) -> list[str]:
+    """The header and one CSV record per row of the verification reports
+    among `report_paths`; a field with a comma, a quote or a newline is quoted."""
     lines = [CSV_HEADER]
     for p in sorted(str(x) for x in report_paths):
         rec = load_artifact(p)
         if not isinstance(rec, dict) or rec.get("kind") != "verification_report":
             continue
         for row in rec["rows"]:
-            lines.append(
-                ",".join(
-                    str(row.get(col, ""))
-                    for col in ("instance", "parameter", "value", "bound", "margin", "pass")
-                )
-            )
+            out = StringIO()
+            csv.writer(out, lineterminator="\n").writerow(
+                [str(row.get(col, "")) for col in REPORT_COLUMNS])
+            lines.append(out.getvalue()[:-1])
     return lines

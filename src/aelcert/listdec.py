@@ -17,7 +17,7 @@ from .ael import AELCode
 from .arld import DEFAULT_SUBSET_CAP
 from .codes import ERASED, ErasedWord, hamming_distance
 from .errors import Mismatch, TooLarge
-from .inner import BlockCode, min_arld_slack
+from .inner import min_arld_slack
 
 
 def brute_force_list(code: AELCode, center, beta: Fraction):
@@ -54,16 +54,14 @@ def verify_generalized_singleton(
     APPLICABLE (the empirical minimum eps is still reported).
 
     The sweep is `aelcert.inner.min_arld_slack`, the certifier of the inner
-    code, run on the enumerated AEL words: when they form a group under
-    inner-field addition, sizes >= 3 sweep only the subsets that contain
-    word 0; "subsets_examined" counts the subsets covered,
-    "subsets_evaluated" those visited, and "reduction" names the reduction
-    used ("translation" or "none").
+    code, run on the AEL code itself: when its words form a group under
+    the addition of its `field` (the inner field), sizes >= 3 sweep only
+    the subsets that contain word 0; "subsets_examined" counts the subsets
+    covered, "subsets_evaluated" those visited, and "reduction" names the
+    reduction used ("translation" or "none").
     """
     delta0, eps = Fraction(delta0), Fraction(eps)
-    cert = min_arld_slack(
-        BlockCode(code.enumerate_codewords(), code.inner.field), k, delta0, subset_cap
-    )
+    cert = min_arld_slack(code, k, delta0, subset_cap)
     violations = []
     for m, w in cert.witnesses.items():
         lhs = Fraction(w.disagreement_count, code.n)
@@ -123,13 +121,18 @@ def verify_common_error_bound(
 
     For each center g and every subset H (|H| <= k) of the radius-beta list:
         sum_h Delta(g, h) >= (|H| - 1)(delta0 - eps) + common_error_fraction.
-    Requires a passing generalized-Singleton report for the same parameters.
-    A list longer than list_cap raises TooLarge instead of being
-    checked in part.
+    Requires a passing generalized-Singleton report whose k, delta0 and eps
+    are the call's, else Mismatch; the report names no code, so only these
+    parameters are checked.  A list longer than list_cap raises TooLarge
+    instead of being checked in part.
     """
     delta0, eps = Fraction(delta0), Fraction(eps)
     if singleton_report is None or not singleton_report.get("empirical_pass"):
         raise Mismatch("verify_generalized_singleton must pass first at (delta0, k, eps)")
+    premise = [singleton_report.get(key) for key in ("k", "delta0", "eps")]
+    if premise != [k, delta0, eps]:
+        raise Mismatch("the Singleton report is for k, delta0, eps = {}, {}, {},"
+                       " not {}, {}, {}".format(*premise, k, delta0, eps))
     checked = n_centers = 0
     violations = []
     for n_centers, g in enumerate(centers, 1):
@@ -227,6 +230,9 @@ def sampling_bound_check(
         raise Mismatch("L* is empty")
     if any(not 0 <= l < n for l in l_star):
         raise ValueError(f"L* has a vertex outside [0, {n})")
+    # L* is a set: a repeated vertex would count its erased edges twice
+    if repeated := [l for l, c in Counter(l_star).items() if c > 1]:
+        raise Mismatch(f"L* repeats vertex {repeated[0]}")
     if k is not None:
         required = code.delta_out * n / Fraction(k) ** k
         if m < required:

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from test_graphs import _verify_eml_fraction_oracle, _verify_eml_sets_fraction_oracle
 
-from aelcert import cli, graphs
+from aelcert import cli
 from aelcert import io as aio
 from aelcert.cli import _COMMANDS, _KEY_TYPES, main
 from aelcert.errors import AmplificationViolation
-from aelcert.io import artifact_body_bytes, load_artifact, load_graph, save_word
+from aelcert.graphs import complete_bipartite
+from aelcert.io import artifact_body_bytes, load_artifact, load_graph, save_graph, save_word
 from aelcert.seeds import derive_seed
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -323,17 +324,18 @@ def test_verify_eml(workspace):
 
 
 def _verify_eml_cli_fraction_oracle(graph, seed, trials):
-    """Reference: the verify-eml loop with f = F/100 and g = G/100 as
-    Fractions and S, T drawn one vertex at a time, checked by the Fraction
-    oracles of the mixing lemma."""
-    rng = np.random.default_rng(derive_seed(seed, "eml"))
+    """Reference: the verify-eml trials drawn one at a time from the two
+    named streams, f = F/100 and g = G/100 as Fractions and S, T one vertex
+    at a time, checked by the Fraction oracles of the mixing lemma."""
+    real = np.random.default_rng(derive_seed(seed, "eml", "real"))
+    sets = np.random.default_rng(derive_seed(seed, "eml", "sets"))
     failures = 0
     for _ in range(trials):
-        f = [Fraction(int(x), 100) for x in rng.integers(-100, 101, size=graph.n)]
-        g = [Fraction(int(x), 100) for x in rng.integers(-100, 101, size=graph.n)]
+        f = [Fraction(int(x), 100) for x in real.integers(-100, 101, size=graph.n)]
+        g = [Fraction(int(x), 100) for x in real.integers(-100, 101, size=graph.n)]
         failures += not _verify_eml_fraction_oracle(graph, f, g)[2]
-        S = [i for i in range(graph.n) if rng.random() < 0.5]
-        T = [i for i in range(graph.n) if rng.random() < 0.5]
+        S = [i for i in range(graph.n) if sets.random() < 0.5]
+        T = [i for i in range(graph.n) if sets.random() < 0.5]
         failures += not _verify_eml_sets_fraction_oracle(graph, S, T)[2]
     return failures
 
@@ -363,10 +365,10 @@ def test_verify_eml_counts_the_failures_of_the_fraction_loop(workspace, capsys, 
 
 
 def test_verify_eml_in_several_blocks_counts_the_same_failures(workspace, capsys, monkeypatch):
-    # blocks of 3 trials: the draws keep their order across blocks
+    # chunks of 3 trials: the draws keep their order across chunks
     monkeypatch.setattr(aio, "load_graph", _understated_graph)
     graph = _understated_graph(workspace / "graph_out.json")
-    monkeypatch.setattr(graphs, "_BLOCK_ELEMENTS", 3 * graph.adj.size)
+    monkeypatch.setattr(cli, "_EML_CHUNK", 3)
     trials = 10
     expected = _verify_eml_cli_fraction_oracle(graph, 5, trials)
     assert 0 < expected < 2 * trials
@@ -419,6 +421,18 @@ def _parallel_edge_graph(tmp):
     rec["left_adj"][0][1] = rec["left_adj"][0][0]
     graph_file.write_text(json.dumps(rec, sort_keys=True, indent=2) + "\n")
     return {"version": 1, "graph_file": str(graph_file), "seed": 5, "trials": 20}
+
+
+def _complete_graph_lambda(value):
+    """verify-eml on a saved K_{4,4}, whose lambda is 0 up to rounding, after
+    its stored lambda is set to `value`."""
+    def payload(tmp):
+        save_graph(tmp / "complete.json", complete_bipartite(4))
+        rec = load_artifact(tmp / "complete.json")
+        rec["lambda"] = value
+        (tmp / "complete.json").write_text(json.dumps(rec))
+        return {**_ACCEPTED["verify-eml"](tmp), "graph_file": str(tmp / "complete.json")}
+    return "verify-eml", payload
 
 
 # one accepted config per subcommand; `_probe` changes one key of it
@@ -585,6 +599,8 @@ def test_probe_bases_are_accepted(workspace, command):
     _artifact_probe("decode", "bundle.json", ("phi",), "random"),
     _artifact_probe("verify-inner", "inner_code.json", ("generator", 0, 0), 99),
     *[_artifact_probe(*probe) for probe in _NON_INT_FIELDS.values()],
+    _artifact_probe("verify-eml", "graph_out.json", ("lambda",), float("nan")),
+    _complete_graph_lambda(False),
 ], ids=["duplicate-points", "degree-above-n", "field-m0", "parallel-edge-graph-file",
         "k-str", "k-float", "k-bool", "k-zero", "k-negative", "verify-inner-k-zero",
         "build-inner-k-str", "complete-str", "max_tries-str", "max_tries-zero", "d-float",
@@ -595,7 +611,8 @@ def test_probe_bases_are_accepted(workspace, command):
         "message-short", "message-outside-field", "seed-str", "subset_cap-zero", "report_out-int",
         "beta-negative", "beta-above-1", "delta0-negative", "delta0-above-1",
         *[f"{command}-{name}" for command in _WORD_COMMANDS for name in _UNREADABLE_WORDS],
-        "phi-random", "generator-outside-field", *_NON_INT_FIELDS])
+        "phi-random", "generator-outside-field", *_NON_INT_FIELDS, "graph-lambda-nan",
+        "complete-graph-lambda-false"])
 def test_bad_input_exits_2_without_traceback(workspace, capsys, command, payload):
     config = payload(workspace)
     outputs = [Path(v) for key, v in config.items() if key.endswith("_out") and type(v) is str]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from aelcert import (
     BipartiteGraph,
     complete_bipartite,
+    eml_failures,
     random_regular_bipartite,
     verify_eml,
     verify_eml_sets,
@@ -587,3 +588,19 @@ def test_eml_set_kernel_matches_fraction_oracle(monkeypatch, block_rows):
                 for e_st, num, s, t in rows] == [
             _verify_eml_sets_fraction_oracle(graph, S, T) for S, T in pairs]
         assert [(s, t) for _, _, s, t in rows] == [(len(set(S)), len(set(T))) for S, T in pairs]
+
+
+def test_eml_failures_counts_the_failing_trials_of_both_stacks():
+    # an understated lambda fails some real and some set trials; each stack
+    # counts its failing trials by the Fraction oracles, and an empty stack none
+    graph = _EML_GRAPHS["cycle8-understated"]
+    rng = np.random.default_rng(41)
+    FG = rng.integers(-100, 101, size=(2, 30, graph.n))
+    ST = rng.random((2, 20, graph.n)) < 0.5
+    real = sum(not _verify_eml_fraction_oracle(graph, F, G)[2] for F, G in zip(*FG.tolist()))
+    sets = sum(not _verify_eml_sets_fraction_oracle(graph, S.nonzero()[0], T.nonzero()[0])[2]
+               for S, T in zip(*ST))
+    assert 0 < real < 30 and 0 < sets < 20
+    assert eml_failures(graph, FG, ST) == real + sets
+    assert eml_failures(graph, FG[:, :0], ST) == sets
+    assert eml_failures(graph, FG, ST[:, :0]) == real

@@ -1,5 +1,6 @@
 """Average-radius list-decodability verification and inner-code search."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from aelcert import (
     ERASED,
+    AELCode,
     LinearCode,
+    complete_bipartite,
     exhaustive_arld_check,
     frs_as_linear_code,
     make_field,
@@ -209,7 +212,7 @@ def test_reduced_kernel_matches_oracle_on_closed_sets(gf2, gf4):
     assert translation_closed(words[::-1], gf2)
     _assert_kernel_matches_oracle(words[::-1], 5, closed=True)
     gf5 = make_field(5, 1)
-    frs_words = make_folded_rs(gf5, 2, 2, Fraction(1, 2)).codewords()
+    frs_words = make_folded_rs(gf5, 2, 2, Fraction(1, 2)).enumerate_codewords()
     assert translation_closed(frs_words, gf5)
     _assert_kernel_matches_oracle(frs_words, 4, closed=True)
     # words longer than one byte lane: two full lanes, three with padding
@@ -292,7 +295,7 @@ def test_translation_closed_on_nested_and_odd_characteristic_symbols(gf17):
     words = sample_random_linear_code(gf9, 3, 1, np.random.default_rng(5)).enumerate_codewords()
     assert translation_closed(words, gf9)
     assert not translation_closed(words[1:], gf9)
-    frs_words = make_folded_rs(gf17, 2, 4, Fraction(1, 4)).codewords()
+    frs_words = make_folded_rs(gf17, 2, 4, Fraction(1, 4)).enumerate_codewords()
     assert translation_closed(frs_words, gf17)
     assert not translation_closed(frs_words[:-1], gf17)
     shifted = [((w[0][0], (w[0][1] + 1) % 17),) + w[1:] for w in frs_words]
@@ -594,7 +597,7 @@ def test_search_deterministic(gf8):
 
 def test_frs_b1_is_plain_rs(gf17):
     frs = make_folded_rs(gf17, 1, 4, Fraction(1, 2))
-    words = frs.codewords()
+    words = frs.enumerate_codewords()
     assert len(words) == 17**2
     # each folded symbol is a 1-tuple of a polynomial evaluation
     assert all(len(sym) == 1 for w in words for sym in w)
@@ -604,7 +607,7 @@ def test_frs_acceptance_instance(gf17):
     frs = make_folded_rs(gf17, 2, 4, Fraction(1, 4))
     assert frs.dim == 2
     assert frs.gamma == 3
-    words = frs.codewords()
+    words = frs.enumerate_codewords()
     assert len(words) == 289
     assert len(set(words)) == 289
 
@@ -680,7 +683,7 @@ def test_frs_codewords_match_horner_oracle(p, m, b, n, rho):
     frs = make_folded_rs(make_field(p, m), b, n, rho)
     messages = list(product(range(frs.field.q), repeat=frs.dim))
     expected = [_horner_frs_encode(frs, msg) for msg in messages]
-    assert frs.codewords() == expected
+    assert frs.enumerate_codewords() == expected
     assert [frs.encode(msg) for msg in messages[::7]] == expected[::7]
 
 
@@ -705,6 +708,35 @@ def test_frs_certificate(gf17):
     assert cert.min_disagreements_by_size == {2: 4, 3: 8}
 
 
+def test_code_objects_certify_as_their_block_codes(gf17, acceptance):
+    # a folded RS code (AC8) and an AEL code (AC3) certify as themselves: the
+    # certificate is the one of the block code of their words and field
+    frs, ael = make_folded_rs(gf17, 2, 4, Fraction(1, 4)), acceptance["ac3"]["ael"]
+    for code, delta0 in ((frs, Fraction(3, 4)), (ael, Fraction(1, 2))):
+        cert = min_arld_slack(code, 3, delta0)
+        block = min_arld_slack(BlockCode(code.enumerate_codewords(), code.field), 3, delta0)
+        assert replace(cert, runtime_seconds=0) == replace(block, runtime_seconds=0)
+        assert cert.witnesses == block.witnesses
+        assert cert.reevaluate(code) == cert.eps_min
+        assert cert.reduction == "translation"
+    assert cert.subsets_evaluated == 65_025
+
+
+def test_exhaustive_oracle_reads_code_objects(gf4):
+    # the oracle draws centers from the symbols a folded RS or AEL code uses,
+    # as it does for the plain list of its words; both codes are MDS, so
+    # eps = 0 passes at delta0 = 1 and eps = -1/4 finds a witness
+    gf5 = make_field(5, 1)
+    ael = AELCode(complete_bipartite(2), RSOuterCode(gf4, 2, 1, points=[0, 1]),
+                  RSOuterCode(gf4, 2, 1))
+    for code in (make_folded_rs(gf5, 2, 2, Fraction(1, 2)), ael):
+        assert min_arld_slack(code, 3, 1).eps_min == 0
+        for eps in (0, Fraction(-1, 4)):
+            got = exhaustive_arld_check(code, 3, 1, eps)
+            assert got == exhaustive_arld_check(code.enumerate_codewords(), 3, 1, eps)
+            assert got[0] == (eps == 0)
+
+
 def test_block_code_distance():
     code = BlockCode([(0, 0), (0, 1), (1, 1)])
     assert code.min_distance() == Fraction(1, 2)
@@ -713,7 +745,7 @@ def test_block_code_distance():
 
 @pytest.mark.parametrize("n,rho", [(4, Fraction(1, 4)), (8, Fraction(1, 8))])
 def test_block_code_distance_matches_pairwise_oracle_on_frs(gf17, n, rho):
-    block = make_folded_rs(gf17, 2, n, rho).as_block_code()
+    block = frs_as_linear_code(make_folded_rs(gf17, 2, n, rho))
     assert block.min_distance() == pairwise_min_distance(block.codewords)
 
 

@@ -1,5 +1,7 @@
 """Artifact round trips and byte-level determinism of file bodies."""
 
+import csv as pycsv
+import io
 import json
 from fractions import Fraction
 
@@ -69,7 +71,7 @@ def test_frs_round_trip(tmp_path, gf17):
     loaded = load_frs(tmp_path / "frs.json")
     assert loaded.alphas == frs.alphas
     assert loaded.gamma == frs.gamma
-    assert loaded.codewords() == frs.codewords()
+    assert loaded.enumerate_codewords() == frs.enumerate_codewords()
 
 
 @pytest.mark.parametrize("key,index,value", [
@@ -315,3 +317,19 @@ def test_report_and_csv(tmp_path):
     csv = report_csv_rows([tmp_path / "rep.json"])
     assert csv[0] == CSV_HEADER
     assert csv[1] == "x,p,1,0,1,True"
+
+
+def test_report_csv_quotes_a_field_with_a_comma_a_quote_or_a_newline(tmp_path):
+    rows = [
+        {"instance": "runs/a,b/bundle.json", "parameter": 'say "x"', "value": "1\n2",
+         "bound": "", "margin": 0, "pass": False},
+        {"instance": "plain", "parameter": "p", "value": None, "pass": True},
+    ]
+    save_report(tmp_path / "rep.json", "demo", rows, False)
+    lines = report_csv_rows([tmp_path / "rep.json"])
+    assert lines[1:] == ['"runs/a,b/bundle.json","say ""x""","1\n2",,0,False',
+                         "plain,p,None,,,True"]
+    # read back, every record has the header's six fields and its values
+    records = list(pycsv.reader(io.StringIO("\n".join(lines) + "\n")))
+    assert [len(r) for r in records] == [6, 6, 6]
+    assert records[1][:3] == ["runs/a,b/bundle.json", 'say "x"', "1\n2"]

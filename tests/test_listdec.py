@@ -268,6 +268,21 @@ def test_common_error_requires_prerequisite(instance12):
         )
 
 
+def test_common_error_requires_the_report_of_its_parameters(instance12):
+    # a passing k = 2 report is no premise for the k = 3 check, nor one at
+    # another delta0 or eps
+    singleton = verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0)
+    assert singleton["empirical_pass"]
+    w = instance12.encode_message([4, 4])
+    for k, delta0, eps in [(3, Fraction(1, 2), 0), (2, Fraction(2, 3), 0),
+                           (2, Fraction(1, 2), Fraction(1, 12))]:
+        with pytest.raises(Mismatch, match=r"report is for k, delta0, eps = 2, 1/2, 0,"):
+            verify_common_error_bound(instance12, k, delta0, eps, [w], beta=Fraction(1, 2),
+                                      singleton_report=singleton)
+    assert verify_common_error_bound(instance12, 2, Fraction(1, 2), 0, [w], beta=Fraction(1, 2),
+                                     singleton_report=singleton)["passed"]
+
+
 def test_common_error_center_in_subset(instance12):
     # g = h1: the product term is 0 and the plain bound remains
     singleton = verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0)
@@ -281,9 +296,12 @@ def test_common_error_center_in_subset(instance12):
 
 
 def test_common_error_violation_is_reported(instance12):
-    # the prerequisite passes at delta0 = 1/2; at delta0 = 1 a pair at distance
-    # 11/12 needs a sum of 1 from a center that agrees with one of them everywhere
-    singleton = verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0)
+    # a genuine report at the call's parameters implies every inequality (a
+    # center symbol no h has costs |H|, one more than the plurality's count),
+    # so a violation needs a report that claims delta0 = 1 for its k = 2
+    # sweep at 1/2: a pair at distance 11/12 then needs a sum of 1 from a
+    # center that agrees with one of them everywhere
+    singleton = {**verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0), "delta0": 1}
     w, v = instance12.encode_message([4, 4]), instance12.encode_message([3, 9])
     assert hamming_distance(w, v) == Fraction(11, 12)
     g = tuple(v[r] if r < 6 else w[r] for r in range(12))
@@ -454,8 +472,8 @@ def test_sampling_bound_matches_fraction_oracle(gf4, gf16, lam):
     for _ in range(200):
         mask = rng.integers(0, 2, 12)
         erased = ErasedWord(tuple(ERASED if m else w[r] for r, m in enumerate(mask)))
-        # L* with repeats, as a list: both sides average over its entries
-        l_star = [int(x) for x in rng.integers(0, 12, int(rng.integers(1, 13)))]
+        # L* is a set: drawn with repeats, each vertex kept once
+        l_star = list(dict.fromkeys(int(x) for x in rng.integers(0, 12, int(rng.integers(1, 13)))))
         fractions = _local_erasure_fractions_oracle(code, erased)
         for l in range(12):
             assert sampling_bound_check(code, erased, [l])["lhs"] == fractions[l]
@@ -463,6 +481,18 @@ def test_sampling_bound_matches_fraction_oracle(gf4, gf16, lam):
         assert got == _sampling_bound_fraction_oracle(code, erased, l_star)
         verdicts.add(got["passed"])
     assert verdicts == ({True} if lam is None else {True, False})
+
+
+def test_sampling_bound_refuses_a_repeated_vertex(instance12):
+    # L* is a set: [0, 0, 0] is the one vertex 0, which the premise
+    # |L*| >= 11/4 at k = 2 refuses, not three vertices that meet it
+    erased = ErasedWord((ERASED,) + instance12.encode_message([0, 0])[1:])
+    with pytest.raises(Mismatch, match=r"\|L\*\| = 1 < 11/4"):
+        sampling_bound_check(instance12, erased, [0], k=2)
+    with pytest.raises(Mismatch, match=r"L\* repeats vertex 0"):
+        sampling_bound_check(instance12, erased, [0, 0, 0], k=2)
+    with pytest.raises(Mismatch, match=r"L\* repeats vertex 5"):
+        sampling_bound_check(instance12, erased, [1, 5, 2, 5])
 
 
 def test_sampling_bound_rejects_vertices_outside_range(instance12):
