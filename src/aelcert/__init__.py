@@ -48,7 +48,6 @@ from .rounding import (
     ael_unique_decode,
     decode_from_distributions,
     local_views_to_distributions,
-    threshold_endpoints,
 )
 from .seeds import derive_seed
 
@@ -92,7 +91,6 @@ __all__ = [
     "sampling_bound_check",
     "search_inner_code",
     "second_singular_value",
-    "threshold_endpoints",
     "verify_common_error_bound",
     "verify_distance_amplification",
     "verify_eml",

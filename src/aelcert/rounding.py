@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -73,10 +72,6 @@ class InnerDistributionEnsemble:
     def m(self) -> int:
         return self.counts.shape[1]
 
-    @cached_property
-    def weights(self) -> list[list[Fraction]]:
-        return [[Fraction(c, self.scale) for c in row] for row in self.counts.tolist()]
-
     def _round(self, t: int) -> list[int]:
         """Outer symbol per left vertex at integer threshold t: the first
         symbol whose end exceeds t, or the last symbol when none does."""
@@ -91,21 +86,6 @@ class InnerDistributionEnsemble:
         """n * scale * ED(symbols), as a Python int."""
         agree = sum(self.counts[np.arange(self.n), symbols].tolist())
         return self.n * self.scale - agree
-
-    def round_at(self, theta: Fraction) -> list[int]:
-        """Outer symbol per left vertex: the interval containing theta, or
-        the last symbol when no interval does (theta < 0 or theta >= 1)."""
-        t = math.floor(Fraction(theta) * self.scale)
-        return self._round(self.scale if t < 0 else t)
-
-    def expected_disagreement(self, symbols) -> Fraction:
-        """E_l E_{f~D_l}[1{f != phi(symbols[l])}]."""
-        return Fraction(self._disagreement(symbols), self.n * self.scale)
-
-
-def threshold_endpoints(ensemble: InnerDistributionEnsemble) -> list[Fraction]:
-    """All interval endpoints in [0, 1); rounding is constant between them."""
-    return [Fraction(t, ensemble.scale) for t in ensemble._thresholds()]
 
 
 def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble):

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, pinned tolerances, shared
 instances built from a single root seed (see instances.build_artifacts)."""
 
+import math
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -16,8 +17,8 @@ from aelcert import (
 )
 from aelcert.arld import subset_search_count
 from aelcert.inner import _all_tuples
-from aelcert.io import artifact_body_bytes
-from aelcert.rounding import InnerDistributionEnsemble, threshold_endpoints
+from aelcert.io import artifact_body_bytes, load_artifact
+from aelcert.rounding import InnerDistributionEnsemble
 from aelcert.seeds import derive_seed
 
 
@@ -118,10 +119,16 @@ def test_ac4_generalized_singleton_at_lambda_zero(acceptance):
 def test_ac5_common_error_bound(acceptance):
     report = acceptance["ac5"]["report"]
     assert len(acceptance["ac5"]["centers"]) == 250
+    assert report["centers"] == 250
     assert report["violations"] == []
     assert report["passed"]
-    print(f"AC5 PASS: {report['inequalities_checked']} inequalities over "
-          f"250 centers, 0 violations")
+    # the lemma's premise comparisons, and the oracle on the 250 centers
+    assert report["inequalities_checked"] == 3
+    assert acceptance["ac5"]["oracle_violations"] == []
+    body = load_artifact(acceptance["outdir"] / "ac5_common_error.json")
+    assert body["extra"]["inequalities_checked"] == 93
+    print(f"AC5 PASS: lemma from the k = 4 minima; oracle checked 93 "
+          f"inequalities over 250 centers, 0 violations")
 
 
 def test_ac6_threshold_rounding(acceptance):
@@ -138,10 +145,11 @@ def test_ac6_threshold_rounding(acceptance):
                 Fraction(20 - cuts[1], 20),
             ])
         ens = InnerDistributionEnsemble(weights)
-        seen = {tuple(ens.round_at(t)) for t in threshold_endpoints(ens)}
+        seen = {tuple(ens._round(t)) for t in ens._thresholds()}
         for _ in range(1000):
+            # theta rounds as the integer threshold floor(theta * scale)
             theta = Fraction(int(rng.integers(0, 10**6)), 10**6)
-            assert tuple(ens.round_at(theta)) in seen
+            assert tuple(ens._round(math.floor(theta * ens.scale))) in seen
     print("AC6 PASS: 100/100 planted ensembles recovered; endpoint set "
           "complete on 10x1000 thetas")
 

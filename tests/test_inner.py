@@ -562,6 +562,17 @@ def test_search_vacuous_target(gf8):
     assert cert.eps_min <= 1
 
 
+def test_search_accepts_a_code_exactly_at_its_target(gf8):
+    # the first try's code, asked for exactly its own eps_min
+    rng = np.random.default_rng(derive_seed(5, "inner-search", 0))
+    first = sample_random_linear_code(gf8, 6, 2, rng)
+    eps_min = min_arld_slack(first, k=3, delta0=Fraction(1, 2)).eps_min
+    code, cert = search_inner_code(
+        gf8, 6, 2, k=3, delta0=Fraction(1, 2), eps_target=eps_min, seed=5, max_tries=1
+    )
+    assert code.generator == first.generator and cert.eps_min == eps_min
+
+
 def test_search_impossible_target(gf8):
     with pytest.raises(SearchExhausted, match="no code with eps_min <= -1 in"):
         search_inner_code(

@@ -27,12 +27,13 @@ from aelcert import (
     verify_common_error_bound,
     verify_generalized_singleton,
 )
-from aelcert.errors import Mismatch, TooLarge
+from aelcert.errors import Mismatch
 from aelcert.arld import subset_search_count, translation_closed
 from aelcert.gf import make_field
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
+from instances import common_error_oracle
 
 
 @pytest.fixture(scope="module")
@@ -299,18 +300,68 @@ def test_common_error_violation_is_reported(instance12):
     # a genuine report at the call's parameters implies every inequality (a
     # center symbol no h has costs |H|, one more than the plurality's count),
     # so a violation needs a report that claims delta0 = 1 for its k = 2
-    # sweep at 1/2: a pair at distance 11/12 then needs a sum of 1 from a
-    # center that agrees with one of them everywhere
+    # sweep at 1/2: its size-2 minimum, 11 of 12 coordinates, falls short of
+    # the (2 - 1)(1 - 0) that delta0 = 1 asks for
     singleton = {**verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0), "delta0": 1}
+    assert singleton["min_disagreements_by_size"] == {2: 11}
     w, v = instance12.encode_message([4, 4]), instance12.encode_message([3, 9])
-    assert hamming_distance(w, v) == Fraction(11, 12)
     g = tuple(v[r] if r < 6 else w[r] for r in range(12))
     report = verify_common_error_bound(
         instance12, 2, 1, 0, [g], beta=Fraction(1, 2), singleton_report=singleton,
     )
     assert not report["passed"]
-    assert report["violations"] == [
+    assert report["violations"] == [{"size": 2, "lhs": Fraction(11, 12), "rhs": 1}]
+    assert report["inequalities_checked"] == 1
+    # the pair (w, v) is a real counterexample to the claim at delta0 = 1
+    assert common_error_oracle(instance12, 2, 1, 0, [g], Fraction(1, 2))[1] == [
         {"center": g, "size": 2, "lhs": Fraction(11, 12), "rhs": 1}]
+
+
+@pytest.fixture(scope="module")
+def tight12(instance12):
+    return verify_generalized_singleton(instance12, 3, 1, Fraction(1, 12))
+
+
+def test_common_error_passes_at_the_boundary(instance12, tight12):
+    # at eps = eps_min every size's minimum meets (m - 1)(delta0 - eps)
+    # exactly: 11 = 1 * 11/12 * 12 and 22 = 2 * 11/12 * 12
+    assert tight12["min_disagreements_by_size"] == {2: 11, 3: 22}
+    report = verify_common_error_bound(
+        instance12, 3, 1, Fraction(1, 12), [], beta=Fraction(1, 2), singleton_report=tight12,
+    )
+    assert report == {"centers": 0, "inequalities_checked": 2, "violations": [], "passed": True}
+
+
+def test_common_error_refuses_a_report_of_another_code(instance12, acceptance):
+    # a passing report at the same k, delta0 and eps proves nothing about
+    # another code's subsets
+    ael4 = acceptance["ac4"]["ael"]
+    singleton = verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0)
+    assert singleton["empirical_pass"]
+    with pytest.raises(Mismatch, match="the Singleton report is for another code"):
+        verify_common_error_bound(ael4, 2, Fraction(1, 2), 0, [], beta=Fraction(1, 2),
+                                  singleton_report=singleton)
+    # nor does a copy of the report whose code is dropped
+    own = {**acceptance["ac4"]["report"], "code": None}
+    with pytest.raises(Mismatch, match="another code"):
+        verify_common_error_bound(ael4, 4, Fraction(2, 3), own["eps"], [],
+                                  beta=Fraction(1, 2), singleton_report=own)
+
+
+def test_common_error_refuses_malformed_centers(instance12):
+    singleton = verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0)
+    w = instance12.encode_message([4, 4])
+
+    def check(centers):
+        return verify_common_error_bound(instance12, 2, Fraction(1, 2), 0, centers,
+                                         beta=Fraction(1, 2), singleton_report=singleton)
+
+    with pytest.raises(Mismatch, match="length mismatch"):
+        check([w, w[:11]])
+    with pytest.raises(Mismatch, match="entry outside"):
+        check([((4, 0, 0, 0),) + w[1:]])
+    # an erased symbol is a symbol no codeword has: the lemma covers it
+    assert check([(ERASED,) + w[1:], ErasedWord(w)])["centers"] == 2
 
 
 def test_common_error_counts_centers_from_an_iterator(acceptance):
@@ -329,18 +380,44 @@ def test_common_error_counts_centers_from_an_iterator(acceptance):
     assert as_generator["passed"] and as_list["passed"]
 
 
-def test_common_error_list_over_cap_fails_closed(instance12):
-    singleton = verify_generalized_singleton(instance12, 2, Fraction(1, 2), 0)
-    w = instance12.encode_message([4, 4])
-    v = instance12.encode_message([4, 5])
-    g = v[:6] + w[6:]  # halfway between w and v
-    beta = Fraction(1, 2)
-    assert len(brute_force_list(instance12, g, beta)) == 2
-    with pytest.raises(TooLarge, match="has 2 members"):
-        verify_common_error_bound(
-            instance12, 2, Fraction(1, 2), 0, [g], beta=beta,
-            singleton_report=singleton, list_cap=1,
-        )
+@st.composite
+def _common_error_centers(draw, code):
+    """Centers for the common-error oracle: a codeword or the plurality of
+    up to four, with some coordinates overwritten by random symbols (often
+    one that no codeword has there) and at most two erased; or random codeword
+    symbols everywhere, whose radius-1/2 list is mostly empty.  The list
+    ignores erased coordinates, so each erasure lengthens it, and with it
+    the oracle's subsets (all 256 codewords when every one is erased)."""
+    words = code.enumerate_codewords()
+    word = st.integers(0, len(words) - 1)
+    kind = draw(st.sampled_from(["near", "plurality", "far"]))
+    if kind == "far":
+        alphabet = sorted({sym for w in words for sym in w})
+        return tuple(draw(st.sampled_from(alphabet)) for _ in range(code.n))
+    picks = draw(st.lists(word, min_size=1, max_size=1 if kind == "near" else 4))
+    g = list(plurality_center([words[i] for i in picks])[0])
+    symbol = st.tuples(*[st.integers(0, code.inner.field.q - 1)] * code.d)
+    coordinate = st.integers(0, code.n - 1)
+    for r in draw(st.lists(coordinate, max_size=code.n)):
+        g[r] = draw(symbol)
+    for r in draw(st.lists(coordinate, max_size=2)):
+        g[r] = ERASED
+    return tuple(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_common_error_oracle_agrees_with_the_lemma(tight12, acceptance, data):
+    # instance12 at k = 3 with eps = eps_min, where the lemma's bounds are
+    # tight, and AC4's code at its certified k = 4
+    singleton = data.draw(st.sampled_from([tight12, acceptance["ac4"]["report"]]))
+    code, k, delta0, eps = (singleton[key] for key in ("code", "k", "delta0", "eps"))
+    centers = data.draw(st.lists(_common_error_centers(code), min_size=1, max_size=3))
+    report = verify_common_error_bound(code, k, delta0, eps, centers, beta=Fraction(1, 2),
+                                       singleton_report=singleton)
+    assert report["centers"] == len(centers)
+    assert report["passed"]
+    assert common_error_oracle(code, k, delta0, eps, centers, Fraction(1, 2))[1] == []
 
 
 def test_partition_pair(instance12):

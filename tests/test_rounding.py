@@ -19,7 +19,6 @@ from aelcert import (
     local_views_to_distributions,
     plurality_center,
     random_regular_bipartite,
-    threshold_endpoints,
 )
 from aelcert.errors import Mismatch
 from aelcert.outer import RSOuterCode, rs_unique_decode
@@ -68,6 +67,17 @@ def _expected_disagreement_oracle(weights, symbols):
     for l, sigma in enumerate(symbols):
         total += 1 - weights[l][sigma]
     return total / len(weights)
+
+
+def _weights(ens):
+    """The ensemble's weights as Fractions: counts over scale."""
+    return [[Fraction(c, ens.scale) for c in row] for row in ens.counts.tolist()]
+
+
+def _round_theta(ens, theta):
+    """Rounding at theta in [0, 1] is rounding at the integer threshold
+    floor(theta * scale): every end is a multiple of 1/scale."""
+    return ens._round(math.floor(theta * ens.scale))
 
 
 def _full_scan_oracle(code, weights):
@@ -138,8 +148,7 @@ def _ensemble_oracle(weights):
 def _assert_ensemble_matches_oracle(weights):
     ens = InnerDistributionEnsemble(weights)
     fracs, scale, counts, ends = _ensemble_oracle(weights)
-    assert all(type(w) is Fraction for row in ens.weights for w in row)
-    assert ens.weights == fracs
+    assert _weights(ens) == fracs
     assert ens.scale == scale
     assert (ens.counts.tolist(), ens.ends.tolist()) == (counts, ends)
     # int64 holds every count and end (all at most scale) exactly when scale < 2^63
@@ -177,14 +186,13 @@ def test_ensemble_accepts_mixed_weight_types():
 
 
 def test_round_at_picks_interval():
+    # scale 4, ends 1, 2, 4: symbol 0 owns [0, 1), 1 owns [1, 2), 2 owns [2, 4)
     ens = InnerDistributionEnsemble(
         [[Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]]
     )
-    assert ens.round_at(Fraction(0)) == [0]
-    assert ens.round_at(Fraction(1, 4)) == [1]
-    assert ens.round_at(Fraction(499, 1000)) == [1]
-    assert ens.round_at(Fraction(1, 2)) == [2]
-    assert ens.round_at(Fraction(999, 1000)) == [2]
+    assert [ens._round(t) for t in range(5)] == [[0], [1], [2], [2], [2]]
+    assert _round_theta(ens, Fraction(499, 1000)) == [1]
+    assert _round_theta(ens, Fraction(999, 1000)) == [2]
 
 
 # the Mersenne primes 2^61 - 1 and 2^31 - 1: their product passes 2^63
@@ -213,16 +221,20 @@ def test_integer_rounding_matches_fraction_oracle(name):
     _assert_ensemble_matches_oracle(weights)
     ens = InnerDistributionEnsemble(weights)
     assert ens.scale == scale
-    endpoints = threshold_endpoints(ens)
-    assert endpoints == _threshold_endpoints_oracle(weights)
-    # every endpoint and a hair either side of it, 1 (reached through a zero
-    # last entry in "zero-width"), and theta beyond [0, 1) on both sides
+    thresholds = ens._thresholds()
+    assert [Fraction(t, scale) for t in thresholds] == _threshold_endpoints_oracle(weights)
+    # every threshold and the integer either side of it in [0, scale], and
+    # scale itself (theta = 1, reached through a zero last entry in
+    # "zero-width"); then theta in [0, 1] a hair either side of each endpoint
+    for t in sorted({max(t + e, 0) for t in thresholds + [scale] for e in (-1, 0, 1)}):
+        picks = ens._round(t)
+        assert picks == _round_at_oracle(weights, Fraction(t, scale)), t
+        assert Fraction(ens._disagreement(picks), ens.n * scale) == \
+            _expected_disagreement_oracle(weights, picks)
     hair = Fraction(1, 10**9)
-    thetas = {t + e for t in endpoints + [Fraction(1)] for e in (-hair, 0, hair)}
-    for theta in sorted(thetas | {Fraction(-1, 2), Fraction(3, 2)}):
-        picks = ens.round_at(theta)
-        assert picks == _round_at_oracle(weights, theta), theta
-        assert ens.expected_disagreement(picks) == _expected_disagreement_oracle(weights, picks)
+    thetas = {Fraction(t, scale) + e for t in thresholds for e in (-hair, hair)}
+    for theta in sorted(theta for theta in thetas if 0 <= theta <= 1):
+        assert _round_theta(ens, theta) == _round_at_oracle(weights, theta), theta
 
 
 def test_threshold_endpoints_cover_all_thetas():
@@ -239,13 +251,13 @@ def test_threshold_endpoints_cover_all_thetas():
                 ]
             )
         ens = InnerDistributionEnsemble(weights)
-        endpoints = threshold_endpoints(ens)
-        assert endpoints == _threshold_endpoints_oracle(weights)
-        assert len(endpoints) <= ens.m * ens.n
-        seen = {tuple(ens.round_at(t)) for t in endpoints}
+        thresholds = ens._thresholds()
+        assert [Fraction(t, ens.scale) for t in thresholds] == _threshold_endpoints_oracle(weights)
+        assert len(thresholds) <= ens.m * ens.n
+        seen = {tuple(ens._round(t)) for t in thresholds}
         for _ in range(1000):
             theta = Fraction(int(rng.integers(0, 10**6)), 10**6)
-            picks = ens.round_at(theta)
+            picks = _round_theta(ens, theta)
             assert picks == _round_at_oracle(weights, theta)
             assert tuple(picks) in seen
 
@@ -257,20 +269,21 @@ def test_expected_disagreement():
             [Fraction(1), Fraction(0)],
         ]
     )
-    assert ens.expected_disagreement([0, 0]) == Fraction(1, 8)
-    assert ens.expected_disagreement([1, 0]) == Fraction(3, 8)
+    # n * scale * ED: 8 * 1/8 and 8 * 3/8
+    assert ens._disagreement([0, 0]) == 1
+    assert ens._disagreement([1, 0]) == 3
 
 
 def test_point_mass_decodes_exactly(instance12):
     h = instance12.encode_message([7, 2])
     ens, picks = _point_mass_ensemble(instance12, h)
-    assert ens.expected_disagreement(picks) == 0
+    assert ens._disagreement(picks) == 0
     assert decode_from_distributions(instance12, ens) == h
 
 
 def test_planted_ensemble_recovery(instance12):
     for ens, h, picks in _planted_ensembles(instance12):
-        assert ens.expected_disagreement(picks) <= instance12.outer.delta_dec
+        assert _expected_disagreement_oracle(_weights(ens), picks) <= instance12.outer.delta_dec
         assert decode_from_distributions(instance12, ens) == h
 
 
@@ -289,7 +302,7 @@ def _count_rs_calls(monkeypatch):
 def test_decode_stops_at_first_certified_threshold(instance12, monkeypatch):
     results = _count_rs_calls(monkeypatch)
     for ens, h, _ in _planted_ensembles(instance12):
-        found = _full_scan_oracle(instance12, ens.weights)
+        found = _full_scan_oracle(instance12, _weights(ens))
         results.clear()
         assert decode_from_distributions(instance12, ens) == h == found[0][1]
         assert len(results) == found[0][0] + 1
@@ -312,7 +325,7 @@ def test_rs_success_rejected_by_certificate(instance12, monkeypatch):
     results = _count_rs_calls(monkeypatch)
     assert decode_from_distributions(instance12, ens) is None
     assert instance12.decode_to_outer(h) in results
-    assert _full_scan_oracle(instance12, ens.weights) == []
+    assert _full_scan_oracle(instance12, _weights(ens)) == []
 
 
 @st.composite
@@ -362,8 +375,10 @@ def _ensemble_rows(draw, code):
 def test_decode_matches_full_scan_oracle(instance12, data):
     rows = data.draw(_ensemble_rows(instance12))
     ens = InnerDistributionEnsemble(rows)
-    assert threshold_endpoints(ens) == _threshold_endpoints_oracle(ens.weights)
-    found = _full_scan_oracle(instance12, ens.weights)
+    weights = _weights(ens)
+    assert [Fraction(t, ens.scale) for t in ens._thresholds()] == \
+        _threshold_endpoints_oracle(weights)
+    found = _full_scan_oracle(instance12, weights)
     # at most one codeword meets the guarantee (the proof in the docstring)
     assert len(found) <= 1
     expected = found[0][1] if found else None
@@ -388,11 +403,12 @@ def test_ensemble_past_int64_decodes_as_the_oracle(instance12, family):
     _assert_ensemble_matches_oracle(weights)
     ens = InnerDistributionEnsemble(weights)
     assert ens.scale == _M61 * _M31
-    endpoints = threshold_endpoints(ens)
-    assert endpoints == _threshold_endpoints_oracle(weights)
-    for theta in endpoints + [Fraction(1)]:
-        assert ens.round_at(theta) == _round_at_oracle(weights, theta)
-    assert ens.expected_disagreement(picks) == _expected_disagreement_oracle(weights, picks)
+    thresholds = ens._thresholds()
+    assert [Fraction(t, ens.scale) for t in thresholds] == _threshold_endpoints_oracle(weights)
+    for t in thresholds + [ens.scale]:
+        assert ens._round(t) == _round_at_oracle(weights, Fraction(t, ens.scale))
+    assert Fraction(ens._disagreement(picks), ens.n * ens.scale) == \
+        _expected_disagreement_oracle(weights, picks)
     found = _full_scan_oracle(instance12, weights)
     got = decode_from_distributions(instance12, ens)
     assert got == (found[0][1] if found else None)
@@ -417,7 +433,7 @@ def test_local_views_decode_matches_fraction_oracles(instance12, data):
     word = data.draw(_noisy_words(instance12))
     weights = _local_views_oracle(instance12, word)
     ens = local_views_to_distributions(instance12, word)
-    assert ens.weights == weights
+    assert _weights(ens) == weights
     found = _full_scan_oracle(instance12, weights)
     assert decode_from_distributions(instance12, ens) == (found[0][1] if found else None)
 
@@ -448,7 +464,7 @@ def test_local_views_point_mass_on_codeword(instance12):
     ens = local_views_to_distributions(instance12, h)
     picks = list(instance12.decode_to_outer(h))
     for l, idx in enumerate(picks):
-        assert ens.weights[l][idx] == 1
+        assert ens.counts[l, idx] == ens.scale
 
 
 def test_local_views_single_flip_keeps_point_mass(instance12):
@@ -460,7 +476,7 @@ def test_local_views_single_flip_keeps_point_mass(instance12):
     ens = local_views_to_distributions(instance12, g)
     picks = list(instance12.decode_to_outer(h))
     for l, idx in enumerate(picks):
-        assert ens.weights[l][idx] == 1
+        assert ens.counts[l, idx] == ens.scale
 
 
 def test_ael_unique_decode_identity(instance12):
@@ -527,7 +543,7 @@ def test_ael_unique_decode_far_center_fails(instance12):
         idx = [int(i) for i in rng.choice(256, 3, replace=False)]
         center, _ = plurality_center([words[i] for i in idx])
         ens = local_views_to_distributions(instance12, center)
-        assert ens.weights == _local_views_oracle(instance12, center)
+        assert _weights(ens) == _local_views_oracle(instance12, center)
         if ael_unique_decode(instance12, center) is None:
             found_fail = True
             break
@@ -542,7 +558,7 @@ def test_returned_codeword_meets_guarantee(instance12):
     got = decode_from_distributions(instance12, ens)
     assert got == h
     picks = list(instance12.decode_to_outer(got))
-    assert ens.expected_disagreement(picks) <= instance12.outer.delta_dec
+    assert _expected_disagreement_oracle(_weights(ens), picks) <= instance12.outer.delta_dec
 
 
 def test_local_views_match_loop_oracle_on_ac3(gf4, gf16):
@@ -566,8 +582,9 @@ def test_local_views_match_loop_oracle_on_ac3(gf4, gf16):
         )
         for word in (h, noisy):
             ens = local_views_to_distributions(code, word)
-            assert ens.weights == _local_views_oracle(code, word)
-            ties += sum(1 for row in ens.weights if max(row) < 1)
+            weights = _weights(ens)
+            assert weights == _local_views_oracle(code, word)
+            ties += sum(1 for row in weights if max(row) < 1)
     assert ties > 0
 
 

@@ -7,7 +7,7 @@ The catalogue, `tools/mutants.json`, is a list of rows
     {"file": "src/aelcert/listdec.py",      path from the repository root
      "fragment": "hypothesis_ok = lam <= hyp_rhs",
      "replacement": "hypothesis_ok = lam < hyp_rhs",
-     "tests": ["tests/test_listdec.py"],
+     "tests": ["tests/test_listdec.py"],    test files or pytest node ids
      "equivalent": "why no test can tell"}   optional
 
 The fragment must occur exactly once in its file.  The runner copies
@@ -66,7 +66,8 @@ def catalogue_problems(rows, root=ROOT) -> list[str]:
         if not row["tests"]:
             problems.append(f"{where}: names no test file")
         problems += [
-            f"{where}: no test file {t}" for t in row["tests"] if not (Path(root) / t).is_file()
+            f"{where}: no test file {t}" for t in row["tests"]
+            if not (Path(root) / t.split("::")[0]).is_file()
         ]
     return problems
 
