@@ -36,7 +36,6 @@ from .inner import (
 from .listdec import (
     PartitionProfile,
     brute_force_list,
-    common_error_fraction,
     partition_profile,
     sampling_bound_check,
     verify_common_error_bound,
@@ -68,7 +67,6 @@ __all__ = [
     "RSOuterCode",
     "ael_unique_decode",
     "brute_force_list",
-    "common_error_fraction",
     "complete_bipartite",
     "decode_from_distributions",
     "derive_seed",

@@ -21,12 +21,21 @@ the two words agree, 0 where they differ and in the padding bytes past n).
 A byte of a subset's count lane is at most its size m, so counts add as
 whole words without carries, and one multiply sums a lane's eight bytes
 exactly while 8m < 256; larger sizes are refused before the sweep starts.
-The kernel runs one Python iteration per third-largest member `last` of
-H and evaluates every subset with that `last` in bounded numpy blocks, so
-its Python overhead grows with M, not with the number of subsets.
-Each reported witness is the lexicographically smallest minimizing index
-tuple, so it is a function of the word list alone.  `_search_generic`, a
-direct plurality enumeration, is the reference the tests hold the kernel to.
+
+The kernel is an exact branch-and-bound (Land and Doig, 1960) on one fact:
+D never falls when a word joins a subset.  Adding w to S adds 1 to |S| and
+at most 1 to each maxcount_i, so every term |S| - maxcount_i keeps its
+value or grows, and D(S + {w}) >= D(S).  Take an upper bound U >= best_m,
+the minimum of D over m-subsets; the kernel's U is D(W + {x}), the best x
+added to the (m-1)-witness W, a real m-subset.  Every prefix, in index
+order, of a minimizer H has D <= D(H) = best_m <= U, so dropping each
+partial subset with D > U (strictly greater) never drops a minimizer.  The
+kernel grows subsets one index at a time, depth first and in index order,
+and prunes there; the m-subsets it does score it scores exactly, so the
+minimum is the same as a full sweep's.  Each reported witness is the
+lexicographically smallest minimizing index tuple, so it is a function of
+the word list alone.  `_search_generic`, a direct plurality enumeration, is
+the reference the tests hold the kernel to.
 
 Translation symmetry: adding one vector v to every word of H keeps every
 coordinate's equality pattern (a_i + v_i = b_i + v_i iff a_i = b_i), so
@@ -44,7 +53,7 @@ lexicographically smallest witness.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -60,8 +69,8 @@ DEFAULT_SUBSET_CAP = 2 * 10**8
 # eight bytes, each at most the subset size m, sum below 256, i.e. m <= 31
 _BYTE_SUM, _TOP_BYTE = np.uint64(0x0101010101010101), np.uint64(56)
 MAX_SUBSET_SIZE = 31
-# elements (lanes x prefixes x pairs) of one `_search_subsets` block, 128 KiB
-# of uint64, unless a single prefix has more
+# elements (lanes x children) of one `_search_subsets` block, 128 KiB of
+# uint64, unless a single subset has more children
 _BLOCK = 1 << 14
 
 
@@ -136,6 +145,8 @@ class SubsetWitness:
     size: int
     indices: tuple[int, ...]
     disagreement_count: int  # D(H), an exact integer over n coordinates
+    # the subsets of this size whose D the sweep computed
+    scored: int = dc_field(default=0, compare=False)
 
 
 def subset_search_count(m_words: int, k: int, closed: bool = False) -> int:
@@ -166,9 +177,11 @@ def min_disagreement_by_size(
     """For each subset size m in 2..k, the minimum D(H) and a witness subset.
 
     `sym` is an (M, n) integer matrix of interned codeword symbols.  Size 2
-    reads `pair_disagreements`; every larger size runs the same kernel,
-    `_search_subsets`.  Each witness is the lexicographically smallest
-    minimizing index tuple, so it depends on the word list alone.
+    reads `pair_disagreements`; every larger size m runs the same kernel,
+    `_search_subsets`, bounded by the size m - 1 witness.  Each witness is
+    the lexicographically smallest minimizing index tuple, so it depends on
+    the word list alone, and its `scored` counts the subsets of its size
+    whose D the kernel computed.
 
     Pass `closed=True` only when `translation_closed` holds for the words
     `sym` was interned from.  Sizes >= 3 then visit only the C(M-1, m-1)
@@ -200,12 +213,12 @@ def min_disagreement_by_size(
     iu = np.triu_indices(M, k=1)
     flat = pair_disagreements(sym)[iu]
     best = int(flat.argmin())
-    out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]))
+    out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]), len(flat))
 
     if k >= 3:
         eq = _equality_lanes(sym)
         for m in range(3, min(k, M) + 1):
-            out[m] = _search_subsets(eq, m, closed)
+            out[m] = _search_subsets(eq, m, closed, out[m - 1])
     return out
 
 
@@ -221,85 +234,114 @@ def _equality_lanes(sym: np.ndarray) -> np.ndarray:
     return eq
 
 
-def _search_subsets(eq: np.ndarray, m: int, closed: bool) -> SubsetWitness:
+def _lane_max_sum(top: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Raise the (L, P) count lanes `top` to `count` byte by byte, in place,
+    and return the byte sum of each column: sum_i max(t_i, count_i)."""
+    np.maximum(top.view(np.uint8), count.view(np.uint8), out=top.view(np.uint8))
+    lanes = top * _BYTE_SUM
+    lanes >>= _TOP_BYTE
+    score = lanes[0]
+    for lane in lanes[1:]:
+        score += lane
+    return score
+
+
+def _upper_bound(eq: np.ndarray, smaller: SubsetWitness, one: np.ndarray, n: int) -> int:
+    """min over x outside W of D(W + {x}), W the (m-1)-witness: the D of a
+    real m-subset, so at least the minimum over m-subsets."""
+    W = list(smaller.indices)
+    t, agree = one.copy(), eq[:, W[0]]
+    for h in W[1:]:
+        _lane_max_sum(t, agree[:, h, None] + one)
+        agree = agree + eq[:, h]
+    score = _lane_max_sum(np.repeat(t, agree.shape[1], 1), agree + one)
+    score[W] = 0  # x must be a new word
+    return (smaller.size + 1) * n - int(score.max())
+
+
+def _search_subsets(
+    eq: np.ndarray, m: int, closed: bool, smaller: SubsetWitness
+) -> SubsetWitness:
     """Minimum D(H) over all m-subsets (m >= 3), from the equality lanes
     `eq` of `_equality_lanes`, with the lexicographically smallest witness;
-    with `closed`, over the m-subsets that contain index 0.
+    with `closed`, over the m-subsets that contain index 0.  `smaller` is
+    the witness of size m - 1 that `_upper_bound` extends to the bound U.
 
-    H is written prefix + (last, c, d) with prefix < last < c < d.  One
-    Python iteration fixes `last`; numpy evaluates its (m - 3)-prefixes and
-    every pair (c, d) above it at once, as (L, prefixes, pairs) blocks of at
-    most _BLOCK elements (one prefix per block if a prefix alone is larger).
-    D(H) = m*n - sum_i t_i, where t_i is the largest symbol multiplicity at
-    coordinate i.  A member's count at i is 1 plus the later members equal
-    to it there; the first member of each symbol class counts the whole
-    class, so t_i is the largest count.
+    Branch and bound: a subset S = (s_1 < ... < s_d) grows to its children
+    S + {j}, s_d < j, with j small enough to leave room for the m - d - 1
+    members still to come.  A child of size m is scored; a smaller child
+    with D > U is dropped, with every subset that contains it.  That is
+    exact: D never falls when a word joins (see the module docstring), so
+    every prefix of a minimizer has D <= best_m <= U.  The roots are the
+    single words, or word 0 alone with `closed`.
 
-    Counts are uint64 blocks, one coordinate per byte as in `eq`.  A count
-    byte is at most m, so counts add as whole lanes with no carry between
-    bytes and maxima are taken on the uint8 view of the same memory.
-    sum_i t_i is, per lane, the top byte of x * 0x0101010101010101 (the
-    running byte sums stay below 8m < 256, so no carry reaches it), summed
-    over the lanes.  Padding bytes are 0 in `eq` and in `one`, so they add
-    nothing.  The pairs are built once: `np.triu_indices` is row-major, so
-    the pairs above `last` are a suffix of it.  Prefixes are in
-    `combinations` order and pairs in row-major order, so a block's first
-    maximum is its lexicographically smallest minimizer, and blocks are
-    compared on (D, indices).
+    D(S) = |S| n - sum_i t_i, where t_i is the largest symbol multiplicity
+    at coordinate i.  A subset carries its t as a count lane: when j joins,
+    its symbol's class at i becomes 1 + sum_{h in S} eq[h, j]_i and no
+    other class changes, so the child's t is the bytewise maximum of the
+    parent's t and that count.  A count byte is at most m, so counts add as
+    whole lanes with no carry between bytes, and the maxima are taken on
+    the uint8 view of the same memory.  sum_i t_i is, per lane, the top byte
+    of x * 0x0101010101010101 (the running byte sums stay below 8m < 256,
+    so no carry reaches it), summed over the lanes.  Padding bytes are 0 in
+    `eq` and in `one`, so they add nothing.
+
+    The walk is depth first: the children of a block of parents form one
+    numpy block of at most _BLOCK elements (L lanes per child; one parent
+    per block if its children alone are more), and the kept ones are walked
+    before the next block, so each of the m - 1 depths holds one block and
+    memory stays O(m^2 * _BLOCK) however many subsets survive.  Children
+    are laid out parent by parent and j ascending, so the walk meets the
+    m-subsets in lexicographic order: a block's first maximum of sum_i t_i
+    is its smallest minimizer, and a later block replaces the best only
+    with a strictly smaller D.
     """
     L, M, _ = eq.shape
     one = eq[:, 0, 0][:, None]  # 1 in every real byte, 0 in padding
     n = int(one.view(np.uint8).sum())
     flat = eq.reshape(L, M * M)
-    C_all, D_all = np.triu_indices(M, k=1)
-    # the count of c: d, counted 1, is never above it
-    c_count = flat.take(C_all * M + D_all, 1) + one
-    # with `closed`, index 0 is `last` when m = 3 and the prefix head otherwise
-    if closed and m > 3:
-        heads = [(0,) + rest for rest in combinations(range(1, M - 3), m - 4)]
-    else:
-        heads = list(combinations(range(M - 3), m - 3))
-    heads = np.array(heads, dtype=np.intp)
-    head_max = heads.max(1, initial=-1)
-    best = None
-    lasts = range(1) if closed and m == 3 else range(m - 3, M - 2)
-    for last in lasts:
-        s = (last + 1) * (2 * M - 2 - last) // 2  # the pairs with c <= last
-        C, D = C_all[s:], D_all[s:]
-        ci, di = C - (last + 1), D - (last + 1)
-        # the counts of last and c
-        row = eq[:, last]
-        top = row.take(C, 1) + row.take(D, 1) + one
-        np.maximum(top.view(np.uint8), c_count[:, s:].view(np.uint8), out=top.view(np.uint8))
-        top = top[:, None]
-        # the prefixes below `last`, in `combinations` order, then `last`
-        fixed = heads[head_max < last]
-        fixed = np.column_stack((fixed, np.full(len(fixed), last)))
-        # per prefix position: 1 plus the later fixed members equal to it
-        later = [(eq[:, fixed[:, i, None], fixed[:, i + 1:]].sum(2) + one)[:, :, None]
-                 for i in range(m - 3)]
-        step = max(1, _BLOCK // (L * len(C)))
-        for b in range(0, len(fixed), step):
-            maxc = top
-            for i in range(m - 3):
-                rows = eq[:, fixed[b:b + step, i], last + 1:]
-                count = rows.take(ci, 2)
-                count += rows.take(di, 2)
-                count += later[i][:, b:b + step]
-                np.maximum(maxc.view(np.uint8), count.view(np.uint8), out=count.view(np.uint8))
-                maxc = count
-            # each lane's byte sum, then their total over the lanes
-            lanes = maxc * _BYTE_SUM
-            lanes >>= _TOP_BYTE
-            kept = lanes[0]
-            for lane in lanes[1:]:
-                kept += lane
-            k, j = divmod(int(kept.argmax()), len(C))
-            cand = (m * n - int(kept[k, j]),
-                    tuple(fixed[b + k].tolist()) + (int(C[j]), int(D[j])))
-            if best is None or cand < best:
-                best = cand
-    return SubsetWitness(m, best[1], best[0])
+    bound = _upper_bound(eq, smaller, one, n)
+    step = max(1, _BLOCK // L)  # children per block
+    best, scored = None, 0
+
+    def extend(members, t):
+        nonlocal best, scored
+        d = members.shape[1]
+        last = members[:, -1]
+        # children S + {j}, last < j <= M - m + d: room for m - d - 1 more members
+        width = M - m + d - last
+        ends = np.cumsum(width)
+        lo = 0
+        while lo < len(members):
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + step, "right")))
+            w = width[lo:hi]
+            cum = np.cumsum(w)
+            # column p of the block is the child (members[lo + r], p - shift[r])
+            shift = cum - w - last[lo:hi] - 1
+            pos = np.arange(int(cum[-1]))
+            count = one + flat.take(pos + np.repeat(members[lo:hi, 0] * M - shift, w), 1)
+            for i in range(1, d):
+                count += flat.take(pos + np.repeat(members[lo:hi, i] * M - shift, w), 1)
+            top = np.repeat(t[:, lo:hi], w, 1)
+            score = _lane_max_sum(top, count)
+            if d + 1 == m:
+                scored += len(pos)
+                a = int(score.argmax())
+                r = int(np.searchsorted(cum, a, "right"))
+                dis = m * n - int(score[a])
+                if best is None or dis < best[0]:
+                    best = (dis, tuple(members[lo + r].tolist()) + (a - int(shift[r]),))
+            else:
+                dis = (d + 1) * n - score.astype(np.int64)
+                keep = np.flatnonzero(dis <= bound)
+                r = np.searchsorted(cum, keep, "right")
+                extend(np.column_stack((members[lo:hi].take(r, 0), keep - shift[r])),
+                       top.take(keep, 1))
+            lo = hi
+
+    roots = np.arange(1 if closed else M - m + 1)[:, None]
+    extend(roots, np.broadcast_to(one, (L, len(roots))))
+    return SubsetWitness(m, best[1], best[0], scored)
 
 
 def _search_generic(sym: np.ndarray, m: int) -> SubsetWitness:

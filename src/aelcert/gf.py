@@ -251,15 +251,47 @@ class Field:
         return result
 
     def _build_tables(self) -> None:
-        """One walk of the powers of the generator, multiplied by `_mul_poly`."""
+        """One walk of the powers of the generator g = sum_k g_k X^k.  A step
+        x -> x g sums the g_k x X^k, and x X^(k+1) is x X^k shifted up one
+        coefficient, with the coefficient that leaves reduced by the monic
+        modulus, X^m = -sum_{j<m} modulus_j X^j: O(m) work per power of X
+        in g, where `_mul_poly` takes O(m^2).  In characteristic 2 the
+        coefficients are the bits of x, the shift is `<< 1`, and the
+        reduction and the sum are XORs."""
         g = multiplicative_generator(self)
-        exp = [1] * (self.q - 1)
-        log = [0] * self.q
+        p, m, q = self.p, self.m, self.q
+        if p == 2:
+            modulus = self.from_coeffs(self.modulus)  # with the bit of X^m
+
+            def step(x: int) -> int:
+                y, h = 0, g
+                while h:
+                    if h & 1:
+                        y ^= x
+                    x <<= 1
+                    if x >= q:
+                        x ^= modulus
+                    h >>= 1
+                return y
+        else:
+            g_coeffs = poly_trim(self.to_coeffs(g))
+            neg = [-c % p for c in self.modulus[:m]]
+
+            def step(x: int) -> int:
+                c, y = self.to_coeffs(x), [0] * m
+                for k, gk in enumerate(g_coeffs):
+                    if k:
+                        c = [(a + c[-1] * r) % p for a, r in zip([0] + c[:-1], neg)]
+                    y = [(a + gk * b) % p for a, b in zip(y, c)]
+                return self.from_coeffs(y)
+
+        exp = [1] * (q - 1)
+        log = [0] * q
         x = 1
-        for i in range(self.q - 1):
+        for i in range(q - 1):
             exp[i] = x
             log[x] = i
-            x = self._mul_poly(x, g)
+            x = step(x)
         self._exp, self._log = exp + exp, log
 
     # -- misc ---------------------------------------------------------------

@@ -56,6 +56,11 @@ class ARLDCertificate:
     subsets_examined counts the subsets covered; subsets_evaluated counts
     those the sweep visited, fewer when `reduction` is "translation" (the
     words form a group, see `aelcert.arld.translation_closed`).
+    subsets_scored counts the visited subsets whose D(H) the sweep computed:
+    at most subsets_evaluated, fewer where the branch-and-bound of
+    `aelcert.arld` skipped a subset that contains one above its bound.
+    The saved certificate keeps these two counts and `reduction` in its
+    `# ` header lines, outside the body.
     """
 
     delta0: Fraction
@@ -71,6 +76,7 @@ class ARLDCertificate:
     min_disagreements_by_size: dict = dc_field(default_factory=dict)
     # None on a certificate loaded from a file: the counts live in its header
     subsets_evaluated: int | None = None
+    subsets_scored: int | None = None
     reduction: str | None = None
     # the sweep's per-size SubsetWitness: not saved, empty on a loaded certificate
     witnesses: dict = dc_field(default_factory=dict, compare=False, repr=False)
@@ -96,10 +102,11 @@ def min_arld_slack(
     """Exact worst-case slack over all subsets H with |H| <= k and all centers.
 
     The center quantifier collapses to the coordinate-wise plurality; the
-    subset quantifier is enumerated exhaustively, only over the subsets that
-    contain word 0 when the words form a group under the addition of the
-    code's `field` (a linear, folded RS, AEL or field-carrying block code).
-    Plain word lists carry no field and are swept in full.
+    subset quantifier is settled exactly by the branch-and-bound sweep of
+    `aelcert.arld`, only over the subsets that contain word 0 when the
+    words form a group under the addition of the code's `field` (a linear,
+    folded RS, AEL or field-carrying block code).  Plain word lists carry
+    no field and are swept in full.
     """
     words, n = resolve_words(code_or_words)
     delta0 = Fraction(delta0)
@@ -108,7 +115,7 @@ def min_arld_slack(
         return ARLDCertificate(
             delta0, k, Fraction(0), n, (), (), 0, 0,
             time.perf_counter() - t0, description,
-            subsets_evaluated=0, reduction="none",
+            subsets_evaluated=0, subsets_scored=0, reduction="none",
         )
     sym, _ = intern_symbols(words)
     closed = translation_closed(words, getattr(code_or_words, "field", None))
@@ -130,6 +137,7 @@ def min_arld_slack(
             m: w.disagreement_count for m, w in witnesses.items()
         },
         subsets_evaluated=subset_search_count(len(words), k, closed),
+        subsets_scored=sum(w.scored for w in witnesses.values()),
         reduction="translation" if closed else "none",
         witnesses=witnesses,
     )

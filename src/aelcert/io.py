@@ -287,6 +287,7 @@ def save_certificate(path, cert: ARLDCertificate) -> None:
         header_extras={
             "runtime_seconds": f"{cert.runtime_seconds:.3f}",
             "subsets_evaluated": cert.subsets_evaluated,
+            "subsets_scored": cert.subsets_scored,
             "reduction": cert.reduction,
         },
     )

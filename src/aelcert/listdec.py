@@ -105,16 +105,6 @@ def verify_generalized_singleton(
     }
 
 
-def common_error_fraction(center, subset) -> Fraction:
-    """Fraction of coordinates where every codeword in the subset disagrees."""
-    center = tuple(center)
-    n = len(center)
-    common = sum(
-        1 for r in range(n) if all(h[r] != center[r] for h in subset)
-    )
-    return Fraction(common, n)
-
-
 def verify_common_error_bound(
     code: AELCode,
     k: int,
@@ -126,7 +116,8 @@ def verify_common_error_bound(
 ) -> dict:
     """The strengthened inequality with the common-error term, for every
     center g and every subset H of codewords with |H| = m <= k:
-        sum_h Delta(g, h) >= (m - 1)(delta0 - eps) + common_error_fraction(g, H).
+        sum_h Delta(g, h) >= (m - 1)(delta0 - eps) + c(g, H),
+    c(g, H) the fraction of coordinates where every member of H differs from g.
 
     It is a lemma of the Singleton certificate.  At coordinate r let
     maxcount_r be the largest number of members of H sharing a symbol, so
@@ -134,9 +125,9 @@ def verify_common_error_bound(
     some h_r, the coordinate costs sum_h [g_r != h_r] = m - count(g_r) >=
     m - maxcount_r; if it equals none (an erased g_r included), it costs
     m >= (m - maxcount_r) + 1 and is a common error.  Summing over r,
-    n * sum_h Delta(g, h) >= D(H) + n * common_error_fraction(g, H), and a
-    passing report gives D(H) >= n (m - 1)(delta0 - eps) through its exact
-    minimum of D over |H| = m.  So the check is one comparison per size m
+    n * sum_h Delta(g, h) >= D(H) + n * c(g, H), and a passing report gives
+    D(H) >= n (m - 1)(delta0 - eps) through its exact minimum of D over
+    |H| = m.  So the check is one comparison per size m
     in 2..k that the report's minima hold (m = 1 holds with equality),
     "inequalities_checked" counts them, and a violation names the size
     whose minimum falls short.

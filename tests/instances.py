@@ -15,7 +15,6 @@ from aelcert import (
     AELCode,
     RSOuterCode,
     brute_force_list,
-    common_error_fraction,
     complete_bipartite,
     eml_failures,
     frs_as_linear_code,
@@ -76,6 +75,16 @@ def planted_weights(code, rng):
         row[other] = steal
         weights.append(row)
     return h, picks, weights
+
+
+def common_error_fraction(center, subset) -> Fraction:
+    """Fraction of coordinates where every codeword in the subset disagrees."""
+    center = tuple(center)
+    n = len(center)
+    common = sum(
+        1 for r in range(n) if all(h[r] != center[r] for h in subset)
+    )
+    return Fraction(common, n)
 
 
 def common_error_oracle(code, k, delta0, eps, centers, beta):

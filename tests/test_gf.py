@@ -298,6 +298,20 @@ def test_generator_is_the_smallest_element_of_full_order(p, m):
     assert f._exp[1] == multiplicative_generator(f)
 
 
+@pytest.mark.parametrize("p,m", [(2, m) for m in range(2, 13)] + [(3, 4), (5, 3)])
+def test_tables_are_the_schoolbook_walk_of_the_generator(p, m):
+    # the shift-and-reduce walk gives the tables the `_mul_poly` walk gives
+    f = make_field(p, m)
+    g = multiplicative_generator(f)
+    exp, log, x = [], [0] * f.q, 1
+    for i in range(f.q - 1):
+        exp.append(x)
+        log[x] = i
+        x = f._mul_poly(x, g)
+    assert x == 1
+    assert f._exp == exp + exp and f._log == log
+
+
 @pytest.mark.parametrize("p,m", TABLELESS_FIELDS)
 def test_inverse_without_tables(p, m):
     # inv is pow(a, q - 2) over the schoolbook product here

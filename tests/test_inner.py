@@ -3,6 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -132,6 +133,11 @@ def _assert_kernel_matches_oracle(words, k, closed=False):
         assert got[m].disagreement_count == ref.disagreement_count
         # the witness is the lexicographically smallest minimizer
         assert got[m].indices == ref.indices
+        # pruning only ever skips subsets the sweep would have evaluated
+        evaluated = subset_search_count(len(words), m, closed) - subset_search_count(
+            len(words), m - 1, closed)
+        assert 0 < got[m].scored <= evaluated
+    return got
 
 
 def test_vectorized_search_matches_generic_oracle():
@@ -169,13 +175,46 @@ def test_kernel_matches_oracle_on_lanes_and_edges(gf2):
     _assert_kernel_matches_oracle(words[:4], 4, closed=True)
 
 
+def test_kernel_keeps_a_minimizer_whose_prefix_is_at_the_bound():
+    # a, b, a, c, e: W = (0, 2) is the pair witness, D = 0, so the bound at
+    # m = 3 is U = D(a, a, b) = 2.  The only minimizer is (0, 1, 2), D = 2,
+    # and its prefix (0, 1) has D = 2 = U: a prune on D >= U would lose it
+    a, b = (0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)
+    c, e = (2, 2, 2, 2, 0, 0), (0, 0, 1, 1, 1, 1)
+    got = _assert_kernel_matches_oracle([a, b, a, c, e], 5)
+    sym, _ = intern_symbols([a, b, a, c, e])
+    assert got[2].indices == (0, 2) and got[2].disagreement_count == 0
+    assert got[3].indices == (0, 1, 2) and got[3].disagreement_count == 2
+    assert pair_disagreements(sym)[0, 1] == 2
+    assert got[3].scored < subset_search_count(5, 3) - subset_search_count(5, 2)
+
+
+def test_kernel_scores_every_subset_when_nothing_prunes():
+    # every D is 0, so the bound is 0 and no subset exceeds it
+    words = [(1, 2, 0)] * 7
+    got = _assert_kernel_matches_oracle(words, 5)
+    for m in (3, 4, 5):
+        assert got[m].indices == tuple(range(m))
+        assert got[m].scored == subset_search_count(7, m) - subset_search_count(7, m - 1)
+
+
+def test_kernel_prunes_on_acceptance_words(acceptance):
+    # AC4 at m = 4, translation-reduced: the minimum is 19, and fewer than
+    # 4% of the C(255, 3) quadruples {0, a, b, c} are scored
+    words = acceptance["ac4"]["ael"].enumerate_codewords()
+    sym, _ = intern_symbols(words)
+    got = min_disagreement_by_size(sym, 4, closed=True)
+    assert got[4].disagreement_count == 19
+    assert got[4].scored * 25 < comb(255, 3)
+
+
 @pytest.mark.parametrize("block", [1, 20, 100])
 def test_kernel_witness_does_not_depend_on_the_blocking(monkeypatch, gf2, block):
-    # 1 puts each prefix in a block of its own; on the 16 binary words of
-    # length 4 at m = 5, 20 and 100 split the prefixes of one `last` into
-    # several blocks (at last = 10, 45 prefixes of 10 pairs each go 2 per
-    # block at 20; at last = 5, 10 prefixes of 45 pairs go 2 per block at
-    # 100), so tied minima fall in different blocks
+    # L = 1 lane, so a block holds at most `block` children, or the children
+    # of one parent where those are more.  On the 16 binary words of length 4
+    # at m = 5, the 16 minimizers fall in 16 leaf blocks at 1 and at 20 and
+    # in 13 at 100; translation-reduced, the 5 that hold word 0 fall in 5,
+    # 5 and 4 blocks.  So tied minima always meet in different blocks
     monkeypatch.setattr(arld, "_BLOCK", block)
     words = list(product(range(2), repeat=4))
     _assert_kernel_matches_oracle(words, 5)

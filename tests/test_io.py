@@ -261,9 +261,11 @@ def test_certificate_sweep_counts_in_header_only(tmp_path, gf4):
     save_certificate(tmp_path / "cert.json", cert)
     text = (tmp_path / "cert.json").read_text()
     assert f"# subsets_evaluated: {cert.subsets_evaluated}\n" in text
+    assert f"# subsets_scored: {cert.subsets_scored}\n" in text
+    assert 0 < cert.subsets_scored <= cert.subsets_evaluated
     assert "# reduction: translation\n" in text
     body = artifact_body_bytes(tmp_path / "cert.json").decode()
-    assert "subsets_evaluated" not in body and "reduction" not in body
+    assert all(key not in body for key in ("subsets_evaluated", "subsets_scored", "reduction"))
 
 
 def test_wrong_kind_rejected(tmp_path, gf4):

@@ -14,7 +14,6 @@ from aelcert import (
     ERASED,
     ErasedWord,
     brute_force_list,
-    common_error_fraction,
     complete_bipartite,
     dist_with_erasures,
     hamming_distance,
@@ -33,7 +32,7 @@ from aelcert.gf import make_field
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
-from instances import common_error_oracle
+from instances import common_error_fraction, common_error_oracle
 
 
 @pytest.fixture(scope="module")
