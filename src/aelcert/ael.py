@@ -6,7 +6,9 @@ vertices.
 Codewords are represented right-folded: a tuple of n symbols, each a
 d-tuple over the inner alphabet.  Fold/unfold move between this
 representation and edge labellings (indexed by edge id) through the graph's
-one `route` array: folding gathers through it, unfolding scatters.
+one `route` array: folding gathers through it, unfolding scatters.  phi
+is kept as one (M, d) array, `codebook`: encoding gathers the rows of an
+outer codeword's symbols, and the decoders compare left views with it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,13 @@ class AELCode:
     def delta_out(self) -> Fraction:
         return self.outer.min_distance()
 
+    @cached_property
+    def codebook(self) -> np.ndarray:
+        """phi as one (M, d) int64 array, row sigma = phi(sigma), built on
+        first use: encoding gathers its rows, and decoding compares the
+        left views with all of them."""
+        return np.array(self.phi, dtype=np.int64)
+
     # -- encoding and views --------------------------------------------------
 
     def encode(self, outer_codeword) -> tuple:
@@ -90,8 +99,9 @@ class AELCode:
 
     def _fold_phi(self, outer_codeword) -> tuple:
         """`encode` without the membership test, for a word the outer code
-        made itself (a message's encoding or an enumerated codeword)."""
-        return self.fold([x for sigma in outer_codeword for x in self.phi[sigma]])
+        made itself (a message's encoding, an enumerated codeword or the
+        output of Gao's decoder, which is an encoding too)."""
+        return self.fold(self.codebook[list(outer_codeword)].reshape(-1))
 
     def fold(self, edge_vals) -> tuple:
         """Edge labelling -> right-folded word."""
@@ -103,7 +113,11 @@ class AELCode:
 
     def left_views(self, word) -> list[tuple]:
         """The d-tuple seen by each left vertex (in its edge order)."""
-        return list(map(tuple, self._edge_array(word).reshape(self.n, self.d).tolist()))
+        return list(map(tuple, self._view_array(word).tolist()))
+
+    def _view_array(self, word) -> np.ndarray:
+        """The left views as one (n, d) int64 array, row l the view of l."""
+        return self._edge_array(word).reshape(self.n, self.d)
 
     def _edge_array(self, word) -> np.ndarray:
         edge_vals = np.empty(self.n * self.d, dtype=np.int64)
@@ -135,10 +149,16 @@ class AELCode:
     # -- metrics ---------------------------------------------------------------
 
     def _check(self, word) -> None:
-        """Mismatch unless the word is n symbols, each erased or d entries
-        in [0, q_in); ValueError for an entry that is not an integer."""
-        symbols = [t for t in word if t is not ERASED]
-        if len(word) != self.n or any(len(t) != self.d for t in symbols):
+        """Mismatch unless the word is n symbols, each erased or a sequence
+        of d entries in [0, q_in) (an int or a string is no symbol);
+        ValueError for an entry that is not an integer."""
+        try:
+            symbols = [t for t in word if t is not ERASED]
+            shaped = len(word) == self.n and all(
+                len(t) == self.d and not isinstance(t, (str, bytes)) for t in symbols)
+        except TypeError:  # a word or a symbol with no length
+            shaped = False
+        if not shaped:
             raise Mismatch("word shape does not match the graph")
         # every entry, not a set of them: {1, True} is {1}
         entries = _ints(chain.from_iterable(symbols), "word entry", 1)

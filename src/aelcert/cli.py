@@ -8,7 +8,8 @@ seed through named streams.
 
 Each subcommand handler returns a `Verdict`; `main` alone prints the
 `PASS|FAIL <subcommand>` line, writes the report named by `report_out`
-(on a FAIL too) and picks the exit code: 0 pass, 1 assertion failure, 2
+(on a FAIL too, with the handler's wall time in its `# runtime_seconds:`
+header) and picks the exit code: 0 pass, 1 assertion failure, 2
 config/IO error or bad input (a `ValueError`, malformed JSON included).
 """
 
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -419,10 +421,12 @@ def main(argv=None) -> int:
             _cmd_report(args)
             return 0
         cfg = _load_config(args.config, args.command)
+        start = time.perf_counter()
         verdict = _COMMANDS[args.command][0](cfg)
         if verdict.rows is not None and cfg.get("report_out"):
             aio.save_report(cfg["report_out"], args.command, verdict.rows,
-                            verdict.passed, extra=verdict.extra)
+                            verdict.passed, extra=verdict.extra,
+                            runtime_seconds=time.perf_counter() - start)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

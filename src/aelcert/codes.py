@@ -96,11 +96,7 @@ class LinearCode:
 
     def _combine(self, coeffs, rows) -> tuple[int, ...]:
         """The linear combination sum_i coeffs[i] * rows[i]."""
-        F = self.field
-        out = [0] * self.n
-        for coeff, row in zip(coeffs, rows):
-            out = F.sub_scaled_row(out, F.neg(coeff), row)
-        return tuple(out)
+        return tuple(self.field.combine(coeffs, rows))
 
     def messages(self):
         """All q^dim messages in lexicographic order."""

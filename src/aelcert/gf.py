@@ -8,15 +8,19 @@ and safe to share across threads.
 
 Fields with q <= 2^16 keep exp/log tables.  `_exp` is stored doubled, at
 length 2(q - 1), so a product is `_exp[log a + log b]` with no reduction
-mod q - 1.  Linear algebra works on whole rows through two primitives:
-`scale_row(f, row)` is [f*y] and `sub_scaled_row(x, f, y)` is [x_i - f*y_i]
-(pass `neg(f)` for the axpy x + f*y).  `scale_row` is one list
-comprehension of table lookups; so is `sub_scaled_row` in characteristic 2,
-where the subtraction is an XOR.  Over a prime field (m = 1) `add`, `neg`
-and `sub_scaled_row` are plain integer arithmetic mod p; in an extension
-of odd characteristic `sub_scaled_row` calls `sub` and `mul` per element.
+mod q - 1.  Linear algebra works on whole rows through three primitives:
+`scale_row(f, row)` is [f*y], `sub_scaled_row(x, f, y)` is [x_i - f*y_i]
+(pass `neg(f)` for the axpy x + f*y), and `combine(coeffs, rows)` is the
+linear combination sum_i c_i * row_i, which encoding, membership and Gao's
+interpolation use; it picks its field case once per call, not once per
+row.  `scale_row` is one list comprehension of table lookups; so are
+`sub_scaled_row` and each term of `combine` in characteristic 2, where
+addition is an XOR.  Over a prime field (m = 1) `add`, `neg` and
+`sub_scaled_row` are plain integer arithmetic mod p, and `combine` sums
+in integers and reduces mod p once; in an extension of odd characteristic
+both call `mul` per element, with `sub` or `add`.
 Larger fields have no tables, and `scale_row` falls back to `mul` per
-element, as `sub_scaled_row` does unless m = 1.
+element, as the other two do unless m = 1.
 
 Polynomials over a field are coefficient lists, low degree first:
 `poly_trim`, `poly_mul` and `poly_divmod` serve both the irreducibility test
@@ -229,6 +233,27 @@ class Field:
             return [self.sub(a, self.mul(f, b)) for a, b in zip(x, y)]
         lf = log[f]
         return [a ^ exp[lf + log[b]] if b else a for a, b in zip(x, y)]
+
+    def combine(self, coeffs, rows) -> list[int]:
+        """sum_i coeffs[i] * rows[i] over a sequence of rows of one length
+        ([] for no rows).  The field case is chosen once per call, and a
+        zero coefficient costs nothing.  Over a prime field the sums are
+        reduced mod p once, at the end."""
+        out = [0] * (len(rows[0]) if rows else 0)
+        terms = [(c, row) for c, row in zip(coeffs, rows) if c]
+        exp, log = self._exp, self._log
+        if self.p == 2 and exp is not None:
+            for c, row in terms:
+                lc = log[c]
+                out = [a ^ exp[lc + log[b]] if b else a for a, b in zip(out, row)]
+        elif self.m == 1:
+            for c, row in terms:
+                out = [a + c * b for a, b in zip(out, row)]
+            out = [a % self.p for a in out]
+        else:
+            for c, row in terms:
+                out = [self.add(a, self.mul(c, b)) for a, b in zip(out, row)]
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:

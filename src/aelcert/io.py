@@ -325,10 +325,13 @@ def _symbols_from_json(symbols):
     return tuple(tuple(s) if isinstance(s, list) else s for s in symbols)
 
 
-def save_report(path, name: str, rows: list[dict], passed: bool, extra: dict | None = None) -> None:
+def save_report(path, name: str, rows: list[dict], passed: bool, extra: dict | None = None,
+                runtime_seconds: float | None = None) -> None:
     """Verification report: a named pass/fail plus CSV-ready rows.
 
-    Each row: {instance, parameter, value, bound, margin, pass}.
+    Each row: {instance, parameter, value, bound, margin, pass}.  A given
+    `runtime_seconds` goes in the header, as a certificate's does: it is
+    not part of the verified result.
     """
     payload = {
         "kind": "verification_report",
@@ -339,7 +342,8 @@ def save_report(path, name: str, rows: list[dict], passed: bool, extra: dict | N
     }
     if extra:
         payload["extra"] = extra
-    save_artifact(path, payload)
+    header = {} if runtime_seconds is None else {"runtime_seconds": f"{runtime_seconds:.3f}"}
+    save_artifact(path, payload, header_extras=header)
 
 
 # the columns of a report row, in the order `aelcert report` writes them

@@ -7,7 +7,9 @@ interpolant and prod (x - a) over the evaluation points, and divides.  It
 takes O(n^2) field operations per word, with no linear system, and decodes
 at the one radius floor((n - k) / 2): it corrects every error pattern of at
 most that weight and never returns a codeword farther from the word.
-Its polynomial arithmetic is `gf.poly_divmod` and `gf.poly_mul`.
+The interpolant is one `Field.combine` of the cached Lagrange basis with
+the word's symbols; the rest of its polynomial arithmetic is
+`gf.poly_divmod` and `gf.poly_mul`.
 """
 
 from __future__ import annotations
@@ -105,10 +107,7 @@ def rs_unique_decode(code: RSOuterCode, word):
         raise Mismatch(f"word length {len(word)} != n {n}")
     # g1 interpolates the word: g1(a) = y_a at every point a
     g0, basis = code._interpolation_table()
-    g1 = [0] * n
-    for y, lagrange in zip(word, basis):
-        if y:
-            g1 = F.sub_scaled_row(g1, F.neg(y), lagrange)
+    g1 = F.combine(word, basis)
     # Partial extended Euclid on (g0, g1), keeping r_i = u_i g0 + v_i g1,
     # up to the first remainder of degree < (n + k) / 2
     r0, r1 = g0, poly_trim(g1)

@@ -8,6 +8,9 @@ A threshold is an integer t in [0, scale), standing for theta = t / scale;
 rounding row l at t picks the first symbol whose end exceeds t.  Rounding
 only changes at an end, so the finite threshold set {0} plus every end
 below `scale` (at most M * n values) provably covers every theta in [0, 1).
+
+The local-view distributions compare the word's (n, d) left-view array
+with the code's (M, d) `codebook` array in one broadcast.
 """
 
 from __future__ import annotations
@@ -97,6 +100,9 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
     ED(h) is at most delta_dec = floor((n - k) / 2) / n; None if no
     threshold yields one.  The test is n * scale - agree <=
     floor((n - k) / 2) * scale in Python ints, agree being h's total count.
+    Mismatch, before any rounding, unless the outer code is an
+    `RSOuterCode`.  Gao's decoder returns `outer.encode(f)`, an outer
+    codeword by construction, so it is folded with no membership test.
 
     No other codeword can meet that guarantee, so stopping at the first is
     the same as scanning every threshold.  RS[n, k] on distinct points is
@@ -105,25 +111,31 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
     n * (ED(h) + ED(h')) >= n - k + 1 > 2 * floor((n - k) / 2)
     = 2 * n * delta_dec, so at most one of them is within delta_dec.
     """
-    outer = code.outer
-    if not isinstance(outer, RSOuterCode):
-        raise TypeError("decode_from_distributions needs an RSOuterCode outer code")
+    outer = _rs_outer(code)
     if ensemble.n != code.n or ensemble.m != code.inner.size:
         raise ValueError("ensemble shape does not match the AEL code")
     allowed = outer.unique_decoding_radius * ensemble.scale
     for t in ensemble._thresholds():
         h_star = rs_unique_decode(outer, ensemble._round(t))
         if h_star is not None and ensemble._disagreement(h_star) <= allowed:
-            return code.encode(h_star)
+            return code._fold_phi(h_star)
     return None
+
+
+def _rs_outer(code: AELCode) -> RSOuterCode:
+    """The code's outer code; Mismatch unless it is Reed-Solomon, the one
+    outer code this module decodes."""
+    if not isinstance(code.outer, RSOuterCode):
+        raise Mismatch(f"unique decoding needs a Reed-Solomon outer code, got {code.outer!r}")
+    return code.outer
 
 
 def local_views_to_distributions(code: AELCode, word) -> InnerDistributionEnsemble:
     """Uniform distribution over the nearest inner codewords per left view:
     with `ties` nearest codewords in row l and scale the lcm of the ties,
     each of them gets count scale // ties."""
-    codebook = np.array(code.phi)  # (M, d)
-    views = np.array(code.left_views(word))  # (n, d)
+    codebook = code.codebook  # (M, d)
+    views = code._view_array(word)  # (n, d)
     dists = (views[:, None, :] != codebook[None, :, :]).sum(axis=2)  # (n, M)
     nearest = dists == dists.min(axis=1, keepdims=True)
     ties = nearest.sum(axis=1).tolist()
@@ -136,9 +148,10 @@ def ael_unique_decode(code: AELCode, word):
     """Nearest-inner-codeword distributions, then threshold-rounding decode.
 
     Returns (codeword, Delta_R(word, codeword)) or None.  Raises
-    Mismatch before any decoding when the word's shape does not match
-    the graph or a symbol is erased.
+    Mismatch before any decoding when the outer code is not Reed-Solomon,
+    the word's shape does not match the graph or a symbol is erased.
     """
+    _rs_outer(code)
     code._check(word)
     erased = [r for r, sym in enumerate(word) if sym is ERASED]
     if erased:

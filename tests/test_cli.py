@@ -13,6 +13,7 @@ from test_graphs import _verify_eml_fraction_oracle, _verify_eml_sets_fraction_o
 from aelcert import cli
 from aelcert import io as aio
 from aelcert.cli import _COMMANDS, _KEY_TYPES, main
+from aelcert.codes import LinearCode
 from aelcert.errors import AmplificationViolation
 from aelcert.graphs import complete_bipartite
 from aelcert.io import artifact_body_bytes, load_artifact, load_graph, save_graph, save_word
@@ -160,6 +161,41 @@ def test_encode_corrupt_decode_cycle(workspace):
     rec = load_artifact(tmp / "decode_report.json")
     assert rec["passed"] is True
     assert len(rec["extra"]["outer_word"]) == 12
+
+
+def test_reports_carry_their_runtime_in_the_header(workspace):
+    # the subcommand's wall time is a header line, so two runs of the same
+    # config still write byte-identical bodies
+    tmp = workspace
+    for name in ("one.json", "two.json"):
+        assert main(["decode", "--config", _write_config(tmp / "dec.json", {
+            "version": 1, "bundle_file": str(tmp / "bundle.json"),
+            "word_file": str(tmp / "word.json"), "report_out": str(tmp / name),
+        })]) == 0
+        header = [ln for ln in (tmp / name).read_text().splitlines() if ln.startswith("#")]
+        runtimes = [ln for ln in header if re.fullmatch(r"# runtime_seconds: \d+\.\d{3}", ln)]
+        assert len(runtimes) == 1
+    assert artifact_body_bytes(tmp / "one.json") == artifact_body_bytes(tmp / "two.json")
+
+
+def test_decode_over_an_outer_code_that_is_not_reed_solomon_exits_1(workspace, capsys):
+    # the same outer codewords saved as a plain linear_code: nothing decodes it
+    tmp = workspace
+    outer = aio.load_code(tmp / "outer_code.json")
+    aio.save_code(tmp / "linear_outer.json", LinearCode(outer.field, outer.generator))
+    assert load_artifact(tmp / "linear_outer.json")["kind"] == "linear_code"
+    aio.save_bundle(tmp / "linear_bundle.json", "graph_out.json", "inner_code.json",
+                    "linear_outer.json")
+    capsys.readouterr()
+    assert main(["decode", "--config", _write_config(tmp / "dec.json", {
+        "version": 1, "bundle_file": str(tmp / "linear_bundle.json"),
+        "word_file": str(tmp / "word.json"), "report_out": str(tmp / "linear_report.json"),
+    })]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unique decoding needs a Reed-Solomon outer code")
+    assert "Traceback" not in captured.err
+    assert not (tmp / "linear_report.json").exists()
 
 
 @pytest.mark.parametrize("errors,erasures", [

@@ -377,6 +377,40 @@ def test_row_primitives_exhaustive_small(p, m):
             ]
 
 
+def _fold_of_sub_scaled_rows(f, coeffs, rows, length):
+    out = [0] * length
+    for c, row in zip(coeffs, rows):
+        out = f.sub_scaled_row(out, f.neg(c), row)
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (17, 1), (2, 2), (2, 4), (3, 2)] + TABLELESS_FIELDS,
+                         ids=["GF2", "GF17", "GF4", "GF16", "GF9", "GF2^17", "GF3^11"])
+def test_combine_matches_the_sub_scaled_row_fold(p, m):
+    # prime fields of characteristic 2 and odd, tabled fields of
+    # characteristic 2, an odd extension, and fields with no tables; the
+    # samples hold a zero row and zero coefficients
+    f = make_field(p, m)
+    rows, coeffs = _row_samples(f, p * 100 + m)
+    rng = random.Random(p + m)
+    cases = [(coeffs[:len(rows)], rows), ([0] * len(rows), rows), (coeffs[1:2], rows[1:2]),
+             ([f.q - 1] * len(rows), rows)]
+    cases += [([rng.choice(coeffs) for _ in rows], rng.sample(rows, len(rows)))
+              for _ in range(20)]
+    for cs, rs in cases:
+        assert f.combine(cs, rs) == _fold_of_sub_scaled_rows(f, cs, rs, len(rs[0]))
+    assert f.combine([], []) == []
+
+
+def test_combine_leaves_its_rows_alone(gf16):
+    # Gao's decoder trims the combination in place, and its rows are the
+    # code's cached Lagrange basis: the result must never be one of them
+    rows = [[1, 2, 3], [0, 5, 6]]
+    out = gf16.combine([1, 0], rows)
+    assert out == [1, 2, 3] and out is not rows[0]
+    assert rows == [[1, 2, 3], [0, 5, 6]]
+
+
 def test_row_primitives_return_new_lists(gf16):
     x = [1, 2, 3]
     out = gf16.sub_scaled_row(x, 0, [4, 5, 6])

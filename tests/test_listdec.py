@@ -83,7 +83,8 @@ def test_list_rejects_a_center_of_the_wrong_length(instance12):
 @pytest.mark.parametrize("bend,message", [
     (lambda t: t[:3], "word shape"), (lambda t: t + (0,), "word shape"),
     (lambda t: (99,) * 4, "entry outside"), (lambda t: (-1, 0, 0, 0), "entry outside"),
-], ids=["narrow", "wide", "entry-above-q", "entry-negative"])
+    (lambda t: 5, "word shape"), (lambda t: "abcd", "word shape"),
+], ids=["narrow", "wide", "entry-above-q", "entry-negative", "int-symbol", "string-symbol"])
 def test_list_rejects_what_unique_decoding_rejects(instance12, bend, message):
     # the center of `decode`'s shape check: n symbols of d entries in GF(4)
     h = instance12.encode_message([3, 3])

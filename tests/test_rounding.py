@@ -13,6 +13,7 @@ import aelcert.rounding
 from aelcert import (
     AELCode,
     InnerDistributionEnsemble,
+    LinearCode,
     ael_unique_decode,
     decode_from_distributions,
     hamming_distance,
@@ -501,11 +502,13 @@ def _shifted(symbols):
 
 
 @pytest.mark.parametrize("shape", ["short", "short-and-far", "long", "too-wide", "too-narrow",
+                                   "int-symbol", "string-symbol", "int-word",
                                    "entry-above-q", "entry-negative"])
 def test_ael_unique_decode_checks_shape_first(instance12, monkeypatch, shape):
     # "short" would decode and "short-and-far" would not; both are refused
-    # before the decoder runs, as are a long word, mis-sized symbols and
-    # entries outside GF(4)
+    # before the decoder runs, as are a long word, mis-sized symbols, a
+    # symbol that is an int or a string of d characters, a word that is no
+    # sequence, and entries outside GF(4)
     h = instance12.encode_message([3, 3])
     word = {
         "short": h[:11],
@@ -513,6 +516,9 @@ def test_ael_unique_decode_checks_shape_first(instance12, monkeypatch, shape):
         "long": h + h[:1],
         "too-wide": tuple(t + (0,) for t in h),
         "too-narrow": tuple(t[:3] for t in h),
+        "int-symbol": (5,) + h[1:],
+        "string-symbol": ("abcd",) + h[1:],
+        "int-word": 5,
         "entry-above-q": ((99, 99, 99, 99),) + h[1:],
         "entry-negative": ((-1, 0, 0, 0),) + h[1:],
     }[shape]
@@ -598,3 +604,47 @@ def test_ael_unique_decode_rejects_erased_word(instance12, monkeypatch):
     monkeypatch.setattr(aelcert.rounding, "decode_from_distributions", no_decode)
     with pytest.raises(Mismatch, match="symbol 1 is erased"):
         ael_unique_decode(instance12, word)
+
+
+def _views_word(code, rows):
+    """The word whose left view at l is the inner codeword of row l's
+    heaviest weight (the first of them): any views make a word, since
+    every edge leaves exactly one left vertex."""
+    picks = [max(range(len(row)), key=row.__getitem__) for row in rows]
+    return code.fold([x for sigma in picks for x in code.phi[sigma]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_decoded_words_fold_outer_codewords(instance12, data):
+    # the decoders fold Gao's output with no membership test; whatever they
+    # return must still unfold to an outer codeword
+    rows = data.draw(_ensemble_rows(instance12))
+    outputs = [decode_from_distributions(instance12, InnerDistributionEnsemble(rows))]
+    for word in (_views_word(instance12, rows), data.draw(_noisy_words(instance12))):
+        result = ael_unique_decode(instance12, word)
+        outputs.append(result and result[0])
+    for h in outputs:
+        assert h is None or instance12.outer.contains(instance12.decode_to_outer(h))
+
+
+@pytest.fixture(scope="module")
+def generic_outer(instance12):
+    """instance12 with its outer code given as a plain LinearCode: the
+    same codewords, but no Reed-Solomon decoder."""
+    outer = LinearCode(instance12.outer.field, instance12.outer.generator)
+    return AELCode(instance12.graph, instance12.inner, outer)
+
+
+def test_decoders_refuse_an_outer_code_that_is_not_reed_solomon(generic_outer, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("started decoding")
+
+    h = generic_outer.encode_message([3, 3])
+    ensemble = local_views_to_distributions(generic_outer, h)
+    monkeypatch.setattr(aelcert.rounding, "local_views_to_distributions", no_work)
+    monkeypatch.setattr(aelcert.rounding, "rs_unique_decode", no_work)
+    with pytest.raises(Mismatch, match="Reed-Solomon outer code"):
+        ael_unique_decode(generic_outer, h)
+    with pytest.raises(Mismatch, match="Reed-Solomon outer code"):
+        decode_from_distributions(generic_outer, ensemble)
