@@ -92,16 +92,16 @@ class AELCode:
         outer_codeword = tuple(outer_codeword)
         if not self.outer.contains(outer_codeword):
             raise Mismatch(f"{outer_codeword} is not in C_out")
-        return self._fold_phi(outer_codeword)
+        return self._fold_phi([outer_codeword])[0]
 
     def encode_message(self, msg) -> tuple:
-        return self._fold_phi(self.outer.encode(msg))
+        return self._fold_phi([self.outer.encode(msg)])[0]
 
-    def _fold_phi(self, outer_codeword) -> tuple:
-        """`encode` without the membership test, for a word the outer code
-        made itself (a message's encoding, an enumerated codeword or the
-        output of Gao's decoder, which is an encoding too)."""
-        return self.fold(self.codebook[list(outer_codeword)].reshape(-1))
+    def _fold_phi(self, outer_words) -> list[tuple]:
+        """`encode` without the membership test, in one gather through `codebook`
+        and `route`, of words the outer code made (enumerated, encoded, Gao's)."""
+        edges = self.codebook[np.array(outer_words)].reshape(len(outer_words), -1)
+        return [tuple(map(tuple, w)) for w in edges[:, self.graph.route].tolist()]
 
     def fold(self, edge_vals) -> tuple:
         """Edge labelling -> right-folded word."""
@@ -136,7 +136,7 @@ class AELCode:
         # the outer code checks the cap on every call, cached or not
         outer_words = self.outer.enumerate_codewords(cap)
         if self._codewords is None:
-            self._codewords = [self._fold_phi(w) for w in outer_words]
+            self._codewords = self._fold_phi(outer_words)
         return self._codewords
 
     def symbol_ids(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, dict]:

@@ -41,12 +41,13 @@ Translation symmetry: adding one vector v to every word of H keeps every
 coordinate's equality pattern (a_i + v_i = b_i + v_i iff a_i = b_i), so
 D(H + v) = D(H).  When the distinct words W form a group under
 coordinatewise field addition (`translation_closed`, checked exactly on the
-words, never assumed: W is a group iff it has p^r words, r its rank over
-GF(p) from `codes.rref`), every subset H has the translate H - h + w_0,
-for any h in H, which lies in W, contains word 0 and has the same D.  The
-sweep then visits only the subsets of size >= 3 that contain index 0: the
-minimum is unchanged, and since some minimizer contains index 0 and every
-index tuple starting with 0 precedes every tuple that does not, so is the
+words, never assumed: it grows the span of W coset by coset, and W is a
+group iff W is its own span, which holds once W lies in a span of at most
+|W| words), every subset H has the translate H - h + w_0, for any h in H,
+which lies in W, contains word 0 and has the same D.  The sweep then
+visits only the subsets of size >= 3 that contain index 0: the minimum is
+unchanged, and since some minimizer contains index 0 and every index tuple
+starting with 0 precedes every tuple that does not, so is the
 lexicographically smallest witness.
 """
 
@@ -55,14 +56,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 import numpy as np
 
-from .codes import rref
 from .errors import Mismatch, TooLarge
-from .gf import make_field
 
 DEFAULT_SUBSET_CAP = 2 * 10**8
 # a lane's byte sum is the top byte of lane * _BYTE_SUM: exact while the
@@ -90,30 +89,30 @@ def translation_closed(words, field) -> bool:
     """Whether the words are distinct and closed under coordinatewise
     `field` addition, i.e. form a group, so the sweep may fix word 0.
 
-    Nested symbols (AEL d-tuples, FRS b-tuples) are flattened and written
-    as base-p digits, so words are vectors over GF(p).  Distinct words W lie
-    in their GF(p)-span, which has p^rank elements, and a group is its own
-    span (c*w is w added c times), so W is a group iff |W| = p^rank.  The
-    rank is over GF(p), not GF(q): AEL words, whose phi is GF(p)-linear,
-    are closed under addition but need not be GF(q)-linear.  Repeated digit
-    columns, which leave the rank alone, are dropped first.  A symbol
-    outside [0, q), a repeated word or no field gives False.
+    Nested symbols (AEL d-tuples, FRS b-tuples) are flattened, and words
+    add entry by entry through `Field.add_arrays`.  The span S of the words
+    grows from {0}: a word w outside it gives S, S + w, ..., S + (p-1)w, p
+    disjoint cosets (c*w in S for some 0 < c < p would put w in S), so |S|
+    grows p-fold, and the test fails the moment that would exceed |W|, W
+    the words.  Once every word is in S, W lies in S and |S| <= |W|, so
+    W = S is a group, with no rank computed.  A symbol outside [0, q), a
+    repeated word or no field gives False.
     """
     if field is None or not words:
         return False
-    p = field.p
-    vals = np.array(
-        [[x for s in w for x in (s if isinstance(s, tuple) else (s,))] for w in words],
-        dtype=np.int64,
-    )
-    if vals.min() < 0 or vals.max() >= field.q:
-        return False
-    if len({row.tobytes() for row in vals}) != len(vals):
-        return False  # a repeated word
-    digits = (vals[:, :, None] // p ** np.arange(field.m) % p).reshape(len(vals), -1)
-    # the distinct digit columns, as rows: the transpose has the same rank
-    cols = {c.tobytes(): c.tolist() for c in digits.T}
-    return len(vals) == p ** len(rref(make_field(p), list(cols.values()))[0])
+    flat = [[x for s in w for x in (s if isinstance(s, tuple) else (s,))] for w in words]
+    vals = np.array(flat, dtype=np.int64)
+    keys = [row.tobytes() for row in vals]
+    if vals.min() < 0 or vals.max() >= field.q or len(set(keys)) < len(keys):
+        return False  # a symbol outside the field, or a repeated word
+    span, members = vals[:1] * 0, {bytes(vals[0].nbytes)}  # {0}
+    for w, key in zip(vals, keys):
+        if key not in members:
+            if len(span) * field.p > len(vals):
+                return False
+            span = np.vstack([*accumulate([w] * (field.p - 1), field.add_arrays, initial=span)])
+            members.update(row.tobytes() for row in span)
+    return True
 
 
 def plurality_center(words) -> tuple[tuple, list[int]]:

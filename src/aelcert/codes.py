@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
+
+import numpy as np
 
 from .errors import FieldMismatch, Mismatch, TooLarge
 from .gf import Field, _seq
@@ -92,21 +94,19 @@ class LinearCode:
         msg = self.field.vector(msg, "message")
         if len(msg) != self.dim:
             raise Mismatch(f"message length {len(msg)} != dim {self.dim}")
-        return self._combine(msg, self.generator)
-
-    def _combine(self, coeffs, rows) -> tuple[int, ...]:
-        """The linear combination sum_i coeffs[i] * rows[i]."""
-        return tuple(self.field.combine(coeffs, rows))
-
-    def messages(self):
-        """All q^dim messages in lexicographic order."""
-        return product(range(self.field.q), repeat=self.dim)
+        return tuple(self.field.combine(msg, self.generator))
 
     def enumerate_codewords(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
+        """All q^dim codewords in `itertools.product` message order, built
+        by doubling: the words of rows < i, each plus every multiple of row i."""
         if self.size > cap:
             raise TooLarge(f"{self.size} codewords exceed cap {cap}")
         if self._codewords is None:
-            self._codewords = [self._combine(m, self.generator) for m in self.messages()]
+            F, words = self.field, np.zeros((1, self.n), dtype=np.int64)
+            for row in self.generator:
+                multiples = np.array([F.scale_row(c, row) for c in range(F.q)], dtype=np.int64)
+                words = F.add_arrays(words[:, None], multiples[None, :]).reshape(-1, self.n)
+            self._codewords = list(map(tuple, words.tolist()))
         return self._codewords
 
     def contains(self, word) -> bool:
@@ -124,7 +124,7 @@ class LinearCode:
         except FieldMismatch:
             return False
         reduced, pivots = self._echelon
-        return self._combine([word[p] for p in pivots], reduced) == word
+        return tuple(self.field.combine([word[p] for p in pivots], reduced)) == word
 
     def min_distance(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
         """Minimum fractional distance; by linearity the minimum nonzero weight."""

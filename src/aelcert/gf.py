@@ -8,25 +8,23 @@ and safe to share across threads.
 
 Fields with q <= 2^16 keep exp/log tables.  `_exp` is stored doubled, at
 length 2(q - 1), so a product is `_exp[log a + log b]` with no reduction
-mod q - 1.  Linear algebra works on whole rows through three primitives:
-`scale_row(f, row)` is [f*y], `sub_scaled_row(x, f, y)` is [x_i - f*y_i]
-(pass `neg(f)` for the axpy x + f*y), and `combine(coeffs, rows)` is the
-linear combination sum_i c_i * row_i, which encoding, membership and Gao's
-interpolation use; it picks its field case once per call, not once per
-row.  `scale_row` is one list comprehension of table lookups; so are
-`sub_scaled_row` and each term of `combine` in characteristic 2, where
-addition is an XOR.  Over a prime field (m = 1) `add`, `neg` and
-`sub_scaled_row` are plain integer arithmetic mod p, and `combine` sums
-in integers and reduces mod p once; in an extension of odd characteristic
-both call `mul` per element, with `sub` or `add`.
-Larger fields have no tables, and `scale_row` falls back to `mul` per
-element, as the other two do unless m = 1.
+mod q - 1.  Linear algebra works on whole rows: `scale_row(f, row)` is
+[f*y], `sub_scaled_row(x, f, y)` is [x_i - f*y_i] (pass `neg(f)` for the
+axpy x + f*y), `combine(coeffs, rows)` is sum_i c_i * row_i, for encoding,
+membership and Gao's interpolation, with its field case picked once per
+call, and `add_arrays(a, b)` adds two numpy arrays of elements, for
+enumeration and the group test of `arld`.  Addition is an XOR in
+characteristic 2 and integer arithmetic mod p over a prime field (m = 1),
+where `combine` reduces once; otherwise it adds base-p digits, and the row
+primitives call `add` or `sub` per element.  Rows multiply by table
+lookups, or by `mul` per element in the larger fields, which have none.
 
 Polynomials over a field are coefficient lists, low degree first:
 `poly_trim`, `poly_mul` and `poly_divmod` serve both the irreducibility test
 here (trial division over GF(p)) and Gao's decoder in `outer`.  `_digits`
-is the one base-p digit map, and `multiplicative_generator` the one
-generator search: the tables are a single walk of its generator's powers.
+is the one base-p digit map of an element, and `multiplicative_generator`
+the one generator search: the tables are a single walk of its generator's
+powers.
 """
 
 from __future__ import annotations
@@ -34,6 +32,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import cache
 from numbers import Integral
+
+import numpy as np
 
 from .errors import DivisionByZero, FieldMismatch, FieldRefused
 
@@ -76,13 +76,9 @@ def _checked_order(p, m) -> tuple[int, int]:
         raise ValueError("extension degree must be >= 1")
     if p > MAX_FIELD_ORDER or m >= MAX_FIELD_ORDER.bit_length() or p**m > MAX_FIELD_ORDER:
         raise FieldRefused(f"GF({p}^{m}) exceeds the cap q <= {MAX_FIELD_ORDER}")
-    if not _is_prime(p):
+    if p < 2 or _prime_factors(p) != [p]:
         raise FieldRefused(f"{p} is not prime")
     return p, m
-
-
-def _is_prime(p: int) -> bool:
-    return p > 1 and _prime_factors(p) == [p]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -170,8 +166,18 @@ class Field:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        ca, cb = self.to_coeffs(a), self.to_coeffs(b)
-        return self.from_coeffs((x + y) % self.p for x, y in zip(ca, cb))
+        return int(self.add_arrays(a, b))
+
+    def add_arrays(self, a, b) -> np.ndarray:
+        """`add` elementwise over two broadcast integer arrays of elements:
+        XOR, (a + b) % p, or base-p digit sums mod p when m > 1 and p > 2."""
+        a, b = np.asarray(a), np.asarray(b)
+        if self.p == 2:
+            return a ^ b
+        if self.m == 1:
+            return (a + b) % self.p
+        place = self.p ** np.arange(self.m)
+        return ((a[..., None] // place + b[..., None] // place) % self.p * place).sum(-1)
 
     def neg(self, a: int) -> int:
         if self.p == 2:

@@ -37,9 +37,12 @@ CENTER_CAP = 1 << 22
 
 
 def resolve_words(code_or_words) -> tuple[list[tuple], int]:
-    """The words of any code that answers `enumerate_codewords()` or of a word list, and n."""
+    """The words of any code that answers `enumerate_codewords()` or of a word
+    list, and n; Mismatch for no words or words of unequal length."""
     enumerate_codewords = getattr(code_or_words, "enumerate_codewords", None)
     words = enumerate_codewords() if enumerate_codewords else [tuple(w) for w in code_or_words]
+    if not words or any(len(w) != len(words[0]) for w in words):
+        raise Mismatch("need one or more words, all of one length")
     return list(words), len(words[0])
 
 
@@ -187,10 +190,9 @@ def exhaustive_arld_check(
                     g = [ERASED] * n
                     for pos, c in zip(keep, centers[j]):
                         g[pos] = alphabet[int(c)]
-                    witness = _witness(
-                        words, idx, g, Fraction(int(d_counts[j]), n), bound
-                    )
-                    return False, witness
+                    return False, {"subset_indices": idx, "subset": [words[i] for i in idx],
+                                   "center": tuple(g), "lhs": Fraction(int(d_counts[j]), n),
+                                   "rhs": bound}
     return True, None
 
 
@@ -198,16 +200,6 @@ def _all_tuples(Q: int, t: int) -> np.ndarray:
     """The Q^t tuples over range(Q) as rows; one empty row when t = 0."""
     grids = np.indices((Q,) * t)
     return grids.reshape(t, Q**t).T.copy()
-
-
-def _witness(words, idx, center, lhs, bound):
-    return {
-        "subset_indices": tuple(idx),
-        "subset": [words[i] for i in idx],
-        "center": tuple(center),
-        "lhs": lhs,
-        "rhs": bound,
-    }
 
 
 def sample_random_linear_code(

@@ -22,7 +22,10 @@ from .inner import min_arld_slack
 def _checked_center(code: AELCode, center) -> ErasedWord:
     """The center as an ErasedWord; Mismatch unless it has n symbols, each
     erased or d entries in [0, q_in) (the words `decode` refuses)."""
-    center = center if isinstance(center, ErasedWord) else ErasedWord(center)
+    try:
+        center = center if isinstance(center, ErasedWord) else ErasedWord(center)
+    except TypeError:  # not a sequence
+        raise Mismatch("word shape does not match the graph") from None
     if center.n != code.n:
         raise Mismatch("length mismatch with graph size")
     code._check(center.symbols)

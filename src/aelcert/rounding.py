@@ -118,7 +118,7 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
     for t in ensemble._thresholds():
         h_star = rs_unique_decode(outer, ensemble._round(t))
         if h_star is not None and ensemble._disagreement(h_star) <= allowed:
-            return code._fold_phi(h_star)
+            return code._fold_phi([h_star])[0]
     return None
 
 

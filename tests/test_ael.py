@@ -368,6 +368,17 @@ def test_outer_words_of_the_outer_code_are_not_checked_again(gf4, gf16, monkeypa
         code.encode([1] + [0] * 11)
 
 
+@pytest.mark.parametrize("which", ["ac3", "ac4"])
+def test_enumeration_is_the_encoding_of_every_outer_codeword(acceptance, which):
+    # the one gather over all outer codewords against one `encode` each, on
+    # a fresh code so no cached word list is read
+    built = acceptance[which]["ael"]
+    code = AELCode(built.graph, built.inner, built.outer)
+    words = code.enumerate_codewords()
+    assert words == [code.encode(w) for w in code.outer.enumerate_codewords()]
+    assert words == built.enumerate_codewords()
+
+
 @pytest.mark.parametrize("graph", ["ac3", "complete"])
 def test_delta_L_counts_from_outer_words_match_the_left_views(gf4, gf16, ac3, graph):
     # the left-view route: intern every codeword's left views and count

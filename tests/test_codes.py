@@ -105,6 +105,25 @@ def test_enumerate_counts(rs42):
     assert len(set(words)) == 16
 
 
+_ENUMERATION_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (17, 1)]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_combine_over_product_order(data):
+    # the doubling against one `combine` per message, in `itertools.product`
+    # order (the last message symbol varies fastest)
+    field = make_field(*data.draw(st.sampled_from(_ENUMERATION_FIELDS), label="field"))
+    dim = data.draw(st.integers(1, max(d for d in range(1, 6) if field.q**d <= 729)), label="dim")
+    n = data.draw(st.integers(dim, dim + 4), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    code = sample_random_linear_code(field, n, dim, rng)
+    words = code.enumerate_codewords()
+    assert words == [tuple(field.combine(m, code.generator))
+                     for m in product(range(field.q), repeat=dim)]
+    assert all(type(x) is int for w in words for x in w)
+
+
 def test_enumerate_cap():
     f16 = make_field(2, 4)
     code = RSOuterCode(f16, 16, 6)

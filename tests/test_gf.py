@@ -402,6 +402,20 @@ def test_combine_matches_the_sub_scaled_row_fold(p, m):
     assert f.combine([], []) == []
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (17, 1)],
+                         ids=["GF2", "GF4", "GF16", "GF3", "GF9", "GF27", "GF17"])
+def test_add_arrays_is_add_elementwise(p, m):
+    # every pair of elements, as two (q, q) arrays, and broadcast against a row
+    f = make_field(p, m)
+    a, b = np.meshgrid(np.arange(f.q), np.arange(f.q), indexing="ij")
+    total = f.add_arrays(a, b)
+    assert total.shape == (f.q, f.q)
+    assert total.tolist() == [[f.add(x, y) for y in range(f.q)] for x in range(f.q)]
+    row = np.arange(f.q)[::-1]
+    assert f.add_arrays(a[:, :1], row).tolist() == [
+        [f.add(x, y) for y in row.tolist()] for x in range(f.q)]
+
+
 def test_combine_leaves_its_rows_alone(gf16):
     # Gao's decoder trims the combination in place, and its rows are the
     # code's cached Lagrange basis: the result must never be one of them

@@ -406,6 +406,42 @@ def test_translation_closed_matches_closure_oracle(case):
     assert translation_closed(words, field) == _closure_oracle(words, field)
 
 
+def _all_pairs_closure_oracle(words, field) -> bool:
+    """`_closure_oracle` in numpy for word sets of AEL size: every sum of two
+    words, digit by digit in base p, is looked up among the words."""
+    vals = np.array([_flatten(w) for w in words], dtype=np.int64)
+    if vals.min() < 0 or vals.max() >= field.q:
+        return False
+    members = {row.tobytes() for row in vals}
+    if len(members) != len(vals):
+        return False
+    place = field.p ** np.arange(field.m)
+    digits = vals[..., None] // place % field.p
+    sums = ((digits[:, None] + digits[None, :]) % field.p * place).sum(-1)
+    return all(row.tobytes() in members for row in sums.reshape(-1, vals.shape[1]))
+
+
+@pytest.mark.parametrize("which", ["ac3", "ac4"])
+@pytest.mark.parametrize("change", ["none", "drop-zero", "drop-one", "coset", "duplicate"])
+def test_translation_closed_matches_all_pairs_oracle_on_ael_words(acceptance, which, change):
+    # the AC4 word set, and the AC3 one, which has the shape of the CLI
+    # pipeline's bundle: 256 words of n = 12 folded GF(4) symbols
+    code = acceptance[which]["ael"]
+    words, field = list(code.enumerate_codewords()), code.field
+    rng = np.random.default_rng(derive_seed(2024, "closure", which, change))
+    if change.startswith("drop"):
+        words.pop(0 if change == "drop-zero" else int(rng.integers(1, len(words))))
+    elif change == "coset":  # plus a vector that is not a codeword
+        shift = rng.integers(0, field.q, size=(code.n, code.d))
+        words = [tuple(tuple(field.add(x, int(y)) for x, y in zip(s, v)) for s, v in zip(w, shift))
+                 for w in words]
+    elif change == "duplicate":
+        words.append(words[int(rng.integers(len(words)))])
+    expected = _all_pairs_closure_oracle(words, field)
+    assert expected == (change == "none")
+    assert translation_closed(words, field) == expected
+
+
 def test_certificate_reports_the_reduction(gf4):
     code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
     words = code.enumerate_codewords()
@@ -446,6 +482,20 @@ def test_certificate_witness_reevaluates(gf4):
     code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
     cert = min_arld_slack(code, k=3, delta0=Fraction(9, 10))
     assert cert.reevaluate(code) == cert.eps_min
+
+
+@pytest.mark.parametrize("words", [[], [(0, 1), (1, 0, 1)], [(0, 1, 1), (1, 0)]],
+                         ids=["empty", "longer-second", "shorter-second"])
+@pytest.mark.parametrize("certifier", ["min_arld_slack", "exhaustive", "reevaluate"])
+def test_certifiers_refuse_empty_and_ragged_word_lists(gf2, words, certifier):
+    cert = min_arld_slack(LinearCode(gf2, [[1, 1]]), k=2, delta0=Fraction(1, 2))
+    run = {
+        "min_arld_slack": lambda: min_arld_slack(words, 3, Fraction(1, 2)),
+        "exhaustive": lambda: exhaustive_arld_check(words, 2, Fraction(1, 2), Fraction(0)),
+        "reevaluate": lambda: cert.reevaluate(words),
+    }[certifier]
+    with pytest.raises(Mismatch, match="all of one length"):
+        run()
 
 
 def test_epsilon_min_clamps_at_zero():

@@ -80,16 +80,24 @@ def test_list_rejects_a_center_of_the_wrong_length(instance12):
         brute_force_list(instance12, ErasedWord((ERASED,) * 11), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("bend,message", [
-    (lambda t: t[:3], "word shape"), (lambda t: t + (0,), "word shape"),
-    (lambda t: (99,) * 4, "entry outside"), (lambda t: (-1, 0, 0, 0), "entry outside"),
-    (lambda t: 5, "word shape"), (lambda t: "abcd", "word shape"),
-], ids=["narrow", "wide", "entry-above-q", "entry-negative", "int-symbol", "string-symbol"])
-def test_list_rejects_what_unique_decoding_rejects(instance12, bend, message):
+def _bent(bend):
+    """The center h with its first symbol bent and its second erased."""
+    return lambda h: (bend(h[0]), ERASED) + h[2:]
+
+
+@pytest.mark.parametrize("center,message", [
+    (_bent(lambda t: t[:3]), "word shape"), (_bent(lambda t: t + (0,)), "word shape"),
+    (_bent(lambda t: (99,) * 4), "entry outside"),
+    (_bent(lambda t: (-1, 0, 0, 0)), "entry outside"),
+    (_bent(lambda t: 5), "word shape"), (_bent(lambda t: "abcd"), "word shape"),
+    (lambda h: 5, "word shape"), (lambda h: None, "word shape"),
+], ids=["narrow", "wide", "entry-above-q", "entry-negative", "int-symbol", "string-symbol",
+        "int-center", "none-center"])
+def test_list_rejects_what_unique_decoding_rejects(instance12, center, message):
     # the center of `decode`'s shape check: n symbols of d entries in GF(4)
     h = instance12.encode_message([3, 3])
     with pytest.raises(Mismatch, match=message):
-        brute_force_list(instance12, (bend(h[0]), ERASED) + h[2:], Fraction(1, 2))
+        brute_force_list(instance12, center(h), Fraction(1, 2))
 
 
 def _brute_force_list_scan_oracle(code, center, beta):
