@@ -8,6 +8,9 @@ A threshold is an integer t in [0, scale), standing for theta = t / scale;
 rounding row l at t picks the first symbol whose end exceeds t.  Rounding
 only changes at an end, so the finite threshold set {0} plus every end
 below `scale` (at most M * n values) provably covers every theta in [0, 1).
+The decoder tries the majority threshold scale // 2 first, which gives each
+row its symbol of weight above 1/2 when it has one, and walks the sorted
+threshold set only when that rounding certifies no codeword.
 
 The local-view distributions compare the word's (n, d) left-view array
 with the code's (M, d) `codebook` array in one broadcast.
@@ -16,6 +19,7 @@ with the code's (M, d) `codebook` array in one broadcast.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +27,7 @@ import numpy as np
 from .ael import AELCode
 from .codes import ERASED, hamming_distance
 from .errors import Mismatch
+from .gf import _ints
 from .outer import RSOuterCode, rs_unique_decode
 
 
@@ -37,14 +42,16 @@ class InnerDistributionEnsemble:
     indexed by outer symbol: entry sigma is the weight of phi(sigma), the
     sigma-th codeword in the codebook order.
 
-    Built from rows of exact weights (Fractions, ints or numpy ints), stored
+    Built from rows of exact weights (Fractions, ints or numpy ints; a bool,
+    a float or anything else raises ValueError), stored
     as `scale`, the lcm of their denominators, and the (n, M) integer array
     `counts` of weights times `scale`; `ends` is its row-wise cumulative sum,
     so symbol sigma of row l owns [ends[l, sigma-1], ends[l, sigma]) / scale.
     """
 
     def __init__(self, weights):
-        rows = [[w if isinstance(w, Fraction) else Fraction(w) for w in row] for row in weights]
+        rows = [[w if isinstance(w, Fraction) else Fraction(_ints(w, "non-Fraction weight"))
+                 for w in row] for row in weights]
         scale = math.lcm(*(w.denominator for row in rows for w in row))
         counts = [[w.numerator * (scale // w.denominator) for w in row] for row in rows]
         for row in counts:
@@ -85,6 +92,19 @@ class InnerDistributionEnsemble:
         ends = self.ends
         return sorted({0, *ends[ends < self.scale].tolist()})
 
+    def _rounding_order(self):
+        """One threshold per distinct rounding: the majority threshold
+        scale // 2 first, then the rest of `_thresholds()` ascending, which
+        is built only when a second threshold is asked for.  The largest
+        threshold at most scale // 2 rounds as scale // 2 does (no end lies
+        above it and at or below scale // 2), so it is skipped."""
+        majority = self.scale // 2
+        yield majority
+        thresholds = self._thresholds()
+        same = bisect_right(thresholds, majority) - 1
+        yield from thresholds[:same]
+        yield from thresholds[same + 1:]
+
     def _disagreement(self, symbols) -> int:
         """n * scale * ED(symbols), as a Python int."""
         agree = sum(self.counts[np.arange(self.n), symbols].tolist())
@@ -94,28 +114,35 @@ class InnerDistributionEnsemble:
 def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble):
     """Threshold rounding + outer unique decoding.
 
-    Returns the AEL codeword of the first outer codeword h, over the
-    integer thresholds in ascending order, that the outer unique decoder
-    (`rs_unique_decode`) recovers and whose expected ensemble disagreement
-    ED(h) is at most delta_dec = floor((n - k) / 2) / n; None if no
-    threshold yields one.  The test is n * scale - agree <=
+    Returns the AEL codeword of the one certified outer codeword h: one
+    that the outer unique decoder (`rs_unique_decode`) recovers from the
+    rounding at some integer threshold and whose expected ensemble
+    disagreement ED(h) is at most delta_dec = floor((n - k) / 2) / n; None
+    if no threshold yields one.  The test is n * scale - agree <=
     floor((n - k) / 2) * scale in Python ints, agree being h's total count.
     Mismatch, before any rounding, unless the outer code is an
     `RSOuterCode`.  Gao's decoder returns `outer.encode(f)`, an outer
     codeword by construction, so it is folded with no membership test.
 
-    No other codeword can meet that guarantee, so stopping at the first is
-    the same as scanning every threshold.  RS[n, k] on distinct points is
-    MDS: distinct outer codewords h, h' differ in at least n - k + 1
-    positions l, and at each of them w_l(h_l) + w_l(h'_l) <= 1.  Hence
-    n * (ED(h) + ED(h')) >= n - k + 1 > 2 * floor((n - k) / 2)
-    = 2 * n * delta_dec, so at most one of them is within delta_dec.
+    No other codeword can meet that guarantee, so stopping at the first
+    certified one, in any order, is the same as scanning every threshold.
+    RS[n, k] on distinct points is MDS: distinct outer codewords h, h'
+    differ in at least n - k + 1 positions l, and at each of them
+    w_l(h_l) + w_l(h'_l) <= 1.  Hence n * (ED(h) + ED(h')) >= n - k + 1
+    > 2 * floor((n - k) / 2) = 2 * n * delta_dec, so at most one of them is
+    within delta_dec.
+
+    The majority threshold t = scale // 2 is tried first: a symbol of weight
+    above 1/2 owns [a, b) with b - a > scale / 2, so a < scale / 2, hence
+    a <= scale // 2 < b, and one rounding gives every row its strict-majority
+    symbol.  Only if that certifies nothing are the other distinct roundings
+    tried, each once, in ascending threshold order (`_rounding_order`).
     """
     outer = _rs_outer(code)
     if ensemble.n != code.n or ensemble.m != code.inner.size:
         raise ValueError("ensemble shape does not match the AEL code")
     allowed = outer.unique_decoding_radius * ensemble.scale
-    for t in ensemble._thresholds():
+    for t in ensemble._rounding_order():
         h_star = rs_unique_decode(outer, ensemble._round(t))
         if h_star is not None and ensemble._disagreement(h_star) <= allowed:
             return code._fold_phi([h_star])[0]

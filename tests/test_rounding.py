@@ -179,6 +179,10 @@ def test_ensemble_accepts_mixed_weight_types():
         InnerDistributionEnsemble([[1, 0], [np.int64(1), Fraction(1, 3)]])
     with pytest.raises(ValueError):
         InnerDistributionEnsemble([[0, 2, -1]])
+    # a bool or a float is not an exact weight, even where it sums to 1
+    for inexact in ([[True, False]], [[Fraction(1, 2), 0.5]], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="non-Fraction weight"):
+            InnerDistributionEnsemble(inexact)
     # rows of unequal length, at an int64 scale and past it, and no rows
     past = Fraction(1, 2**63)
     for ragged in ([[1, 0], [1]], [[past, 1 - past], [1]], []):
@@ -300,13 +304,15 @@ def _count_rs_calls(monkeypatch):
     return results
 
 
-def test_decode_stops_at_first_certified_threshold(instance12, monkeypatch):
+def test_planted_ensembles_decode_at_the_majority_threshold(instance12, monkeypatch):
+    # AC6 noise moves at most 48/100 of a row, so every row keeps a strict
+    # majority on h's symbol and the first rounding, at scale // 2, is h
     results = _count_rs_calls(monkeypatch)
     for ens, h, _ in _planted_ensembles(instance12):
         found = _full_scan_oracle(instance12, _weights(ens))
         results.clear()
         assert decode_from_distributions(instance12, ens) == h == found[0][1]
-        assert len(results) == found[0][0] + 1
+        assert len(results) == 1
 
 
 def test_rs_success_rejected_by_certificate(instance12, monkeypatch):
@@ -326,6 +332,8 @@ def test_rs_success_rejected_by_certificate(instance12, monkeypatch):
     results = _count_rs_calls(monkeypatch)
     assert decode_from_distributions(instance12, ens) is None
     assert instance12.decode_to_outer(h) in results
+    # the majority rounding, then every other distinct rounding once
+    assert len(results) == len(ens._thresholds())
     assert _full_scan_oracle(instance12, _weights(ens)) == []
 
 
