@@ -3,12 +3,11 @@ The AEL distance-amplification construction: route inner-code symbols along
 the edges of a d-regular bipartite graph and refold them on the right
 vertices.
 
-Codewords are represented right-folded: a tuple of n symbols, each a
-d-tuple over the inner alphabet.  Fold/unfold move between this
-representation and edge labellings (indexed by edge id) through the graph's
-one `route` array: folding gathers through it, unfolding scatters.  phi
-is kept as one (M, d) array, `codebook`: encoding gathers the rows of an
-outer codeword's symbols, and the decoders compare left views with it.
+The codewords are one (N, n, d) int64 array, `word_array`: right vertex r
+of a word holds the d entries its edges bring, gathered through phi, kept
+as one (M, d) array `codebook`, and the graph's one `route` array.  Tuples
+of d-tuples are built only for callers that ask for them, and symbols are
+compared through their `arld.symbol_keys`, never interned.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from .arld import intern_symbols, pair_disagreements
-from .codes import DEFAULT_ENUMERATION_CAP, ERASED, LinearCode
+from .arld import key_ids, pair_disagreements, symbol_keys
+from .codes import DEFAULT_ENUMERATION_CAP, ERASED, LinearCode, word_tuples
 from .errors import AmplificationViolation, Mismatch
 from .gf import _ints
 from .graphs import BipartiteGraph, verify_eml_sets
@@ -57,9 +56,7 @@ class AELCode:
         # the field whose coordinatewise addition acts on the folded symbols
         self.field = inner.field
         self.phi = inner.enumerate_codewords()
-        self._phi_inv = {w: sigma for sigma, w in enumerate(self.phi)}
-        self._codewords: list[tuple] | None = None
-        self._interned: tuple = (None,)  # (codeword list, its symbol_ids)
+        self._words = self._keys = self._codewords = None  # built on first use
 
     @property
     def n(self) -> int:
@@ -92,24 +89,16 @@ class AELCode:
         outer_codeword = tuple(outer_codeword)
         if not self.outer.contains(outer_codeword):
             raise Mismatch(f"{outer_codeword} is not in C_out")
-        return self._fold_phi([outer_codeword])[0]
+        return word_tuples(self._fold_phi([outer_codeword]))[0]
 
     def encode_message(self, msg) -> tuple:
-        return self._fold_phi([self.outer.encode(msg)])[0]
+        return word_tuples(self._fold_phi([self.outer.encode(msg)]))[0]
 
-    def _fold_phi(self, outer_words) -> list[tuple]:
-        """`encode` without the membership test, in one gather through `codebook`
-        and `route`, of words the outer code made (enumerated, encoded, Gao's)."""
-        edges = self.codebook[np.array(outer_words)].reshape(len(outer_words), -1)
-        return [tuple(map(tuple, w)) for w in edges[:, self.graph.route].tolist()]
-
-    def fold(self, edge_vals) -> tuple:
-        """Edge labelling -> right-folded word."""
-        return tuple(map(tuple, np.asarray(edge_vals)[self.graph.route].tolist()))
-
-    def unfold(self, word) -> list:
-        """Right-folded word -> edge labelling."""
-        return self._edge_array(word).tolist()
+    def _fold_phi(self, outer_words) -> np.ndarray:
+        """The (N, n, d) AEL words of N outer words the outer code made, in
+        one gather through `codebook` and `route`, with no membership test."""
+        edges = self.codebook[np.asarray(outer_words)].reshape(len(outer_words), -1)
+        return edges[:, self.graph.route].reshape(-1, self.n, self.d)
 
     def left_views(self, word) -> list[tuple]:
         """The d-tuple seen by each left vertex (in its edge order)."""
@@ -117,34 +106,47 @@ class AELCode:
 
     def _view_array(self, word) -> np.ndarray:
         """The left views as one (n, d) int64 array, row l the view of l."""
-        return self._edge_array(word).reshape(self.n, self.d)
-
-    def _edge_array(self, word) -> np.ndarray:
         edge_vals = np.empty(self.n * self.d, dtype=np.int64)
         edge_vals[self.graph.route] = word
-        return edge_vals
+        return edge_vals.reshape(self.n, self.d)
 
     def outer_symbol_to_inner_index(self, sigma: int) -> int:
         """The inner codebook index of phi(sigma): sigma itself."""
         return sigma
 
     def decode_to_outer(self, word) -> tuple:
-        """phi^{-1} applied to every left view; raises KeyError off-codebook."""
-        return tuple(self._phi_inv[v] for v in self.left_views(word))
+        """phi^{-1} of every left view, the codebook row with the same key;
+        raises KeyError off-codebook."""
+        q = self.field.q
+        found = (symbol_keys(self._view_array(word), q)[:, None]
+                 == symbol_keys(self.codebook, q)).all(-1)  # (n, M)
+        if not found.any(1).all():
+            raise KeyError(self.left_views(word)[int(found.any(1).argmin())])
+        return tuple(found.argmax(1).tolist())
+
+    def word_array(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """Every codeword, in outer enumeration order, as one read-only
+        (N, n, d) int64 array, gathered once; the outer code checks the cap
+        on every call.  `word_keys` are computed with it."""
+        outer_words = self.outer.word_array(cap)
+        if self._words is None:
+            self._words = self._fold_phi(outer_words)
+            self._words.flags.writeable = False
+            # word index fastest: a count over a word's symbols adds rows of N
+            self._keys = np.asfortranarray(symbol_keys(self._words, self.field.q))
+        return self._words
+
+    def word_keys(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """The (N, n, c) `arld.symbol_keys` of `word_array`."""
+        self.word_array(cap)
+        return self._keys
 
     def enumerate_codewords(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple]:
-        # the outer code checks the cap on every call, cached or not
-        outer_words = self.outer.enumerate_codewords(cap)
+        """`word_array` as tuples of d-tuples, built on first use."""
+        words = self.word_array(cap)
         if self._codewords is None:
-            self._codewords = self._fold_phi(outer_words)
+            self._codewords = word_tuples(words)
         return self._codewords
-
-    def symbol_ids(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, dict]:
-        """`arld.intern_symbols` of the codewords, computed once per codeword list."""
-        words = self.enumerate_codewords(cap)
-        if self._interned[0] is not words:
-            self._interned = (words, *intern_symbols(words))
-        return self._interned[1:]
 
     # -- metrics ---------------------------------------------------------------
 
@@ -154,8 +156,8 @@ class AELCode:
         ValueError for an entry that is not an integer."""
         try:
             symbols = [t for t in word if t is not ERASED]
-            shaped = len(word) == self.n and all(
-                len(t) == self.d and not isinstance(t, (str, bytes)) for t in symbols)
+            shaped = (len(word) == self.n and all(map(self.d.__eq__, map(len, symbols)))
+                      and not any(isinstance(t, (str, bytes)) for t in symbols))
         except TypeError:  # a word or a symbol with no length
             shaped = False
         if not shaped:
@@ -201,12 +203,12 @@ def verify_distance_amplification(code: AELCode, cap: int = DEFAULT_ENUMERATION_
     delta_in - lam/delta_out is non-positive the report flags vacuity and
     only the per-pair form is asserted.  Raises AmplificationViolation on
     any failing pair.  Delta_R and Delta_L are integer counts from
-    `pair_disagreements` on the folded words and on the outer words: phi is
-    injective, so two left views differ exactly where the outer symbols
-    differ.  One exact integer threshold per Delta_L count decides every
-    pair.
+    `pair_disagreements` on the folded words' symbol keys and on the outer
+    words: phi is injective, so two left views differ exactly where the
+    outer symbols differ.  One exact integer threshold per Delta_L count
+    decides every pair.
     """
-    words = code.enumerate_codewords(cap)
+    keys = key_ids(code.word_keys(cap))
     delta_in, delta_out = code.delta_in, code.delta_out
     lam = code.graph.lam_bound
     global_bound = delta_in - lam / delta_out
@@ -216,9 +218,9 @@ def verify_distance_amplification(code: AELCode, cap: int = DEFAULT_ENUMERATION_
     limit = np.array([n + 1] + [
         math.ceil(n * max([delta_in - lam * n / c] + asserted)) for c in range(1, n + 1)
     ])
-    iu = np.triu_indices(len(words), k=1)
-    dr = pair_disagreements(code.symbol_ids(cap)[0])[iu]
-    dl = pair_disagreements(np.array(code.outer.enumerate_codewords(cap), dtype=np.int64))[iu]
+    iu = np.triu_indices(len(keys), k=1)
+    dr = pair_disagreements(keys)[iu]
+    dl = pair_disagreements(code.outer.word_array(cap))[iu]
     bad = np.flatnonzero(dr < limit[dl])
     if bad.size:
         p = int(bad[0])

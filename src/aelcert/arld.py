@@ -13,14 +13,18 @@ adversary: erasing coordinate i changes the slack by (maxcount_i - 1)/n >= 0,
 so the erasure-free worst case covers every erasure fraction (this fact is
 also machine-checked on small instances in the test suite).
 
-Size-2 subsets read the distance matrix of `pair_disagreements`; every
-larger size runs one numpy kernel, `_search_subsets`, over the pairwise
-symbol equalities packed in byte lanes: an (L, M, M) uint64 array, L =
-ceil(n/8), whose lane l holds coordinates 8l..8l+7 one byte each (1 where
-the two words agree, 0 where they differ and in the padding bytes past n).
-A byte of a subset's count lane is at most its size m, so counts add as
-whole words without carries, and one multiply sums a lane's eight bytes
-exactly while 8m < 256; larger sizes are refused before the sweep starts.
+The sweep reads one integer id per symbol: a code's folded symbols packed
+in base q by `symbol_keys`, or the ids `intern_symbols` gives a plain word
+list.  Every subset size reads the pairwise symbol equalities packed in byte
+lanes: an (L, M, M) uint64 array, L = ceil(n/8), whose lane l holds
+coordinates 8l..8l+7 one byte each (1 where the two words agree, 0 where
+they differ and in the padding bytes past n).  Size 2 reads each pair's
+count as n minus its byte sum (`pair_disagreements` when no larger size
+is asked for), and every larger size runs one numpy kernel,
+`_search_subsets`.  A byte of a subset's count lane is at most its size
+m, so counts add as whole words without carries, and one multiply sums a
+lane's eight bytes exactly while 8m < 256; larger sizes are refused
+before the sweep starts.
 
 The kernel is an exact branch-and-bound (Land and Doig, 1960) on one fact:
 D never falls when a word joins a subset.  Adding w to S adds 1 to |S| and
@@ -34,8 +38,7 @@ kernel grows subsets one index at a time, depth first and in index order,
 and prunes there; the m-subsets it does score it scores exactly, so the
 minimum is the same as a full sweep's.  Each reported witness is the
 lexicographically smallest minimizing index tuple, so it is a function of
-the word list alone.  `_search_generic`, a direct plurality enumeration, is
-the reference the tests hold the kernel to.
+the word list alone.
 
 Translation symmetry: adding one vector v to every word of H keeps every
 coordinate's equality pattern (a_i + v_i = b_i + v_i iff a_i = b_i), so
@@ -56,7 +59,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from functools import cache
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -85,23 +89,55 @@ def intern_symbols(codewords) -> tuple[np.ndarray, dict]:
     return mat, index
 
 
+def symbol_keys(entries: np.ndarray, q: int) -> np.ndarray:
+    """Each symbol of `entries`, its last axis of w entries in [0, q), as a
+    row of c int64 keys, (..., w) -> (..., c), in one product: a key packs
+    e = 63 // ceil(log2 q) entries in base q, first entry most significant,
+    so q^e <= 2^63 and every key lies in [0, 2^63); c = ceil(w / e).  Two
+    symbols are equal exactly when their key rows are, and key rows compare
+    lexicographically as the symbols' tuples do."""
+    return entries @ _key_powers(q, entries.shape[-1])
+
+
+@cache
+def _key_powers(q: int, w: int) -> np.ndarray:
+    """The read-only (w, c) weights of `symbol_keys`: entry i counts in key
+    i // e, times q to the number of entries after it in that key."""
+    i, e = np.arange(w), 63 // (q - 1).bit_length()
+    powers = np.zeros((w, -(-w // e)), dtype=np.int64)
+    powers[i, i // e] = q ** (np.minimum(i - i % e + e, w) - 1 - i)
+    powers.flags.writeable = False
+    return powers
+
+
+def key_ids(keys: np.ndarray) -> np.ndarray:
+    """(..., c) `symbol_keys` rows as (...) ids in their order: the one key,
+    or the row's rank among the distinct rows (`np.unique` sorts rows)."""
+    if keys.shape[-1] == 1:
+        return keys[..., 0]
+    ranks = np.unique(keys.reshape(-1, keys.shape[-1]), axis=0, return_inverse=True)[1]
+    return ranks.reshape(keys.shape[:-1])
+
+
 def translation_closed(words, field) -> bool:
     """Whether the words are distinct and closed under coordinatewise
     `field` addition, i.e. form a group, so the sweep may fix word 0.
 
-    Nested symbols (AEL d-tuples, FRS b-tuples) are flattened, and words
-    add entry by entry through `Field.add_arrays`.  The span S of the words
-    grows from {0}: a word w outside it gives S, S + w, ..., S + (p-1)w, p
+    `words` is a code's `word_array`, read as it is, or a list of word
+    tuples.  Nested symbols (AEL d-tuples, FRS b-tuples) are flattened,
+    and words add entry by entry through `Field.add_arrays`.  The span S
+    of the words grows from {0}: a word w outside it gives S, S + w, ..., S + (p-1)w, p
     disjoint cosets (c*w in S for some 0 < c < p would put w in S), so |S|
     grows p-fold, and the test fails the moment that would exceed |W|, W
     the words.  Once every word is in S, W lies in S and |S| <= |W|, so
     W = S is a group, with no rank computed.  A symbol outside [0, q), a
     repeated word or no field gives False.
     """
-    if field is None or not words:
+    if field is None or len(words) == 0:
         return False
-    flat = [[x for s in w for x in (s if isinstance(s, tuple) else (s,))] for w in words]
-    vals = np.array(flat, dtype=np.int64)
+    if not isinstance(words, np.ndarray):
+        words = [[x for s in w for x in (s if isinstance(s, tuple) else (s,))] for w in words]
+    vals = np.asarray(words, dtype=np.int64).reshape(len(words), -1)
     keys = [row.tobytes() for row in vals]
     if vals.min() < 0 or vals.max() >= field.q or len(set(keys)) < len(keys):
         return False  # a symbol outside the field, or a repeated word
@@ -158,10 +194,11 @@ def subset_search_count(m_words: int, k: int, closed: bool = False) -> int:
 
 
 def pair_disagreements(sym: np.ndarray) -> np.ndarray:
-    """(M, M) int64 disagreement counts between the rows of `sym`, summed one
-    coordinate at a time so that memory stays O(M^2)."""
+    """(M, M) disagreement counts between the rows of `sym`, summed one
+    coordinate at a time so that memory stays O(M^2); uint8 while no count
+    can reach 256."""
     M, n = sym.shape
-    dist = np.zeros((M, M), dtype=np.int64)
+    dist = np.zeros((M, M), dtype=np.uint8 if n < 256 else np.int64)
     for i in range(n):
         dist += sym[:, None, i] != sym[None, :, i]
     return dist
@@ -175,22 +212,20 @@ def min_disagreement_by_size(
 ) -> dict[int, SubsetWitness]:
     """For each subset size m in 2..k, the minimum D(H) and a witness subset.
 
-    `sym` is an (M, n) integer matrix of interned codeword symbols.  Size 2
-    reads `pair_disagreements`; every larger size m runs the same kernel,
+    `sym` is an (M, n) integer matrix of codeword symbol ids.  Size 2
+    reads each pair's count as n minus its byte sum in the lanes of
+    `_equality_lanes` when a larger size needs them, else
+    `pair_disagreements`; every larger size m runs the same kernel,
     `_search_subsets`, bounded by the size m - 1 witness.  Each witness is
     the lexicographically smallest minimizing index tuple, so it depends on
     the word list alone, and its `scored` counts the subsets of its size
     whose D the kernel computed.
 
     Pass `closed=True` only when `translation_closed` holds for the words
-    `sym` was interned from.  Sizes >= 3 then visit only the C(M-1, m-1)
-    subsets that contain index 0.  That is exact: every subset H has a
-    translate H - h + w_0 inside the group W that contains word 0 and has
-    the same D (see the module docstring).  The witness is unchanged too:
-    some minimizer contains index 0, and every index tuple that starts with
-    0 is lexicographically smaller than every tuple that does not.
-    `subset_cap` bounds the subsets evaluated: the reduced count with
-    `closed`, all of them otherwise.  Subset sizes above MAX_SUBSET_SIZE
+    of `sym`.  Sizes >= 3 then visit only the C(M-1, m-1) subsets that
+    contain index 0, with the same minimum and witness (see the module
+    docstring).  `subset_cap` bounds the subsets evaluated: the reduced
+    count with `closed`, all of them otherwise.  Subset sizes above MAX_SUBSET_SIZE
     are refused first, whatever the cap (see `_search_subsets`).
     """
     M, n = sym.shape
@@ -210,39 +245,49 @@ def min_disagreement_by_size(
         return out
 
     iu = np.triu_indices(M, k=1)
-    flat = pair_disagreements(sym)[iu]
+    if min(k, M) >= 3:
+        eq = _equality_lanes(sym)
+        flat = n - _byte_sum(eq)[iu].astype(np.int64)
+    else:
+        flat = pair_disagreements(sym)[iu]
     best = int(flat.argmin())
     out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]), len(flat))
-
-    if k >= 3:
-        eq = _equality_lanes(sym)
-        for m in range(3, min(k, M) + 1):
-            out[m] = _search_subsets(eq, m, closed, out[m - 1])
+    for m in range(3, min(k, M) + 1):
+        out[m] = _search_subsets(eq, m, closed, out[m - 1])
     return out
 
 
 def _equality_lanes(sym: np.ndarray) -> np.ndarray:
     """(L, M, M) uint64 pairwise equality, L = ceil(n/8): byte i % 8 of
     lane i // 8 is 1 where words a and b agree at coordinate i; padding
-    bytes are 0.  Built one coordinate at a time, like `pair_disagreements`."""
+    bytes are 0.  Each coordinate is written straight into its byte through
+    a uint8 view.  Where that byte sits in the lane depends on the byte
+    order, and no reader depends on it: they take bytewise maxima or sum
+    all eight bytes of a lane."""
     M, n = sym.shape
     eq = np.zeros((-(-n // 8), M, M), dtype=np.uint64)
+    lane_bytes = eq.view(np.uint8).reshape(*eq.shape, 8)
     for i in range(n):
-        same = (sym[:, None, i] == sym[None, :, i]).astype(np.uint64)
-        eq[i // 8] |= same << np.uint64(8 * (i % 8))
+        np.equal(sym[:, None, i], sym[None, :, i], out=lane_bytes[i // 8, ..., i % 8])
     return eq
+
+
+def _byte_sum(lanes: np.ndarray) -> np.ndarray:
+    """Every byte of the (L, ...) lanes summed at each position: per lane
+    the top byte of lane * _BYTE_SUM, exact while it is below 256."""
+    lanes = lanes * _BYTE_SUM
+    lanes >>= _TOP_BYTE
+    total = lanes[0]
+    for lane in lanes[1:]:
+        total += lane
+    return total
 
 
 def _lane_max_sum(top: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Raise the (L, P) count lanes `top` to `count` byte by byte, in place,
     and return the byte sum of each column: sum_i max(t_i, count_i)."""
     np.maximum(top.view(np.uint8), count.view(np.uint8), out=top.view(np.uint8))
-    lanes = top * _BYTE_SUM
-    lanes >>= _TOP_BYTE
-    score = lanes[0]
-    for lane in lanes[1:]:
-        score += lane
-    return score
+    return _byte_sum(top)
 
 
 def _upper_bound(eq: np.ndarray, smaller: SubsetWitness, one: np.ndarray, n: int) -> int:
@@ -341,18 +386,6 @@ def _search_subsets(
     roots = np.arange(1 if closed else M - m + 1)[:, None]
     extend(roots, np.broadcast_to(one, (L, len(roots))))
     return SubsetWitness(m, best[1], best[0], scored)
-
-
-def _search_generic(sym: np.ndarray, m: int) -> SubsetWitness:
-    M, n = sym.shape
-    rows = [tuple(r) for r in sym]
-    best = (n * m + 1, None)
-    for idx in combinations(range(M), m):
-        _, contribs = plurality_center([rows[i] for i in idx])
-        d = sum(contribs)
-        if d < best[0]:
-            best = (d, idx)
-    return SubsetWitness(m, best[1], best[0])
 
 
 def epsilon_min(

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -72,6 +71,7 @@ class LinearCode:
             raise Mismatch("ragged generator matrix")
         if not self._full_rank():
             raise Mismatch("generator matrix is not full row rank")
+        self._words: np.ndarray | None = None
         self._codewords: list[tuple[int, ...]] | None = None
 
     def _full_rank(self) -> bool:
@@ -96,17 +96,27 @@ class LinearCode:
             raise Mismatch(f"message length {len(msg)} != dim {self.dim}")
         return tuple(self.field.combine(msg, self.generator))
 
-    def enumerate_codewords(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
-        """All q^dim codewords in `itertools.product` message order, built
-        by doubling: the words of rows < i, each plus every multiple of row i."""
+    def word_array(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """All q^dim codewords as one read-only (q^dim, n) int64 array, in
+        `itertools.product` message order, built by doubling: the words of
+        rows < i, each plus every multiple of row i.  The cap is checked on
+        every call, cached or not."""
         if self.size > cap:
             raise TooLarge(f"{self.size} codewords exceed cap {cap}")
-        if self._codewords is None:
+        if self._words is None:
             F, words = self.field, np.zeros((1, self.n), dtype=np.int64)
             for row in self.generator:
                 multiples = np.array([F.scale_row(c, row) for c in range(F.q)], dtype=np.int64)
                 words = F.add_arrays(words[:, None], multiples[None, :]).reshape(-1, self.n)
-            self._codewords = list(map(tuple, words.tolist()))
+            words.flags.writeable = False
+            self._words = words
+        return self._words
+
+    def enumerate_codewords(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
+        """`word_array` as a list of tuples, built on first use."""
+        words = self.word_array(cap)
+        if self._codewords is None:
+            self._codewords = word_tuples(words)
         return self._codewords
 
     def contains(self, word) -> bool:
@@ -128,15 +138,20 @@ class LinearCode:
 
     def min_distance(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
         """Minimum fractional distance; by linearity the minimum nonzero weight."""
-        best = self.n
-        for cw in self.enumerate_codewords(cap):
-            w = sum(1 for x in cw if x != 0)
-            if 0 < w < best:
-                best = w
-        return Fraction(best, self.n)
+        weights = np.count_nonzero(self.word_array(cap), axis=1)
+        return Fraction(int(weights[weights > 0].min(initial=self.n)), self.n)
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.field.q}, n={self.n}, dim={self.dim})"
+
+
+def word_tuples(words: np.ndarray) -> list[tuple]:
+    """The rows of an (N, n) integer array as tuples of ints, or of an
+    (N, n, w) array as tuples of w-tuples: the word form callers see."""
+    rows = words.tolist()
+    if words.ndim == 2:
+        return list(map(tuple, rows))
+    return [tuple(map(tuple, w)) for w in rows]
 
 
 @dataclass(frozen=True)
@@ -179,19 +194,3 @@ def hamming_distance(a, b) -> Fraction:
     if len(a) != len(b):
         raise Mismatch(f"{len(a)} != {len(b)}")
     return Fraction(sum(1 for x, y in zip(a, b) if x != y), len(a))
-
-
-def pairwise_min_distance(codewords) -> Fraction:
-    """Minimum pairwise fractional distance by direct enumeration.
-
-    Independent of the weight-based LinearCode.min_distance path.
-    """
-    words = list(codewords)
-    best = None
-    for a, b in combinations(words, 2):
-        d = hamming_distance(a, b)
-        if best is None or d < best:
-            best = d
-    if best is None:
-        raise Mismatch("need at least two codewords")
-    return best

@@ -18,13 +18,15 @@ from .arld import (
     DEFAULT_SUBSET_CAP,
     epsilon_min,
     intern_symbols,
+    key_ids,
     min_disagreement_by_size,
     pair_disagreements,
     plurality_center,
     subset_search_count,
+    symbol_keys,
     translation_closed,
 )
-from .codes import DEFAULT_ENUMERATION_CAP, ERASED, ErasedWord, LinearCode
+from .codes import DEFAULT_ENUMERATION_CAP, ERASED, LinearCode, word_tuples
 from .errors import Mismatch, SearchExhausted, TooLarge
 from .gf import Field, _ints, multiplicative_generator
 from .outer import RSOuterCode
@@ -44,6 +46,18 @@ def resolve_words(code_or_words) -> tuple[list[tuple], int]:
     if not words or any(len(w) != len(words[0]) for w in words):
         raise Mismatch("need one or more words, all of one length")
     return list(words), len(words[0])
+
+
+def _sweep_words(code_or_words) -> tuple:
+    """(words, their (M, n) symbol ids): a code's `word_array`, whose
+    folded symbols are keyed by `symbol_keys`, or else the word tuples of
+    `resolve_words`, interned."""
+    words = getattr(code_or_words, "word_array", lambda: None)()
+    if words is None:
+        words = resolve_words(code_or_words)[0]
+        return words, intern_symbols(words)[0]
+    return words, words if words.ndim == 2 else key_ids(
+        symbol_keys(words, code_or_words.field.q))
 
 
 @dataclass
@@ -109,10 +123,12 @@ def min_arld_slack(
     `aelcert.arld`, only over the subsets that contain word 0 when the
     words form a group under the addition of the code's `field` (a linear,
     folded RS, AEL or field-carrying block code).  Plain word lists carry
-    no field and are swept in full.
+    no field and are swept in full.  A code's words are read as its one
+    int64 `word_array`, with no interning, and only the witness rows are
+    built as tuples.
     """
-    words, n = resolve_words(code_or_words)
-    delta0 = Fraction(delta0)
+    words, sym = _sweep_words(code_or_words)
+    n, delta0 = sym.shape[1], Fraction(delta0)
     t0 = time.perf_counter()
     if k < 2 or len(words) < 2:
         return ARLDCertificate(
@@ -120,11 +136,12 @@ def min_arld_slack(
             time.perf_counter() - t0, description,
             subsets_evaluated=0, subsets_scored=0, reduction="none",
         )
-    sym, _ = intern_symbols(words)
     closed = translation_closed(words, getattr(code_or_words, "field", None))
     witnesses = min_disagreement_by_size(sym, k, subset_cap, closed)
     eps, worst = epsilon_min(witnesses, n, delta0)
-    center, contribs = plurality_center([words[i] for i in worst.indices])
+    idx = list(worst.indices)
+    center, _ = plurality_center(
+        word_tuples(words[idx]) if isinstance(words, np.ndarray) else [words[i] for i in idx])
     return ARLDCertificate(
         delta0=delta0,
         k=k,
@@ -162,12 +179,11 @@ def exhaustive_arld_check(
     """
     words, n = resolve_words(code_or_words)
     delta0, eps = Fraction(delta0), Fraction(eps)
-    if isinstance(code_or_words, LinearCode):
-        alphabet = list(range(code_or_words.field.q))
+    if isinstance(code_or_words, LinearCode):  # centers range over the whole field
+        alphabet, sym = list(range(code_or_words.field.q)), code_or_words.word_array()
     else:
-        alphabet = sorted({s for w in words for s in w})
-    index = {s: i for i, s in enumerate(alphabet)}
-    sym = np.array([[index[s] for s in w] for w in words], dtype=np.int64)
+        sym, index = intern_symbols(words)
+        alphabet = list(index)
     Q = len(alphabet)
     erasure_sets = [frozenset(S) for r in range(n + 1) for S in combinations(range(n), r)]
     for m in range(2, min(k, len(words)) + 1):
@@ -253,15 +269,22 @@ class BlockCode:
 
     `field`, when given, is the field whose coordinatewise addition acts on
     the (possibly tuple) symbols; it lets the ARLD sweep test closure.
+    `words`, when given, is the codewords as one int64 array over `field`
+    (`frs_as_linear_code` passes the folded RS array on): `word_array`,
+    which the sweep reads in place of interning the tuples.
     """
 
-    def __init__(self, codewords, field: Field | None = None):
+    def __init__(self, codewords, field: Field | None = None, words: np.ndarray | None = None):
         self.codewords = [tuple(w) for w in codewords]
         self.n = len(self.codewords[0])
         self.field = field
+        self._words = words
 
     def enumerate_codewords(self) -> list[tuple]:
         return self.codewords
+
+    def word_array(self) -> np.ndarray | None:
+        return self._words
 
     def min_distance(self) -> Fraction:
         """Minimum pairwise distance, from the `pair_disagreements` counts."""
@@ -322,15 +345,18 @@ class FoldedRSCode:
             raise Mismatch("evaluation points {gamma^i alpha_j} collide")
         self.rs = RSOuterCode(field, b * n, self.dim, points)
 
-    def _fold(self, word) -> tuple[tuple[int, ...], ...]:
+    def encode(self, msg) -> tuple[tuple[int, ...], ...]:
+        word = self.rs.encode(msg)
         return tuple(word[j:j + self.b] for j in range(0, len(word), self.b))
 
-    def encode(self, msg) -> tuple[tuple[int, ...], ...]:
-        return self._fold(self.rs.encode(msg))
+    def word_array(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """The codewords over F_q^b, in message order: the read-only RS word
+        array cut into b-entry symbols, (N, n, b)."""
+        return self.rs.word_array(cap).reshape(-1, self.n, self.b)
 
     def enumerate_codewords(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple]:
-        """The codewords over the folded alphabet F_q^b, in message order."""
-        return [self._fold(w) for w in self.rs.enumerate_codewords(cap)]
+        """`word_array` as tuples of b-tuples."""
+        return word_tuples(self.word_array(cap))
 
 
 def make_folded_rs(field: Field, b: int, n: int, rho: Fraction, alphas=None) -> FoldedRSCode:
@@ -340,4 +366,4 @@ def make_folded_rs(field: Field, b: int, n: int, rho: Fraction, alphas=None) -> 
 
 
 def frs_as_linear_code(frs: FoldedRSCode) -> BlockCode:
-    return BlockCode(frs.enumerate_codewords(), frs.field)
+    return BlockCode(frs.enumerate_codewords(), frs.field, frs.word_array())

@@ -13,7 +13,7 @@ import csv
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from io import StringIO
 from pathlib import Path
 
@@ -111,7 +111,15 @@ def _stored(rec, key, derived, depth: int = 0) -> None:
 
 
 def field_from_payload(rec: dict) -> Field:
-    return Field(rec["p"], rec["m"], rec["modulus"])
+    """The stored field, one `Field` per (p, m, modulus), so a load proves
+    no modulus irreducible twice.  The values are read by `_ints` before
+    the cache sees them: a float or bool is refused, never matched as an
+    equal int (1.0 == 1)."""
+    return _field(_ints(rec["p"], "p"), _ints(rec["m"], "m"),
+                  tuple(_ints(rec["modulus"], "modulus", 1)))
+
+
+_field = lru_cache(maxsize=64)(Field)
 
 
 def save_code(path, code: LinearCode) -> None:

@@ -7,14 +7,15 @@ sampling bound.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .ael import AELCode
-from .arld import DEFAULT_SUBSET_CAP
-from .codes import ERASED, ErasedWord
+from .arld import DEFAULT_SUBSET_CAP, symbol_keys
+from .codes import ERASED, ErasedWord, word_tuples
 from .errors import Mismatch
 from .inner import min_arld_slack
 
@@ -35,15 +36,21 @@ def _checked_center(code: AELCode, center) -> ErasedWord:
 def brute_force_list(code: AELCode, center, beta: Fraction):
     """All codewords within (erased) distance <= beta of the center: those
     with at most floor(beta * n) disagreements on the unerased vertices,
-    counted in one comparison with the code's symbol-id matrix (a center
-    symbol that no codeword has gets id -1, equal to no id)."""
-    center = _checked_center(code, center)
-    limit = math.floor(Fraction(beta) * code.n)
-    words = code.enumerate_codewords()
-    mat, ids = code.symbol_ids()
-    kept = [r for r, g in enumerate(center.symbols) if g is not ERASED]
-    center_ids = [ids.get(tuple(center.symbols[r]), -1) for r in kept]
-    return [words[i] for i in ((mat[:, kept] != center_ids).sum(1) <= limit).nonzero()[0]]
+    counted in one comparison of the code's symbol keys (`AELCode.word_keys`)
+    with the center's, computed in one step.  An erased symbol is keyed as
+    d entries of -1, a negative key no codeword has, so it disagrees with
+    every word and the bound grows by the erasure count.  Only the listed
+    words are built as tuples."""
+    erased = (-1,) * code.d
+    rows = [erased if g is ERASED else g for g in _checked_center(code, center).symbols]
+    beta = Fraction(beta)
+    limit = beta.numerator * code.n // beta.denominator + rows.count(erased)
+    center_keys = symbol_keys(np.array(rows, dtype=np.int64), code.field.q)
+    keys = code.word_keys()
+    differ = keys[..., 0] != center_keys[:, 0]
+    for j in range(1, keys.shape[-1]):  # a symbol of c keys differs where one does
+        differ |= keys[..., j] != center_keys[:, j]
+    return word_tuples(code.word_array()[(differ.sum(1) <= limit).nonzero()[0]])
 
 
 def verify_generalized_singleton(

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ael import AELCode
-from .codes import ERASED, hamming_distance
+from .codes import ERASED, hamming_distance, word_tuples
 from .errors import Mismatch
 from .gf import _ints
 from .outer import RSOuterCode, rs_unique_decode
@@ -145,7 +145,7 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
     for t in ensemble._rounding_order():
         h_star = rs_unique_decode(outer, ensemble._round(t))
         if h_star is not None and ensemble._disagreement(h_star) <= allowed:
-            return code._fold_phi([h_star])[0]
+            return word_tuples(code._fold_phi([h_star]))[0]
     return None
 
 

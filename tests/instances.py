@@ -30,6 +30,7 @@ from aelcert import (
     verify_generalized_singleton,
 )
 from aelcert.arld import plurality_center
+from aelcert.errors import Mismatch
 from aelcert.io import save_certificate, save_code, save_graph, save_report
 from aelcert.rounding import (
     InnerDistributionEnsemble,
@@ -38,6 +39,35 @@ from aelcert.rounding import (
 from aelcert.seeds import derive_seed
 
 ROOT_SEED = 2024
+
+
+def pairwise_min_distance(codewords) -> Fraction:
+    """Minimum pairwise fractional distance by direct enumeration: the
+    reference for every `min_distance`, independent of their weight and
+    count-matrix paths."""
+    words = list(codewords)
+    best = None
+    for a, b in combinations(words, 2):
+        d = hamming_distance(a, b)
+        if best is None or d < best:
+            best = d
+    if best is None:
+        raise Mismatch("need at least two codewords")
+    return best
+
+
+def fold(code, edge_vals) -> tuple:
+    """Edge labelling (indexed by edge id l*d + i) -> right-folded word of
+    an AEL code: right vertex r gathers the edges route[r]."""
+    return tuple(map(tuple, np.asarray(edge_vals)[code.graph.route].tolist()))
+
+
+def unfold(code, word) -> list:
+    """Right-folded word -> edge labelling, scattered through route: `fold`
+    undone."""
+    edge_vals = np.empty(code.n * code.d, dtype=np.int64)
+    edge_vals[code.graph.route] = word
+    return edge_vals.tolist()
 
 
 def _rows_from_counts(instance, counts, bound):

@@ -1,5 +1,6 @@
 """Edge-routed code composition, fold/unfold, metrics, distance amplification."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -8,12 +9,15 @@ import pytest
 
 from aelcert import (
     AELCode,
+    BlockCode,
     ERASED,
     ErasedWord,
     LinearCode,
+    brute_force_list,
     complete_bipartite,
     dist_with_erasures,
     hamming_distance,
+    min_arld_slack,
     pair_counting_check,
     random_regular_bipartite,
     sample_random_linear_code,
@@ -24,6 +28,7 @@ from aelcert.arld import intern_symbols, pair_disagreements
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
+from instances import fold, unfold
 
 
 @pytest.fixture(scope="module")
@@ -107,15 +112,26 @@ def test_left_views_are_inner_codewords(instance12):
         assert instance12.decode_to_outer(word) == instance12.outer.encode(msg)
 
 
+def test_decode_to_outer_raises_key_error_off_the_codebook(instance12):
+    edges = unfold(instance12, instance12.encode_message([3, 5]))
+    edges[0] = (edges[0] + 1) % 4  # edge 0 leaves left vertex 0
+    word = fold(instance12, edges)
+    view = instance12.left_views(word)[0]
+    assert view not in instance12.phi
+    with pytest.raises(KeyError) as err:
+        instance12.decode_to_outer(word)
+    assert err.value.args == (view,)
+
+
 def test_fold_unfold_round_trip(instance12):
     for msg in ([0, 0], [1, 2], [9, 4]):
         word = instance12.encode_message(msg)
-        assert instance12.fold(instance12.unfold(word)) == word
+        assert fold(instance12, unfold(instance12, word)) == word
 
 
 def test_fold_unfold_all_codewords(instance12):
     for word in instance12.enumerate_codewords():
-        assert instance12.fold(instance12.unfold(word)) == word
+        assert fold(instance12, unfold(instance12, word)) == word
 
 
 def test_phi_is_the_codebook_order_and_additive(instance12):
@@ -145,9 +161,9 @@ def test_single_edge_difference(gf2):
     inner = LinearCode(gf2, [[1, 0], [0, 1]])
     code = AELCode(graph, inner, RSOuterCode(make_gf4(), 2, 1, points=[0, 1]))
     w = code.encode_message([0])
-    edges = code.unfold(w)
+    edges = unfold(code, w)
     edges[0] ^= 1
-    w2 = code.fold(edges)
+    w2 = fold(code, edges)
     assert hamming_distance(code.left_views(w), code.left_views(w2)) == Fraction(1, 2)
     assert hamming_distance(w, w2) == Fraction(1, 2)
 
@@ -263,8 +279,8 @@ def test_amplification_violation_raises(gf4, gf16):
 def _set_outer_words(code, outer_words):
     """Make `outer_words` the word list of the outer code, so the AEL code
     enumerates their encodings in that order."""
-    code.outer._codewords = list(outer_words)
-    code._codewords = None
+    code.outer._words = np.array(outer_words, dtype=np.int64).reshape(-1, code.n)
+    code.outer._codewords = code._words = code._codewords = None
 
 
 def _verify_amplification_pair_loop_oracle(code):
@@ -393,6 +409,30 @@ def test_delta_L_counts_from_outer_words_match_the_left_views(gf4, gf16, ac3, gr
     assert np.array_equal(pair_disagreements(views), pair_disagreements(outer_words))
 
 
+def test_symbols_wider_than_one_key_certify_as_their_word_list(gf4):
+    # q_in^d = 4^32 = 2^64 >= 2^63: every folded symbol takes two int64 keys
+    rng = np.random.default_rng(derive_seed(32, "wide-symbols"))
+    inner = LinearCode(gf4, [rng.integers(1, 4, 32).tolist()])
+    outer = LinearCode(gf4, [[1] * 32, rng.integers(0, 4, 32).tolist()])
+    code = AELCode(complete_bipartite(32), inner, outer)
+    assert code.word_keys().shape == (16, 32, 2)
+    words = code.enumerate_codewords()
+    assert [code.decode_to_outer(w) for w in words] == outer.enumerate_codewords()
+    _assert_amplification_matches_oracle(code)
+    got = min_arld_slack(code, 3, Fraction(1, 2))
+    ref = min_arld_slack(BlockCode(words, gf4), 3, Fraction(1, 2))  # interned tuples
+    assert got.reduction == "translation" and got.witnesses == ref.witnesses
+    assert replace(got, runtime_seconds=0) == replace(ref, runtime_seconds=0)
+    for h in words[::5]:
+        center = list(h)
+        center[3] = ERASED
+        center[7] = tuple(int(x) for x in rng.integers(0, 4, 32))
+        for beta in (Fraction(0), Fraction(1, 32), Fraction(1, 2)):
+            assert brute_force_list(code, center, beta) == [
+                w for w in words if sum(g is not ERASED and g != x for g, x in zip(center, w))
+                <= beta * 32]
+
+
 def test_amplification_matches_oracle_on_ac3(ac3):
     report = _assert_amplification_matches_oracle(ac3)
     assert report["pairs_checked"] == 32640
@@ -414,10 +454,10 @@ def _tampered_pair(gf4, gf16, lam):
         c for c in code.inner.enumerate_codewords()
         if sum(1 for a, b in zip(c, view) if a != b) == 3
     )
-    edges = code.unfold(w)
+    edges = unfold(code, w)
     for i, x in enumerate(far):
         edges[0 * code.d + i] = x  # edge l*d + i is the i-th edge of left vertex l
-    w2 = code.fold(edges)
+    w2 = fold(code, edges)
     assert hamming_distance(code.left_views(w), code.left_views(w2)) == Fraction(1, 12)
     assert hamming_distance(w, w2) == Fraction(3, 12)
     outer_word = code.outer.encode([3, 1])
@@ -486,11 +526,11 @@ def _encode_loop_oracle(code, outer_codeword):
 
 
 def _assert_routing_matches_oracles(code, word, edge_vals):
-    assert code.unfold(word) == _unfold_loop_oracle(code, word)
+    assert unfold(code, word) == _unfold_loop_oracle(code, word)
     assert code.left_views(word) == _left_views_loop_oracle(code, word)
-    assert code.fold(edge_vals) == _fold_loop_oracle(code, edge_vals)
-    assert all(type(x) is int for x in code.unfold(word))
-    assert all(type(x) is int for t in code.fold(edge_vals) for x in t)
+    assert fold(code, edge_vals) == _fold_loop_oracle(code, edge_vals)
+    assert all(type(x) is int for x in unfold(code, word))
+    assert all(type(x) is int for t in fold(code, edge_vals) for x in t)
 
 
 def test_routing_matches_loop_oracles_on_ac3_codewords(ac3):
@@ -512,7 +552,7 @@ def test_routing_matches_loop_oracles_on_random_words(gf4, n, d):
         word = tuple(tuple(int(x) for x in row) for row in rng.integers(0, 4, (n, d)))
         edge_vals = [int(x) for x in rng.integers(0, 4, n * d)]
         _assert_routing_matches_oracles(code, word, edge_vals)
-        assert code.fold(code.unfold(word)) == word
+        assert fold(code, unfold(code, word)) == word
 
 
 def _pair_counting_fraction_oracle(code, f, g):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aelcert import ERASED, ErasedWord, LinearCode, dist_with_erasures, make_field
-from aelcert.codes import pairwise_min_distance, rref
+from aelcert.codes import rref
+from instances import pairwise_min_distance
 from aelcert.errors import FieldMismatch, Mismatch, TooLarge
 from aelcert.inner import sample_random_linear_code
 from aelcert.outer import RSOuterCode

@@ -27,16 +27,20 @@ from aelcert import (
 from aelcert import arld, inner
 from aelcert.arld import (
     MAX_SUBSET_SIZE,
-    _search_generic,
+    SubsetWitness,
+    _byte_sum,
+    _equality_lanes,
     epsilon_min,
     intern_symbols,
+    key_ids,
     min_disagreement_by_size,
     pair_disagreements,
     subset_search_count,
+    symbol_keys,
     translation_closed,
 )
 from aelcert.errors import FieldMismatch, Mismatch, SearchExhausted, TooLarge
-from aelcert.codes import pairwise_min_distance
+from instances import pairwise_min_distance
 from aelcert.inner import BlockCode, FoldedRSCode
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
@@ -118,10 +122,76 @@ def test_pair_disagreements_matches_pairwise_counts():
     rng = np.random.default_rng(4)
     sym = rng.integers(0, 3, size=(9, 7))
     dist = pair_disagreements(sym)
-    assert dist.dtype == np.int64 and dist.shape == (9, 9)
+    assert dist.dtype == np.uint8 and dist.shape == (9, 9)
     for i in range(9):
         for j in range(9):
             assert dist[i, j] == sum(1 for a, b in zip(sym[i], sym[j]) if a != b)
+    # at n = 256 a uint8 count of two words that differ everywhere would wrap to 0
+    wide = pair_disagreements(np.arange(512).reshape(2, 256))
+    assert wide.dtype == np.int64 and wide[0, 1] == 256
+
+
+@st.composite
+def _nested_symbols(draw):
+    """q, and 2..12 symbols of one width w over [0, q): tuples drawn so that
+    many coincide or share a prefix, with w large enough at times that
+    q^w >= 2^63 and a symbol takes several keys."""
+    q = draw(st.sampled_from([2, 3, 4, 16, 17, 256]))
+    w = draw(st.integers(1, 70))
+    base = draw(st.tuples(*[st.integers(0, q - 1)] * w))
+    symbols = []
+    for _ in range(draw(st.integers(2, 12))):
+        cut = draw(st.integers(0, w))
+        tail = draw(st.tuples(*[st.sampled_from([0, 1, q - 1])] * (w - cut)))
+        symbols.append(base[:cut] + tail)
+    return q, symbols
+
+
+@given(case=_nested_symbols())
+@settings(max_examples=300, deadline=None)
+def test_symbol_keys_match_tuple_equality_and_order(case):
+    q, symbols = case
+    keys = symbol_keys(np.array(symbols, dtype=np.int64), q)
+    ids = key_ids(keys)
+    assert keys.min() >= 0
+    rows = [tuple(r) for r in keys.tolist()]
+    for a, b in combinations(range(len(symbols)), 2):
+        sa, sb = symbols[a], symbols[b]
+        assert (rows[a] == rows[b]) == (ids[a] == ids[b]) == (sa == sb)
+        assert (rows[a] < rows[b]) == (ids[a] < ids[b]) == (sa < sb)
+
+
+def test_symbol_keys_pack_up_to_2_63_per_key():
+    # 63 // ceil(log2 q) entries share a key: 63 binary entries, 31 over GF(4)
+    for q, e in ((2, 63), (4, 31), (3, 31), (17, 12), (256, 7)):
+        top = np.full(e, q - 1)
+        assert symbol_keys(top, q).tolist() == [q**e - 1]
+        assert symbol_keys(np.append(top, 1), q).tolist() == [q**e - 1, 1]
+    assert symbol_keys(np.array([[1, 0, 2], [0, 3, 3]]), 4).tolist() == [[18], [15]]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_pair_counts_from_the_lanes_match_pair_disagreements(n):
+    rng = np.random.default_rng(derive_seed(n, "lane-pairs"))
+    words = [tuple(w) for w in rng.integers(0, 3, size=(40, n)).tolist()]
+    sym = intern_symbols(words)[0]
+    assert np.array_equal(n - _byte_sum(_equality_lanes(sym)), pair_disagreements(sym))
+    from_lanes = min_disagreement_by_size(sym, 3)[2]
+    assert from_lanes == min_disagreement_by_size(sym, 2)[2]  # read from pair_disagreements
+    assert Fraction(from_lanes.disagreement_count, n) == pairwise_min_distance(words)
+
+
+def _search_generic(sym, m):
+    """Reference for the kernel: every m-subset's D from its plurality
+    center, and the first minimizer in index order."""
+    M, n = sym.shape
+    rows = [tuple(r) for r in sym]
+    best = (n * m + 1, None)
+    for idx in combinations(range(M), m):
+        d = sum(plurality_center([rows[i] for i in idx])[1])
+        if d < best[0]:
+            best = (d, idx)
+    return SubsetWitness(m, best[1], best[0])
 
 
 def _assert_kernel_matches_oracle(words, k, closed=False):

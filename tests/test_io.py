@@ -65,6 +65,26 @@ def test_code_round_trip(tmp_path, gf16):
     assert loaded.field.modulus == code.field.modulus
 
 
+@pytest.mark.parametrize("key,index,value", [
+    ("p", None, 2.0), ("p", None, True), ("m", None, 2.0), ("modulus", 0, 1.0),
+    ("modulus", 2, True),
+])
+def test_loaded_fields_are_shared_and_inexact_entries_refused(tmp_path, gf4, key, index, value):
+    # GF(4) is proved a field once per (p, m, modulus); a float or bool that
+    # equals an int (2.0 == 2, True == 1) is refused, never a cache hit
+    save_code(tmp_path / "a.json", RSOuterCode(gf4, 4, 2))
+    save_code(tmp_path / "b.json", RSOuterCode(gf4, 3, 2))
+    assert load_code(tmp_path / "a.json").field is load_code(tmp_path / "b.json").field
+    rec = json.loads(artifact_body_bytes(tmp_path / "a.json"))
+    if index is None:
+        rec["field"][key] = value
+    else:
+        rec["field"][key][index] = value
+    (tmp_path / "a.json").write_text(json.dumps(rec))
+    with pytest.raises(ConfigInvalid, match=key):
+        load_code(tmp_path / "a.json")
+
+
 def test_frs_round_trip(tmp_path, gf17):
     frs = make_folded_rs(gf17, 2, 4, Fraction(1, 4))
     save_frs(tmp_path / "frs.json", frs)

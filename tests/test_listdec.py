@@ -27,12 +27,12 @@ from aelcert import (
     verify_generalized_singleton,
 )
 from aelcert.errors import Mismatch
-from aelcert.arld import subset_search_count, translation_closed
+from aelcert.arld import intern_symbols, subset_search_count, translation_closed
 from aelcert.gf import make_field
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
-from instances import common_error_fraction, common_error_oracle
+from instances import common_error_fraction, common_error_oracle, fold
 
 
 @pytest.fixture(scope="module")
@@ -151,10 +151,43 @@ def test_list_matches_scan_oracle(case):
     assert as_word == _brute_force_list_scan_oracle(code, center, beta)
 
 
+def _brute_force_list_interned(code, center, beta):
+    """Reference: the list scan over interned symbol ids, as it was written
+    before the symbol keys: ids from `intern_symbols` of the codeword
+    tuples, and -1 for a center symbol no codeword has."""
+    center = center if isinstance(center, ErasedWord) else ErasedWord(center)
+    limit = math.floor(Fraction(beta) * code.n)
+    words = code.enumerate_codewords()
+    mat, ids = intern_symbols(words)
+    kept = [r for r, g in enumerate(center.symbols) if g is not ERASED]
+    center_ids = [ids.get(tuple(center.symbols[r]), -1) for r in kept]
+    return [words[i] for i in ((mat[:, kept] != center_ids).sum(1) <= limit).nonzero()[0]]
+
+
+@pytest.mark.parametrize("which", ["ac3", "ac4"])
+def test_list_matches_the_interned_scan_on_acceptance_codes(acceptance, which):
+    code = acceptance[which]["ael"]
+    words = code.enumerate_codewords()
+    rng = np.random.default_rng(derive_seed(2024, "list-interned", which))
+    for _ in range(40):
+        center = list(words[int(rng.integers(len(words)))])
+        for r in rng.permutation(code.n)[:int(rng.integers(0, code.n + 1))]:
+            kind = int(rng.integers(3))
+            if kind == 0:
+                center[r] = ERASED
+            elif kind == 1:  # another codeword's symbol here
+                center[r] = words[int(rng.integers(len(words)))][r]
+            else:  # any symbol over the inner field
+                center[r] = tuple(int(x) for x in rng.integers(0, code.field.q, code.d))
+        for beta in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)):
+            got = brute_force_list(code, center, beta)
+            assert got == _brute_force_list_interned(code, center, beta)
+
+
 def test_list_center_symbol_off_the_alphabet_disagrees_with_every_word():
     code = _LIST_CODES["ac3-outer-dim1"]
-    ids = code.symbol_ids()[1]
-    off = next(t for t in np.ndindex(4, 4, 4, 4) if t not in ids)
+    used = {s for w in code.enumerate_codewords() for s in w}
+    off = next(t for t in np.ndindex(4, 4, 4, 4) if t not in used)
     w = code.enumerate_codewords()[5]
     center = (off,) + w[1:]
     assert brute_force_list(code, center, Fraction(0)) == []
@@ -230,7 +263,7 @@ def test_word_set_that_is_not_a_group_sweeps_in_full(instance12):
     # addition, so the sweep is not reduced
     swap = {1: 2, 2: 1}
     words = [
-        instance12.fold([x for s in h for x in instance12.phi[swap.get(s, s)]])
+        fold(instance12, [x for s in h for x in instance12.phi[swap.get(s, s)]])
         for h in instance12.outer.enumerate_codewords()
     ]
     field = instance12.inner.field

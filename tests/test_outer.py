@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import aelcert.codes
 from aelcert import make_field, rs_unique_decode
 from aelcert.errors import FieldMismatch, Mismatch
-from aelcert.codes import LinearCode, pairwise_min_distance
+from aelcert.codes import LinearCode
+from instances import pairwise_min_distance
 from aelcert.outer import RSOuterCode
 from test_codes import solve
 

@@ -24,7 +24,7 @@ from aelcert import (
 from aelcert.errors import Mismatch
 from aelcert.outer import RSOuterCode, rs_unique_decode
 from aelcert.seeds import derive_seed
-from instances import ROOT_SEED, planted_weights
+from instances import ROOT_SEED, fold, planted_weights, unfold
 
 
 @pytest.fixture(scope="module")
@@ -429,11 +429,11 @@ def _noisy_words(draw, code):
     """A codeword of `code` with some of its edge symbols overwritten, which
     leaves ties among the nearest inner codewords at some left views."""
     h = code.encode_message([draw(st.integers(0, 15)), draw(st.integers(0, 15))])
-    edges = code.unfold(h)
+    edges = unfold(code, h)
     count = draw(st.integers(0, len(edges)))
     for pos in draw(st.permutations(range(len(edges))))[:count]:
         edges[pos] = draw(st.integers(0, 3))
-    return code.fold(edges)
+    return fold(code, edges)
 
 
 @settings(max_examples=150, deadline=None)
@@ -479,9 +479,9 @@ def test_local_views_point_mass_on_codeword(instance12):
 def test_local_views_single_flip_keeps_point_mass(instance12):
     # inner distance 3/4 means one flipped edge is still uniquely closest
     h = instance12.encode_message([9, 9])
-    edges = instance12.unfold(h)
+    edges = unfold(instance12, h)
     edges[0] = (edges[0] + 1) % 4
-    g = instance12.fold(edges)
+    g = fold(instance12, edges)
     ens = local_views_to_distributions(instance12, g)
     picks = list(instance12.decode_to_outer(h))
     for l, idx in enumerate(picks):
@@ -619,7 +619,7 @@ def _views_word(code, rows):
     heaviest weight (the first of them): any views make a word, since
     every edge leaves exactly one left vertex."""
     picks = [max(range(len(row)), key=row.__getitem__) for row in rows]
-    return code.fold([x for sigma in picks for x in code.phi[sigma]])
+    return fold(code, [x for sigma in picks for x in code.phi[sigma]])
 
 
 @settings(max_examples=200, deadline=None)
