@@ -116,10 +116,12 @@ class AELCode:
 
     def decode_to_outer(self, word) -> tuple:
         """phi^{-1} of every left view, the codebook row with the same key;
-        raises KeyError off-codebook."""
-        q = self.field.q
-        found = (symbol_keys(self._view_array(word), q)[:, None]
+        raises KeyError off-codebook.  A key is exact only for entries in
+        [0, q), so a view with an entry outside finds no row."""
+        q, views = self.field.q, self._view_array(word)
+        found = (symbol_keys(views, q)[:, None]
                  == symbol_keys(self.codebook, q)).all(-1)  # (n, M)
+        found &= ((views >= 0) & (views < q)).all(1)[:, None]
         if not found.any(1).all():
             raise KeyError(self.left_views(word)[int(found.any(1).argmin())])
         return tuple(found.argmax(1).tolist())
@@ -156,8 +158,8 @@ class AELCode:
         ValueError for an entry that is not an integer."""
         try:
             symbols = [t for t in word if t is not ERASED]
-            shaped = (len(word) == self.n and all(map(self.d.__eq__, map(len, symbols)))
-                      and not any(isinstance(t, (str, bytes)) for t in symbols))
+            shaped = len(word) == self.n and all(
+                len(t) == self.d and not isinstance(t, (str, bytes)) for t in symbols)
         except TypeError:  # a word or a symbol with no length
             shaped = False
         if not shaped:

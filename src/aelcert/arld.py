@@ -19,12 +19,11 @@ list.  Every subset size reads the pairwise symbol equalities packed in byte
 lanes: an (L, M, M) uint64 array, L = ceil(n/8), whose lane l holds
 coordinates 8l..8l+7 one byte each (1 where the two words agree, 0 where
 they differ and in the padding bytes past n).  Size 2 reads each pair's
-count as n minus its byte sum (`pair_disagreements` when no larger size
-is asked for), and every larger size runs one numpy kernel,
-`_search_subsets`.  A byte of a subset's count lane is at most its size
-m, so counts add as whole words without carries, and one multiply sums a
-lane's eight bytes exactly while 8m < 256; larger sizes are refused
-before the sweep starts.
+count as n minus its byte sum, and every larger size runs one numpy
+kernel, `_search_subsets`.  A byte of a subset's count lane is at most
+its size m, so counts add as whole words without carries, and one
+multiply sums a lane's eight bytes exactly while 8m < 256; larger sizes
+are refused before the sweep starts.
 
 The kernel is an exact branch-and-bound (Land and Doig, 1960) on one fact:
 D never falls when a word joins a subset.  Adding w to S adds 1 to |S| and
@@ -214,8 +213,7 @@ def min_disagreement_by_size(
 
     `sym` is an (M, n) integer matrix of codeword symbol ids.  Size 2
     reads each pair's count as n minus its byte sum in the lanes of
-    `_equality_lanes` when a larger size needs them, else
-    `pair_disagreements`; every larger size m runs the same kernel,
+    `_equality_lanes`; every larger size m runs the same kernel,
     `_search_subsets`, bounded by the size m - 1 witness.  Each witness is
     the lexicographically smallest minimizing index tuple, so it depends on
     the word list alone, and its `scored` counts the subsets of its size
@@ -245,11 +243,8 @@ def min_disagreement_by_size(
         return out
 
     iu = np.triu_indices(M, k=1)
-    if min(k, M) >= 3:
-        eq = _equality_lanes(sym)
-        flat = n - _byte_sum(eq)[iu].astype(np.int64)
-    else:
-        flat = pair_disagreements(sym)[iu]
+    eq = _equality_lanes(sym)
+    flat = n - _byte_sum(eq)[iu].astype(np.int64)
     best = int(flat.argmin())
     out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]), len(flat))
     for m in range(3, min(k, M) + 1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -269,22 +270,34 @@ class BlockCode:
 
     `field`, when given, is the field whose coordinatewise addition acts on
     the (possibly tuple) symbols; it lets the ARLD sweep test closure.
-    `words`, when given, is the codewords as one int64 array over `field`
-    (`frs_as_linear_code` passes the folded RS array on): `word_array`,
-    which the sweep reads in place of interning the tuples.
     """
 
-    def __init__(self, codewords, field: Field | None = None, words: np.ndarray | None = None):
+    def __init__(self, codewords, field: Field | None = None):
         self.codewords = [tuple(w) for w in codewords]
         self.n = len(self.codewords[0])
         self.field = field
-        self._words = words
 
     def enumerate_codewords(self) -> list[tuple]:
         return self.codewords
 
     def word_array(self) -> np.ndarray | None:
+        """The codewords as one int64 array, built on first use, when a
+        `field` is given and every entry is an integer in [0, q) (the arrays
+        whose `symbol_keys` are exact); None otherwise, and the sweep
+        interns the tuples."""
         return self._words
+
+    @cached_property
+    def _words(self) -> np.ndarray | None:
+        if self.field is None:
+            return None
+        try:
+            words = np.array(self.codewords)
+        except ValueError:  # symbols of unequal shape
+            return None
+        exact = words.dtype.kind in "iu" and words.ndim <= 3 and words.size and (
+            0 <= words.min() and words.max() < self.field.q)
+        return words.astype(np.int64) if exact else None
 
     def min_distance(self) -> Fraction:
         """Minimum pairwise distance, from the `pair_disagreements` counts."""
@@ -366,4 +379,4 @@ def make_folded_rs(field: Field, b: int, n: int, rho: Fraction, alphas=None) -> 
 
 
 def frs_as_linear_code(frs: FoldedRSCode) -> BlockCode:
-    return BlockCode(frs.enumerate_codewords(), frs.field, frs.word_array())
+    return BlockCode(frs.enumerate_codewords(), frs.field)

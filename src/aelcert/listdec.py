@@ -41,10 +41,10 @@ def brute_force_list(code: AELCode, center, beta: Fraction):
     d entries of -1, a negative key no codeword has, so it disagrees with
     every word and the bound grows by the erasure count.  Only the listed
     words are built as tuples."""
-    erased = (-1,) * code.d
-    rows = [erased if g is ERASED else g for g in _checked_center(code, center).symbols]
+    center, erased = _checked_center(code, center), (-1,) * code.d
+    rows = [erased if g is ERASED else g for g in center.symbols]
     beta = Fraction(beta)
-    limit = beta.numerator * code.n // beta.denominator + rows.count(erased)
+    limit = beta.numerator * code.n // beta.denominator + center.erasure_count
     center_keys = symbol_keys(np.array(rows, dtype=np.int64), code.field.q)
     keys = code.word_keys()
     differ = keys[..., 0] != center_keys[:, 0]

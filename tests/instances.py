@@ -31,6 +31,7 @@ from aelcert import (
 )
 from aelcert.arld import plurality_center
 from aelcert.errors import Mismatch
+from aelcert.inner import BlockCode
 from aelcert.io import save_certificate, save_code, save_graph, save_report
 from aelcert.rounding import (
     InnerDistributionEnsemble,
@@ -68,6 +69,14 @@ def unfold(code, word) -> list:
     edge_vals = np.empty(code.n * code.d, dtype=np.int64)
     edge_vals[code.graph.route] = word
     return edge_vals.tolist()
+
+
+class InternedBlockCode(BlockCode):
+    """A block code that offers the sweep no word array, so its symbols
+    go through `intern_symbols`: the reference for the symbol keys."""
+
+    def word_array(self):
+        return None
 
 
 def _rows_from_counts(instance, counts, bound):

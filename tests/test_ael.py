@@ -24,11 +24,11 @@ from aelcert import (
     verify_distance_amplification,
 )
 from aelcert.errors import AmplificationViolation, Mismatch, TooLarge
-from aelcert.arld import intern_symbols, pair_disagreements
+from aelcert.arld import intern_symbols, pair_disagreements, symbol_keys
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
-from instances import fold, unfold
+from instances import InternedBlockCode, fold, unfold
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,15 @@ def test_decode_to_outer_raises_key_error_off_the_codebook(instance12):
     word = fold(instance12, edges)
     view = instance12.left_views(word)[0]
     assert view not in instance12.phi
+    with pytest.raises(KeyError) as err:
+        instance12.decode_to_outer(word)
+    assert err.value.args == (view,)
+    # entries outside [0, q) that pack to the key of a codebook row
+    edges = unfold(instance12, instance12.encode_message([3, 5]))
+    edges[0], edges[1] = edges[0] + 1, edges[1] - 4
+    word = fold(instance12, edges)
+    view = instance12.left_views(word)[0]
+    assert symbol_keys(np.array([view]), 4)[0] in symbol_keys(instance12.codebook, 4)
     with pytest.raises(KeyError) as err:
         instance12.decode_to_outer(word)
     assert err.value.args == (view,)
@@ -420,7 +429,7 @@ def test_symbols_wider_than_one_key_certify_as_their_word_list(gf4):
     assert [code.decode_to_outer(w) for w in words] == outer.enumerate_codewords()
     _assert_amplification_matches_oracle(code)
     got = min_arld_slack(code, 3, Fraction(1, 2))
-    ref = min_arld_slack(BlockCode(words, gf4), 3, Fraction(1, 2))  # interned tuples
+    ref = min_arld_slack(InternedBlockCode(words, gf4), 3, Fraction(1, 2))
     assert got.reduction == "translation" and got.witnesses == ref.witnesses
     assert replace(got, runtime_seconds=0) == replace(ref, runtime_seconds=0)
     for h in words[::5]:

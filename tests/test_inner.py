@@ -40,7 +40,7 @@ from aelcert.arld import (
     translation_closed,
 )
 from aelcert.errors import FieldMismatch, Mismatch, SearchExhausted, TooLarge
-from instances import pairwise_min_distance
+from instances import InternedBlockCode, pairwise_min_distance
 from aelcert.inner import BlockCode, FoldedRSCode
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
@@ -884,7 +884,7 @@ def test_code_objects_certify_as_their_block_codes(gf17, acceptance):
     frs, ael = make_folded_rs(gf17, 2, 4, Fraction(1, 4)), acceptance["ac3"]["ael"]
     for code, delta0 in ((frs, Fraction(3, 4)), (ael, Fraction(1, 2))):
         cert = min_arld_slack(code, 3, delta0)
-        block = min_arld_slack(BlockCode(code.enumerate_codewords(), code.field), 3, delta0)
+        block = min_arld_slack(InternedBlockCode(code.enumerate_codewords(), code.field), 3, delta0)
         assert replace(cert, runtime_seconds=0) == replace(block, runtime_seconds=0)
         assert cert.witnesses == block.witnesses
         assert cert.reevaluate(code) == cert.eps_min
@@ -905,6 +905,20 @@ def test_exhaustive_oracle_reads_code_objects(gf4):
             got = exhaustive_arld_check(code, 3, 1, eps)
             assert got == exhaustive_arld_check(code.enumerate_codewords(), 3, 1, eps)
             assert got[0] == (eps == 0)
+
+
+def test_block_code_word_array_only_where_its_keys_are_exact(gf4):
+    # the array the sweep keys needs a field and integer entries in [0, q);
+    # any other block code is interned
+    words = [((0, 1), (2, 3)), ((1, 0), (3, 2))]
+    assert np.array_equal(BlockCode(words, gf4).word_array(), words)
+    for code in (BlockCode(words), BlockCode([((1, 1.5), (0, 0))] + words, gf4),
+                 BlockCode([((0, 1), (2,))] + words, gf4)):
+        assert code.word_array() is None
+    # (1, -4) packs to the key of (0, 0) over GF(4)
+    off = BlockCode([((1, -4), (0, 0)), ((0, 0), (0, 0))], gf4)
+    assert off.word_array() is None
+    assert min_arld_slack(off, 2, Fraction(1, 2)).min_disagreements_by_size == {2: 1}
 
 
 def test_block_code_distance():

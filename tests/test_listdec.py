@@ -182,6 +182,13 @@ def test_list_matches_the_interned_scan_on_acceptance_codes(acceptance, which):
         for beta in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)):
             got = brute_force_list(code, center, beta)
             assert got == _brute_force_list_interned(code, center, beta)
+    for i in rng.integers(len(words), size=4):  # centers of numpy rows
+        rows = list(code.word_array()[i])
+        rows[int(rng.integers(code.n))] = ERASED
+        for center in (code.word_array()[i], rows):
+            for beta in (Fraction(0), Fraction(1, 4)):
+                got = brute_force_list(code, center, beta)
+                assert got == _brute_force_list_interned(code, center, beta)
 
 
 def test_list_center_symbol_off_the_alphabet_disagrees_with_every_word():
