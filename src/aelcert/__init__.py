@@ -4,7 +4,7 @@ certification of average-radius list decodability.
 
 The package builds codes from three components (a bipartite expander, an
 inner code verified by brute-force oracles, and a Reed-Solomon outer code
-with Gao's unique decoder), composes them via edge routing and
+with a syndrome decoder), composes them via edge routing and
 right-vertex folding, and certifies the resulting codes' combinatorial
 properties with exact rational arithmetic.
 """

@@ -120,21 +120,23 @@ class LinearCode:
         return self._codewords
 
     def contains(self, word) -> bool:
-        """Exact membership test; False for a word `Field.vector` refuses.
-
-        The only codeword that agrees with `word` on the pivot columns is
-        sum_i word[pivot_i] * reduced_row_i, so `word` is a codeword iff it
-        equals that re-encoding.  No elimination runs per call.
-        """
+        """Exact membership test; False for a word `Field.vector` refuses,
+        Mismatch for a word of the wrong length, else `_is_codeword`."""
         word = tuple(word)
         if len(word) != self.n:
             raise Mismatch(f"word length {len(word)} != n {self.n}")
         try:
-            word = tuple(self.field.vector(word, "word"))
+            word = self.field.vector(word, "word")
         except FieldMismatch:
             return False
+        return self._is_codeword(word)
+
+    def _is_codeword(self, word: list[int]) -> bool:
+        """The only codeword that agrees with `word` on the pivot columns is
+        sum_i word[pivot_i] * reduced_row_i, so `word` is a codeword iff it
+        equals that re-encoding.  No elimination runs per call."""
         reduced, pivots = self._echelon
-        return tuple(self.field.combine([word[p] for p in pivots], reduced)) == word
+        return self.field.combine([word[p] for p in pivots], reduced) == word
 
     def min_distance(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
         """Minimum fractional distance; by linearity the minimum nonzero weight."""

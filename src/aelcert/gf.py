@@ -10,21 +10,22 @@ Fields with q <= 2^16 keep exp/log tables.  `_exp` is stored doubled, at
 length 2(q - 1), so a product is `_exp[log a + log b]` with no reduction
 mod q - 1.  Linear algebra works on whole rows: `scale_row(f, row)` is
 [f*y], `sub_scaled_row(x, f, y)` is [x_i - f*y_i] (pass `neg(f)` for the
-axpy x + f*y), `combine(coeffs, rows)` is sum_i c_i * row_i, for encoding,
-membership and Gao's interpolation, with its field case picked once per
-call, and `add_arrays(a, b)` adds two numpy arrays of elements, for
-enumeration and the group test of `arld`.  Addition is an XOR in
+axpy x + f*y), `combine(coeffs, rows)` is sum_i c_i * row_i, for encoding
+and membership, and `dot(a, b)` is sum_i a_i * b_i, for Berlekamp-Massey,
+each with its field case picked once per call.  On numpy arrays of
+elements, `add_arrays(a, b)` and `mul_arrays(a, b)` work elementwise and
+`sum_arrays(a)` sums over the first axis, for enumeration, the group test
+of `arld` and the syndromes of `outer`.  Addition is an XOR in
 characteristic 2 and integer arithmetic mod p over a prime field (m = 1),
 where `combine` reduces once; otherwise it adds base-p digits, and the row
 primitives call `add` or `sub` per element.  Rows multiply by table
 lookups, or by `mul` per element in the larger fields, which have none.
 
 Polynomials over a field are coefficient lists, low degree first:
-`poly_trim`, `poly_mul` and `poly_divmod` serve both the irreducibility test
-here (trial division over GF(p)) and Gao's decoder in `outer`.  `_digits`
-is the one base-p digit map of an element, and `multiplicative_generator`
-the one generator search: the tables are a single walk of its generator's
-powers.
+`poly_trim` and `poly_divmod` serve the irreducibility test (trial
+division over GF(p)).  `_digits` is the one base-p digit map of an
+element, and `multiplicative_generator` the one generator search: the
+tables are a single walk of its generator's powers.
 """
 
 from __future__ import annotations
@@ -179,6 +180,28 @@ class Field:
         place = self.p ** np.arange(self.m)
         return ((a[..., None] // place + b[..., None] // place) % self.p * place).sum(-1)
 
+    def sum_arrays(self, a) -> np.ndarray:
+        """The field sum of an integer array of elements over its first axis:
+        XOR, a sum mod p, or base-p digit sums mod p when m > 1 and p > 2."""
+        a = np.asarray(a)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=0)
+        if self.m == 1:
+            return a.sum(axis=0) % self.p
+        place = self.p ** np.arange(self.m)
+        return ((a[..., None] // place % self.p).sum(axis=0) % self.p * place).sum(-1)
+
+    def mul_arrays(self, a, b) -> np.ndarray:
+        """`mul` elementwise over two broadcast integer arrays of elements:
+        two exp/log table gathers, a * b % p over a prime field too large
+        for tables, and `mul` per element in the other large fields."""
+        a, b = np.asarray(a), np.asarray(b)
+        if self._exp is not None:
+            return self._exp_array[self._log_array[a] + self._log_array[b]]
+        if self.m == 1:
+            return a * b % self.p
+        return np.frompyfunc(self.mul, 2, 1)(a, b).astype(np.int64)
+
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
@@ -261,6 +284,23 @@ class Field:
                 out = [self.add(a, self.mul(c, b)) for a, b in zip(out, row)]
         return out
 
+    def dot(self, a, b) -> int:
+        """sum_i a[i] * b[i] over the pairs of two sequences (`zip` stops at
+        the shorter), with the field case chosen once per call."""
+        exp, log = self._exp, self._log
+        if self.p == 2 and exp is not None:
+            out = 0
+            for x, y in zip(a, b):
+                if x and y:
+                    out ^= exp[log[x] + log[y]]
+            return out
+        if self.m == 1:
+            return sum(x * y for x, y in zip(a, b)) % self.p
+        out = 0
+        for x, y in zip(a, b):
+            out = self.add(out, self.mul(x, y))
+        return out
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
@@ -324,6 +364,12 @@ class Field:
             log[x] = i
             x = step(x)
         self._exp, self._log = exp + exp, log
+        # numpy copies for `mul_arrays`: log 0 indexes past every sum of two
+        # logs of nonzero elements, into zeros, so a 0 factor needs no mask
+        self._log_array = np.array(log)
+        self._log_array[0] = 2 * (q - 1)
+        powers = np.array(exp)
+        self._exp_array = np.concatenate([powers, powers, np.zeros(2 * q - 1, np.int64)])
 
     # -- misc ---------------------------------------------------------------
 
@@ -350,17 +396,6 @@ def poly_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_mul(F: Field, a: list[int], b: list[int]) -> list[int]:
-    """a * b for trimmed a and b: one `sub_scaled_row` per coefficient of a."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            out[i:i + len(b)] = F.sub_scaled_row(out[i:i + len(b)], F.neg(c), b)
-    return out
 
 
 def poly_divmod(F: Field, num: list[int], den: list[int]):

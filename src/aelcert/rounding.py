@@ -121,8 +121,9 @@ def decode_from_distributions(code: AELCode, ensemble: InnerDistributionEnsemble
     if no threshold yields one.  The test is n * scale - agree <=
     floor((n - k) / 2) * scale in Python ints, agree being h's total count.
     Mismatch, before any rounding, unless the outer code is an
-    `RSOuterCode`.  Gao's decoder returns `outer.encode(f)`, an outer
-    codeword by construction, so it is folded with no membership test.
+    `RSOuterCode`.  The outer decoder returns a word only when all its
+    syndromes are zero, an outer codeword, so it is folded with no
+    membership test.
 
     No other codeword can meet that guarantee, so stopping at the first
     certified one, in any order, is the same as scanning every threshold.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aelcert import Field, gf, make_field, multiplicative_generator
 from aelcert.errors import DivisionByZero, FieldMismatch, FieldRefused
-from aelcert.gf import _checked_order, _ints, poly_divmod, poly_mul, poly_trim
+from aelcert.gf import _checked_order, _ints, poly_divmod, poly_trim
 
 
 def test_make_field_gf2_modulus():
@@ -183,6 +183,18 @@ def test_generator_enumerates_all_nonzero():
         g = multiplicative_generator(f)
         powers = {f.pow(g, e) for e in range(f.q - 1)}
         assert powers == set(range(1, f.q))
+
+
+def poly_mul(F, a, b):
+    """a * b for trimmed a and b: one `sub_scaled_row` per coefficient of a.
+    Gao's decoder in test_outer.py multiplies with it too."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + len(b)] = F.sub_scaled_row(out[i:i + len(b)], F.neg(c), b)
+    return out
 
 
 def _poly(f):
@@ -416,9 +428,33 @@ def test_add_arrays_is_add_elementwise(p, m):
         [f.add(x, y) for y in row.tolist()] for x in range(f.q)]
 
 
+@pytest.mark.parametrize("p,m", TABLE_FIELDS + TABLELESS_FIELDS + [(65537, 1)])
+def test_array_primitives_match_scalar_ops(p, m):
+    # mul_arrays and sum_arrays against mul and add, dot against a fold of
+    # them; 65537 is a prime field with no tables
+    f = make_field(p, m)
+    rows, coeffs = _row_samples(f, p * 100 + m)
+    a, b = np.array(rows), np.array(rows[::-1])
+    assert f.mul_arrays(a, b).tolist() == [
+        [f.mul(x, y) for x, y in zip(r, s)] for r, s in zip(rows, rows[::-1])]
+    column = np.array(coeffs[:len(rows)])[:, None]
+    assert f.mul_arrays(a, column).tolist() == [
+        [f.mul(x, c) for x in r] for r, c in zip(rows, coeffs)]
+    total = [0] * len(rows[0])
+    for r in rows:
+        total = [f.add(x, y) for x, y in zip(total, r)]
+    assert f.sum_arrays(a).tolist() == total
+    assert f.sum_arrays(a[:0]).tolist() == [0] * len(rows[0])
+    for r in rows:
+        expected = 0
+        for x, y in zip(coeffs, r):
+            expected = f.add(expected, f.mul(x, y))
+        assert f.dot(coeffs, r) == expected
+
+
 def test_combine_leaves_its_rows_alone(gf16):
-    # Gao's decoder trims the combination in place, and its rows are the
-    # code's cached Lagrange basis: the result must never be one of them
+    # a caller may change the combination in place, and rows are often a
+    # code's cached generator: the result must never be one of them
     rows = [[1, 2, 3], [0, 5, 6]]
     out = gf16.combine([1, 0], rows)
     assert out == [1, 2, 3] and out is not rows[0]

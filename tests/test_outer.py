@@ -1,5 +1,5 @@
-"""Reed-Solomon outer code and Gao's unique decoder, against a
-nearest-codeword search and a Berlekamp-Welch oracle."""
+"""Reed-Solomon outer code and its syndrome decoder, against a
+nearest-codeword search and two oracles: Gao's decoder and Berlekamp-Welch."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -13,9 +13,11 @@ import aelcert.codes
 from aelcert import make_field, rs_unique_decode
 from aelcert.errors import FieldMismatch, Mismatch
 from aelcert.codes import LinearCode
+from aelcert.gf import poly_divmod, poly_trim
 from instances import pairwise_min_distance
 from aelcert.outer import RSOuterCode
 from test_codes import solve
+from test_gf import poly_mul
 
 
 @pytest.fixture(scope="module")
@@ -93,17 +95,46 @@ def test_dimension_outside_1_to_n_is_refused(gf16, dim):
         RSOuterCode(gf16, 4, dim)
 
 
-def test_contains_row_reduces_once_on_first_call(gf16, monkeypatch):
-    # the rank comes from the theorem; `contains` builds its reduced rows
-    # on its first call and keeps them
-    rref, calls = aelcert.codes.rref, []
-    monkeypatch.setattr(aelcert.codes, "rref",
-                        lambda field, rows: calls.append(len(rows)) or rref(field, rows))
-    code = RSOuterCode(gf16, 6, 3)
-    assert calls == []
-    cw = code.encode([1, 2, 3])
-    assert code.contains(cw) and not code.contains(cw[:-1] + ((cw[-1] + 1) % 16,))
-    assert calls == [3]
+def _no_rref(*args, **kwargs):
+    raise AssertionError("called codes.rref")
+
+
+def test_contains_is_every_syndrome_zero(monkeypatch):
+    # against the row-reduced membership of a plain LinearCode with the same
+    # generator (reduced before rref is patched), on codewords and on
+    # one-symbol corruptions of some; the RS code never row-reduces
+    cases = []
+    for p, m, n, dim, points in [(2, 4, 12, 2, None), (2, 4, 6, 3, [15, 3, 8, 1, 12, 6]),
+                                 (3, 2, 7, 2, [0, 8, 7, 5, 4, 3, 2]), (17, 1, 9, 4, None)]:
+        field = make_field(p, m)
+        code = RSOuterCode(field, n, dim, points=points)
+        plain = LinearCode(field, code.generator)
+        words = code.enumerate_codewords()[::max(1, code.size // 50)]
+        assert plain.contains(words[0])  # its one row reduction
+        corrupted = [w[:i] + ((w[i] + c) % field.q,) + w[i + 1:]
+                     for w in words[:8] for i in range(n) for c in (1, field.q - 1)]
+        cases.append((code, plain, words, corrupted))
+    monkeypatch.setattr(aelcert.codes, "rref", _no_rref)
+    for code, plain, words, corrupted in cases:
+        assert all(code.contains(w) and plain.contains(w) for w in words)
+        assert not any(code.contains(w) or plain.contains(w) for w in corrupted)
+        for bad in (-1, code.field.q, 0.5, None, True):
+            assert not code.contains((bad,) + words[1][1:])
+        with pytest.raises(Mismatch, match=f"word length {code.n - 1} != n {code.n}"):
+            code.contains(words[1][1:])
+
+
+@pytest.mark.parametrize("p,m,n,dim,points", [
+    (2, 4, 12, 5, None),
+    (3, 2, 8, 4, [0, 8, 2, 6, 4, 1, 7, 3]),
+    (17, 1, 10, 3, [16, 2, 9, 4, 11, 5, 0, 1, 7, 13]),
+    (2, 4, 15, 1, list(range(1, 16))),
+])
+def test_generator_rows_are_the_powers_of_the_points(p, m, n, dim, points):
+    field = make_field(p, m)
+    code = RSOuterCode(field, n, dim, points=points)
+    assert code.generator == tuple(
+        tuple(field.pow(a, i) for a in code.points) for i in range(dim))
 
 
 def test_decode_uncorrupted(rs12):
@@ -159,8 +190,7 @@ def test_decode_output_is_always_a_codeword(rs12):
 ])
 def test_decode_refuses_a_polynomial_of_degree_k(field, n, k):
     # x^k differs from every codeword in at least n - k positions, beyond
-    # the radius; its interpolant has degree k, so the division yields a
-    # quotient with one coefficient too many
+    # the radius
     code = RSOuterCode(field, n, k)
     word = [field.pow(a, k) for a in code.points]
     assert rs_unique_decode(code, word) is None
@@ -235,30 +265,33 @@ def _horner(F, p, x):
     return acc
 
 
-def test_interpolation_table_is_built_on_first_decode():
-    for field, n, points in [
-        (make_field(2, 4), 12, None),
-        (make_field(2, 4), 5, [3, 9, 14, 1, 6]),
-        (make_field(3, 2), 8, [0, 8, 2, 6, 4, 1, 7, 3]),
-        (make_field(5), 5, None),
-    ]:
-        code = RSOuterCode(field, n, 2, points=points)
-        assert code._interp is None  # the constructor does not build it
-        rs_unique_decode(code, list(code.encode([1, 2])))
-        g0, basis = code._interp
-        assert code._interpolation_table() is code._interp
-        assert len(g0) == n + 1 and g0[-1] == 1
-        assert all(_horner(field, g0, a) == 0 for a in code.points)
-        assert len(basis) == n
-        for a, lagrange in zip(code.points, basis):
-            assert len(lagrange) == n
-            assert [_horner(field, lagrange, b) for b in code.points] == [
-                int(a == b) for b in code.points
-            ]
+_TABLE_CODES = [
+    (make_field(2, 4), 12, 3, None),
+    (make_field(2, 4), 5, 2, [3, 9, 14, 1, 6]),
+    (make_field(3, 2), 8, 2, [0, 8, 2, 6, 4, 1, 7, 3]),
+    (make_field(5), 5, 2, None),
+    (make_field(2, 2), 4, 4, None),
+]
 
 
-def _no_rref(*args, **kwargs):
-    raise AssertionError("called codes.rref")
+def test_parity_table_checks_every_codeword():
+    for field, n, k, points in _TABLE_CODES:
+        code = RSOuterCode(field, n, k, points=points)
+        assert "_parity" not in code.__dict__  # the constructor does not build it
+        v, checks, powers = code._parity
+        assert code._parity is code.__dict__["_parity"]
+        t = code.unique_decoding_radius
+        assert checks.shape == (n, n - k) and powers.shape == (t + 1, n)
+        for i, a in enumerate(code.points):
+            denom = 1
+            for b in code.points:
+                if b != a:
+                    denom = field.mul(denom, field.sub(a, b))
+            assert field.mul(v[i], denom) == 1
+            assert checks[i].tolist() == [field.mul(v[i], field.pow(a, j)) for j in range(n - k)]
+            inverse = field.inv(a) if a else 0
+            assert powers[:, i].tolist() == [field.pow(inverse, j) for j in range(t + 1)]
+        assert not any(code._syndromes(list(cw)).any() for cw in code.enumerate_codewords())
 
 
 def test_decode_never_row_reduces(rs12, monkeypatch):
@@ -323,7 +356,48 @@ def test_decode_matches_nearest_codeword_search(data):
     assert rs_unique_decode(code, word) == _nearest_within(code, word)
 
 
-# -- against Berlekamp-Welch, on codes too large to search --------------------
+# -- against Gao's decoder and Berlekamp-Welch --------------------------------
+
+
+def _gao_table(code):
+    """(g0, basis): g0 = prod (x - a) over the points, and per point a the
+    Lagrange basis L_a = g0 / (x - a) / prod_{b != a} (a - b)."""
+    F = code.field
+    g0 = [1]
+    for a in code.points:
+        # (x - a) * g0 = x * g0 - a * g0
+        g0 = F.sub_scaled_row([0] + g0, a, g0 + [0])
+    basis = []
+    for a in code.points:
+        quot, _ = poly_divmod(F, g0, [F.neg(a), 1])
+        denom = 1
+        for b in code.points:
+            if b != a:
+                denom = F.mul(denom, F.sub(a, b))
+        basis.append(F.scale_row(F.inv(denom), quot))
+    return g0, basis
+
+
+def gao_decode(code, word):
+    """Gao's decoder (S. Gao, 2003) at the unique radius: interpolate the
+    word (g1), run a partial extended Euclid on (g0, g1), keeping
+    r_i = u_i g0 + v_i g1, up to the first remainder of degree < (n + k) / 2,
+    and divide it by v_i.  An exact quotient of degree < k is the codeword;
+    it disagrees with the word only where v_i vanishes, at most
+    deg v_i <= (n - k) / 2 points."""
+    F, n, k = code.field, code.n, code.dim
+    g0, basis = _gao_table(code)
+    r0, r1 = g0, poly_trim(F.combine(word, basis))
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= n + k:
+        quot, rem = poly_divmod(F, r0, r1)
+        prod = poly_mul(F, quot, v1)  # deg prod > deg v0
+        r0, r1 = r1, rem
+        v0, v1 = v1, F.sub_scaled_row(v0 + [0] * (len(prod) - len(v0)), 1, prod)
+    f, rem = poly_divmod(F, r1, v1)
+    if rem or len(f) > k:
+        return None
+    return code.encode(f + [0] * (k - len(f)))
 
 
 def _bw_divmod(F, num, den):
@@ -348,7 +422,8 @@ def berlekamp_welch(code, word, radius):
     `codes.rref`), then divide Q by E."""
     F, k, t = code.field, code.dim, radius
     if t == 0:
-        return tuple(word) if code.contains(word) else None
+        plain = LinearCode(code.field, code.generator)
+        return tuple(word) if plain.contains(word) else None
     rows, rhs = [], []
     for a, y in zip(code.points, word):
         powers = [F.pow(a, e) for e in range(t + k)]
@@ -394,3 +469,82 @@ def test_decode_matches_berlekamp_welch_oracle(data):
     assert rs_unique_decode(code, word) == expected
     if weight <= radius:
         assert expected == code.encode(msg)
+
+
+_AGREEMENT_FIELDS = {
+    "gf16": make_field(2, 4), "gf32": make_field(2, 5),
+    "gf13": make_field(13), "gf31": make_field(31),
+    "gf9": make_field(3, 2), "gf27": make_field(3, 3), "gf25": make_field(5, 2),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_decoder_gao_and_berlekamp_welch_agree(data):
+    # random RS codes over characteristic 2, prime and odd-extension fields,
+    # with and without the point 0, at every error weight 0..n - k
+    field = _AGREEMENT_FIELDS[data.draw(st.sampled_from(sorted(_AGREEMENT_FIELDS)))]
+    q = field.q
+    n = data.draw(st.integers(2, min(q, 16)))
+    k = data.draw(st.integers(1, n))
+    points = data.draw(st.permutations(range(q)))[:n]
+    code = RSOuterCode(field, n, k, points=points)
+    msg = data.draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k))
+    word = list(code.encode(msg))
+    weight = data.draw(st.integers(0, n - k))
+    for pos in data.draw(st.permutations(range(n)))[:weight]:
+        word[pos] = (word[pos] + data.draw(st.integers(1, q - 1))) % q
+    decoded = rs_unique_decode(code, word)
+    assert decoded == gao_decode(code, word)
+    assert decoded == berlekamp_welch(code, word, code.unique_decoding_radius)
+
+
+@pytest.mark.parametrize("p,m", [(2, 17), (3, 11), (65537, 1)])
+def test_decoder_matches_gao_over_a_field_without_tables(p, m):
+    field = make_field(p, m)
+    assert field._exp is None
+    rng = np.random.default_rng(p * m)
+    points = [0] + [int(x) for x in rng.choice(np.arange(1, field.q), 13, replace=False)]
+    code = RSOuterCode(field, 14, 6, points=points)
+    cw = code.encode([int(x) for x in rng.integers(0, field.q, 6)])
+    for weight in range(0, 9):
+        word = list(cw)
+        for pos in rng.permutation(14)[:weight]:
+            word[pos] = field.add(word[pos], int(rng.integers(1, field.q)))
+        decoded = rs_unique_decode(code, word)
+        assert decoded == gao_decode(code, word)
+        if weight <= 4:
+            assert decoded == cw
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (5, 2), (17, 1)])
+def test_errors_at_the_point_zero_are_corrected(p, m):
+    # the point 0's error adds no root to the locator, only one to its length
+    field = make_field(p, m)
+    code = RSOuterCode(field, 10, 2, points=[5, 0, 1, 2, 3, 4, 6, 7, 8, 9])
+    cw = code.encode([3, 1])
+    for others in ([], [0], [4, 6], [2, 3, 7]):
+        word = list(cw)
+        for pos in [1] + others:
+            word[pos] = field.add(word[pos], 1 + pos % (field.q - 1))
+        assert rs_unique_decode(code, word) == cw
+
+
+def test_a_recurrence_one_longer_than_its_locator_needs_the_point_zero():
+    # syndromes (1, 0, ..., 0) have the recurrence C = 1 of length 1: an
+    # error at the point 0 when the code has it; without it, no codeword
+    # lies within the radius, and the word must be refused
+    field = make_field(2, 4)
+    for points in (range(1, 11), range(10)):
+        code = RSOuterCode(field, 10, 4, points=points)
+        checks = code._parity[1].tolist()
+        # a word on the last n - k points with syndromes (1, 0, ..., 0)
+        word = [0] * 4 + solve(field, [list(r) for r in zip(*checks[4:])],
+                               [1] + [0] * 5)
+        assert code._syndromes(word).tolist() == [1] + [0] * 5
+        decoded = rs_unique_decode(code, word)
+        assert decoded == gao_decode(code, word) == berlekamp_welch(code, word, 3)
+        if 0 in code.points:
+            assert sum(a != b for a, b in zip(word, decoded)) == 1
+        else:
+            assert decoded is None

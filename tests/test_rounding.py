@@ -625,8 +625,8 @@ def _views_word(code, rows):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_decoded_words_fold_outer_codewords(instance12, data):
-    # the decoders fold Gao's output with no membership test; whatever they
-    # return must still unfold to an outer codeword
+    # the decoders fold the outer decoder's output with no membership test;
+    # whatever they return must still unfold to an outer codeword
     rows = data.draw(_ensemble_rows(instance12))
     outputs = [decode_from_distributions(instance12, InnerDistributionEnsemble(rows))]
     for word in (_views_word(instance12, rows), data.draw(_noisy_words(instance12))):
