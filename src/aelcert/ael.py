@@ -4,10 +4,10 @@ the edges of a d-regular bipartite graph and refold them on the right
 vertices.
 
 The codewords are one (N, n, d) int64 array, `word_array`: right vertex r
-of a word holds the d entries its edges bring, gathered through phi, kept
-as one (M, d) array `codebook`, and the graph's one `route` array.  Tuples
-of d-tuples are built only for callers that ask for them, and symbols are
-compared through their `arld.symbol_keys`, never interned.
+of a word holds the d entries its edges bring, gathered through phi, the
+inner code's (M, d) `word_array` (`codebook`), and the graph's `route`.
+Tuples of d-tuples are built only for callers that ask for them, and
+symbols are compared through their `arld.symbol_keys`, never interned.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class AELCode:
         self.outer = outer
         # the field whose coordinatewise addition acts on the folded symbols
         self.field = inner.field
-        self.phi = inner.enumerate_codewords()
         self._words = self._keys = self._codewords = None  # built on first use
 
     @property
@@ -77,10 +76,9 @@ class AELCode:
 
     @cached_property
     def codebook(self) -> np.ndarray:
-        """phi as one (M, d) int64 array, row sigma = phi(sigma), built on
-        first use: encoding gathers its rows, and decoding compares the
-        left views with all of them."""
-        return np.array(self.phi, dtype=np.int64)
+        """phi, row sigma = phi(sigma), held once: the inner `word_array`.
+        Encoding gathers its rows; decoding compares the left views with all."""
+        return self.inner.word_array()
 
     # -- encoding and views --------------------------------------------------
 

@@ -13,10 +13,10 @@ adversary: erasing coordinate i changes the slack by (maxcount_i - 1)/n >= 0,
 so the erasure-free worst case covers every erasure fraction (this fact is
 also machine-checked on small instances in the test suite).
 
-The sweep reads one integer id per symbol: a code's folded symbols packed
-in base q by `symbol_keys`, or the ids `intern_symbols` gives a plain word
-list.  Every subset size reads the pairwise symbol equalities packed in byte
-lanes: an (L, M, M) uint64 array, L = ceil(n/8), whose lane l holds
+The sweep reads one integer id per symbol from `inner.resolve_words`: an
+entry, a folded symbol's `symbol_keys`, or an `intern_symbols` id.  Every
+subset size reads the pairwise symbol equalities packed in byte lanes: an
+(L, M, M) uint64 array, L = ceil(n/8), whose lane l holds
 coordinates 8l..8l+7 one byte each (1 where the two words agree, 0 where
 they differ and in the padding bytes past n).  Size 2 reads each pair's
 count as n minus its byte sum, and every larger size runs one numpy
@@ -122,24 +122,26 @@ def translation_closed(words, field) -> bool:
     """Whether the words are distinct and closed under coordinatewise
     `field` addition, i.e. form a group, so the sweep may fix word 0.
 
-    `words` is a code's `word_array`, read as it is, or a list of word
-    tuples.  Nested symbols (AEL d-tuples, FRS b-tuples) are flattened,
+    `words` is what `inner.resolve_words` gives, an integer `word_array` or
+    word tuples; nested symbols (AEL d-tuples, FRS b-tuples) are flattened,
     and words add entry by entry through `Field.add_arrays`.  The span S
     of the words grows from {0}: a word w outside it gives S, S + w, ..., S + (p-1)w, p
     disjoint cosets (c*w in S for some 0 < c < p would put w in S), so |S|
     grows p-fold, and the test fails the moment that would exceed |W|, W
     the words.  Once every word is in S, W lies in S and |S| <= |W|, so
-    W = S is a group, with no rank computed.  A symbol outside [0, q), a
-    repeated word or no field gives False.
+    W = S is a group, with no rank computed.  Nothing is cast: an entry
+    that is not an integer (2.5), a symbol outside [0, q), a repeated word
+    or no field gives False.
     """
     if field is None or len(words) == 0:
         return False
     if not isinstance(words, np.ndarray):
         words = [[x for s in w for x in (s if isinstance(s, tuple) else (s,))] for w in words]
-    vals = np.asarray(words, dtype=np.int64).reshape(len(words), -1)
+    vals = np.asarray(words).reshape(len(words), -1)
     keys = [row.tobytes() for row in vals]
-    if vals.min() < 0 or vals.max() >= field.q or len(set(keys)) < len(keys):
-        return False  # a symbol outside the field, or a repeated word
+    if (vals.dtype.kind not in "iu" or vals.min() < 0 or vals.max() >= field.q
+            or len(set(keys)) < len(keys)):
+        return False  # an entry that is not an element, or a repeated word
     span, members = vals[:1] * 0, {bytes(vals[0].nbytes)}  # {0}
     for w, key in zip(vals, keys):
         if key not in members:

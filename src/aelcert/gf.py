@@ -31,6 +31,7 @@ tables are a single walk of its generator's powers.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from fractions import Fraction
 from functools import cache
 from numbers import Integral
 
@@ -58,6 +59,13 @@ def _ints(value, name: str, depth: int = 0):
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
+def _fraction(value, name: str) -> Fraction:
+    """An exact parameter: a Fraction, or an integer as one; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (Fraction, Integral)):
+        raise ValueError(f"{name}: expected a Fraction or an integer, got {value!r}")
+    return value if isinstance(value, Fraction) else Fraction(int(value))
 
 
 def _seq(value, name: str) -> list:

@@ -10,8 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .arld import (
 )
 from .codes import DEFAULT_ENUMERATION_CAP, ERASED, LinearCode, word_tuples
 from .errors import Mismatch, SearchExhausted, TooLarge
-from .gf import Field, _ints, multiplicative_generator
+from .gf import Field, _fraction, _ints, multiplicative_generator
 from .outer import RSOuterCode
 from .seeds import derive_seed
 
@@ -39,26 +38,29 @@ SAMPLE_ATTEMPTS = 100
 CENTER_CAP = 1 << 22
 
 
-def resolve_words(code_or_words) -> tuple[list[tuple], int]:
-    """The words of any code that answers `enumerate_codewords()` or of a word
-    list, and n; Mismatch for no words or words of unequal length."""
+def resolve_words(code_or_words) -> tuple:
+    """(words, ids, field), the one decision of how words reach the certifier:
+    a code's `word_array`, ids its entries or folded `symbol_keys`, or else
+    the tuples of `enumerate_codewords()` or of a word list, interned;
+    Mismatch for no words or words of unequal length."""
+    field = getattr(code_or_words, "field", None)
+    words = getattr(code_or_words, "word_array", lambda: None)()
+    if words is not None:
+        return words, words if words.ndim == 2 else key_ids(symbol_keys(words, field.q)), field
     enumerate_codewords = getattr(code_or_words, "enumerate_codewords", None)
     words = enumerate_codewords() if enumerate_codewords else [tuple(w) for w in code_or_words]
     if not words or any(len(w) != len(words[0]) for w in words):
         raise Mismatch("need one or more words, all of one length")
-    return list(words), len(words[0])
+    return list(words), intern_symbols(words)[0], field
 
 
-def _sweep_words(code_or_words) -> tuple:
-    """(words, their (M, n) symbol ids): a code's `word_array`, whose
-    folded symbols are keyed by `symbol_keys`, or else the word tuples of
-    `resolve_words`, interned."""
-    words = getattr(code_or_words, "word_array", lambda: None)()
-    if words is None:
-        words = resolve_words(code_or_words)[0]
-        return words, intern_symbols(words)[0]
-    return words, words if words.ndim == 2 else key_ids(
-        symbol_keys(words, code_or_words.field.q))
+def _word_rows(words, indices) -> list[tuple]:
+    """`resolve_words` words at `indices`, as tuples; Mismatch off the list."""
+    if not all(0 <= i < len(words) for i in indices):
+        raise Mismatch(f"word indices {indices} are not all below {len(words)}")
+    if isinstance(words, list):
+        return [words[i] for i in indices]
+    return word_tuples(words[list(indices)])
 
 
 @dataclass
@@ -100,23 +102,16 @@ class ARLDCertificate:
     witnesses: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def reevaluate(self, code_or_words) -> Fraction:
-        """Recompute eps_min from the stored witness subset (rational equality)."""
-        words, n = resolve_words(code_or_words)
-        subset = [words[i] for i in self.witness_indices]
-        center, contribs = plurality_center(subset)
-        d = sum(contribs)
-        m = len(subset)
-        value = self.delta0 - Fraction(d, n * (m - 1))
-        return max(Fraction(0), value)
+        """Recompute eps_min from the stored witness subset (rational
+        equality); Mismatch for a witness index the words lack."""
+        words, sym, _ = resolve_words(code_or_words)
+        _, contribs = plurality_center(_word_rows(words, self.witness_indices))
+        m = len(self.witness_indices)
+        return max(Fraction(0), self.delta0 - Fraction(sum(contribs), sym.shape[1] * (m - 1)))
 
 
-def min_arld_slack(
-    code_or_words,
-    k: int,
-    delta0: Fraction,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-    description: str = "",
-) -> ARLDCertificate:
+def min_arld_slack(code_or_words, k: int, delta0: Fraction, subset_cap: int = DEFAULT_SUBSET_CAP,
+                   description: str = "") -> ARLDCertificate:
     """Exact worst-case slack over all subsets H with |H| <= k and all centers.
 
     The center quantifier collapses to the coordinate-wise plurality; the
@@ -124,12 +119,11 @@ def min_arld_slack(
     `aelcert.arld`, only over the subsets that contain word 0 when the
     words form a group under the addition of the code's `field` (a linear,
     folded RS, AEL or field-carrying block code).  Plain word lists carry
-    no field and are swept in full.  A code's words are read as its one
-    int64 `word_array`, with no interning, and only the witness rows are
-    built as tuples.
+    no field and are swept in full.  Only the witness rows become tuples.
     """
-    words, sym = _sweep_words(code_or_words)
-    n, delta0 = sym.shape[1], Fraction(delta0)
+    k, delta0 = _ints(k, "k"), _fraction(delta0, "delta0")
+    words, sym, field = resolve_words(code_or_words)
+    n = sym.shape[1]
     t0 = time.perf_counter()
     if k < 2 or len(words) < 2:
         return ARLDCertificate(
@@ -137,12 +131,10 @@ def min_arld_slack(
             time.perf_counter() - t0, description,
             subsets_evaluated=0, subsets_scored=0, reduction="none",
         )
-    closed = translation_closed(words, getattr(code_or_words, "field", None))
+    closed = translation_closed(words, field)
     witnesses = min_disagreement_by_size(sym, k, subset_cap, closed)
     eps, worst = epsilon_min(witnesses, n, delta0)
-    idx = list(worst.indices)
-    center, _ = plurality_center(
-        word_tuples(words[idx]) if isinstance(words, np.ndarray) else [words[i] for i in idx])
+    center, _ = plurality_center(_word_rows(words, worst.indices))
     return ARLDCertificate(
         delta0=delta0,
         k=k,
@@ -154,9 +146,7 @@ def min_arld_slack(
         subsets_examined=subset_search_count(len(words), k),
         runtime_seconds=time.perf_counter() - t0,
         code_description=description,
-        min_disagreements_by_size={
-            m: w.disagreement_count for m, w in witnesses.items()
-        },
+        min_disagreements_by_size={m: w.disagreement_count for m, w in witnesses.items()},
         subsets_evaluated=subset_search_count(len(words), k, closed),
         subsets_scored=sum(w.scored for w in witnesses.values()),
         reduction="translation" if closed else "none",
@@ -164,27 +154,20 @@ def min_arld_slack(
     )
 
 
-def exhaustive_arld_check(
-    code_or_words,
-    k: int,
-    delta0: Fraction,
-    eps: Fraction,
-):
+def exhaustive_arld_check(code_or_words, k: int, delta0: Fraction, eps: Fraction):
     """Literal quantifier sweep of the average-radius definition.
 
     Independent oracle: enumerates every subset H (2 <= |H| <= k), every
     erasure set S and every center over the non-erased coordinates, drawn
-    from the field of a LinearCode or else the symbols the words use.
+    from the symbols the words use (for a linear code, all of its field).
     Returns (True, None) or (False, witness dict); more than CENTER_CAP
     centers for one erasure set raise TooLarge.
     """
-    words, n = resolve_words(code_or_words)
-    delta0, eps = Fraction(delta0), Fraction(eps)
-    if isinstance(code_or_words, LinearCode):  # centers range over the whole field
-        alphabet, sym = list(range(code_or_words.field.q)), code_or_words.word_array()
-    else:
-        sym, index = intern_symbols(words)
-        alphabet = list(index)
+    k, delta0, eps = _ints(k, "k"), _fraction(delta0, "delta0"), _fraction(eps, "eps")
+    words = resolve_words(code_or_words)[0]
+    words = _word_rows(words, range(len(words)))
+    sym, index = intern_symbols(words)
+    alphabet, n = list(index), sym.shape[1]
     Q = len(alphabet)
     erasure_sets = [frozenset(S) for r in range(n + 1) for S in combinations(range(n), r)]
     for m in range(2, min(k, len(words)) + 1):
@@ -252,7 +235,7 @@ def search_inner_code(
     Each try uses a seed derived from (seed, try index), so the search is
     reproducible and could be parallelized by try index.
     """
-    delta0, eps_target = Fraction(delta0), Fraction(eps_target)
+    delta0, eps_target = _fraction(delta0, "delta0"), _fraction(eps_target, "eps_target")
     for t in range(max_tries):
         rng = np.random.default_rng(derive_seed(seed, "inner-search", t))
         code = sample_random_linear_code(field, length, dim, rng)
@@ -269,45 +252,51 @@ class BlockCode:
     """Enumerable code over an arbitrary (hashable) symbol alphabet.
 
     `field`, when given, is the field whose coordinatewise addition acts on
-    the (possibly tuple) symbols; it lets the ARLD sweep test closure.
+    the (possibly tuple) symbols; it lets the ARLD sweep test closure.  The
+    constructor checks the words once (`_field_words`), so a code with a
+    field always has its `word_array`.  No words raise Mismatch.
     """
 
     def __init__(self, codewords, field: Field | None = None):
         self.codewords = [tuple(w) for w in codewords]
+        if not self.codewords:
+            raise Mismatch("need one or more codewords")
         self.n = len(self.codewords[0])
         self.field = field
+        self._words = None if field is None else _field_words(self.codewords, field)
 
     def enumerate_codewords(self) -> list[tuple]:
         return self.codewords
 
     def word_array(self) -> np.ndarray | None:
-        """The codewords as one int64 array, built on first use, when a
-        `field` is given and every entry is an integer in [0, q) (the arrays
-        whose `symbol_keys` are exact); None otherwise, and the sweep
-        interns the tuples."""
+        """The words of a code with a `field`; None without one."""
         return self._words
-
-    @cached_property
-    def _words(self) -> np.ndarray | None:
-        if self.field is None:
-            return None
-        try:
-            words = np.array(self.codewords)
-        except ValueError:  # symbols of unequal shape
-            return None
-        exact = words.dtype.kind in "iu" and words.ndim <= 3 and words.size and (
-            0 <= words.min() and words.max() < self.field.q)
-        return words.astype(np.int64) if exact else None
 
     def min_distance(self) -> Fraction:
         """Minimum pairwise distance, from the `pair_disagreements` counts."""
-        if len(self.codewords) < 2:
+        words, ids, _ = resolve_words(self)
+        if len(words) < 2:
             raise Mismatch("need at least two codewords")
-        dist = pair_disagreements(intern_symbols(self.codewords)[0])
+        dist = pair_disagreements(ids)
         return Fraction(int(dist[np.triu_indices(len(dist), k=1)].min()), self.n)
 
     def __len__(self) -> int:
         return len(self.codewords)
+
+
+def _field_words(words: list[tuple], field: Field) -> np.ndarray:
+    """The words as one read-only (M, n) or (M, n, w) int64 array; Mismatch
+    for unequal shapes, FieldMismatch for an entry `Field.vector` refuses."""
+    try:
+        shape = np.shape(words)
+    except ValueError:  # words or symbols of unequal shape
+        shape = ()
+    if len(shape) not in (2, 3):
+        raise Mismatch("block code words must share one shape: n elements or n w-tuples")
+    entries = chain.from_iterable(chain.from_iterable(words) if len(shape) == 3 else words)
+    array = np.array(field.vector(entries, "codeword entry"), dtype=np.int64).reshape(shape)
+    array.flags.writeable = False
+    return array
 
 
 class FoldedRSCode:
@@ -337,7 +326,7 @@ class FoldedRSCode:
         b, n = _ints(b, "b"), _ints(n, "n")
         if field.q < b * n:
             raise Mismatch(f"q={field.q} < bn={b * n}")
-        rho = Fraction(rho)
+        rho = _fraction(rho, "rho")
         dim = rho * b * n
         if dim.denominator != 1 or not 1 <= dim <= b * n:
             raise ValueError(f"rho*b*n = {dim} must be an integer in [1, bn = {b * n}]")

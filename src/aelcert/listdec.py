@@ -17,6 +17,7 @@ from .ael import AELCode
 from .arld import DEFAULT_SUBSET_CAP, symbol_keys
 from .codes import ERASED, ErasedWord, word_tuples
 from .errors import Mismatch
+from .gf import _fraction, _ints
 from .inner import min_arld_slack
 
 
@@ -43,7 +44,7 @@ def brute_force_list(code: AELCode, center, beta: Fraction):
     words are built as tuples."""
     center, erased = _checked_center(code, center), (-1,) * code.d
     rows = [erased if g is ERASED else g for g in center.symbols]
-    beta = Fraction(beta)
+    beta = _fraction(beta, "beta")
     limit = beta.numerator * code.n // beta.denominator + center.erasure_count
     center_keys = symbol_keys(np.array(rows, dtype=np.int64), code.field.q)
     keys = code.word_keys()
@@ -77,7 +78,7 @@ def verify_generalized_singleton(
     reduction used ("translation" or "none").  "code" is the code object
     swept, which binds the report to it.
     """
-    delta0, eps = Fraction(delta0), Fraction(eps)
+    k, delta0, eps = _ints(k, "k"), _fraction(delta0, "delta0"), _fraction(eps, "eps")
     cert = min_arld_slack(code, k, delta0, subset_cap)
     violations = []
     for m, w in cert.witnesses.items():
@@ -148,7 +149,7 @@ def verify_common_error_bound(
     the verdict covers every center.  `beta` is not read: it stays until
     the benchmark harness stops passing it.
     """
-    delta0, eps = Fraction(delta0), Fraction(eps)
+    k, delta0, eps = _ints(k, "k"), _fraction(delta0, "delta0"), _fraction(eps, "eps")
     if singleton_report is None or not singleton_report.get("empirical_pass"):
         raise Mismatch("verify_generalized_singleton must pass first at (delta0, k, eps)")
     if singleton_report.get("code") is not code:

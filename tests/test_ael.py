@@ -117,7 +117,7 @@ def test_decode_to_outer_raises_key_error_off_the_codebook(instance12):
     edges[0] = (edges[0] + 1) % 4  # edge 0 leaves left vertex 0
     word = fold(instance12, edges)
     view = instance12.left_views(word)[0]
-    assert view not in instance12.phi
+    assert view not in instance12.inner.enumerate_codewords()
     with pytest.raises(KeyError) as err:
         instance12.decode_to_outer(word)
     assert err.value.args == (view,)
@@ -147,15 +147,15 @@ def test_phi_is_the_codebook_order_and_additive(instance12):
     # phi(sigma) encodes the sigma-th message in lexicographic order, and
     # phi(sigma + tau) = phi(sigma) + phi(tau) for all 16 x 16 pairs
     inner, F_out = instance12.inner, instance12.outer.field
-    F_in = inner.field
+    F_in, phi = inner.field, instance12.codebook.tolist()
     messages = list(product(range(F_in.q), repeat=inner.dim))
-    assert len(instance12.phi) == len(messages) == F_out.q
+    assert len(phi) == len(messages) == F_out.q
     for sigma, msg in enumerate(messages):
-        assert instance12.phi[sigma] == inner.encode(msg)
+        assert tuple(phi[sigma]) == inner.encode(msg)
         assert instance12.outer_symbol_to_inner_index(sigma) == sigma
     for sigma, tau in product(range(F_out.q), repeat=2):
-        total = tuple(F_in.add(a, b) for a, b in zip(instance12.phi[sigma], instance12.phi[tau]))
-        assert instance12.phi[F_out.add(sigma, tau)] == total
+        total = [F_in.add(a, b) for a, b in zip(phi[sigma], phi[tau])]
+        assert phi[F_out.add(sigma, tau)] == total
 
 
 def test_metrics_identical_words(instance12):
@@ -529,7 +529,7 @@ def _left_views_loop_oracle(code, word):
 def _encode_loop_oracle(code, outer_codeword):
     edge_vals = [0] * (code.n * code.d)
     for l, sigma in enumerate(outer_codeword):
-        for i, x in enumerate(code.phi[sigma]):
+        for i, x in enumerate(code.inner.enumerate_codewords()[sigma]):
             edge_vals[l * code.d + i] = x
     return _fold_loop_oracle(code, edge_vals)
 

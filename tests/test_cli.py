@@ -85,6 +85,12 @@ def test_unknown_key_rejected(tmp_path):
     assert main(["encode", "--config", cfg]) == 2
 
 
+def test_config_that_is_a_json_list_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "list.json", [{"version": 1}])
+    assert main(["encode", "--config", cfg]) == 2
+    assert "is not a JSON object" in capsys.readouterr().err
+
+
 def test_missing_version_rejected(tmp_path):
     cfg = _write_config(tmp_path / "bad.json", {
         "bundle_file": "x", "message": [0], "word_out": "y",

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aelcert import ERASED, ErasedWord, LinearCode, dist_with_erasures, make_field
+from aelcert import (
+    ERASED, ErasedWord, LinearCode, dist_with_erasures, hamming_distance, make_field,
+)
 from aelcert.codes import rref
 from instances import pairwise_min_distance
 from aelcert.errors import FieldMismatch, Mismatch, TooLarge
@@ -32,6 +34,16 @@ def test_rref_rank(gf2):
     reduced, pivots = rref(gf2, rows)
     assert len(reduced) == 2
     assert pivots == [0, 1]
+
+
+def test_ragged_generator_refused(gf2):
+    with pytest.raises(Mismatch, match="ragged generator matrix"):
+        LinearCode(gf2, [[1, 0, 1], [0, 1]])
+
+
+def test_hamming_distance_refuses_unequal_lengths():
+    with pytest.raises(Mismatch, match="3 != 2"):
+        hamming_distance((0, 1, 1), (0, 1))
 
 
 def test_generator_must_have_full_rank(gf2):

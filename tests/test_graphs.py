@@ -37,6 +37,13 @@ def test_regularity_validation():
         BipartiteGraph(3, 2, [[0, 1], [0, 1], [0, 1]])  # right degree 3/3/0
 
 
+@pytest.mark.parametrize("adj", [[[0, 1], [1, 0]], [[0, 1], [1, 2], [2]], [[0, 1]] * 4],
+                         ids=["two-rows", "short-row", "four-rows"])
+def test_adjacency_must_be_n_rows_of_d(adj):
+    with pytest.raises(ValueError, match="n rows of d right vertices"):
+        BipartiteGraph(3, 2, adj)
+
+
 def test_complete_bipartite_lambda_zero():
     assert complete_bipartite(2).lam == pytest.approx(0, abs=1e-9)
     assert complete_bipartite(16).lam <= 1e-9

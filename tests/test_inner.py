@@ -554,6 +554,53 @@ def test_certificate_witness_reevaluates(gf4):
     assert cert.reevaluate(code) == cert.eps_min
 
 
+@pytest.mark.parametrize("indices", [(0, 16), (0, 1, 99), (-1, 0)])
+def test_reevaluate_refuses_a_witness_index_the_words_lack(gf4, indices):
+    code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
+    cert = replace(min_arld_slack(code, k=3, delta0=Fraction(9, 10)), witness_indices=indices)
+    for words in (code, code.enumerate_codewords()):
+        with pytest.raises(Mismatch, match="word indices"):
+            cert.reevaluate(words)
+
+
+@pytest.mark.parametrize("value", [0.1, True, "1/2", None, 1.0],
+                         ids=["float", "bool", "string", "none", "integral-float"])
+@pytest.mark.parametrize("parameter", ["delta0", "eps", "eps_target", "rho"])
+def test_exact_parameters_refuse_inexact_values(gf4, gf17, parameter, value):
+    # 0.1 would certify against 3602879701896397/36028797018963968
+    code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
+    calls = {
+        "delta0": [lambda: min_arld_slack(code, 3, value),
+                   lambda: exhaustive_arld_check(code, 2, value, 0),
+                   lambda: search_inner_code(gf4, 4, 2, 2, value, 0, seed=1, max_tries=1)],
+        "eps": [lambda: exhaustive_arld_check(code, 2, 1, value)],
+        "eps_target": [lambda: search_inner_code(gf4, 4, 2, 2, 1, value, seed=1, max_tries=1)],
+        "rho": [lambda: FoldedRSCode(gf17, 2, 4, value)],
+    }[parameter]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"{parameter}: expected a Fraction or an integer"):
+            call()
+
+
+@pytest.mark.parametrize("k", [True, 2.5, "3", np.float64(3)])
+def test_certifiers_refuse_a_k_that_is_not_an_integer(gf4, k):
+    # k = True once gave an empty certificate that load_certificate refused,
+    # and k = 2.5 a bare TypeError
+    code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
+    for call in (lambda: min_arld_slack(code, k, 1),
+                 lambda: exhaustive_arld_check(code, k, 1, 0)):
+        with pytest.raises(ValueError, match="k: expected an integer"):
+            call()
+
+
+def test_exact_parameters_take_numpy_integers(gf4):
+    code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])
+    cert = min_arld_slack(code, np.int64(3), np.int64(1))
+    assert cert == replace(min_arld_slack(code, 3, Fraction(1)),
+                           runtime_seconds=cert.runtime_seconds)
+    assert isinstance(cert.k, int) and isinstance(cert.delta0, Fraction)
+
+
 @pytest.mark.parametrize("words", [[], [(0, 1), (1, 0, 1)], [(0, 1, 1), (1, 0)]],
                          ids=["empty", "longer-second", "shorter-second"])
 @pytest.mark.parametrize("certifier", ["min_arld_slack", "exhaustive", "reevaluate"])
@@ -751,6 +798,11 @@ def test_sample_refuses_dim_above_length_before_any_draw(gf2):
         search_inner_code(gf2, 3, 5, k=2, delta0=Fraction(1, 2), eps_target=1, seed=0)
 
 
+def test_sample_refuses_dim_zero(gf2):
+    with pytest.raises(Mismatch, match="at least one row"):
+        sample_random_linear_code(gf2, 3, 0, np.random.default_rng(0))
+
+
 def test_search_deterministic(gf8):
     a1 = search_inner_code(
         gf8, 6, 2, k=4, delta0=Fraction(2, 3), eps_target=Fraction(1, 6), seed=9
@@ -819,6 +871,12 @@ def test_frs_input_that_is_not_an_integer_rejected(gf17, b, n, alphas, name):
 @pytest.mark.parametrize("alphas", [[-1, 3, 5, 7], [20, 3, 5, 7], [True, 3, 5, 7]])
 def test_frs_anchor_outside_the_field_rejected(gf17, alphas):
     with pytest.raises(FieldMismatch, match="alphas"):
+        FoldedRSCode(gf17, 2, 4, Fraction(1, 4), alphas)
+
+
+@pytest.mark.parametrize("alphas", [[1, 9, 13], [1, 9, 13, 15, 16]])
+def test_frs_needs_one_anchor_per_folded_symbol(gf17, alphas):
+    with pytest.raises(ValueError, match="one evaluation anchor per folded symbol"):
         FoldedRSCode(gf17, 2, 4, Fraction(1, 4), alphas)
 
 
@@ -907,18 +965,49 @@ def test_exhaustive_oracle_reads_code_objects(gf4):
             assert got[0] == (eps == 0)
 
 
-def test_block_code_word_array_only_where_its_keys_are_exact(gf4):
-    # the array the sweep keys needs a field and integer entries in [0, q);
-    # any other block code is interned
+def test_block_code_checks_its_words_once_in_its_constructor(gf4):
+    # with a field, every entry is a field element and the words share one
+    # shape, so the word array always exists; without one there is none
     words = [((0, 1), (2, 3)), ((1, 0), (3, 2))]
-    assert np.array_equal(BlockCode(words, gf4).word_array(), words)
-    for code in (BlockCode(words), BlockCode([((1, 1.5), (0, 0))] + words, gf4),
-                 BlockCode([((0, 1), (2,))] + words, gf4)):
-        assert code.word_array() is None
-    # (1, -4) packs to the key of (0, 0) over GF(4)
-    off = BlockCode([((1, -4), (0, 0)), ((0, 0), (0, 0))], gf4)
-    assert off.word_array() is None
+    array = BlockCode(words, gf4).word_array()
+    assert np.array_equal(array, words) and not array.flags.writeable
+    assert BlockCode(words).word_array() is None
+    for bad in ([((1, 1.5), (0, 0))], [((1, True), (0, 0))], [((1, "2"), (0, 0))],
+                [((1, -4), (0, 0))], [((1, 4), (0, 0))]):
+        with pytest.raises(FieldMismatch):
+            BlockCode(bad + words, gf4)
+    for ragged in ([((0, 1), (2,))], [((0, 1),)], [(0, 1)]):
+        with pytest.raises(Mismatch, match="one shape"):
+            BlockCode(ragged + words, gf4)
+    for field in (gf4, None):
+        with pytest.raises(Mismatch, match="one or more codewords"):
+            BlockCode([], field)
+    # (1, -4) packs to the key of (0, 0) over GF(4): as a plain list it is
+    # interned, and the two words differ in one symbol
+    off = [((1, -4), (0, 0)), ((0, 0), (0, 0))]
     assert min_arld_slack(off, 2, Fraction(1, 2)).min_disagreements_by_size == {2: 1}
+
+
+# GF(3) [3,2] codewords with five entries shifted by one half: no group
+HALF_SHIFTED_GF3 = [(0, 0, 0), (2.5, 2.5, 2), (1, 1, 1), (1.5, 0, 2.5), (0, 2.5, 1),
+                    (2.5, 1.5, 0), (2, 0, 1.5), (1, 2, 0), (0, 1, 2)]
+
+
+def test_non_integer_words_are_not_cast_into_a_group():
+    # casting 2.5 to 2 would turn these words into a group and let the
+    # sweep fix word 0, so the certificate would miss the true size-3 minimum
+    gf3 = make_field(3)
+    with pytest.raises(FieldMismatch):
+        BlockCode(HALF_SHIFTED_GF3, gf3)
+    assert not translation_closed(HALF_SHIFTED_GF3, gf3)
+    # integral floats add up to a group, yet they are not field elements
+    assert translation_closed([(0,), (1,), (2,)], gf3)
+    assert not translation_closed([(0.0,), (1.0,), (2.0,)], gf3)
+    assert not translation_closed(np.array([[0.0], [1.0], [2.0]]), gf3)
+    cert = min_arld_slack(HALF_SHIFTED_GF3, 3, 1)
+    assert cert.min_disagreements_by_size == {2: 2, 3: 3}
+    assert cert.eps_min == Fraction(1, 2) and cert.reduction == "none"
+    assert cert.reevaluate(HALF_SHIFTED_GF3) == cert.eps_min
 
 
 def test_block_code_distance():

@@ -100,6 +100,28 @@ def test_list_rejects_what_unique_decoding_rejects(instance12, center, message):
         brute_force_list(instance12, center(h), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("value", [0.5, True, "1/2"], ids=["float", "bool", "string"])
+def test_listdec_parameters_refuse_inexact_values(instance12, value):
+    h = instance12.encode_message([3, 3])
+    half = Fraction(1, 2)
+    calls = {
+        "beta": lambda: brute_force_list(instance12, h, value),
+        "delta0": lambda: verify_generalized_singleton(instance12, 2, value, 0),
+        "eps": lambda: verify_generalized_singleton(instance12, 2, half, value),
+    }
+    common = {
+        "delta0": lambda: verify_common_error_bound(instance12, 2, value, 0, [h], half),
+        "eps": lambda: verify_common_error_bound(instance12, 2, half, value, [h], half),
+    }
+    for name, call in [*calls.items(), *common.items()]:
+        with pytest.raises(ValueError, match=f"{name}: expected a Fraction or an integer"):
+            call()
+    for call in (lambda: verify_generalized_singleton(instance12, value, half, 0),
+                 lambda: verify_common_error_bound(instance12, value, half, 0, [h], half)):
+        with pytest.raises(ValueError, match="k: expected an integer"):
+            call()
+
+
 def _brute_force_list_scan_oracle(code, center, beta):
     """Reference: the list scan as one symbol comparison per unerased vertex
     and codeword."""
@@ -268,9 +290,9 @@ def test_ael_words_are_translation_closed(instance12, acceptance, which):
 def test_word_set_that_is_not_a_group_sweeps_in_full(instance12):
     # the AEL words with phi(1) and phi(2) swapped: no longer closed under
     # addition, so the sweep is not reduced
-    swap = {1: 2, 2: 1}
+    swap, phi = {1: 2, 2: 1}, instance12.inner.enumerate_codewords()
     words = [
-        fold(instance12, [x for s in h for x in instance12.phi[swap.get(s, s)]])
+        fold(instance12, [x for s in h for x in phi[swap.get(s, s)]])
         for h in instance12.outer.enumerate_codewords()
     ]
     field = instance12.inner.field

@@ -130,6 +130,14 @@ def _planted_ensembles(code):
         yield InnerDistributionEnsemble(weights), h, picks
 
 
+def test_decode_refuses_an_ensemble_of_the_wrong_shape(instance12):
+    m = instance12.inner.size
+    point = [Fraction(1)] + [Fraction(0)] * (m - 1)
+    for rows in ([point] * (instance12.n - 1), [point[:-1]] * instance12.n):
+        with pytest.raises(ValueError, match="ensemble shape does not match"):
+            decode_from_distributions(instance12, InnerDistributionEnsemble(rows))
+
+
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         InnerDistributionEnsemble([[Fraction(1, 2), Fraction(1, 3)]])
@@ -619,7 +627,7 @@ def _views_word(code, rows):
     heaviest weight (the first of them): any views make a word, since
     every edge leaves exactly one left vertex."""
     picks = [max(range(len(row)), key=row.__getitem__) for row in rows]
-    return fold(code, [x for sigma in picks for x in code.phi[sigma]])
+    return fold(code, [x for sigma in picks for x in code.inner.enumerate_codewords()[sigma]])
 
 
 @settings(max_examples=200, deadline=None)
