@@ -11,7 +11,7 @@ properties with exact rational arithmetic.
 
 from .ael import AELCode, pair_counting_check, verify_distance_amplification
 from .arld import plurality_center
-from .codes import ERASED, ErasedWord, LinearCode, dist_with_erasures, hamming_distance
+from .codes import ERASED, ErasedWord, LinearCode, hamming_distance
 from .gf import Field, make_field, multiplicative_generator
 from .graphs import (
     BipartiteGraph,
@@ -70,7 +70,6 @@ __all__ = [
     "complete_bipartite",
     "decode_from_distributions",
     "derive_seed",
-    "dist_with_erasures",
     "eml_failures",
     "exhaustive_arld_check",
     "frs_as_linear_code",

@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .arld import key_ids, pair_disagreements, symbol_keys
-from .codes import DEFAULT_ENUMERATION_CAP, ERASED, LinearCode, word_tuples
+from .codes import DEFAULT_ENUMERATION_CAP, ERASED, ErasedWord, LinearCode, word_tuples
 from .errors import AmplificationViolation, Mismatch
 from .gf import _ints
 from .graphs import BipartiteGraph, verify_eml_sets
@@ -150,22 +150,34 @@ class AELCode:
 
     # -- metrics ---------------------------------------------------------------
 
-    def _check(self, word) -> None:
-        """Mismatch unless the word is n symbols, each erased or a sequence
-        of d entries in [0, q_in) (an int or a string is no symbol);
-        ValueError for an entry that is not an integer."""
+    def read_word(self, word) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, erased) of a received word, an `ErasedWord` or n symbols,
+        each ERASED or d integer entries in [0, q_in): the (n, d) int64
+        entries, -1 in an erased row, and the (n,) bool erasure mask.
+        Mismatch for the shape (an int or a string is no symbol) or an entry
+        out of range; ValueError for a bool, float or string entry."""
+        symbols = word.symbols if isinstance(word, ErasedWord) else word
         try:
-            symbols = [t for t in word if t is not ERASED]
-            shaped = len(word) == self.n and all(
-                len(t) == self.d and not isinstance(t, (str, bytes)) for t in symbols)
+            held = [t for t in symbols if t is not ERASED]
+            length = len(symbols)
+            shaped = all(len(t) == self.d and not isinstance(t, (str, bytes)) for t in held)
         except TypeError:  # a word or a symbol with no length
             shaped = False
         if not shaped:
             raise Mismatch("word shape does not match the graph")
+        if length != self.n:
+            raise Mismatch("word shape does not match the graph: "
+                           f"length mismatch with graph size, {length} != {self.n}")
         # every entry, not a set of them: {1, True} is {1}
-        entries = _ints(chain.from_iterable(symbols), "word entry", 1)
-        if entries and not (0 <= min(entries) and max(entries) < self.inner.field.q):
-            raise Mismatch(f"word has an entry outside [0, {self.inner.field.q})")
+        entries, q = _ints(chain.from_iterable(held), "word entry", 1), self.field.q
+        if entries and not (0 <= min(entries) and max(entries) < q):
+            raise Mismatch(f"word has an entry outside [0, {q})")
+        if len(held) == length:  # nothing erased: the entries fill every row
+            return np.array(entries, dtype=np.int64).reshape(length, self.d), np.zeros(length, bool)
+        erased = np.array([t is ERASED for t in symbols])
+        rows = np.full((length, self.d), -1, dtype=np.int64)
+        rows[~erased] = np.array(entries, dtype=np.int64).reshape(-1, self.d)
+        return rows, erased
 
     def rate(self) -> Fraction:
         """log_|Sigma| |C_AEL| / n, exact: the constructor fixes q_out =

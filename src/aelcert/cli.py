@@ -230,7 +230,7 @@ def _cmd_corrupt(cfg) -> Verdict:
     if n_err + n_era > code.n:
         raise ConfigInvalid(f"errors + erasures = {n_err + n_era} exceeds n = {code.n}")
     word = list(aio.load_word(cfg["word_file"]).symbols)
-    code._check(word)  # the shape `decode` demands, before any position is drawn
+    code.read_word(word)  # the word `decode` demands, before any position is drawn
     rng = np.random.default_rng(derive_seed(cfg["seed"], "corrupt"))
     positions = rng.permutation(code.n)[: n_err + n_era]
     q = code.inner.field.q

@@ -182,15 +182,6 @@ class ErasedWord:
         return Fraction(self.erasure_count, self.n)
 
 
-def dist_with_erasures(erased: ErasedWord, word) -> Fraction:
-    """Disagreements on non-erased coordinates, over the full length n."""
-    word = tuple(word)
-    if len(word) != erased.n:
-        raise Mismatch(f"{len(word)} != {erased.n}")
-    hits = sum(1 for g, h in zip(erased.symbols, word) if g is not ERASED and g != h)
-    return Fraction(hits, erased.n)
-
-
 def hamming_distance(a, b) -> Fraction:
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):

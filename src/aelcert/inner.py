@@ -39,19 +39,26 @@ CENTER_CAP = 1 << 22
 
 
 def resolve_words(code_or_words) -> tuple:
-    """(words, ids, field), the one decision of how words reach the certifier:
-    a code's `word_array`, ids its entries or folded `symbol_keys`, or else
-    the tuples of `enumerate_codewords()` or of a word list, interned;
-    Mismatch for no words or words of unequal length."""
+    """(words, field), the one decision of how words reach the certifier:
+    a code's `word_array`, or else the tuples of `enumerate_codewords()` or
+    of a word list; Mismatch for no words or words of unequal length."""
     field = getattr(code_or_words, "field", None)
     words = getattr(code_or_words, "word_array", lambda: None)()
     if words is not None:
-        return words, words if words.ndim == 2 else key_ids(symbol_keys(words, field.q)), field
+        return words, field
     enumerate_codewords = getattr(code_or_words, "enumerate_codewords", None)
     words = enumerate_codewords() if enumerate_codewords else [tuple(w) for w in code_or_words]
     if not words or any(len(w) != len(words[0]) for w in words):
         raise Mismatch("need one or more words, all of one length")
-    return list(words), intern_symbols(words)[0], field
+    return list(words), field
+
+
+def _word_ids(words, field) -> np.ndarray:
+    """The (M, n) ids a sweep compares: an array's entries or its folded
+    `symbol_keys` ranked by `key_ids`, or a word list's interned symbols."""
+    if isinstance(words, list):
+        return intern_symbols(words)[0]
+    return words if words.ndim == 2 else key_ids(symbol_keys(words, field.q))
 
 
 def _word_rows(words, indices) -> list[tuple]:
@@ -104,10 +111,10 @@ class ARLDCertificate:
     def reevaluate(self, code_or_words) -> Fraction:
         """Recompute eps_min from the stored witness subset (rational
         equality); Mismatch for a witness index the words lack."""
-        words, sym, _ = resolve_words(code_or_words)
-        _, contribs = plurality_center(_word_rows(words, self.witness_indices))
-        m = len(self.witness_indices)
-        return max(Fraction(0), self.delta0 - Fraction(sum(contribs), sym.shape[1] * (m - 1)))
+        rows = _word_rows(resolve_words(code_or_words)[0], self.witness_indices)
+        _, contribs = plurality_center(rows)
+        m = len(rows)
+        return max(Fraction(0), self.delta0 - Fraction(sum(contribs), len(rows[0]) * (m - 1)))
 
 
 def min_arld_slack(code_or_words, k: int, delta0: Fraction, subset_cap: int = DEFAULT_SUBSET_CAP,
@@ -122,7 +129,8 @@ def min_arld_slack(code_or_words, k: int, delta0: Fraction, subset_cap: int = DE
     no field and are swept in full.  Only the witness rows become tuples.
     """
     k, delta0 = _ints(k, "k"), _fraction(delta0, "delta0")
-    words, sym, field = resolve_words(code_or_words)
+    words, field = resolve_words(code_or_words)
+    sym = _word_ids(words, field)
     n = sym.shape[1]
     t0 = time.perf_counter()
     if k < 2 or len(words) < 2:
@@ -274,10 +282,10 @@ class BlockCode:
 
     def min_distance(self) -> Fraction:
         """Minimum pairwise distance, from the `pair_disagreements` counts."""
-        words, ids, _ = resolve_words(self)
+        words, field = resolve_words(self)
         if len(words) < 2:
             raise Mismatch("need at least two codewords")
-        dist = pair_disagreements(ids)
+        dist = pair_disagreements(_word_ids(words, field))
         return Fraction(int(dist[np.triu_indices(len(dist), k=1)].min()), self.n)
 
     def __len__(self) -> int:

@@ -15,38 +15,25 @@ import numpy as np
 
 from .ael import AELCode
 from .arld import DEFAULT_SUBSET_CAP, symbol_keys
-from .codes import ERASED, ErasedWord, word_tuples
+from .codes import word_tuples
 from .errors import Mismatch
 from .gf import _fraction, _ints
 from .inner import min_arld_slack
-
-
-def _checked_center(code: AELCode, center) -> ErasedWord:
-    """The center as an ErasedWord; Mismatch unless it has n symbols, each
-    erased or d entries in [0, q_in) (the words `decode` refuses)."""
-    try:
-        center = center if isinstance(center, ErasedWord) else ErasedWord(center)
-    except TypeError:  # not a sequence
-        raise Mismatch("word shape does not match the graph") from None
-    if center.n != code.n:
-        raise Mismatch("length mismatch with graph size")
-    code._check(center.symbols)
-    return center
 
 
 def brute_force_list(code: AELCode, center, beta: Fraction):
     """All codewords within (erased) distance <= beta of the center: those
     with at most floor(beta * n) disagreements on the unerased vertices,
     counted in one comparison of the code's symbol keys (`AELCode.word_keys`)
-    with the center's, computed in one step.  An erased symbol is keyed as
-    d entries of -1, a negative key no codeword has, so it disagrees with
-    every word and the bound grows by the erasure count.  Only the listed
-    words are built as tuples."""
-    center, erased = _checked_center(code, center), (-1,) * code.d
-    rows = [erased if g is ERASED else g for g in center.symbols]
+    with the center's, computed in one step.  The center is read by
+    `AELCode.read_word`, whose erased rows hold d entries of -1, a negative
+    key no codeword has, so an erased symbol disagrees with every word and
+    the bound grows by the erasure count.  Only the listed words are built
+    as tuples."""
+    rows, erased = code.read_word(center)
     beta = _fraction(beta, "beta")
-    limit = beta.numerator * code.n // beta.denominator + center.erasure_count
-    center_keys = symbol_keys(np.array(rows, dtype=np.int64), code.field.q)
+    limit = beta.numerator * code.n // beta.denominator + int(np.count_nonzero(erased))
+    center_keys = symbol_keys(rows, code.field.q)
     keys = code.word_keys()
     differ = keys[..., 0] != center_keys[:, 0]
     for j in range(1, keys.shape[-1]):  # a symbol of c keys differs where one does
@@ -145,7 +132,7 @@ def verify_common_error_bound(
 
     The premise is a passing `verify_generalized_singleton` report of this
     very code object at this k, delta0 and eps, else Mismatch.  The
-    centers are counted and refused as `brute_force_list` refuses them;
+    centers are counted and refused as `AELCode.read_word` refuses them;
     the verdict covers every center.  `beta` is not read: it stays until
     the benchmark harness stops passing it.
     """
@@ -160,7 +147,7 @@ def verify_common_error_bound(
                        " not {}, {}, {}".format(*premise, k, delta0, eps))
     n_centers = 0
     for n_centers, g in enumerate(centers, 1):
-        _checked_center(code, g)
+        code.read_word(g)
     minima = singleton_report["min_disagreements_by_size"]
     violations = []
     for m, d in minima.items():
@@ -222,20 +209,10 @@ def partition_profile(code: AELCode, subset) -> PartitionProfile:
     )
 
 
-def _erased_edge_counts(code: AELCode, erased: ErasedWord) -> list[int]:
-    """Per left vertex, its edges landing on erased right vertices (an
-    erased right vertex erases the whole d-tuple)."""
-    if erased.n != code.n:
-        raise Mismatch(f"erased word length {erased.n} != graph size {code.n}")
-    erased_mask = [sym is ERASED for sym in erased.symbols]
-    return [sum(erased_mask[r] for r in row) for row in code.graph.left_adj]
-
-
-def sampling_bound_check(
-    code: AELCode, erased: ErasedWord, l_star, k: int | None = None
-) -> dict:
+def sampling_bound_check(code: AELCode, erased, l_star, k: int | None = None) -> dict:
     """Mixing-lemma step inside the erasure sampling bound:
-    E_{l in L*}[s_l] <= s + lam_bound * n / |L*|.
+    E_{l in L*}[s_l] <= s + lam_bound * n / |L*|, over the erasure mask
+    of `AELCode.read_word` (an erased right vertex erases its d edges).
 
     With H the erased edges out of L* and lam_bound = a/b, multiplying by
     d * |L*| * n * b leaves one integer comparison:
@@ -254,10 +231,11 @@ def sampling_bound_check(
         required = code.delta_out * n / Fraction(k) ** k
         if m < required:
             raise Mismatch(f"|L*| = {m} < {required}")
-    counts = _erased_edge_counts(code, erased)
+    mask = code.read_word(erased)[1]
+    counts, erasures = mask[code.graph.adj].sum(1).tolist(), int(np.count_nonzero(mask))
     hits = sum(counts[l] for l in l_star)
     lam = code.graph.lam_bound
     a, b = lam.numerator, lam.denominator
-    passed = hits * n * b <= erased.erasure_count * d * m * b + a * n * n * d
-    return {"lhs": Fraction(hits, d * m), "rhs": erased.s + lam * n / m,
+    passed = hits * n * b <= erasures * d * m * b + a * n * n * d
+    return {"lhs": Fraction(hits, d * m), "rhs": Fraction(erasures, n) + lam * n / m,
             "passed": passed, "l_star_size": m}

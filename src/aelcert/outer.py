@@ -58,10 +58,10 @@ class RSOuterCode(LinearCode):
     def _full_rank(self) -> bool:
         return self.dim <= self.n
 
-    def min_distance(self, cap=None) -> Fraction:
-        """(n - dim + 1)/n, with no enumeration (`cap` is not read): a nonzero
-        word is a polynomial of degree < dim, zero on at most dim - 1 points,
-        and prod (x - a) over dim - 1 of the points meets that."""
+    def min_distance(self) -> Fraction:
+        """(n - dim + 1)/n, with no enumeration: a nonzero word is a
+        polynomial of degree < dim, zero on at most dim - 1 points, and
+        prod (x - a) over dim - 1 of the points meets that."""
         return Fraction(self.n - self.dim + 1, self.n)
 
     @cached_property

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ael import AELCode
-from .codes import ERASED, hamming_distance, word_tuples
+from .codes import hamming_distance, word_tuples
 from .errors import Mismatch
 from .gf import _ints
 from .outer import RSOuterCode, rs_unique_decode
@@ -176,16 +176,15 @@ def ael_unique_decode(code: AELCode, word):
     """Nearest-inner-codeword distributions, then threshold-rounding decode.
 
     Returns (codeword, Delta_R(word, codeword)) or None.  Raises
-    Mismatch before any decoding when the outer code is not Reed-Solomon,
-    the word's shape does not match the graph or a symbol is erased.
+    Mismatch before any decoding when the outer code is not Reed-Solomon or
+    a symbol is erased, and refuses what `AELCode.read_word` refuses; the
+    entries it reads are the ones decoded.
     """
     _rs_outer(code)
-    code._check(word)
-    erased = [r for r, sym in enumerate(word) if sym is ERASED]
-    if erased:
-        raise Mismatch(f"symbol {erased[0]} is erased; unique decoding needs an unerased word")
-    ensemble = local_views_to_distributions(code, word)
-    h = decode_from_distributions(code, ensemble)
+    rows, erased = code.read_word(word)
+    if np.count_nonzero(erased):
+        raise Mismatch(f"symbol {erased.argmax()} is erased; unique decoding needs an unerased word")
+    h = decode_from_distributions(code, local_views_to_distributions(code, rows))
     if h is None:
         return None
-    return h, hamming_distance(word, h)  # the word's shape is checked above
+    return h, hamming_distance(h, map(tuple, rows.tolist()))

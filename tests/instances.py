@@ -13,6 +13,7 @@ import numpy as np
 
 from aelcert import (
     AELCode,
+    ERASED,
     RSOuterCode,
     brute_force_list,
     complete_bipartite,
@@ -114,6 +115,17 @@ def planted_weights(code, rng):
         row[other] = steal
         weights.append(row)
     return h, picks, weights
+
+
+def dist_with_erasures(erased, word) -> Fraction:
+    """Disagreements of an `ErasedWord` with a word on the non-erased
+    coordinates, over the full length n: the reference for the list
+    decoder's erased distance."""
+    word = tuple(word)
+    if len(word) != erased.n:
+        raise Mismatch(f"{len(word)} != {erased.n}")
+    hits = sum(1 for g, h in zip(erased.symbols, word) if g is not ERASED and g != h)
+    return Fraction(hits, erased.n)
 
 
 def common_error_fraction(center, subset) -> Fraction:

@@ -15,7 +15,6 @@ from aelcert import (
     LinearCode,
     brute_force_list,
     complete_bipartite,
-    dist_with_erasures,
     hamming_distance,
     min_arld_slack,
     pair_counting_check,
@@ -28,7 +27,7 @@ from aelcert.arld import intern_symbols, pair_disagreements, symbol_keys
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
-from instances import InternedBlockCode, fold, unfold
+from instances import InternedBlockCode, dist_with_erasures, fold, unfold
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +109,21 @@ def test_left_views_are_inner_codewords(instance12):
         assert all(v in inner_set for v in views)
         # phi^{-1} of the views reassembles the outer codeword
         assert instance12.decode_to_outer(word) == instance12.outer.encode(msg)
+
+
+def test_read_word_reads_erased_words_and_codewords(instance12):
+    # a codeword's rows are its `word_array` row
+    i = 37
+    rows, erased = instance12.read_word(instance12.enumerate_codewords()[i])
+    assert rows.dtype == np.int64 and (rows == instance12.word_array()[i]).all()
+    assert erased.dtype == bool and not erased.any()
+    # an ErasedWord reads as its symbols do; an erased row holds d entries of -1
+    symbols = (ERASED,) + instance12.enumerate_codewords()[i][1:7] + (ERASED,) * 5
+    rows, erased = instance12.read_word(symbols)
+    as_word = instance12.read_word(ErasedWord(symbols))
+    assert (rows == as_word[0]).all() and (erased == as_word[1]).all()
+    assert erased.tolist() == [True] + [False] * 6 + [True] * 5
+    assert (rows[erased] == -1).all() and (rows[~erased] == instance12.word_array()[i][1:7]).all()
 
 
 def test_decode_to_outer_raises_key_error_off_the_codebook(instance12):

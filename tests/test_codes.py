@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aelcert import (
-    ERASED, ErasedWord, LinearCode, dist_with_erasures, hamming_distance, make_field,
-)
+from aelcert import ERASED, ErasedWord, LinearCode, hamming_distance, make_field
 from aelcert.codes import rref
-from instances import pairwise_min_distance
+from instances import dist_with_erasures, pairwise_min_distance
 from aelcert.errors import FieldMismatch, Mismatch, TooLarge
 from aelcert.inner import sample_random_linear_code
 from aelcert.outer import RSOuterCode

@@ -554,6 +554,18 @@ def test_certificate_witness_reevaluates(gf4):
     assert cert.reevaluate(code) == cert.eps_min
 
 
+def test_reevaluate_interns_no_word(gf4, monkeypatch):
+    # the witness rows alone are read: a word list is not interned
+    words = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3]).enumerate_codewords()
+    cert = min_arld_slack(words, k=3, delta0=Fraction(9, 10))
+
+    def no_interning(words):
+        raise AssertionError("reevaluate interned the words")
+
+    monkeypatch.setattr(inner, "intern_symbols", no_interning)
+    assert cert.reevaluate(words) == cert.eps_min
+
+
 @pytest.mark.parametrize("indices", [(0, 16), (0, 1, 99), (-1, 0)])
 def test_reevaluate_refuses_a_witness_index_the_words_lack(gf4, indices):
     code = RSOuterCode(gf4, 4, 2, points=[0, 1, 2, 3])

@@ -15,7 +15,6 @@ from aelcert import (
     ErasedWord,
     brute_force_list,
     complete_bipartite,
-    dist_with_erasures,
     hamming_distance,
     min_arld_slack,
     partition_profile,
@@ -32,7 +31,7 @@ from aelcert.gf import make_field
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
-from instances import common_error_fraction, common_error_oracle, fold
+from instances import common_error_fraction, common_error_oracle, dist_with_erasures, fold
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +45,8 @@ def instance12(gf4, gf16):
 def test_list_radius_zero(instance12):
     w = instance12.encode_message([3, 1])
     assert brute_force_list(instance12, w, 0) == [w]
+    # numpy integers are integers
+    assert brute_force_list(instance12, np.array(w), 0) == [w]
 
 
 def test_list_radius_one_is_everything(instance12):
@@ -85,18 +86,24 @@ def _bent(bend):
     return lambda h: (bend(h[0]), ERASED) + h[2:]
 
 
-@pytest.mark.parametrize("center,message", [
-    (_bent(lambda t: t[:3]), "word shape"), (_bent(lambda t: t + (0,)), "word shape"),
-    (_bent(lambda t: (99,) * 4), "entry outside"),
-    (_bent(lambda t: (-1, 0, 0, 0)), "entry outside"),
-    (_bent(lambda t: 5), "word shape"), (_bent(lambda t: "abcd"), "word shape"),
-    (lambda h: 5, "word shape"), (lambda h: None, "word shape"),
-], ids=["narrow", "wide", "entry-above-q", "entry-negative", "int-symbol", "string-symbol",
-        "int-center", "none-center"])
-def test_list_rejects_what_unique_decoding_rejects(instance12, center, message):
-    # the center of `decode`'s shape check: n symbols of d entries in GF(4)
+@pytest.mark.parametrize("center,error,message", [
+    (_bent(lambda t: t[:3]), Mismatch, "word shape"),
+    (_bent(lambda t: t + (0,)), Mismatch, "word shape"),
+    (_bent(lambda t: (99,) * 4), Mismatch, "entry outside"),
+    (_bent(lambda t: (-1, 0, 0, 0)), Mismatch, "entry outside"),
+    (_bent(lambda t: (4, 0, 0, 0)), Mismatch, "entry outside"),
+    (_bent(lambda t: 5), Mismatch, "word shape"),
+    (_bent(lambda t: "abcd"), Mismatch, "word shape"),
+    (lambda h: 5, Mismatch, "word shape"), (lambda h: None, Mismatch, "word shape"),
+    (_bent(lambda t: (0.5,) + t[1:]), ValueError, "word entry"),
+    (_bent(lambda t: (True,) + t[1:]), ValueError, "word entry"),
+], ids=["narrow", "wide", "entry-above-q", "entry-negative", "entry-at-q", "int-symbol",
+        "string-symbol", "int-center", "none-center", "float-entry", "bool-entry"])
+def test_list_rejects_what_unique_decoding_rejects(instance12, center, error, message):
+    # the center of `decode`'s check, `AELCode.read_word`: n symbols, each
+    # erased or d integer entries in GF(4)
     h = instance12.encode_message([3, 3])
-    with pytest.raises(Mismatch, match=message):
+    with pytest.raises(error, match=message):
         brute_force_list(instance12, center(h), Fraction(1, 2))
 
 
@@ -430,8 +437,12 @@ def test_common_error_refuses_malformed_centers(instance12):
         check([w, w[:11]])
     with pytest.raises(Mismatch, match="entry outside"):
         check([((4, 0, 0, 0),) + w[1:]])
-    # an erased symbol is a symbol no codeword has: the lemma covers it
-    assert check([(ERASED,) + w[1:], ErasedWord(w)])["centers"] == 2
+    for entry in (0.5, True):
+        with pytest.raises(ValueError, match="word entry"):
+            check([w, ((entry, 0, 0, 0),) + w[1:]])
+    # an erased symbol is a symbol no codeword has: the lemma covers it;
+    # numpy integers are integers
+    assert check([(ERASED,) + w[1:], ErasedWord(w), np.array(w)])["centers"] == 3
 
 
 def test_common_error_counts_centers_from_an_iterator(acceptance):
@@ -652,5 +663,5 @@ def test_sampling_bound_rejects_vertices_outside_range(instance12):
 
 def test_erased_word_length_must_match_graph(instance12):
     short = ErasedWord((ERASED, ERASED, ERASED))
-    with pytest.raises(Mismatch, match="erased word length 3 != graph size 12"):
+    with pytest.raises(Mismatch, match="length mismatch with graph size, 3 != 12"):
         sampling_bound_check(instance12, short, [0, 1])
