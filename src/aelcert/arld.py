@@ -26,18 +26,26 @@ multiply sums a lane's eight bytes exactly while 8m < 256; larger sizes
 are refused before the sweep starts.
 
 The kernel is an exact branch-and-bound (Land and Doig, 1960) on one fact:
-D never falls when a word joins a subset.  Adding w to S adds 1 to |S| and
-at most 1 to each maxcount_i, so every term |S| - maxcount_i keeps its
-value or grows, and D(S + {w}) >= D(S).  Take an upper bound U >= best_m,
-the minimum of D over m-subsets; the kernel's U is D(W + {x}), the best x
-added to the (m-1)-witness W, a real m-subset.  Every prefix, in index
-order, of a minimizer H has D <= D(H) = best_m <= U, so dropping each
-partial subset with D > U (strictly greater) never drops a minimizer.  The
-kernel grows subsets one index at a time, depth first and in index order,
-and prunes there; the m-subsets it does score it scores exactly, so the
-minimum is the same as a full sweep's.  Each reported witness is the
-lexicographically smallest minimizing index tuple, so it is a function of
-the word list alone.
+D is superadditive over disjoint subsets.  For disjoint S and R a symbol's
+count at coordinate i in S + R is its count in S plus its count in R, so
+maxcount_i(S + R) <= maxcount_i(S) + maxcount_i(R), and summing
+|S| + |R| - maxcount_i(S + R) over i gives D(S + R) >= D(S) + D(R).  Let
+least_r be the minimum of D over all r-subsets (least_1 = 0: one word
+disagrees with nothing); the sweep runs the sizes in ascending order, so it
+knows least_r exactly for every r < m.  Take an upper bound U >= least_m;
+the kernel's U is D(W + {x}), the best x added to the (m-1)-witness W, a
+real m-subset.  A minimizer H is its prefix S of c members, in index
+order, plus m - c later words R, so D(S) + least_(m-c) <= D(S) + D(R) <=
+D(H) = least_m <= U.  Dropping each partial subset S of size c with
+D(S) > U - least_(m-c) (strictly greater) therefore keeps every prefix of
+every minimizer.  The walk starts at the pairs, the prefixes of size 2:
+their D is what the size-2 step has scored, and the pairs with
+D > U - least_(m-2), or with no room after them for m - 2 more members,
+are never roots.  The kernel grows subsets one index at a time, depth
+first and in index order, and prunes there; the m-subsets it does score it
+scores exactly, so the minimum is the same as a full sweep's.  Each
+reported witness is the lexicographically smallest minimizing index tuple,
+so it is a function of the word list alone.
 
 Translation symmetry: adding one vector v to every word of H keeps every
 coordinate's equality pattern (a_i + v_i = b_i + v_i iff a_i = b_i), so
@@ -47,10 +55,12 @@ words, never assumed: it grows the span of W coset by coset, and W is a
 group iff W is its own span, which holds once W lies in a span of at most
 |W| words), every subset H has the translate H - h + w_0, for any h in H,
 which lies in W, contains word 0 and has the same D.  The sweep then
-visits only the subsets of size >= 3 that contain index 0: the minimum is
-unchanged, and since some minimizer contains index 0 and every index tuple
-starting with 0 precedes every tuple that does not, so is the
-lexicographically smallest witness.
+visits only the subsets of size >= 3 that contain index 0, starting from
+the pairs (0, b): the minimum is unchanged, and since some minimizer
+contains index 0 and every index tuple starting with 0 precedes every
+tuple that does not, so is the lexicographically smallest witness.  For
+the same reason each reduced minimum is least_r over all r-subsets, so the
+look-ahead bound holds as it stands.
 """
 
 from __future__ import annotations
@@ -216,7 +226,8 @@ def min_disagreement_by_size(
     `sym` is an (M, n) integer matrix of codeword symbol ids.  Size 2
     reads each pair's count as n minus its byte sum in the lanes of
     `_equality_lanes`; every larger size m runs the same kernel,
-    `_search_subsets`, bounded by the size m - 1 witness.  Each witness is
+    `_search_subsets`, from those pairs, bounded by the size m - 1 witness
+    and pruned ahead by the minima of the sizes below m.  Each witness is
     the lexicographically smallest minimizing index tuple, so it depends on
     the word list alone, and its `scored` counts the subsets of its size
     whose D the kernel computed.
@@ -249,8 +260,13 @@ def min_disagreement_by_size(
     flat = n - _byte_sum(eq)[iu].astype(np.int64)
     best = int(flat.argmin())
     out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]), len(flat))
+    # the pairs the sweep starts from, in lexicographic order: with `closed`
+    # the first M - 1, which are those that hold index 0
+    pairs = (iu[0][:M - 1], iu[1][:M - 1], flat[:M - 1]) if closed else (*iu, flat)
+    least = [0, 0]  # least[r]: the minimum D over r-subsets, known for r < m
     for m in range(3, min(k, M) + 1):
-        out[m] = _search_subsets(eq, m, closed, out[m - 1])
+        least.append(out[m - 1].disagreement_count)
+        out[m] = _search_subsets(eq, m, pairs, least, out[m - 1])
     return out
 
 
@@ -301,41 +317,50 @@ def _upper_bound(eq: np.ndarray, smaller: SubsetWitness, one: np.ndarray, n: int
 
 
 def _search_subsets(
-    eq: np.ndarray, m: int, closed: bool, smaller: SubsetWitness
+    eq: np.ndarray, m: int, pairs: tuple, least: list[int], smaller: SubsetWitness
 ) -> SubsetWitness:
     """Minimum D(H) over all m-subsets (m >= 3), from the equality lanes
-    `eq` of `_equality_lanes`, with the lexicographically smallest witness;
-    with `closed`, over the m-subsets that contain index 0.  `smaller` is
-    the witness of size m - 1 that `_upper_bound` extends to the bound U.
+    `eq` of `_equality_lanes`, with the lexicographically smallest witness.
+    `pairs` holds the index arrays a < b of the pairs the walk starts from,
+    in lexicographic order, and their D; `least[r]` is the minimum D over
+    all r-subsets for every r < m (0 for r <= 1); `smaller` is the witness
+    of size m - 1 that `_upper_bound` extends to the bound U.
 
     Branch and bound: a subset S = (s_1 < ... < s_d) grows to its children
     S + {j}, s_d < j, with j small enough to leave room for the m - d - 1
-    members still to come.  A child of size m is scored; a smaller child
-    with D > U is dropped, with every subset that contains it.  That is
-    exact: D never falls when a word joins (see the module docstring), so
-    every prefix of a minimizer has D <= best_m <= U.  The roots are the
-    single words, or word 0 alone with `closed`.
+    members still to come.  A child of size m is scored; a smaller child S
+    of size c with D(S) > U - least[m - c] is dropped, with every subset
+    that contains it.  That is exact: a minimizer H with prefix S is S plus
+    m - c later words R, and D is superadditive over disjoint unions (see
+    the module docstring), so D(S) + least[m - c] <= D(S) + D(R) <= D(H)
+    <= U.  The roots are the pairs (a, b) with room after b for the m - 2
+    other members and D(a, b) <= U - least[m - 2]: they are the prefixes of
+    size 2, so the same rule admits them, and their D is the one the size-2
+    step has scored.  With `closed` the caller hands only the pairs that
+    hold index 0.
 
     D(S) = |S| n - sum_i t_i, where t_i is the largest symbol multiplicity
-    at coordinate i.  A subset carries its t as a count lane: when j joins,
-    its symbol's class at i becomes 1 + sum_{h in S} eq[h, j]_i and no
-    other class changes, so the child's t is the bytewise maximum of the
-    parent's t and that count.  A count byte is at most m, so counts add as
-    whole lanes with no carry between bytes, and the maxima are taken on
-    the uint8 view of the same memory.  sum_i t_i is, per lane, the top byte
-    of x * 0x0101010101010101 (the running byte sums stay below 8m < 256,
-    so no carry reaches it), summed over the lanes.  Padding bytes are 0 in
-    `eq` and in `one`, so they add nothing.
+    at coordinate i.  A subset carries its t as a count lane: a pair's is
+    1 + eq[a, b], and when j joins S its symbol's class at i becomes
+    1 + sum_{h in S} eq[h, j]_i and no other class changes, so the child's
+    t is the bytewise maximum of the parent's t and that count.  A count
+    byte is at most m, so counts add as whole lanes with no carry between
+    bytes, and the maxima are taken on the uint8 view of the same memory.
+    sum_i t_i is, per lane, the top byte of x * 0x0101010101010101 (the
+    running byte sums stay below 8m < 256, so no carry reaches it), summed
+    over the lanes.  Padding bytes are 0 in `eq` and in `one`, so they add
+    nothing.
 
-    The walk is depth first: the children of a block of parents form one
+    The walk is depth first: the root lanes are built one block of at most
+    _BLOCK elements at a time, the children of a block of parents form one
     numpy block of at most _BLOCK elements (L lanes per child; one parent
     per block if its children alone are more), and the kept ones are walked
-    before the next block, so each of the m - 1 depths holds one block and
-    memory stays O(m^2 * _BLOCK) however many subsets survive.  Children
-    are laid out parent by parent and j ascending, so the walk meets the
-    m-subsets in lexicographic order: a block's first maximum of sum_i t_i
-    is its smallest minimizer, and a later block replaces the best only
-    with a strictly smaller D.
+    before the next block, so each depth holds one block and memory stays
+    O(m^2 * _BLOCK) however many subsets survive.  Children are laid out
+    parent by parent and j ascending, so the walk meets the m-subsets in
+    lexicographic order: a block's first maximum of sum_i t_i is its
+    smallest minimizer, and a later block replaces the best only with a
+    strictly smaller D.
     """
     L, M, _ = eq.shape
     one = eq[:, 0, 0][:, None]  # 1 in every real byte, 0 in padding
@@ -374,14 +399,17 @@ def _search_subsets(
                     best = (dis, tuple(members[lo + r].tolist()) + (a - int(shift[r]),))
             else:
                 dis = (d + 1) * n - score.astype(np.int64)
-                keep = np.flatnonzero(dis <= bound)
+                keep = np.flatnonzero(dis <= bound - least[m - d - 1])
                 r = np.searchsorted(cum, keep, "right")
                 extend(np.column_stack((members[lo:hi].take(r, 0), keep - shift[r])),
                        top.take(keep, 1))
             lo = hi
 
-    roots = np.arange(1 if closed else M - m + 1)[:, None]
-    extend(roots, np.broadcast_to(one, (L, len(roots))))
+    a, b, dis = pairs
+    roots = np.flatnonzero((b <= M - m + 1) & (dis <= bound - least[m - 2]))
+    for lo in range(0, len(roots), step):
+        ra, rb = a[roots[lo:lo + step]], b[roots[lo:lo + step]]
+        extend(np.column_stack((ra, rb)), one + flat.take(ra * M + rb, 1))
     return SubsetWitness(m, best[1], best[0], scored)
 
 

@@ -176,11 +176,6 @@ class ErasedWord:
     def erasure_count(self) -> int:
         return sum(1 for s in self.symbols if s is ERASED)
 
-    @property
-    def s(self) -> Fraction:
-        """Erasure fraction."""
-        return Fraction(self.erasure_count, self.n)
-
 
 def hamming_distance(a, b) -> Fraction:
     a, b = tuple(a), tuple(b)

@@ -117,6 +117,11 @@ def planted_weights(code, rng):
     return h, picks, weights
 
 
+def erasure_fraction(erased) -> Fraction:
+    """The erased fraction s of an `ErasedWord`: erased symbols over n."""
+    return Fraction(erased.erasure_count, erased.n)
+
+
 def dist_with_erasures(erased, word) -> Fraction:
     """Disagreements of an `ErasedWord` with a word on the non-erased
     coordinates, over the full length n: the reference for the list

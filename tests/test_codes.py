@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aelcert import ERASED, ErasedWord, LinearCode, hamming_distance, make_field
 from aelcert.codes import rref
-from instances import dist_with_erasures, pairwise_min_distance
+from instances import dist_with_erasures, erasure_fraction, pairwise_min_distance
 from aelcert.errors import FieldMismatch, Mismatch, TooLarge
 from aelcert.inner import sample_random_linear_code
 from aelcert.outer import RSOuterCode
@@ -171,7 +171,7 @@ def test_erased_word_fraction():
     w = ErasedWord((0, ERASED, 1, 1))
     assert w.n == 4
     assert w.erasure_count == 1
-    assert w.s == Fraction(1, 4)
+    assert erasure_fraction(w) == Fraction(1, 4)
 
 
 def test_dist_with_erasures_identical():

@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aelcert import (
@@ -148,6 +148,8 @@ def _nested_symbols(draw):
 
 
 @given(case=_nested_symbols())
+# binary (1, 0) and (0, 1): weights in base q - 1 = 1 give both the key 1
+@example(case=(2, [(1, 0), (0, 1)]))
 @settings(max_examples=300, deadline=None)
 def test_symbol_keys_match_tuple_equality_and_order(case):
     q, symbols = case
@@ -181,32 +183,48 @@ def test_pair_counts_from_the_lanes_match_pair_disagreements(n):
     assert Fraction(from_lanes.disagreement_count, n) == pairwise_min_distance(words)
 
 
-def _search_generic(sym, m):
-    """Reference for the kernel: every m-subset's D from its plurality
-    center, and the first minimizer in index order."""
-    M, n = sym.shape
+def _subset_disagreements(sym, k):
+    """D of every subset of 1..k rows of `sym`, index tuple -> D, from the
+    plurality centers; sizes ascend and each size is in index order."""
     rows = [tuple(r) for r in sym]
-    best = (n * m + 1, None)
-    for idx in combinations(range(M), m):
-        d = sum(plurality_center([rows[i] for i in idx])[1])
-        if d < best[0]:
-            best = (d, idx)
-    return SubsetWitness(m, best[1], best[0])
+    return {idx: sum(plurality_center([rows[i] for i in idx])[1])
+            for m in range(1, k + 1) for idx in combinations(range(len(rows)), m)}
+
+
+def _search_generic(dis, m):
+    """Reference for the kernel: the least D over the m-subsets of
+    `_subset_disagreements`, and the first minimizer in index order."""
+    first = min((idx for idx in dis if len(idx) == m), key=dis.__getitem__)
+    return SubsetWitness(m, first, dis[first])
+
+
+def _scored_oracle(dis, m, closed=False, look_ahead=True):
+    """How many m-subsets the kernel scores: those (holding index 0 with
+    `closed`) whose every prefix S of size c in 2..m-1 has D(S) <= U -
+    least[c], U = min_x D(W + {x}) over the first (m-1)-minimizer W, and
+    least[c] the least D over (m - c)-subsets (0 throughout without
+    `look_ahead`, the rule D(S) <= U alone)."""
+    M = sum(1 for idx in dis if len(idx) == 1)
+    W = _search_generic(dis, m - 1).indices
+    U = min(dis[tuple(sorted(W + (x,)))] for x in range(M) if x not in W)
+    least = {c: _search_generic(dis, m - c).disagreement_count
+             if look_ahead and m - c > 1 else 0 for c in range(2, m)}
+    return sum(1 for idx in dis if len(idx) == m and (idx[0] == 0 or not closed)
+               and all(dis[idx[:c]] <= U - least[c] for c in range(2, m)))
 
 
 def _assert_kernel_matches_oracle(words, k, closed=False):
     sym, _ = intern_symbols(words)
     got = min_disagreement_by_size(sym, k, closed=closed)
     assert sorted(got) == list(range(2, min(k, len(words)) + 1))
+    dis = _subset_disagreements(sym, min(k, len(words)))
     for m in got:
-        ref = _search_generic(sym, m)
+        ref = _search_generic(dis, m)
         assert got[m].disagreement_count == ref.disagreement_count
         # the witness is the lexicographically smallest minimizer
         assert got[m].indices == ref.indices
-        # pruning only ever skips subsets the sweep would have evaluated
-        evaluated = subset_search_count(len(words), m, closed) - subset_search_count(
-            len(words), m - 1, closed)
-        assert 0 < got[m].scored <= evaluated
+        # the kernel scores exactly the subsets its pruning rule admits
+        assert got[m].scored == (comb(len(words), 2) if m == 2 else _scored_oracle(dis, m, closed))
     return got
 
 
@@ -257,6 +275,58 @@ def test_kernel_keeps_a_minimizer_whose_prefix_is_at_the_bound():
     assert got[3].indices == (0, 1, 2) and got[3].disagreement_count == 2
     assert pair_disagreements(sym)[0, 1] == 2
     assert got[3].scored < subset_search_count(5, 3) - subset_search_count(5, 2)
+
+
+# the only m = 4 minimizer is (0, 2, 4, 5), D = 3; the m = 3 witness
+# (0, 2, 5) extends to U = 3, and the least pair D is 1
+_LOOK_AHEAD_WORDS = [(0, 1, 0, 0), (1, 1, 1, 0), (0, 0, 0, 1),
+                     (1, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 0)]
+
+
+def test_kernel_keeps_a_minimizer_whose_prefixes_meet_the_look_ahead_bound():
+    # the root (0, 2) has D(0, 2) + least_2 = 2 + 1 = U, and the prefix
+    # (0, 2, 4) has D = 3 = U - least_1: a prune on D(pair) + least_2 >= U,
+    # on least_2 + 1 or on D(triple) >= U loses the only minimizer
+    got = _assert_kernel_matches_oracle(_LOOK_AHEAD_WORDS, 4)
+    dis = _subset_disagreements(intern_symbols(_LOOK_AHEAD_WORDS)[0], 4)
+    assert got[4].indices == (0, 2, 4, 5) and got[4].disagreement_count == 3
+    assert [idx for idx in dis if len(idx) == 4 and dis[idx] == 3] == [(0, 2, 4, 5)]
+    assert got[3].indices == (0, 2, 5)
+    assert min(dis[tuple(sorted((0, 2, 5, x)))] for x in (1, 3, 4)) == 3
+    assert got[2].disagreement_count == 1
+    assert dis[0, 2] + 1 == 3 and dis[0, 2, 4] == 3
+
+
+def test_look_ahead_drops_a_pair_the_distance_bound_keeps():
+    # pairs (0, 3) and (2, 3) have D = 3 = U, so the rule D <= U alone
+    # starts from them and scores (0, 3, 4, 5) and (2, 3, 4, 5); every
+    # quadruple through them has D >= 3 + least_2 = 4 > U, so the
+    # look-ahead drops them, and the minimum and witness stay the oracle's
+    sym = intern_symbols(_LOOK_AHEAD_WORDS)[0]
+    dis = _subset_disagreements(sym, 4)
+    assert dis[0, 3] == dis[2, 3] == 3 and dis[0, 3, 4] == dis[2, 3, 4] == 3
+    got = _assert_kernel_matches_oracle(_LOOK_AHEAD_WORDS, 4)
+    assert got[4] == _search_generic(dis, 4)
+    assert got[4].scored == _scored_oracle(dis, 4) == 5
+    assert _scored_oracle(dis, 4, look_ahead=False) == 7
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_disagreement_is_superadditive_over_disjoint_subsets(seed):
+    # maxcount_i(S + R) <= maxcount_i(S) + maxcount_i(R), so
+    # D(S + R) >= D(S) + D(R): the look-ahead bound of the subset kernel
+    rng = np.random.default_rng(derive_seed(seed, "superadditive"))
+    q, n = 2 + seed % 3, 3 + seed
+    words = [tuple(r) for r in rng.integers(0, q, size=(8, n)).tolist()]
+    dis = _subset_disagreements(intern_symbols(words)[0], 5)
+    tight = 0
+    for union in (idx for idx in dis if len(idx) >= 2):
+        for size in range(1, len(union)):
+            for S in combinations(union, size):
+                R = tuple(i for i in union if i not in S)
+                assert dis[union] >= dis[S] + dis[R]
+                tight += dis[union] == dis[S] + dis[R]
+    assert tight > 0
 
 
 def test_kernel_scores_every_subset_when_nothing_prunes():

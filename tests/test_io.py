@@ -40,6 +40,7 @@ from aelcert.io import (
     save_word,
 )
 from aelcert.outer import RSOuterCode
+from instances import erasure_fraction
 
 
 def test_frac_round_trip():
@@ -226,7 +227,7 @@ def test_word_round_trip_with_erasures(tmp_path):
     save_word(tmp_path / "word.json", word)
     loaded = load_word(tmp_path / "word.json")
     assert loaded.symbols == ((0, 1, 2, 3), ERASED, (1, 1, 1, 1))
-    assert loaded.s == Fraction(1, 3)
+    assert erasure_fraction(loaded) == Fraction(1, 3)
 
 
 def test_certificate_round_trip(tmp_path, gf4):

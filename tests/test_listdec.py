@@ -31,7 +31,9 @@ from aelcert.gf import make_field
 from aelcert.graphs import LAMBDA_SAFETY
 from aelcert.outer import RSOuterCode
 from aelcert.seeds import derive_seed
-from instances import common_error_fraction, common_error_oracle, dist_with_erasures, fold
+from instances import (
+    common_error_fraction, common_error_oracle, dist_with_erasures, erasure_fraction, fold,
+)
 
 
 @pytest.fixture(scope="module")
@@ -611,7 +613,7 @@ def _sampling_bound_fraction_oracle(code, erased, l_star):
     """Reference: the sampling-bound inequality in Fraction arithmetic."""
     fractions = _local_erasure_fractions_oracle(code, erased)
     lhs = sum((fractions[l] for l in l_star), Fraction(0)) / len(l_star)
-    rhs = erased.s + code.graph.lam_bound * code.n / len(l_star)
+    rhs = erasure_fraction(erased) + code.graph.lam_bound * code.n / len(l_star)
     return {"lhs": lhs, "rhs": rhs, "passed": lhs <= rhs, "l_star_size": len(l_star)}
 
 
