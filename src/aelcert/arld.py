@@ -84,6 +84,8 @@ MAX_SUBSET_SIZE = 31
 # elements (lanes x children) of one `_search_subsets` block, 128 KiB of
 # uint64, unless a single subset has more children
 _BLOCK = 1 << 14
+# a `_pair_table` entry that is no pair: above every bound the sweep tests
+_NO_PAIR = np.iinfo(np.int64).max
 
 
 def intern_symbols(codewords) -> tuple[np.ndarray, dict]:
@@ -255,17 +257,17 @@ def min_disagreement_by_size(
     if M < 2 or k < 2:
         return out
 
-    iu = np.triu_indices(M, k=1)
     eq = _equality_lanes(sym)
-    flat = n - _byte_sum(eq)[iu].astype(np.int64)
-    best = int(flat.argmin())
-    out[2] = SubsetWitness(2, (int(iu[0][best]), int(iu[1][best])), int(flat[best]), len(flat))
-    # the pairs the sweep starts from, in lexicographic order: with `closed`
-    # the first M - 1, which are those that hold index 0
-    pairs = (iu[0][:M - 1], iu[1][:M - 1], flat[:M - 1]) if closed else (*iu, flat)
+    table = _pair_table(eq, n)
+    best = int(table.argmin())
+    out[2] = SubsetWitness(2, divmod(best, M), int(table.flat[best]), M * (M - 1) // 2)
+    # the rows of the pairs the sweep starts from: with `closed` row 0 alone,
+    # the pairs that hold index 0
+    pairs = table[:1] if closed else table
     least = [0, 0]  # least[r]: the minimum D over r-subsets, known for r < m
     for m in range(3, min(k, M) + 1):
         least.append(out[m - 1].disagreement_count)
+        table[:, M - m + 2] = _NO_PAIR  # b = M - m + 2 has no room for m - 2 more
         out[m] = _search_subsets(eq, m, pairs, least, out[m - 1])
     return out
 
@@ -296,6 +298,16 @@ def _byte_sum(lanes: np.ndarray) -> np.ndarray:
     return total
 
 
+def _pair_table(eq: np.ndarray, n: int) -> np.ndarray:
+    """(M, M) int64: D(a, b), n minus the byte sum of eq[:, a, b], at a < b
+    and _NO_PAIR on and below the diagonal, so its row-major order is the
+    lexicographic order of the pairs, that of `np.triu_indices(M, 1)`."""
+    pair = n - _byte_sum(eq).astype(np.int64)
+    r = np.arange(len(pair))
+    pair[r[:, None] >= r] = _NO_PAIR
+    return pair
+
+
 def _lane_max_sum(top: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Raise the (L, P) count lanes `top` to `count` byte by byte, in place,
     and return the byte sum of each column: sum_i max(t_i, count_i)."""
@@ -305,26 +317,30 @@ def _lane_max_sum(top: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 def _upper_bound(eq: np.ndarray, smaller: SubsetWitness, one: np.ndarray, n: int) -> int:
     """min over x outside W of D(W + {x}), W the (m-1)-witness: the D of a
-    real m-subset, so at least the minimum over m-subsets."""
+    real m-subset, so at least the minimum over m-subsets.  One pass: byte
+    i of agree[:, x] counts the members of W that agree with x at i.  For a
+    member h that includes h (eq[h, h] is 1 in every real byte), so
+    agree[:, h] is the size of h's class in W, and W's largest class t is
+    their bytewise maximum, taken on a contiguous `take`: the uint8 view of
+    the gather agree[:, W], not C-contiguous, fails at two lanes or more."""
     W = list(smaller.indices)
-    t, agree = one.copy(), eq[:, W[0]]
-    for h in W[1:]:
-        _lane_max_sum(t, agree[:, h, None] + one)
-        agree = agree + eq[:, h]
-    score = _lane_max_sum(np.repeat(t, agree.shape[1], 1), agree + one)
+    agree = eq[:, W].sum(1)
+    t = agree.take(W, 1).view(np.uint8).reshape(len(one), len(W), 8).max(1).view(np.uint64)
+    score = _lane_max_sum(t.repeat(agree.shape[1], 1), agree + one)
     score[W] = 0  # x must be a new word
     return (smaller.size + 1) * n - int(score.max())
 
 
 def _search_subsets(
-    eq: np.ndarray, m: int, pairs: tuple, least: list[int], smaller: SubsetWitness
+    eq: np.ndarray, m: int, pairs: np.ndarray, least: list[int], smaller: SubsetWitness
 ) -> SubsetWitness:
     """Minimum D(H) over all m-subsets (m >= 3), from the equality lanes
     `eq` of `_equality_lanes`, with the lexicographically smallest witness.
-    `pairs` holds the index arrays a < b of the pairs the walk starts from,
-    in lexicographic order, and their D; `least[r]` is the minimum D over
-    all r-subsets for every r < m (0 for r <= 1); `smaller` is the witness
-    of size m - 1 that `_upper_bound` extends to the bound U.
+    `pairs` is the `_pair_table` of the sweep, or its row 0 alone: D(a, b)
+    at the pairs a < b that have room after b for m - 2 more members,
+    _NO_PAIR elsewhere; `least[r]` is the minimum D over all r-subsets for
+    every r < m (0 for r <= 1); `smaller` is the witness of size m - 1
+    that `_upper_bound` extends to the bound U.
 
     Branch and bound: a subset S = (s_1 < ... < s_d) grows to its children
     S + {j}, s_d < j, with j small enough to leave room for the m - d - 1
@@ -371,45 +387,48 @@ def _search_subsets(
     best, scored = None, 0
 
     def extend(members, t):
+        # members[:, p] is parent p's index tuple, t[:, p] its count lane
         nonlocal best, scored
-        d = members.shape[1]
-        last = members[:, -1]
+        d, last = len(members), members[-1]
         # children S + {j}, last < j <= M - m + d: room for m - d - 1 more members
         width = M - m + d - last
-        ends = np.cumsum(width)
+        ends = width.cumsum()
         lo = 0
-        while lo < len(members):
-            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + step, "right")))
+        while lo < len(last):
+            hi = max(lo + 1, int(ends.searchsorted(ends[lo] - width[lo] + step, "right")))
             w = width[lo:hi]
-            cum = np.cumsum(w)
-            # column p of the block is the child (members[lo + r], p - shift[r])
+            cum = w.cumsum()
+            # column p of the block is the child (members[:, lo + r], p - shift[r])
             shift = cum - w - last[lo:hi] - 1
             pos = np.arange(int(cum[-1]))
-            count = one + flat.take(pos + np.repeat(members[lo:hi, 0] * M - shift, w), 1)
-            for i in range(1, d):
-                count += flat.take(pos + np.repeat(members[lo:hi, i] * M - shift, w), 1)
-            top = np.repeat(t[:, lo:hi], w, 1)
+            first, *rest = members[:, lo:hi] * M - shift
+            count = one + flat.take(pos + first.repeat(w), 1)
+            for h in rest:
+                count += flat.take(pos + h.repeat(w), 1)
+            top = t[:, lo:hi].repeat(w, 1)
             score = _lane_max_sum(top, count)
             if d + 1 == m:
                 scored += len(pos)
                 a = int(score.argmax())
-                r = int(np.searchsorted(cum, a, "right"))
+                r = int(cum.searchsorted(a, "right"))
                 dis = m * n - int(score[a])
                 if best is None or dis < best[0]:
-                    best = (dis, tuple(members[lo + r].tolist()) + (a - int(shift[r]),))
+                    best = (dis, tuple(members[:, lo + r].tolist()) + (a - int(shift[r]),))
             else:
                 dis = (d + 1) * n - score.astype(np.int64)
-                keep = np.flatnonzero(dis <= bound - least[m - d - 1])
-                r = np.searchsorted(cum, keep, "right")
-                extend(np.column_stack((members[lo:hi].take(r, 0), keep - shift[r])),
-                       top.take(keep, 1))
+                keep = (dis <= bound - least[m - d - 1]).nonzero()[0]
+                r = cum.searchsorted(keep, "right")
+                kids = np.empty((d + 1, len(keep)), dtype=members.dtype)
+                kids[:d] = members[:, lo:hi].take(r, 1)
+                kids[d] = keep - shift[r]
+                extend(kids, top.take(keep, 1))
             lo = hi
 
-    a, b, dis = pairs
-    roots = np.flatnonzero((b <= M - m + 1) & (dis <= bound - least[m - 2]))
+    # the roots' flat indices a * M + b in the table, in lexicographic order
+    roots = (pairs <= bound - least[m - 2]).ravel().nonzero()[0]
     for lo in range(0, len(roots), step):
-        ra, rb = a[roots[lo:lo + step]], b[roots[lo:lo + step]]
-        extend(np.column_stack((ra, rb)), one + flat.take(ra * M + rb, 1))
+        ab = roots[lo:lo + step]
+        extend(np.array(np.divmod(ab, M)), one + flat.take(ab, 1))
     return SubsetWitness(m, best[1], best[0], scored)
 
 

@@ -28,8 +28,11 @@ from aelcert import arld, inner
 from aelcert.arld import (
     MAX_SUBSET_SIZE,
     SubsetWitness,
+    _NO_PAIR,
     _byte_sum,
     _equality_lanes,
+    _pair_table,
+    _upper_bound,
     epsilon_min,
     intern_symbols,
     key_ids,
@@ -183,6 +186,22 @@ def test_pair_counts_from_the_lanes_match_pair_disagreements(n):
     assert Fraction(from_lanes.disagreement_count, n) == pairwise_min_distance(words)
 
 
+@pytest.mark.parametrize("M", [*range(2, 41), 300])
+def test_pair_table_lists_the_pairs_in_triu_order(M):
+    # the sweep reads its pairs off `_pair_table`: the entries a < b in the
+    # order of np.triu_indices(M, 1), each holding its pair_disagreements
+    # count, and the first least of them as the argmin
+    rng = np.random.default_rng(derive_seed(M, "pair-table"))
+    sym = rng.integers(0, 3, size=(M, 9))
+    table = _pair_table(_equality_lanes(sym), 9)
+    iu = np.triu_indices(M, 1)
+    assert all(map(np.array_equal, (table < _NO_PAIR).nonzero(), iu))
+    dist = pair_disagreements(sym)[iu]
+    assert np.array_equal(table[iu], dist)
+    first = int(dist.argmin())
+    assert divmod(int(table.argmin()), M) == (iu[0][first], iu[1][first])
+
+
 def _subset_disagreements(sym, k):
     """D of every subset of 1..k rows of `sym`, index tuple -> D, from the
     plurality centers; sizes ascend and each size is in index order."""
@@ -198,15 +217,21 @@ def _search_generic(dis, m):
     return SubsetWitness(m, first, dis[first])
 
 
+def _bound_oracle(dis, m):
+    """U = min_x D(W + {x}) over the words x outside the first
+    (m-1)-minimizer W of `_subset_disagreements`."""
+    M = sum(1 for idx in dis if len(idx) == 1)
+    W = _search_generic(dis, m - 1).indices
+    return min(dis[tuple(sorted(W + (x,)))] for x in range(M) if x not in W)
+
+
 def _scored_oracle(dis, m, closed=False, look_ahead=True):
     """How many m-subsets the kernel scores: those (holding index 0 with
     `closed`) whose every prefix S of size c in 2..m-1 has D(S) <= U -
-    least[c], U = min_x D(W + {x}) over the first (m-1)-minimizer W, and
-    least[c] the least D over (m - c)-subsets (0 throughout without
-    `look_ahead`, the rule D(S) <= U alone)."""
-    M = sum(1 for idx in dis if len(idx) == 1)
-    W = _search_generic(dis, m - 1).indices
-    U = min(dis[tuple(sorted(W + (x,)))] for x in range(M) if x not in W)
+    least[c], U the `_bound_oracle`, and least[c] the least D over (m -
+    c)-subsets (0 throughout without `look_ahead`, the rule D(S) <= U
+    alone)."""
+    U = _bound_oracle(dis, m)
     least = {c: _search_generic(dis, m - c).disagreement_count
              if look_ahead and m - c > 1 else 0 for c in range(2, m)}
     return sum(1 for idx in dis if len(idx) == m and (idx[0] == 0 or not closed)
@@ -218,8 +243,12 @@ def _assert_kernel_matches_oracle(words, k, closed=False):
     got = min_disagreement_by_size(sym, k, closed=closed)
     assert sorted(got) == list(range(2, min(k, len(words)) + 1))
     dis = _subset_disagreements(sym, min(k, len(words)))
+    eq = _equality_lanes(sym)
     for m in got:
         ref = _search_generic(dis, m)
+        if m > 2:  # the bound the kernel extends from the (m-1)-witness
+            assert _upper_bound(eq, got[m - 1], eq[:, 0, 0][:, None], sym.shape[1]) \
+                == _bound_oracle(dis, m)
         assert got[m].disagreement_count == ref.disagreement_count
         # the witness is the lexicographically smallest minimizer
         assert got[m].indices == ref.indices
