@@ -113,13 +113,9 @@ class AELCode:
         return sigma
 
     def decode_to_outer(self, word) -> tuple:
-        """phi^{-1} of every left view, the codebook row with the same key;
-        raises KeyError off-codebook.  A key is exact only for entries in
-        [0, q), so a view with an entry outside finds no row."""
-        q, views = self.field.q, self._view_array(word)
-        found = (symbol_keys(views, q)[:, None]
-                 == symbol_keys(self.codebook, q)).all(-1)  # (n, M)
-        found &= ((views >= 0) & (views < q)).all(1)[:, None]
+        """phi^{-1} of every left view, the codebook row equal to it entry
+        by entry; raises KeyError off-codebook."""
+        found = (self._view_array(word)[:, None] == self.codebook).all(2)  # (n, M)
         if not found.any(1).all():
             raise KeyError(self.left_views(word)[int(found.any(1).argmin())])
         return tuple(found.argmax(1).tolist())

@@ -434,20 +434,11 @@ def _search_subsets(
 
 def epsilon_min(
     witnesses: dict[int, SubsetWitness], n: int, delta0: Fraction
-) -> tuple[Fraction, SubsetWitness | None]:
+) -> tuple[Fraction, SubsetWitness]:
     """Smallest eps for which every subset satisfies
     D(H)/n >= (|H|-1)(delta0 - eps), clamped below at 0, and the witness
-    that sets it; on ties the smallest size's."""
-    eps = Fraction(0)
-    worst = None
-    for m, w in witnesses.items():
-        cand = delta0 - Fraction(w.disagreement_count, n * (m - 1))
-        if cand > eps:
-            eps, worst = cand, w
-    if worst is None and witnesses:
-        # eps_min = 0: report the tightest subset anyway
-        worst = min(
-            witnesses.values(),
-            key=lambda w: Fraction(w.disagreement_count, w.size - 1),
-        )
-    return eps, worst
+    that sets it: of the (nonempty) witnesses, the least D/(|H| - 1), on
+    ties the first (smallest) size's, reported even when eps is 0."""
+    worst = min(witnesses.values(), key=lambda w: Fraction(w.disagreement_count, w.size - 1))
+    eps = delta0 - Fraction(worst.disagreement_count, n * (worst.size - 1))
+    return max(Fraction(0), eps), worst

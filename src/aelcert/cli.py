@@ -249,10 +249,7 @@ def _cmd_corrupt(cfg) -> Verdict:
 
 def _cmd_decode(cfg) -> Verdict:
     code = aio.load_bundle(cfg["bundle_file"])
-    word = aio.load_word(cfg["word_file"])
-    if word.erasure_count:
-        raise ConfigInvalid("decode expects an unerased word; use list-decode")
-    result = ael_unique_decode(code, word.symbols)
+    result = ael_unique_decode(code, aio.load_word(cfg["word_file"]).symbols)
     if result is None:
         return Verdict(False, "no codeword within the guarantee",
                        [_row(cfg["bundle_file"], "unique_decode", "Fail", False)])

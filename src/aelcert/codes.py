@@ -23,29 +23,39 @@ ERASED = None
 
 
 def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over `field`.
+    """Reduced row echelon form over `field`, on one int64 array: each pivot
+    row is scaled by one `mul_arrays`, and its column is cleared from every
+    other row by one `add_arrays` of a multiple of the negated pivot row.
 
     Returns (reduced nonzero rows, pivot column indices).
     """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
+    mat = np.array(rows, dtype=np.int64, ndmin=2)
+    nrows, ncols = mat.shape
+    minus_one = field.neg(1)
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
+        below = mat[r:, c].nonzero()[0]
+        if not below.size:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        row = mat[r] = field.scale_row(field.inv(mat[r][c]), mat[r])
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                mat[i] = field.sub_scaled_row(mat[i], mat[i][c], row)
+        mat[[r, r + below[0]]] = mat[[r + below[0], r]]
+        mat[r] = field.mul_arrays(field.inv(int(mat[r, c])), mat[r])
+        others = mat[:, c] != 0
+        others[r] = False
+        negated = field.mul_arrays(minus_one, mat[r])
+        mat[others] = field.add_arrays(mat[others], field.mul_arrays(mat[others, c, None], negated))
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return mat[:r], pivots
+    return mat[:r].tolist(), pivots
+
+
+def _read_only(rows) -> np.ndarray:
+    """`rows` as an int64 array that no caller can write."""
+    out = np.asarray(rows, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 class LinearCode:
@@ -78,9 +88,14 @@ class LinearCode:
         return len(self._echelon[0]) == self.dim
 
     @cached_property
-    def _echelon(self) -> tuple[list[list[int]], list[int]]:
+    def _echelon(self) -> tuple[np.ndarray, list[int]]:
         # (reduced rows, pivot columns): contains() re-encodes through them
-        return rref(self.field, self.generator)
+        reduced, pivots = rref(self.field, self.generator)
+        return _read_only(reduced), pivots
+
+    @cached_property
+    def _generator_array(self) -> np.ndarray:
+        return _read_only(self.generator)
 
     @property
     def rate(self) -> Fraction:
@@ -94,7 +109,8 @@ class LinearCode:
         msg = self.field.vector(msg, "message")
         if len(msg) != self.dim:
             raise Mismatch(f"message length {len(msg)} != dim {self.dim}")
-        return tuple(self.field.combine(msg, self.generator))
+        F, rows = self.field, self._generator_array
+        return tuple(F.sum_arrays(F.mul_arrays(np.array(msg)[:, None], rows)).tolist())
 
     def word_array(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """All q^dim codewords as one read-only (q^dim, n) int64 array, in
@@ -105,11 +121,10 @@ class LinearCode:
             raise TooLarge(f"{self.size} codewords exceed cap {cap}")
         if self._words is None:
             F, words = self.field, np.zeros((1, self.n), dtype=np.int64)
-            for row in self.generator:
-                multiples = np.array([F.scale_row(c, row) for c in range(F.q)], dtype=np.int64)
+            for row in self._generator_array:
+                multiples = F.mul_arrays(np.arange(F.q)[:, None], row)
                 words = F.add_arrays(words[:, None], multiples[None, :]).reshape(-1, self.n)
-            words.flags.writeable = False
-            self._words = words
+            self._words = _read_only(words)
         return self._words
 
     def enumerate_codewords(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
@@ -135,8 +150,8 @@ class LinearCode:
         """The only codeword that agrees with `word` on the pivot columns is
         sum_i word[pivot_i] * reduced_row_i, so `word` is a codeword iff it
         equals that re-encoding.  No elimination runs per call."""
-        reduced, pivots = self._echelon
-        return self.field.combine([word[p] for p in pivots], reduced) == word
+        (reduced, pivots), F, word = self._echelon, self.field, np.array(word)
+        return bool((F.sum_arrays(F.mul_arrays(word[pivots, None], reduced)) == word).all())
 
     def min_distance(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
         """Minimum fractional distance; by linearity the minimum nonzero weight."""

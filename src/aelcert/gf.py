@@ -8,18 +8,18 @@ and safe to share across threads.
 
 Fields with q <= 2^16 keep exp/log tables.  `_exp` is stored doubled, at
 length 2(q - 1), so a product is `_exp[log a + log b]` with no reduction
-mod q - 1.  Linear algebra works on whole rows: `scale_row(f, row)` is
-[f*y], `sub_scaled_row(x, f, y)` is [x_i - f*y_i] (pass `neg(f)` for the
-axpy x + f*y), `combine(coeffs, rows)` is sum_i c_i * row_i, for encoding
-and membership, and `dot(a, b)` is sum_i a_i * b_i, for Berlekamp-Massey,
-each with its field case picked once per call.  On numpy arrays of
-elements, `add_arrays(a, b)` and `mul_arrays(a, b)` work elementwise and
-`sum_arrays(a)` sums over the first axis, for enumeration, the group test
-of `arld` and the syndromes of `outer`.  Addition is an XOR in
-characteristic 2 and integer arithmetic mod p over a prime field (m = 1),
-where `combine` reduces once; otherwise it adds base-p digits, and the row
-primitives call `add` or `sub` per element.  Rows multiply by table
-lookups, or by `mul` per element in the larger fields, which have none.
+mod q - 1.  Vector arithmetic follows one rule: matrices on arrays,
+recurrences on lists.  On numpy arrays of elements, `add_arrays(a, b)` and
+`mul_arrays(a, b)` work elementwise and `sum_arrays(a)` sums over the first
+axis, for encoding, enumeration, membership and row reduction in `codes`,
+the group test of `arld` and the syndromes of `outer`.  The recurrences
+(Berlekamp-Massey, its error evaluator and polynomial division) change the
+length of short rows at every step, where numpy's cost per call exceeds the
+arithmetic; they use `sub_scaled_row(x, f, y)`, [x_i - f*y_i], and
+`dot(a, b)`, sum_i a_i * b_i, each with its field case picked once per call.
+Addition is an XOR in characteristic 2 and integer arithmetic mod p over a
+prime field (m = 1); otherwise it adds base-p digits.  Products are table
+lookups, or `mul` per element in the larger fields, which have none.
 
 Polynomials over a field are coefficient lists, low degree first:
 `poly_trim` and `poly_divmod` serve the irreducibility test (trial
@@ -248,16 +248,6 @@ class Field:
             return self._exp[self._log[a] + self._log[b]]
         return self._mul_poly(a, b)
 
-    def scale_row(self, f: int, row) -> list[int]:
-        """[f * y for y in row]."""
-        if f == 0:
-            return [0] * len(row)
-        exp, log = self._exp, self._log
-        if exp is None:
-            return [self.mul(f, y) for y in row]
-        lf = log[f]
-        return [exp[lf + log[y]] if y else 0 for y in row]
-
     def sub_scaled_row(self, x, f: int, y) -> list[int]:
         """[x_i - f * y_i]; sub_scaled_row(x, neg(f), y) is x + f * y."""
         if f == 0:
@@ -270,27 +260,6 @@ class Field:
             return [self.sub(a, self.mul(f, b)) for a, b in zip(x, y)]
         lf = log[f]
         return [a ^ exp[lf + log[b]] if b else a for a, b in zip(x, y)]
-
-    def combine(self, coeffs, rows) -> list[int]:
-        """sum_i coeffs[i] * rows[i] over a sequence of rows of one length
-        ([] for no rows).  The field case is chosen once per call, and a
-        zero coefficient costs nothing.  Over a prime field the sums are
-        reduced mod p once, at the end."""
-        out = [0] * (len(rows[0]) if rows else 0)
-        terms = [(c, row) for c, row in zip(coeffs, rows) if c]
-        exp, log = self._exp, self._log
-        if self.p == 2 and exp is not None:
-            for c, row in terms:
-                lc = log[c]
-                out = [a ^ exp[lc + log[b]] if b else a for a, b in zip(out, row)]
-        elif self.m == 1:
-            for c, row in terms:
-                out = [a + c * b for a, b in zip(out, row)]
-            out = [a % self.p for a in out]
-        else:
-            for c, row in terms:
-                out = [self.add(a, self.mul(c, b)) for a, b in zip(out, row)]
-        return out
 
     def dot(self, a, b) -> int:
         """sum_i a[i] * b[i] over the pairs of two sequences (`zip` stops at

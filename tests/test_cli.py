@@ -761,12 +761,15 @@ def test_verify_inner_above_eps_target_fails(workspace, capsys):
     assert (tmp / "vi_cert.json").exists()  # the certificate states the eps_min found
 
 
-def test_decode_of_a_word_with_an_erasure_exits_2(workspace, capsys):
+def test_decode_of_a_word_with_an_erasure_exits_1(workspace, capsys):
+    # the refusal of `ael_unique_decode`, as for a word that does not fit
     _, payload = _word_probe("decode", lambda symbols: [None] + symbols[1:])
     capsys.readouterr()
     assert main(["decode", "--config", _write_config(
-        workspace / "erased.json", payload(workspace))]) == 2
-    assert "config error: decode expects an unerased word" in capsys.readouterr().err
+        workspace / "erased.json", payload(workspace))]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    assert "error: symbol 0 is erased; unique decoding needs an unerased word" in captured.err
 
 
 @pytest.mark.parametrize("field", [

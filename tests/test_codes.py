@@ -116,21 +116,30 @@ def test_enumerate_counts(rs42):
     assert len(set(words)) == 16
 
 
+def _encode_oracle(field, msg, generator):
+    """sum_i msg[i] * generator[i], one `add` and one `mul` per symbol."""
+    word = [0] * len(generator[0])
+    for c, row in zip(msg, generator):
+        word = [field.add(a, field.mul(c, b)) for a, b in zip(word, row)]
+    return tuple(word)
+
+
 _ENUMERATION_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (17, 1)]
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_enumeration_matches_combine_over_product_order(data):
-    # the doubling against one `combine` per message, in `itertools.product`
-    # order (the last message symbol varies fastest)
+    # the doubling against the per-symbol combination of the generator rows
+    # for each message, in `itertools.product` order (the last message symbol
+    # varies fastest)
     field = make_field(*data.draw(st.sampled_from(_ENUMERATION_FIELDS), label="field"))
     dim = data.draw(st.integers(1, max(d for d in range(1, 6) if field.q**d <= 729)), label="dim")
     n = data.draw(st.integers(dim, dim + 4), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     code = sample_random_linear_code(field, n, dim, rng)
     words = code.enumerate_codewords()
-    assert words == [tuple(field.combine(m, code.generator))
+    assert words == [_encode_oracle(field, m, code.generator)
                      for m in product(range(field.q), repeat=dim)]
     assert all(type(x) is int for w in words for x in w)
 
@@ -396,3 +405,35 @@ def test_rref_edge_cases_match_oracle():
         for rows in ([], [[0, 0, 0]], [[0, 0], [0, 0]], [[1, 1], [0, 0]]):
             assert rref(field, rows) == _rref_oracle(field, rows)
         assert rref(field, []) == ([], [])
+
+
+# every field kind `test_gf` names: tabled (TABLE_FIELDS), tableless
+# extensions (TABLELESS_FIELDS) and a prime field too large for tables
+_ARITHMETIC_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 2), (17, 1), (2, 17), (3, 11), (65537, 1)]
+
+
+@pytest.mark.parametrize("p,m", _ARITHMETIC_FIELDS)
+def test_array_arithmetic_matches_per_symbol_oracles(p, m):
+    # encode, contains, rref and (on the small fields) word_array on one
+    # random code, against one `add`/`mul`/`sub` call per symbol; a word is a
+    # codeword iff appending it to the generator keeps the rank at dim
+    field = make_field(p, m)
+    n, dim = 7, 3
+    rng = np.random.default_rng(p * 100 + m)
+    code = sample_random_linear_code(field, n, dim, rng)
+    assert rref(field, code.generator) == _rref_oracle(field, code.generator)
+    messages = [[0] * dim, [1] * dim, [field.q - 1] * dim]
+    messages += rng.integers(0, field.q, size=(10, dim)).tolist()
+    for msg in messages:
+        word = code.encode(msg)
+        assert word == _encode_oracle(field, msg, code.generator)
+        assert all(type(x) is int for x in word)
+        pos, step = int(rng.integers(n)), int(rng.integers(1, field.q))
+        changed = word[:pos] + (field.add(word[pos], step),) + word[pos + 1:]
+        for other in (word, changed, rng.integers(0, field.q, size=n).tolist()):
+            rank = len(_rref_oracle(field, list(code.generator) + [list(other)])[0])
+            assert code.contains(other) == (rank == dim)
+    if code.size <= 729:
+        assert code.enumerate_codewords() == [_encode_oracle(field, msg, code.generator)
+                                              for msg in product(range(field.q), repeat=dim)]
+        assert not code.word_array().flags.writeable

@@ -365,7 +365,6 @@ def test_row_primitives_match_scalar_ops(p, m):
     rows, coeffs = _row_samples(f, p * 100 + m)
     for c in coeffs:
         for x in rows:
-            assert f.scale_row(c, x) == [f.mul(c, y) for y in x]
             for y in rows:
                 assert f.sub_scaled_row(x, c, y) == [
                     f.sub(a, f.mul(c, b)) for a, b in zip(x, y)
@@ -381,37 +380,11 @@ def test_row_primitives_exhaustive_small(p, m):
     f = make_field(p, m)
     elems = list(range(f.q))
     for c in elems:
-        assert f.scale_row(c, elems) == [f._mul_poly(c, y) for y in elems]
         for a in elems:
             x = [a] * f.q
             assert f.sub_scaled_row(x, c, elems) == [
                 f.sub(a, f._mul_poly(c, y)) for y in elems
             ]
-
-
-def _fold_of_sub_scaled_rows(f, coeffs, rows, length):
-    out = [0] * length
-    for c, row in zip(coeffs, rows):
-        out = f.sub_scaled_row(out, f.neg(c), row)
-    return out
-
-
-@pytest.mark.parametrize("p,m", [(2, 1), (17, 1), (2, 2), (2, 4), (3, 2)] + TABLELESS_FIELDS,
-                         ids=["GF2", "GF17", "GF4", "GF16", "GF9", "GF2^17", "GF3^11"])
-def test_combine_matches_the_sub_scaled_row_fold(p, m):
-    # prime fields of characteristic 2 and odd, tabled fields of
-    # characteristic 2, an odd extension, and fields with no tables; the
-    # samples hold a zero row and zero coefficients
-    f = make_field(p, m)
-    rows, coeffs = _row_samples(f, p * 100 + m)
-    rng = random.Random(p + m)
-    cases = [(coeffs[:len(rows)], rows), ([0] * len(rows), rows), (coeffs[1:2], rows[1:2]),
-             ([f.q - 1] * len(rows), rows)]
-    cases += [([rng.choice(coeffs) for _ in rows], rng.sample(rows, len(rows)))
-              for _ in range(20)]
-    for cs, rs in cases:
-        assert f.combine(cs, rs) == _fold_of_sub_scaled_rows(f, cs, rs, len(rs[0]))
-    assert f.combine([], []) == []
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (17, 1)],
@@ -452,20 +425,10 @@ def test_array_primitives_match_scalar_ops(p, m):
         assert f.dot(coeffs, r) == expected
 
 
-def test_combine_leaves_its_rows_alone(gf16):
-    # a caller may change the combination in place, and rows are often a
-    # code's cached generator: the result must never be one of them
-    rows = [[1, 2, 3], [0, 5, 6]]
-    out = gf16.combine([1, 0], rows)
-    assert out == [1, 2, 3] and out is not rows[0]
-    assert rows == [[1, 2, 3], [0, 5, 6]]
-
-
 def test_row_primitives_return_new_lists(gf16):
     x = [1, 2, 3]
     out = gf16.sub_scaled_row(x, 0, [4, 5, 6])
     assert out == x and out is not x
-    assert gf16.scale_row(0, x) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("p", [3, 5, 17])

@@ -374,7 +374,7 @@ def _gao_table(code):
         for b in code.points:
             if b != a:
                 denom = F.mul(denom, F.sub(a, b))
-        basis.append(F.scale_row(F.inv(denom), quot))
+        basis.append([F.mul(F.inv(denom), x) for x in quot])
     return g0, basis
 
 
@@ -387,7 +387,10 @@ def gao_decode(code, word):
     deg v_i <= (n - k) / 2 points."""
     F, n, k = code.field, code.n, code.dim
     g0, basis = _gao_table(code)
-    r0, r1 = g0, poly_trim(F.combine(word, basis))
+    g1 = [0] * len(g0)
+    for y, row in zip(word, basis):
+        g1 = [F.add(a, F.mul(y, b)) for a, b in zip(g1, row)]
+    r0, r1 = g0, poly_trim(g1)
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= n + k:
         quot, rem = poly_divmod(F, r0, r1)
